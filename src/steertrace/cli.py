@@ -7,157 +7,55 @@ Exit codes: 0 success, 2 invalid configuration or malformed input file,
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
+from dataclasses import replace
 
-from .coding import SurfaceConfig, aliasing_check, phase_gradients
+from .coding import aliasing_check, phase_gradients
 from .errors import TraceParseError, ValidationError
-from .gateway import GatewayConfig, TrafficTrace, run_simulation
-from .geometry import (
-    Angles,
-    Case,
-    CaseParams,
-    Trajectory,
-    case_a_trajectory,
-    case_b_trajectory,
-    case_c_trajectory,
-)
+from .gateway import TraceMeta, TrafficTrace, run_simulation
+from .geometry import Angles
 from .metrics import burst_stats, destination_matrix, sweep_diff
+from .scenario import defaults, meta_from_dict
 from .trace_io import export_heatmap, format_number, read_trace, write_report, write_trace
 
-DEFAULT_CONFIG = {
-    "surface": {"n_cols": 50, "n_rows": 50, "d_u": 0.0075, "n_states": 4},
-    "wave": {"lambda_i": 0.03, "lambda_r": 0.03},
-    "incidence": {"theta": 0.0, "phi": 0.0},
-    "gateway": {"angular_step": 5.0, "sample_dt": 0.001},
-    "scenario": {
-        "case": "A",
-        "standoff_distance": 10.0,
-        "speed": None,  # per-case default: 1.4 for A/C, 30 for B
-        "start_theta": 85.0,
-        "launch_angle": 45.0,
-        "leap_interval": 2.0,
-        "rng_seed": 1,
-        "duration": None,  # per-case default, see build_trajectory
-    },
-    "outputs": {
-        "trace": "trace.jsonl",
-        "report": "report.jsonl",
-        "heatmap": "heatmap.csv",
-        "heatmap_format": "csv",
-    },
-}
 
+def load_scenario(args) -> tuple[TraceMeta, str]:
+    """Defaults <- ``--config`` <- ``key=value`` overrides, parsed by the scenario schema.
 
-def load_config(path: str | None) -> dict:
-    """Defaults deep-merged with the JSON config file at ``path`` (if any)."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if path is None:
-        return cfg
-    with open(path, "rb") as fh:
-        try:
-            user = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config is not valid JSON: {exc.msg}", key="config")
-    if not isinstance(user, dict):
-        raise ValidationError("config must be a JSON object", key="config")
-    for section, values in user.items():
-        if section not in cfg:
-            raise ValidationError(f"unknown config section {section!r}", key=section)
-        if not isinstance(values, dict):
-            raise ValidationError(f"config section {section!r} must be an object", key=section)
-        for key, value in values.items():
-            if key not in cfg[section]:
-                raise ValidationError(f"unknown config key {section}.{key}", key=key)
-            cfg[section][key] = value
-    return cfg
-
-
-def apply_overrides(cfg: dict, pairs: list[str]):
-    """Apply dotted-key overrides such as ``surface.n_states=8`` in place."""
-    for pair in pairs:
-        if "=" not in pair:
+    Returns the scenario and ``outputs.trace``, the one config key that is not
+    part of the trace header.
+    """
+    cfg = defaults()
+    cfg["outputs"] = {"trace": "trace.jsonl"}
+    if args.config is not None:
+        with open(args.config, "rb") as fh:
+            try:
+                user = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                raise ValidationError(f"config is not valid JSON: {exc}", key="config") from None
+        if not (isinstance(user, dict) and all(isinstance(v, dict) for v in user.values())):
+            raise ValidationError("config must be a JSON object of section objects", key="config")
+        for section, values in user.items():
+            cfg.setdefault(section, {}).update(values)
+    for pair in args.overrides:
+        dotted, eq, raw = pair.partition("=")
+        section, dot, key = dotted.partition(".")
+        if not (eq and dot):
             raise ValidationError(f"override {pair!r} is not of the form section.key=value")
-        dotted, raw = pair.split("=", 1)
-        parts = dotted.split(".")
-        if len(parts) != 2:
-            raise ValidationError(f"override key {dotted!r} must be section.key", key=dotted)
-        section, key = parts
-        if section not in cfg or key not in cfg[section]:
-            raise ValidationError(f"unknown config key {dotted}", key=key)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             value = raw  # bare strings, e.g. case=A
-        cfg[section][key] = value
-
-
-def _coerce(section: dict, key: str, kind, section_name: str):
-    value = section[key]
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"{section_name}.{key} must be a {kind.__name__}, got {value!r}", key=key
-        ) from None
-
-
-def build_surface(cfg: dict) -> SurfaceConfig:
-    return SurfaceConfig(
-        n_cols=_coerce(cfg["surface"], "n_cols", int, "surface"),
-        n_rows=_coerce(cfg["surface"], "n_rows", int, "surface"),
-        d_u=_coerce(cfg["surface"], "d_u", float, "surface"),
-        n_states=_coerce(cfg["surface"], "n_states", int, "surface"),
-        lambda_i=_coerce(cfg["wave"], "lambda_i", float, "wave"),
-        lambda_r=_coerce(cfg["wave"], "lambda_r", float, "wave"),
-    )
-
-
-def build_trajectory(cfg: dict) -> Trajectory:
-    sc = cfg["scenario"]
-    try:
-        case = Case(sc["case"])
-    except ValueError:
-        raise ValidationError(
-            f"scenario.case must be one of A, B, C, got {sc['case']!r}", key="case"
-        ) from None
-    speed = sc["speed"]
-    if speed is None:
-        speed = 30.0 if case is Case.B else 1.4
-    params = CaseParams(
-        standoff_distance=_coerce(sc, "standoff_distance", float, "scenario"),
-        speed=float(speed),
-        start_theta=_coerce(sc, "start_theta", float, "scenario"),
-        launch_angle=_coerce(sc, "launch_angle", float, "scenario"),
-        leap_interval=_coerce(sc, "leap_interval", float, "scenario"),
-        rng_seed=_coerce(sc, "rng_seed", int, "scenario"),
-    )
-    duration = sc["duration"]
-    if case is Case.A:
-        traj = case_a_trajectory(params)
-        if duration is not None:
-            traj = Trajectory(Case.A, params, float(duration))
-        return traj
-    if case is Case.B:
-        return case_b_trajectory(params, None if duration is None else float(duration))
-    if duration is None:
-        return case_c_trajectory(params)
-    return case_c_trajectory(params, float(duration))
-
-
-def build_gateway(cfg: dict) -> GatewayConfig:
-    return GatewayConfig(
-        angular_step=_coerce(cfg["gateway"], "angular_step", float, "gateway"),
-        sample_dt=_coerce(cfg["gateway"], "sample_dt", float, "gateway"),
-    )
-
-
-def build_incident(cfg: dict) -> Angles:
-    return Angles(
-        _coerce(cfg["incidence"], "theta", float, "incidence"),
-        _coerce(cfg["incidence"], "phi", float, "incidence"),
-    )
+        cfg.setdefault(section, {})[key] = value
+    outputs = cfg.pop("outputs")
+    trace_path = outputs.pop("trace")
+    if outputs:
+        dotted = f"outputs.{next(iter(outputs))}"
+        raise ValidationError(f"unknown key {dotted}", key=dotted)
+    if not isinstance(trace_path, str):
+        raise ValidationError(f"outputs.trace must be a path, got {trace_path!r}", "outputs.trace")
+    return meta_from_dict(cfg), trace_path
 
 
 def _warn_on_aliasing(trace: TrafficTrace):
@@ -176,24 +74,19 @@ def _warn_on_aliasing(trace: TrafficTrace):
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    apply_overrides(cfg, args.overrides)
+    meta, out_path = load_scenario(args)
     if args.seed is not None:
-        cfg["scenario"]["rng_seed"] = args.seed
+        params = replace(meta.trajectory.params, rng_seed=args.seed)
+        meta = replace(meta, trajectory=replace(meta.trajectory, params=params))
     if args.out is not None:
-        cfg["outputs"]["trace"] = args.out
-    trajectory = build_trajectory(cfg)
-    surface = build_surface(cfg)
-    gateway = build_gateway(cfg)
-    incident = build_incident(cfg)
-    trace = run_simulation(trajectory, surface, gateway, incident)
+        out_path = args.out
+    trace = run_simulation(meta.trajectory, meta.surface, meta.gateway, meta.incident)
     _warn_on_aliasing(trace)
-    out_path = cfg["outputs"]["trace"]
     with open(out_path, "wb") as fh:
         write_trace(trace, fh)
     print(
         f"events={len(trace.events)} packets={trace.total_packets} "
-        f"duration={format_number(trajectory.duration)} trace={out_path}"
+        f"duration={format_number(meta.trajectory.duration)} trace={out_path}"
     )
     return 0
 
@@ -217,10 +110,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    apply_overrides(cfg, args.overrides)
-    surface = build_surface(cfg)
-    incident = build_incident(cfg)
+    meta, _ = load_scenario(args)
     if args.grid is not None:
         if not args.grid > 0:
             raise ValidationError("--grid step must be > 0", key="grid")
@@ -229,7 +119,7 @@ def cmd_sweep(args) -> int:
             nxt = theta - args.grid
             fraction = sweep_diff(
                 Angles(theta, args.from_phi), Angles(max(nxt, 0.0), args.to_phi),
-                surface, incident,
+                meta.surface, meta.incident,
             )
             print(
                 f"from_theta={format_number(theta)} to_theta={format_number(max(nxt, 0.0))} "
@@ -242,8 +132,8 @@ def cmd_sweep(args) -> int:
     fraction = sweep_diff(
         Angles(args.from_theta, args.from_phi),
         Angles(args.to_theta, args.to_phi),
-        surface,
-        incident,
+        meta.surface,
+        meta.incident,
     )
     print(
         f"from_theta={format_number(args.from_theta)} from_phi={format_number(args.from_phi)} "

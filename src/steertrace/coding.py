@@ -21,6 +21,8 @@ from .errors import ValidationError
 from .geometry import Angles
 
 TWO_PI = 2.0 * math.pi
+MAX_CELLS = 10**6  # n_cols * n_rows, checked before any matrix is allocated
+MAX_STATES = 2**53  # the quantizer needs the state count exact as a float
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,9 @@ class SurfaceConfig:
             (self.n_cols >= 1, "n_cols must be >= 1", "n_cols"),
             (self.n_rows >= 1, "n_rows must be >= 1", "n_rows"),
             (self.d_u > 0, "d_u must be > 0", "d_u"),
+            (self.n_cells <= MAX_CELLS, f"n_cols * n_rows must be <= {MAX_CELLS}", "n_cols"),
             (self.n_states >= 2, "n_states must be >= 2", "n_states"),
+            (self.n_states <= MAX_STATES, "n_states must be <= 2**53", "n_states"),
             (self.lambda_i > 0, "lambda_i must be > 0", "lambda_i"),
             (self.lambda_r > 0, "lambda_r must be > 0", "lambda_r"),
         )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .coding import SurfaceConfig, state_matrix
 from .errors import ValidationError
-from .geometry import Angles, Trajectory, angle_stream, signed_circular_delta_deg
+from .geometry import MAX_SAMPLES, Angles, Trajectory, angle_stream, signed_circular_delta_deg
 
 # Absorbs float round-off when a sample lands exactly on a threshold.
 ANGLE_EPS_DEG = 1e-9
@@ -61,6 +61,10 @@ class TraceMeta:
     gateway: GatewayConfig
     incident: Angles
     trajectory: Trajectory
+
+    def __post_init__(self):
+        if self.trajectory.duration / self.gateway.sample_dt > MAX_SAMPLES:
+            raise ValidationError(f"sample_dt gives over {MAX_SAMPLES} samples", key="sample_dt")
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,7 @@ def run_simulation(
     The surface starts in the all-zero state.  Every detected event is
     recorded, including those whose diff is empty.
     """
+    meta = TraceMeta(surface, gateway, incident, trajectory)  # checks the sample count
     stream = angle_stream(trajectory, gateway.sample_dt)
     current = np.zeros((surface.n_rows, surface.n_cols), dtype=np.int64)
     events = []
@@ -150,7 +155,6 @@ def run_simulation(
         target = state_matrix(incident, ang, surface)
         events.append(ReconfigEvent(t, ang, tuple(diff_states(current, target))))
         current = target
-    meta = TraceMeta(surface, gateway, incident, trajectory)
     return TrafficTrace(meta, tuple(events))
 
 

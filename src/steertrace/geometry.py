@@ -28,6 +28,7 @@ from .errors import BehindSurfaceError, ValidationError
 GRAVITY = 9.81  # m/s^2
 LEAP_THETA_MAX = 85.0  # degrees, upper bound of the case-C leap draw
 CASE_B_SPEED = 30.0  # m/s, launch speed typical of the projectile case
+MAX_SAMPLES = 10**7  # angle samples per run, and case-C leaps; checked before allocation
 
 
 class Case(str, Enum):
@@ -101,6 +102,8 @@ class Trajectory:
             "duration must be > 0",
             "duration",
         )
+        if self.case_id is Case.C and self.duration / self.params.leap_interval > MAX_SAMPLES:
+            raise ValidationError(f"leap_interval gives over {MAX_SAMPLES} leaps", key="leap_interval")
 
 
 def case_a_trajectory(params: CaseParams | None = None) -> Trajectory:

@@ -1,0 +1,148 @@
+"""The scenario schema, shared by the CLI config and the trace header.
+
+A scenario is the 18 keys of ``FIELDS``, in five sections and in that order.
+:func:`meta_to_dict` lays a :class:`TraceMeta` out so, and :func:`meta_from_dict`
+is the one strict parser of the layout: the CLI runs its merged config through
+it, and ``read_trace`` its header.  An integer must be a JSON integer (not a
+boolean); a float must be a finite JSON number and is stored as ``float(v)``;
+``case`` must be A, B or C; a null ``speed`` or ``duration`` takes the per-case
+default; unknown and missing keys are errors.  Every error is a
+:class:`ValidationError` whose key is ``section.key``.
+"""
+
+from __future__ import annotations
+
+import sys
+from dataclasses import astuple
+
+from .coding import SurfaceConfig
+from .errors import ValidationError
+from .gateway import NORMAL_INCIDENCE, GatewayConfig, TraceMeta
+from .geometry import (
+    Angles,
+    Case,
+    CaseParams,
+    Trajectory,
+    case_a_trajectory,
+    case_b_trajectory,
+    case_c_trajectory,
+)
+
+INT = "an integer"
+FLOAT = "a finite number"
+PER_CASE = "a finite number, or null for the per-case default"
+CASE = "one of A, B, C"
+
+FIELDS = (  # (section, key, kind)
+    ("surface", "n_cols", INT),
+    ("surface", "n_rows", INT),
+    ("surface", "d_u", FLOAT),
+    ("surface", "n_states", INT),
+    ("wave", "lambda_i", FLOAT),
+    ("wave", "lambda_r", FLOAT),
+    ("incidence", "theta", FLOAT),
+    ("incidence", "phi", FLOAT),
+    ("gateway", "angular_step", FLOAT),
+    ("gateway", "sample_dt", FLOAT),
+    ("scenario", "case", CASE),
+    ("scenario", "standoff_distance", FLOAT),
+    ("scenario", "speed", PER_CASE),
+    ("scenario", "start_theta", FLOAT),
+    ("scenario", "launch_angle", FLOAT),
+    ("scenario", "leap_interval", FLOAT),
+    ("scenario", "rng_seed", INT),
+    ("scenario", "duration", PER_CASE),
+)
+
+_KINDS = {(section, key): kind for section, key, kind in FIELDS}
+_SECTION_OF = {key: section for section, key, _ in FIELDS}
+_TRAJECTORIES = {Case.A: case_a_trajectory, Case.B: case_b_trajectory, Case.C: case_c_trajectory}
+
+
+def is_finite_number(value) -> bool:
+    """True for a JSON number that is finite as a float; booleans are not numbers."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def meta_to_dict(meta: TraceMeta) -> dict:
+    """``meta`` laid out as FIELDS, the same dict :func:`meta_from_dict` parses."""
+    traj = meta.trajectory
+    # the dataclasses' fields, in FIELDS order
+    values = iter((
+        *astuple(meta.surface), *astuple(meta.incident), *astuple(meta.gateway),
+        traj.case_id.value, *astuple(traj.params), traj.duration,
+    ))
+    d: dict = {}
+    for section, key, _ in FIELDS:
+        d.setdefault(section, {})[key] = next(values)
+    return d
+
+
+def defaults() -> dict:
+    """The scenario when nothing is set: the dataclass defaults, per-case keys null."""
+    d = meta_to_dict(
+        TraceMeta(SurfaceConfig(), GatewayConfig(), NORMAL_INCIDENCE, case_a_trajectory())
+    )
+    for section, key, kind in FIELDS:
+        if kind is PER_CASE:
+            d[section][key] = None
+    return d
+
+
+def _parse(kind: str, value, dotted: str):
+    if kind is INT and type(value) is int:
+        return value
+    if kind is CASE and value in tuple(Case):
+        return Case(value)
+    if kind in (FLOAT, PER_CASE) and is_finite_number(value):
+        return float(value)
+    if kind is PER_CASE and value is None:
+        return None
+    raise ValidationError(f"{dotted} must be {kind}, got {value!r}", key=dotted)
+
+
+def _sections(d) -> dict[str, dict]:
+    """``d`` checked against FIELDS, with every value parsed."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"scenario must be an object of sections, got {d!r}")
+    parsed: dict = {section: {} for section, _, _ in FIELDS}
+    for section, entries in d.items():
+        if section not in parsed:
+            raise ValidationError(f"unknown section {section!r}", key=section)
+        if not isinstance(entries, dict):
+            raise ValidationError(f"section {section} must be an object, got {entries!r}", section)
+        for key, value in entries.items():
+            dotted = f"{section}.{key}"
+            if (section, key) not in _KINDS:
+                raise ValidationError(f"unknown key {dotted}", key=dotted)
+            parsed[section][key] = _parse(_KINDS[section, key], value, dotted)
+    for section, key, _ in FIELDS:
+        if key not in parsed[section]:
+            raise ValidationError(f"missing key {section}.{key}", key=f"{section}.{key}")
+    return parsed
+
+
+def _trajectory(case: Case, speed: float | None, duration: float | None, **params) -> Trajectory:
+    make = _TRAJECTORIES[case]
+    if speed is None:
+        speed = make().params.speed  # each case's own default
+    p = CaseParams(speed=speed, **params)
+    return make(p) if duration is None else Trajectory(case, p, duration)
+
+
+def meta_from_dict(d) -> TraceMeta:
+    """Parse a scenario laid out as FIELDS; see the module docstring for the rules."""
+    s = _sections(d)
+    try:
+        return TraceMeta(
+            SurfaceConfig(**s["surface"], **s["wave"]),
+            GatewayConfig(**s["gateway"]),
+            Angles(**s["incidence"]),
+            _trajectory(**s["scenario"]),
+        )
+    except ValidationError as exc:
+        section = _SECTION_OF.get(exc.key)
+        if section is None:
+            raise
+        # the dataclasses' messages begin with their bare key
+        raise ValidationError(f"{section}.{exc}", key=f"{section}.{exc.key}") from None

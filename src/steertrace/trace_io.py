@@ -10,7 +10,8 @@ and every following line is one reconfiguration event::
     {"t": ..., "theta_r": ..., "phi_r": ..., "updates": [[col, row, state], ...]}
 
 ``meta`` snapshots the surface, gateway, incidence, and scenario in full, so
-a trace header alone suffices to regenerate the trace.  Floats are rendered
+a trace header alone suffices to regenerate the trace; :mod:`.scenario`, the
+schema of the CLI config too, lays it out and parses it.  Floats are rendered
 with full round-trip precision and no locale dependence.  ``created``
 defaults to the epoch of SOURCE_DATE_EPOCH (or 0 when unset) so identical
 scenarios always produce identical bytes.
@@ -22,18 +23,17 @@ PGM (P2, maxval 255, pixels scaled by the matrix maximum).
 from __future__ import annotations
 
 import json
-import math
 import os
 from datetime import datetime, timezone
 from typing import BinaryIO
 
 import numpy as np
 
-from .coding import SurfaceConfig
 from .errors import TraceParseError, TraceWriteError, ValidationError
-from .gateway import CellUpdate, GatewayConfig, ReconfigEvent, TraceMeta, TrafficTrace
-from .geometry import Angles, Case, CaseParams, Trajectory
+from .gateway import CellUpdate, ReconfigEvent, TrafficTrace
+from .geometry import Angles
 from .metrics import WorkloadReport
+from .scenario import is_finite_number, meta_from_dict, meta_to_dict
 
 FORMAT_VERSION = 1
 
@@ -73,64 +73,6 @@ class _CountingSink:
         self.offset += len(data)
 
 
-def meta_to_dict(meta: TraceMeta) -> dict:
-    p = meta.trajectory.params
-    return {
-        "surface": {
-            "n_cols": meta.surface.n_cols,
-            "n_rows": meta.surface.n_rows,
-            "d_u": meta.surface.d_u,
-            "n_states": meta.surface.n_states,
-        },
-        "wave": {
-            "lambda_i": meta.surface.lambda_i,
-            "lambda_r": meta.surface.lambda_r,
-        },
-        "incidence": {"theta": meta.incident.theta, "phi": meta.incident.phi},
-        "gateway": {
-            "angular_step": meta.gateway.angular_step,
-            "sample_dt": meta.gateway.sample_dt,
-        },
-        "scenario": {
-            "case": meta.trajectory.case_id.value,
-            "standoff_distance": p.standoff_distance,
-            "speed": p.speed,
-            "start_theta": p.start_theta,
-            "launch_angle": p.launch_angle,
-            "leap_interval": p.leap_interval,
-            "rng_seed": p.rng_seed,
-            "duration": meta.trajectory.duration,
-        },
-    }
-
-
-def meta_from_dict(d: dict) -> TraceMeta:
-    surface = SurfaceConfig(
-        n_cols=int(d["surface"]["n_cols"]),
-        n_rows=int(d["surface"]["n_rows"]),
-        d_u=float(d["surface"]["d_u"]),
-        n_states=int(d["surface"]["n_states"]),
-        lambda_i=float(d["wave"]["lambda_i"]),
-        lambda_r=float(d["wave"]["lambda_r"]),
-    )
-    gateway = GatewayConfig(
-        angular_step=float(d["gateway"]["angular_step"]),
-        sample_dt=float(d["gateway"]["sample_dt"]),
-    )
-    incident = Angles(float(d["incidence"]["theta"]), float(d["incidence"]["phi"]))
-    sc = d["scenario"]
-    params = CaseParams(
-        standoff_distance=float(sc["standoff_distance"]),
-        speed=float(sc["speed"]),
-        start_theta=float(sc["start_theta"]),
-        launch_angle=float(sc["launch_angle"]),
-        leap_interval=float(sc["leap_interval"]),
-        rng_seed=int(sc["rng_seed"]),
-    )
-    trajectory = Trajectory(Case(sc["case"]), params, float(sc["duration"]))
-    return TraceMeta(surface, gateway, incident, trajectory)
-
-
 def write_trace(trace: TrafficTrace, dest: BinaryIO, created: str | None = None):
     """Serialize a trace; see the module docstring for the format."""
     sink = _CountingSink(dest)
@@ -155,6 +97,8 @@ def _parse_line(text: str, line_number: int) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"invalid JSON: {exc.msg}", line_number) from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, or nesting too deep
+        raise TraceParseError(f"invalid JSON: {exc}", line_number) from None
     if not isinstance(obj, dict):
         raise TraceParseError("expected a JSON object", line_number)
     return obj
@@ -172,57 +116,61 @@ def read_trace(source: BinaryIO) -> TrafficTrace:
 
     header = _parse_line(lines[0], 1)
     version = header.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValidationError(
             f"unsupported format_version {version!r} (expected {FORMAT_VERSION})",
             key="format_version",
         )
     try:
-        meta = meta_from_dict(header["meta"])
-    except (KeyError, TypeError) as exc:
-        raise TraceParseError(f"bad header meta: {exc!r}", 1) from exc
+        meta = meta_from_dict(header.get("meta"))
+    except ValidationError as exc:
+        raise TraceParseError(f"bad header meta: {exc}", 1) from None
 
-    surface = meta.surface
+    n_cols, n_rows, n_states = meta.surface.n_cols, meta.surface.n_rows, meta.surface.n_states
     events = []
     last_t = None
     for line_number, line in enumerate(lines[1:], start=2):
         obj = _parse_line(line, line_number)
         try:
-            t = float(obj["t"])
-            reflected = Angles(float(obj["theta_r"]), float(obj["phi_r"]))
-            raw_updates = obj["updates"]
-            updates = tuple(
-                CellUpdate(col=int(c), row=int(r), new_state=int(s))
-                for c, r, s in raw_updates
+            t, theta, phi, raw_updates = obj["t"], obj["theta_r"], obj["phi_r"], obj["updates"]
+        except KeyError as exc:
+            raise TraceParseError(f"event record lacks {exc}", line_number) from None
+        if not (is_finite_number(t) and is_finite_number(theta) and is_finite_number(phi)):
+            raise TraceParseError(
+                f"t, theta_r and phi_r must be finite numbers, got {t!r}, {theta!r}, {phi!r}",
+                line_number,
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceParseError(f"bad event record: {exc!r}", line_number) from exc
-        if not math.isfinite(t):
-            raise ValidationError(f"line {line_number}: event time must be finite")
+        if type(raw_updates) is not list:
+            raise TraceParseError(f"updates must be a list, got {raw_updates!r}", line_number)
+        t = float(t)
         if last_t is not None and t <= last_t:
             raise ValidationError(
                 f"line {line_number}: event times must be strictly increasing "
                 f"({t!r} after {last_t!r})"
             )
         last_t = t
+        updates = []
         seen = set()
-        for u in updates:
-            if not (0 <= u.col < surface.n_cols and 0 <= u.row < surface.n_rows):
-                raise ValidationError(
-                    f"line {line_number}: cell ({u.col}, {u.row}) outside the "
-                    f"{surface.n_cols}x{surface.n_rows} grid"
-                )
-            if not 0 <= u.new_state < surface.n_states:
-                raise ValidationError(
-                    f"line {line_number}: state {u.new_state} outside "
-                    f"[0, {surface.n_states})"
-                )
-            if (u.col, u.row) in seen:
-                raise ValidationError(
-                    f"line {line_number}: duplicate update for cell ({u.col}, {u.row})"
-                )
-            seen.add((u.col, u.row))
-        events.append(ReconfigEvent(t, reflected, updates))
+        try:
+            for c, r, s in raw_updates:
+                if not (type(c) is int and type(r) is int and type(s) is int):
+                    raise TraceParseError(f"update {[c, r, s]!r} is not 3 integers", line_number)
+                if not (0 <= c < n_cols and 0 <= r < n_rows):
+                    raise ValidationError(
+                        f"line {line_number}: cell ({c}, {r}) outside the {n_cols}x{n_rows} grid"
+                    )
+                if not 0 <= s < n_states:
+                    raise ValidationError(f"line {line_number}: state {s} outside [0, {n_states})")
+                cell = r * n_cols + c
+                if cell in seen:
+                    raise ValidationError(f"line {line_number}: duplicate update for cell ({c}, {r})")
+                seen.add(cell)
+                updates.append(CellUpdate(c, r, s))
+        except (TraceParseError, ValidationError):
+            raise
+        except (TypeError, ValueError) as exc:  # an update that is not a 3-item list
+            raise TraceParseError(f"bad update: {exc}", line_number) from None
+        events.append(ReconfigEvent(t, Angles(float(theta), float(phi)), tuple(updates)))
     return TrafficTrace(meta, tuple(events))
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from steertrace import (
     CaseParams,
@@ -8,6 +9,13 @@ from steertrace import (
     case_c_trajectory,
     run_simulation,
 )
+
+# Property tests draw the same bounded set of examples on every run and keep
+# no example database, so the suite stays deterministic and quick.
+settings.register_profile(
+    "steertrace", derandomize=True, deadline=None, max_examples=100, database=None
+)
+settings.load_profile("steertrace")
 
 
 @pytest.fixture(scope="session")

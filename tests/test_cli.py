@@ -1,7 +1,19 @@
 import json
+import time
 
-from steertrace import read_report, read_trace
+import pytest
+
+from steertrace import (
+    CaseParams,
+    GatewayConfig,
+    SurfaceConfig,
+    TraceMeta,
+    case_c_trajectory,
+    read_report,
+    read_trace,
+)
 from steertrace.cli import main
+from steertrace.gateway import NORMAL_INCIDENCE
 
 
 def run_cli(*argv):
@@ -30,6 +42,69 @@ def test_simulate_unknown_override_key(tmp_path, capsys):
     code = run_cli("simulate", "--out", str(tmp_path / "t.jsonl"), "surface.bogus=3")
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("simulate", "scenario.speed=abc"), "scenario.speed"),
+        (("simulate", "scenario.duration=x"), "scenario.duration"),
+        (("simulate", "scenario.rng_seed=1e400"), "scenario.rng_seed"),
+        (("simulate", "surface.n_cols=7.9"), "surface.n_cols"),
+        (("simulate", "surface.n_cols=true"), "surface.n_cols"),
+        (("simulate", "scenario.rng_seed=2.5"), "scenario.rng_seed"),
+        (("simulate", "surface.d_u=1e400"), "surface.d_u"),
+        (("simulate", "scenario.leap_interval=1e400"), "scenario.leap_interval"),
+        (("sweep", "--from-theta", "30", "--to-theta", "0", "scenario.case=Z"), "scenario.case"),
+    ],
+)
+def test_malformed_value_exits_2_naming_the_key(tmp_path, capsys, argv, key):
+    out = tmp_path / "t.jsonl"
+    if argv[0] == "simulate":
+        argv = (*argv, "--out", str(out))
+    assert run_cli(*argv) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["report", "heatmap", "heatmap_format"])
+def test_removed_outputs_keys_are_rejected(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"outputs": {key: "x"}}))
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")) == 2
+    assert f"outputs.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        # 10000.001 s at the default 1 ms: 10,000,001 samples
+        (("scenario.case=C", "scenario.duration=10000.001"), "gateway.sample_dt"),
+        # 5,000,000.5 s in 0.5 s leaps: 10,000,001 leaps, with 1 s sampling
+        (
+            ("scenario.case=C", "gateway.sample_dt=1", "scenario.leap_interval=0.5",
+             "scenario.duration=5000000.5"),
+            "scenario.leap_interval",
+        ),
+        # 101 x 9901 = 1,000,001 cells
+        (("surface.n_cols=101", "surface.n_rows=9901"), "surface.n_cols"),
+    ],
+)
+def test_value_just_over_a_resource_limit_exits_2_at_once(tmp_path, capsys, overrides, key):
+    start = time.perf_counter()
+    assert run_cli("simulate", "--out", str(tmp_path / "t.jsonl"), *overrides) == 2
+    assert time.perf_counter() - start < 1.0
+    assert key in capsys.readouterr().err
+
+
+def test_resource_limits_admit_their_own_value():
+    # 1000 x 1000 cells, 10,000,000 samples and 10,000,000 leaps: checked, never run
+    TraceMeta(
+        SurfaceConfig(n_cols=1000, n_rows=1000),
+        GatewayConfig(),
+        NORMAL_INCIDENCE,
+        case_c_trajectory(CaseParams(leap_interval=0.001), duration=10000.0),
+    )
 
 
 def test_seeded_case_c_runs_are_byte_identical(tmp_path):

@@ -1,0 +1,126 @@
+"""Property tests of the input boundary: CLI overrides and trace files."""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given
+from hypothesis import strategies as st
+from test_trace_io import HEADER
+
+from steertrace import (
+    Angles,
+    Case,
+    CaseParams,
+    CellUpdate,
+    GatewayConfig,
+    ReconfigEvent,
+    SurfaceConfig,
+    TraceMeta,
+    TraceParseError,
+    TrafficTrace,
+    Trajectory,
+    ValidationError,
+    read_trace,
+    write_trace,
+)
+from steertrace.cli import main
+from steertrace.scenario import FIELDS
+
+CONFIG_KEYS = [f"{section}.{key}" for section, key, _ in FIELDS] + ["outputs.trace"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+VALID_TRACE = (
+    f"{HEADER}\n"
+    '{"t":1.0,"theta_r":80.0,"phi_r":0.0,"updates":[[1,2,1],[3,4,0]]}\n'
+    '{"t":2.5,"theta_r":75.0,"phi_r":10.0,"updates":[]}\n'
+)
+
+
+def read_or_reject(data: bytes):
+    try:
+        assert isinstance(read_trace(io.BytesIO(data)), TrafficTrace)
+    except (TraceParseError, ValidationError):
+        pass
+
+
+@given(key=st.sampled_from(CONFIG_KEYS), raw=json_values.map(json.dumps) | st.text())
+def test_any_override_value_exits_0_or_2(key, raw):
+    # sweep parses the whole config like simulate does, but codes only two directions
+    argv = ["sweep", "--from-theta", "30", "--to-theta", "0", f"{key}={raw}"]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2)
+
+
+@given(st.binary(max_size=200) | st.binary(max_size=200).map(lambda b: HEADER.encode() + b"\n" + b))
+def test_read_trace_on_arbitrary_bytes_returns_or_rejects(data):
+    read_or_reject(data)
+
+
+def node_paths(obj, path=()):
+    """Every node of a parsed JSON document, as a path of keys and indices."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield from node_paths(v, (*path, k))
+
+
+@given(data=st.data())
+def test_read_trace_on_one_field_mutation_returns_or_rejects(data):
+    docs = [json.loads(line) for line in VALID_TRACE.splitlines()]
+    line, path = data.draw(
+        st.sampled_from([(i, p) for i, doc in enumerate(docs) for p in node_paths(doc) if p])
+    )
+    parent = docs[line]
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = data.draw(json_values)
+    read_or_reject("\n".join(json.dumps(doc) for doc in docs).encode())
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-3, max_value=1e3)
+angle = st.floats(min_value=0.0, max_value=90.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def traces(draw):
+    surface = SurfaceConfig(
+        draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(positive),
+        draw(st.integers(2, 2**53)), draw(positive), draw(positive),
+    )
+    params = CaseParams(
+        draw(positive), draw(positive), draw(angle), draw(angle), draw(positive),
+        draw(st.integers(-(2**64), 2**64)),
+    )
+    meta = TraceMeta(
+        surface,
+        GatewayConfig(draw(positive), draw(st.floats(min_value=1.0, max_value=1e3))),
+        Angles(draw(finite), draw(finite)),
+        Trajectory(draw(st.sampled_from(Case)), params, draw(positive)),
+    )
+    cells = st.tuples(st.integers(0, surface.n_cols - 1), st.integers(0, surface.n_rows - 1))
+    events = []
+    for t in sorted(set(draw(st.lists(finite, max_size=4)))):
+        updates = tuple(
+            CellUpdate(c, r, draw(st.integers(0, surface.n_states - 1)))
+            for c, r in draw(st.lists(cells, unique=True))
+        )
+        events.append(ReconfigEvent(t, Angles(draw(finite), draw(finite)), updates))
+    return TrafficTrace(meta, tuple(events))
+
+
+@given(traces())
+def test_generated_traces_round_trip_byte_exact(trace):
+    first = io.BytesIO()
+    write_trace(trace, first)
+    again = read_trace(io.BytesIO(first.getvalue()))
+    second = io.BytesIO()
+    write_trace(again, second)
+    assert second.getvalue() == first.getvalue()
+    assert again == trace

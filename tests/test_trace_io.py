@@ -140,6 +140,38 @@ HEADER = (
 )
 
 
+EVENT = '{"t":1.0,"theta_r":80.0,"phi_r":0.0,"updates":[[1,2,1]]}'
+
+
+@pytest.mark.parametrize(
+    "old, new, line, needle",
+    [
+        ('"case":"A"', '"case":"Z"', 1, "scenario.case"),
+        ('"speed":1.4', '"speed":"fast"', 1, "scenario.speed"),
+        ('"rng_seed":1', '"rng_seed":1e400', 1, "scenario.rng_seed"),
+        ('"n_cols":50', '"n_cols":7.9', 1, "surface.n_cols"),
+        ('"d_u"', '"extra":1,"d_u"', 1, "surface.extra"),
+        ("[[1,2,1]]", "[[0.9,0,1]]", 2, "update [0.9, 0, 1]"),
+        ("[[1,2,1]]", "[[true,0,1]]", 2, "update [True, 0, 1]"),
+        ('"theta_r":80.0', '"theta_r":NaN', 2, "theta_r"),
+        ('"theta_r":80.0', '"theta_r":"80"', 2, "theta_r"),
+    ],
+)
+def test_read_rejects_malformed_header_and_event_values(old, new, line, needle):
+    text = f"{HEADER}\n{EVENT}"
+    assert text.count(old) == 1
+    with pytest.raises((TraceParseError, ValidationError)) as err:
+        read_trace(write_lines(text.replace(old, new)))
+    assert str(err.value).startswith(f"line {line}:")
+    assert needle in str(err.value)
+
+
+def test_read_resolves_null_speed_and_duration_per_case():
+    header = HEADER.replace('"speed":1.4', '"speed":null')
+    meta = read_trace(write_lines(header.replace('"duration":81.0', '"duration":null'))).meta
+    assert meta.trajectory == case_a_trajectory()
+
+
 def test_read_rejects_decreasing_timestamps():
     src = write_lines(
         HEADER,
