@@ -19,14 +19,12 @@ from .coding import (
 )
 from .errors import BehindSurfaceError, TraceParseError, TraceWriteError, ValidationError
 from .gateway import (
-    CellUpdate,
     GatewayConfig,
     ReconfigEvent,
     TraceMeta,
     TrafficTrace,
     detect_events,
     diff_states,
-    replay_states,
     run_simulation,
 )
 from .geometry import (
@@ -70,7 +68,6 @@ __all__ = [
     "BehindSurfaceError",
     "Case",
     "CaseParams",
-    "CellUpdate",
     "FORMAT_VERSION",
     "GatewayConfig",
     "PhaseGradient",
@@ -105,7 +102,6 @@ __all__ = [
     "quantize_phase",
     "read_report",
     "read_trace",
-    "replay_states",
     "run_simulation",
     "spatial_cv",
     "state_matrix",

@@ -14,7 +14,7 @@ from dataclasses import replace
 from .coding import aliasing_check, phase_gradients
 from .errors import TraceParseError, ValidationError
 from .gateway import TraceMeta, TrafficTrace, run_simulation
-from .geometry import Angles
+from .geometry import MAX_SAMPLES, Angles
 from .metrics import burst_stats, destination_matrix, sweep_diff
 from .scenario import defaults, meta_from_dict
 from .trace_io import export_heatmap, format_number, read_trace, write_report, write_trace
@@ -112,8 +112,8 @@ def cmd_metrics(args) -> int:
 def cmd_sweep(args) -> int:
     meta, _ = load_scenario(args)
     if args.grid is not None:
-        if not args.grid > 0:
-            raise ValidationError("--grid step must be > 0", key="grid")
+        if not (args.grid > 0 and 85.0 / args.grid <= MAX_SAMPLES):  # one coding pair per step
+            raise ValidationError(f"--grid must be > 0 and give <= {MAX_SAMPLES} steps", "grid")
         theta = 85.0
         while theta - args.grid >= -1e-9:
             nxt = theta - args.grid

@@ -35,22 +35,32 @@ class GatewayConfig:
             raise ValidationError("sample_dt must be > 0", key="sample_dt")
 
 
-@dataclass(frozen=True, slots=True)
-class CellUpdate:
-    """One packet: the cell at (col, row) switches to ``new_state``."""
-
-    col: int
-    row: int
-    new_state: int
-
-
 @dataclass(frozen=True)
 class ReconfigEvent:
-    """One gateway burst: trigger time, target direction, per-cell updates."""
+    """One gateway burst: trigger time, target direction, a (col, row, new state) row per packet."""
 
     t: float
     reflected: Angles
-    updates: tuple[CellUpdate, ...]
+    updates: np.ndarray  # (n, 3) int64, read-only; built from integers only, never cast
+
+    def __post_init__(self):
+        try:
+            u = np.asarray(self.updates)
+            if u.shape == (0,):  # an empty sequence
+                u = u.astype(np.int64).reshape(0, 3)
+            if not (u.dtype.kind in "iu" and np.can_cast(u.dtype, np.int64) and u.shape[1:] == (3,)):
+                raise ValueError(f"got {u.dtype} of shape {u.shape}")
+        except ValueError as exc:  # a ragged sequence too
+            raise ValidationError(f"updates must be (n, 3) integers: {exc}", "updates") from None
+        u = u.astype(np.int64)  # a copy, so that nothing else can write it
+        u.flags.writeable = False
+        object.__setattr__(self, "updates", u)
+
+    def __eq__(self, other):
+        if not isinstance(other, ReconfigEvent):
+            return NotImplemented
+        same_updates = np.array_equal(self.updates, other.updates)
+        return self.t == other.t and self.reflected == other.reflected and same_updates
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,8 @@ class TraceMeta:
     trajectory: Trajectory
 
     def __post_init__(self):
+        if not 0.0 <= self.incident.theta < 90.0:
+            raise ValidationError(f"theta={self.incident.theta!r} must lie in [0, 90)", "theta")
         if self.trajectory.duration / self.gateway.sample_dt > MAX_SAMPLES:
             raise ValidationError(f"sample_dt gives over {MAX_SAMPLES} samples", key="sample_dt")
 
@@ -124,16 +136,14 @@ def detect_events(
     return picked
 
 
-def diff_states(old: np.ndarray, new: np.ndarray) -> list[CellUpdate]:
-    """Updates turning ``old`` into ``new``, row-major (row outer, column inner)."""
+def diff_states(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Packets turning ``old`` into ``new``: (col, row, state) rows in row-major cell order."""
     old = np.asarray(old)
     new = np.asarray(new)
     if old.shape != new.shape:
         raise ValidationError(f"matrix shapes differ: {old.shape} vs {new.shape}")
-    return [
-        CellUpdate(col=int(i), row=int(j), new_state=int(new[j, i]))
-        for j, i in np.argwhere(old != new)
-    ]
+    rows, cols = np.nonzero(old != new)
+    return np.column_stack((cols, rows, new[rows, cols]))
 
 
 def run_simulation(
@@ -153,15 +163,7 @@ def run_simulation(
     events = []
     for t, ang in detect_events(stream, gateway.angular_step):
         target = state_matrix(incident, ang, surface)
-        events.append(ReconfigEvent(t, ang, tuple(diff_states(current, target))))
+        events.append(ReconfigEvent(t, ang, diff_states(current, target)))
         current = target
     return TrafficTrace(meta, tuple(events))
 
-
-def replay_states(trace: TrafficTrace):
-    """Yield (event, matrix) pairs, applying updates cumulatively from zero."""
-    m = np.zeros((trace.meta.surface.n_rows, trace.meta.surface.n_cols), dtype=np.int64)
-    for ev in trace.events:
-        for u in ev.updates:
-            m[u.row, u.col] = u.new_state
-        yield ev, m.copy()

@@ -34,12 +34,9 @@ def percent_changed(trace: TrafficTrace) -> list[float]:
 def destination_matrix(trace: TrafficTrace) -> np.ndarray:
     """Per-cell share of all packets, shape (n_rows, n_cols); zero if no packets."""
     surface = trace.meta.surface
-    counts = np.zeros((surface.n_rows, surface.n_cols), dtype=float)
-    for ev in trace.events:
-        for u in ev.updates:
-            counts[u.row, u.col] += 1
-    total = counts.sum()
-    return counts / total if total > 0 else counts
+    updates = np.concatenate([np.empty((0, 3), np.int64), *(ev.updates for ev in trace.events)])
+    cells = np.bincount(updates[:, 1] * surface.n_cols + updates[:, 0], minlength=surface.n_cells)
+    return cells.reshape(surface.n_rows, surface.n_cols) / max(cells.sum(), 1)
 
 
 def injection_rate(

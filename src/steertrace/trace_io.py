@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields
 from datetime import datetime, timezone
+from itertools import chain
 from typing import BinaryIO
 
 import numpy as np
 
 from .errors import TraceParseError, TraceWriteError, ValidationError
-from .gateway import CellUpdate, ReconfigEvent, TrafficTrace
+from .gateway import ReconfigEvent, TrafficTrace
 from .geometry import Angles
 from .metrics import WorkloadReport
 from .scenario import is_finite_number, meta_from_dict, meta_to_dict
@@ -72,24 +74,28 @@ class _CountingSink:
             ) from exc
         self.offset += len(data)
 
+    def write_json(self, obj):
+        self.write_line(json.dumps(obj, separators=(",", ":")))
+
+
+def _start(dest: BinaryIO, created: str | None, **header) -> _CountingSink:
+    """A sink on ``dest`` that has written the header line: version, stamp, ``header``."""
+    sink = _CountingSink(dest)
+    created = created if created is not None else default_created()
+    sink.write_json({"format_version": FORMAT_VERSION, "created": created, **header})
+    return sink
+
 
 def write_trace(trace: TrafficTrace, dest: BinaryIO, created: str | None = None):
     """Serialize a trace; see the module docstring for the format."""
-    sink = _CountingSink(dest)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "created": created if created is not None else default_created(),
-        "meta": meta_to_dict(trace.meta),
-    }
-    sink.write_line(json.dumps(header, separators=(",", ":")))
+    sink = _start(dest, created, meta=meta_to_dict(trace.meta))
     for ev in trace.events:
-        record = {
+        sink.write_json({
             "t": ev.t,
             "theta_r": ev.reflected.theta,
             "phi_r": ev.reflected.phi,
-            "updates": [[u.col, u.row, u.new_state] for u in ev.updates],
-        }
-        sink.write_line(json.dumps(record, separators=(",", ":")))
+            "updates": ev.updates.tolist(),
+        })
 
 
 def _parse_line(text: str, line_number: int) -> dict:
@@ -104,16 +110,16 @@ def _parse_line(text: str, line_number: int) -> dict:
     return obj
 
 
-def read_trace(source: BinaryIO) -> TrafficTrace:
-    """Inverse of :func:`write_trace`; validates structure on load."""
+def _read_lines(source: BinaryIO) -> tuple[dict, list[str]]:
+    """Decode a trace or report file; return its version-checked header and all lines."""
+    data = source.read()
     try:
-        text = source.read().decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise TraceParseError(f"not valid UTF-8: {exc}", 1) from exc
+        raise TraceParseError(f"not UTF-8: {exc}", data.count(b"\n", 0, exc.start) + 1) from None
     lines = text.splitlines()
     if not lines:
         raise TraceParseError("empty file, header missing", 1)
-
     header = _parse_line(lines[0], 1)
     version = header.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
@@ -121,14 +127,47 @@ def read_trace(source: BinaryIO) -> TrafficTrace:
             f"unsupported format_version {version!r} (expected {FORMAT_VERSION})",
             key="format_version",
         )
+    return header, lines
+
+
+def _updates(raw, surface, line_number: int) -> np.ndarray:
+    """``raw`` as (n, 3) int64 rows of distinct cells; an error names the bad update."""
+    if type(raw) is not list:
+        raise TraceParseError(f"updates must be a list, got {raw!r}", line_number)
+    try:
+        # one C-level pass over the values: np.array below would cast bools and floats
+        if not set(map(type, chain.from_iterable(raw))) <= {int}:
+            raise TypeError
+        updates = np.array(raw, dtype=np.int64).reshape(len(raw), 3)
+    except (TypeError, ValueError, OverflowError):
+        for u in raw:
+            if not (type(u) is list and len(u) == 3 and all(type(x) is int for x in u)):
+                raise TraceParseError(f"update {u!r} is not 3 integers", line_number) from None
+        raise TraceParseError("an update integer exceeds 64 bits", line_number) from None
+    limits = (surface.n_cols, surface.n_rows, surface.n_states)
+    inside = ((updates >= 0) & (updates < limits)).all(axis=1)
+    if not inside.all():
+        raise ValidationError(
+            f"line {line_number}: update {updates[inside.argmin()].tolist()} outside the "
+            f"{surface.n_cols}x{surface.n_rows} grid or the states [0, {surface.n_states})"
+        )
+    cells = np.sort(updates[:, 1] * surface.n_cols + updates[:, 0])
+    repeated = cells[1:][cells[1:] == cells[:-1]]
+    if repeated.size:
+        r, c = divmod(int(repeated[0]), surface.n_cols)
+        raise ValidationError(f"line {line_number}: duplicate update for cell ({c}, {r})")
+    return updates
+
+
+def read_trace(source: BinaryIO) -> TrafficTrace:
+    """Inverse of :func:`write_trace`; validates structure on load."""
+    header, lines = _read_lines(source)
     try:
         meta = meta_from_dict(header.get("meta"))
     except ValidationError as exc:
         raise TraceParseError(f"bad header meta: {exc}", 1) from None
 
-    n_cols, n_rows, n_states = meta.surface.n_cols, meta.surface.n_rows, meta.surface.n_states
     events = []
-    last_t = None
     for line_number, line in enumerate(lines[1:], start=2):
         obj = _parse_line(line, line_number)
         try:
@@ -140,80 +179,43 @@ def read_trace(source: BinaryIO) -> TrafficTrace:
                 f"t, theta_r and phi_r must be finite numbers, got {t!r}, {theta!r}, {phi!r}",
                 line_number,
             )
-        if type(raw_updates) is not list:
-            raise TraceParseError(f"updates must be a list, got {raw_updates!r}", line_number)
         t = float(t)
-        if last_t is not None and t <= last_t:
+        if events and t <= events[-1].t:
             raise ValidationError(
                 f"line {line_number}: event times must be strictly increasing "
-                f"({t!r} after {last_t!r})"
+                f"({t!r} after {events[-1].t!r})"
             )
-        last_t = t
-        updates = []
-        seen = set()
-        try:
-            for c, r, s in raw_updates:
-                if not (type(c) is int and type(r) is int and type(s) is int):
-                    raise TraceParseError(f"update {[c, r, s]!r} is not 3 integers", line_number)
-                if not (0 <= c < n_cols and 0 <= r < n_rows):
-                    raise ValidationError(
-                        f"line {line_number}: cell ({c}, {r}) outside the {n_cols}x{n_rows} grid"
-                    )
-                if not 0 <= s < n_states:
-                    raise ValidationError(f"line {line_number}: state {s} outside [0, {n_states})")
-                cell = r * n_cols + c
-                if cell in seen:
-                    raise ValidationError(f"line {line_number}: duplicate update for cell ({c}, {r})")
-                seen.add(cell)
-                updates.append(CellUpdate(c, r, s))
-        except (TraceParseError, ValidationError):
-            raise
-        except (TypeError, ValueError) as exc:  # an update that is not a 3-item list
-            raise TraceParseError(f"bad update: {exc}", line_number) from None
-        events.append(ReconfigEvent(t, Angles(float(theta), float(phi)), tuple(updates)))
+        updates = _updates(raw_updates, meta.surface, line_number)
+        events.append(ReconfigEvent(t, Angles(float(theta), float(phi)), updates))
     return TrafficTrace(meta, tuple(events))
 
 
 def write_report(report: WorkloadReport, dest: BinaryIO, created: str | None = None):
     """Write a workload report in the same line-delimited object format."""
-    sink = _CountingSink(dest)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "created": created if created is not None else default_created(),
-        "kind": "workload_report",
-    }
-    sink.write_line(json.dumps(header, separators=(",", ":")))
-    body = {
+    sink = _start(dest, created, kind="workload_report")
+    sink.write_json({
         "total_packets": report.total_packets,
         "spatial_cv": report.spatial_cv,
         "per_event_changed_fraction": list(report.per_event_changed_fraction),
         "burst_sizes": list(report.burst_sizes),
         "inter_event_times": list(report.inter_event_times),
-    }
-    sink.write_line(json.dumps(body, separators=(",", ":")))
+    })
 
 
 def read_report(source: BinaryIO) -> WorkloadReport:
-    lines = source.read().decode("utf-8").splitlines()
-    if len(lines) < 2:
-        raise TraceParseError("report needs a header line and a body line", max(1, len(lines)))
-    header = _parse_line(lines[0], 1)
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported format_version {header.get('format_version')!r}",
-            key="format_version",
-        )
-    body = _parse_line(lines[1], 2)
-    try:
-        return WorkloadReport(
-            per_event_changed_fraction=tuple(float(x) for x in body["per_event_changed_fraction"]),
-            total_packets=int(body["total_packets"]),
-            burst_sizes=tuple(int(x) for x in body["burst_sizes"]),
-            inter_event_times=tuple(float(x) for x in body["inter_event_times"]),
-            spatial_cv=float(body["spatial_cv"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceParseError(f"bad report body: {exc!r}", 2) from exc
+    """Inverse of :func:`write_report`; each value must fit its WorkloadReport field's type."""
+    _, lines = _read_lines(source)
+    body = _parse_line(lines[1], 2) if len(lines) > 1 else {}
+    values = {}
+    for field in fields(WorkloadReport):
+        value, many = body.get(field.name), str(field.type).startswith("tuple")
+        kind = int if "int" in str(field.type) else float
+        items = value if many and type(value) is list else [value]
+        valid = (type(x) is int if kind is int else is_finite_number(x) for x in items)
+        if many != (type(value) is list) or not all(valid):
+            raise TraceParseError(f"bad report body: {field.name} is {value!r}", 2)
+        values[field.name] = tuple(map(kind, items)) if many else kind(value)
+    return WorkloadReport(**values)
 
 
 def export_heatmap(matrix: np.ndarray, fmt: str, dest: BinaryIO):

@@ -14,7 +14,6 @@ import numpy as np
 from steertrace import (
     Angles,
     CaseParams,
-    CellUpdate,
     GatewayConfig,
     ReconfigEvent,
     SurfaceConfig,
@@ -229,8 +228,8 @@ def test_criterion_7_oracle_suites():
         for trace in traces:
             m = np.zeros((surface.n_rows, surface.n_cols), dtype=np.int64)
             for ev in trace.events:
-                for u in ev.updates:
-                    m[u.row, u.col] = u.new_state
+                for c, r, s in ev.updates.tolist():
+                    m[r, c] = s
             final = state_matrix(INC, trace.events[-1].reflected, surface)
             assert np.array_equal(m, final), trace.meta.trajectory.case_id
 
@@ -268,7 +267,7 @@ def _random_trace(rng):
             ReconfigEvent(
                 t,
                 Angles(rng.uniform(0, 89), rng.uniform(0, 360)),
-                tuple(CellUpdate(c, r, rng.randrange(4)) for c, r in cells),
+                tuple((c, r, rng.randrange(4)) for c, r in cells),
             )
         )
     return TrafficTrace(meta, tuple(events))

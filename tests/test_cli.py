@@ -56,6 +56,7 @@ def test_simulate_unknown_override_key(tmp_path, capsys):
         (("simulate", "surface.d_u=1e400"), "surface.d_u"),
         (("simulate", "scenario.leap_interval=1e400"), "scenario.leap_interval"),
         (("sweep", "--from-theta", "30", "--to-theta", "0", "scenario.case=Z"), "scenario.case"),
+        (("simulate", "incidence.theta=95"), "incidence.theta"),
     ],
 )
 def test_malformed_value_exits_2_naming_the_key(tmp_path, capsys, argv, key):
@@ -88,11 +89,15 @@ def test_removed_outputs_keys_are_rejected(tmp_path, capsys, key):
         ),
         # 101 x 9901 = 1,000,001 cells
         (("surface.n_cols=101", "surface.n_rows=9901"), "surface.n_cols"),
+        # 85 / 1e-9 grid steps, each coding two state matrices
+        (("sweep", "--grid", "1e-9"), "grid"),
     ],
 )
 def test_value_just_over_a_resource_limit_exits_2_at_once(tmp_path, capsys, overrides, key):
+    if overrides[0] != "sweep":
+        overrides = ("simulate", "--out", str(tmp_path / "t.jsonl"), *overrides)
     start = time.perf_counter()
-    assert run_cli("simulate", "--out", str(tmp_path / "t.jsonl"), *overrides) == 2
+    assert run_cli(*overrides) == 2
     assert time.perf_counter() - start < 1.0
     assert key in capsys.readouterr().err
 

@@ -8,6 +8,7 @@ from steertrace import (
     Angles,
     CaseParams,
     GatewayConfig,
+    ReconfigEvent,
     SurfaceConfig,
     ValidationError,
     angle_stream,
@@ -17,7 +18,6 @@ from steertrace import (
     circular_delta_deg,
     detect_events,
     diff_states,
-    replay_states,
     run_simulation,
     state_matrix,
     write_trace,
@@ -103,7 +103,7 @@ def test_case_a_default_event_count_and_grid(case_a_trace):
 
 def test_diff_identical_matrices_is_empty():
     m = np.arange(12).reshape(3, 4) % 3
-    assert diff_states(m, m) == []
+    assert len(diff_states(m, m)) == 0
 
 
 def test_diff_single_cell():
@@ -112,7 +112,7 @@ def test_diff_single_cell():
     new[7, 3] = 2
     updates = diff_states(old, new)
     assert len(updates) == 1
-    assert (updates[0].col, updates[0].row, updates[0].new_state) == (3, 7, 2)
+    assert tuple(updates[0]) == (3, 7, 2)
 
 
 def test_diff_count_for_quarter_cycle_pattern():
@@ -131,7 +131,7 @@ def test_diff_ordering_is_row_major():
     new = old.copy()
     for j, i in ((4, 0), (0, 3), (0, 1), (2, 2)):
         new[j, i] = 1
-    keys = [(u.row, u.col) for u in diff_states(old, new)]
+    keys = [(r, c) for c, r, s in diff_states(old, new).tolist()]
     assert keys == sorted(keys)
 
 
@@ -145,7 +145,7 @@ def test_stationary_target_single_empty_event():
     traj = case_c_trajectory(CaseParams(start_theta=1e-3), duration=1.0)
     trace = run_simulation(traj, SurfaceConfig(), GatewayConfig())
     assert len(trace.events) == 1
-    assert trace.events[0].updates == ()
+    assert len(trace.events[0].updates) == 0
     assert trace.total_packets == 0
 
 
@@ -154,19 +154,28 @@ def test_replay_reproduces_final_state_matrix(case_a_trace):
     m = np.zeros((surface.n_rows, surface.n_cols), dtype=np.int64)
     for ev in case_a_trace.events:
         seen = set()
-        for u in ev.updates:
-            assert (u.col, u.row) not in seen, "duplicate cell within one event"
-            seen.add((u.col, u.row))
-            assert m[u.row, u.col] != u.new_state, "update must change the cell"
-            m[u.row, u.col] = u.new_state
+        for c, r, s in ev.updates.tolist():
+            assert (c, r) not in seen, "duplicate cell within one event"
+            seen.add((c, r))
+            assert m[r, c] != s, "update must change the cell"
+            m[r, c] = s
     final = state_matrix(case_a_trace.meta.incident, case_a_trace.events[-1].reflected, surface)
     assert np.array_equal(m, final)
 
 
-def test_replay_states_helper_agrees(case_a_trace):
-    *_, (last_event, last_matrix) = replay_states(case_a_trace)
-    final = state_matrix(INC, last_event.reflected, case_a_trace.meta.surface)
-    assert np.array_equal(last_matrix, final)
+def test_event_updates_are_read_only(case_a_trace):
+    updates = case_a_trace.events[1].updates
+    with pytest.raises(ValueError, match="read-only"):
+        updates[0, 2] = 0
+
+
+@pytest.mark.parametrize(
+    "updates",
+    [[[0.5, 0, 1]], [[1, 2]], [[1, 2, 3], [4, 5]], [[]], [[2**63, 0, 1]], np.zeros((2, 3)), "abc"],
+)
+def test_event_rejects_updates_that_are_not_integer_triples(updates):
+    with pytest.raises(ValidationError, match="updates"):
+        ReconfigEvent(0.0, INC, updates)
 
 
 def test_event_sizes_match_independent_recomputation(case_a_trace):

@@ -1,0 +1,60 @@
+"""Golden digests: the exact bytes of traces, a report and a heat map.
+
+The digests were recorded from the program as it stood before bursts became
+arrays; any change to trace bytes must show up here and be explained.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from steertrace import (
+    CaseParams,
+    GatewayConfig,
+    SurfaceConfig,
+    burst_stats,
+    case_b_trajectory,
+    case_c_trajectory,
+    destination_matrix,
+    export_heatmap,
+    run_simulation,
+    write_report,
+    write_trace,
+)
+
+EPOCH = "1970-01-01T00:00:00Z"
+
+
+def sha256_of(write) -> str:
+    buf = io.BytesIO()
+    write(buf)
+    return hashlib.sha256(buf.getvalue()).hexdigest()
+
+
+def test_case_a_trace_report_and_heatmap_bytes(case_a_trace):
+    assert sha256_of(lambda b: write_trace(case_a_trace, b, created=EPOCH)) == (
+        "f3a8c6b873bd4a51b37b96d8c82fe7d45f82ae16621e6e6ed4a3acffded844f1"
+    )
+    assert sha256_of(lambda b: write_report(burst_stats(case_a_trace), b, created=EPOCH)) == (
+        "975c86cc13de10b160d0567f1db0afa805bebf3f94bb26d42f517bf2bd0326b4"
+    )
+    assert sha256_of(lambda b: export_heatmap(destination_matrix(case_a_trace), "csv", b)) == (
+        "8e62beff6478ae0c535b477962bec3e6dbb9d488f17509f9cf1b16b8017b1b69"
+    )
+
+
+@pytest.mark.parametrize(
+    "trajectory, digest",
+    [
+        (case_b_trajectory(), "296be290d67832308f055257e343952663c3bd78f3e234248abef7b7ff34b594"),
+        (
+            case_c_trajectory(CaseParams(rng_seed=3)),
+            "fc8658162d2ce9328c73805d81fb5d179ca6aae101b94df5bbf8d3ed9cfaed36",
+        ),
+    ],
+    ids=["B", "C-seed-3"],
+)
+def test_default_trace_bytes(trajectory, digest):
+    trace = run_simulation(trajectory, SurfaceConfig(), GatewayConfig())
+    assert sha256_of(lambda b: write_trace(trace, b, created=EPOCH)) == digest

@@ -8,7 +8,6 @@ from steertrace import (
     Angles,
     Case,
     CaseParams,
-    CellUpdate,
     GatewayConfig,
     ReconfigEvent,
     SurfaceConfig,
@@ -39,7 +38,7 @@ def make_trace(bursts, duration=10.0):
         Trajectory(Case.A, CaseParams(), duration),
     )
     events = tuple(
-        ReconfigEvent(t, Angles(10.0, 0.0), tuple(CellUpdate(*u) for u in updates))
+        ReconfigEvent(t, Angles(10.0, 0.0), updates)
         for t, updates in bursts
     )
     return TrafficTrace(meta, events)

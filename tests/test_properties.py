@@ -4,7 +4,8 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given
+import numpy as np
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_trace_io import HEADER
 
@@ -12,7 +13,6 @@ from steertrace import (
     Angles,
     Case,
     CaseParams,
-    CellUpdate,
     GatewayConfig,
     ReconfigEvent,
     SurfaceConfig,
@@ -86,6 +86,7 @@ def test_read_trace_on_one_field_mutation_returns_or_rejects(data):
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-3, max_value=1e3)
 angle = st.floats(min_value=0.0, max_value=90.0, exclude_min=True, exclude_max=True)
+incidence = st.floats(min_value=0.0, max_value=90.0, exclude_max=True)
 
 
 @st.composite
@@ -101,14 +102,14 @@ def traces(draw):
     meta = TraceMeta(
         surface,
         GatewayConfig(draw(positive), draw(st.floats(min_value=1.0, max_value=1e3))),
-        Angles(draw(finite), draw(finite)),
+        Angles(draw(incidence), draw(finite)),
         Trajectory(draw(st.sampled_from(Case)), params, draw(positive)),
     )
     cells = st.tuples(st.integers(0, surface.n_cols - 1), st.integers(0, surface.n_rows - 1))
     events = []
     for t in sorted(set(draw(st.lists(finite, max_size=4)))):
         updates = tuple(
-            CellUpdate(c, r, draw(st.integers(0, surface.n_states - 1)))
+            (c, r, draw(st.integers(0, surface.n_states - 1)))
             for c, r in draw(st.lists(cells, unique=True))
         )
         events.append(ReconfigEvent(t, Angles(draw(finite), draw(finite)), updates))
@@ -124,3 +125,73 @@ def test_generated_traces_round_trip_byte_exact(trace):
     write_trace(again, second)
     assert second.getvalue() == first.getvalue()
     assert again == trace
+
+
+SMALL_HEADER = HEADER.replace('"n_cols":50,"n_rows":50', '"n_cols":4,"n_rows":3').replace(
+    '"n_states":4', '"n_states":2'
+)
+
+
+LIMITS = (4, 3, 2)  # col, row and state bounds of SMALL_HEADER
+
+
+def oracle_rows(raw):
+    """The per-update rules, one update at a time: the accepted rows, or None."""
+    n_cols, n_rows, n_states = LIMITS
+    rows, seen = [], set()
+    for u in raw:
+        if not (type(u) is list and len(u) == 3 and all(type(x) is int for x in u)):
+            return None
+        c, r, s = u
+        if not (0 <= c < n_cols and 0 <= r < n_rows and 0 <= s < n_states) or (c, r) in seen:
+            return None
+        seen.add((c, r))
+        rows.append(u)
+    return rows
+
+
+valid_update = st.tuples(*(st.integers(0, n - 1) for n in LIMITS)).map(list)
+odd_values = [
+    -1, 2**63 - 1, -(2**63),  # int64, out of range
+    2**63, -(2**63) - 1, 2**70,  # beyond int64
+    True, False, 1.0, 0.5, float("nan"), "1", None, [1],
+]
+
+
+@st.composite
+def spoiled(draw, u: list, others: list):
+    """``u`` with one fault: a bad value, a wrong length, not a list, or a repeated cell."""
+    kind = draw(st.sampled_from(["value", "value", "value", "length", "other", "repeat"]))
+    if kind == "value":
+        p = draw(st.integers(0, 2))
+        return u[:p] + [draw(st.sampled_from([LIMITS[p], *odd_values]))] + u[p + 1:]
+    if kind == "length":
+        return draw(st.sampled_from([u[:0], u[:1], u[:2], u + [0]]))
+    if kind == "repeat" and others:
+        return draw(st.sampled_from(others))[:2] + [u[2]]
+    return draw(st.sampled_from(["abc", 5, None, {}, True]))
+
+
+@st.composite
+def update_lists(draw):
+    """Valid update lists on the 4x3 surface, half of them with one update spoiled."""
+    raw = draw(st.lists(valid_update, max_size=6, unique_by=lambda u: (u[0], u[1])))
+    if raw and draw(st.booleans()):
+        k = draw(st.integers(0, len(raw) - 1))
+        raw[k] = draw(spoiled(raw[k], raw[:k] + raw[k + 1:]))
+    return raw
+
+
+@settings(max_examples=500)
+@given(update_lists())
+def test_read_trace_accepts_exactly_the_update_lists_the_scalar_rules_accept(raw):
+    line = json.dumps({"t": 1.0, "theta_r": 80.0, "phi_r": 0.0, "updates": raw})
+    expected = oracle_rows(raw)
+    try:
+        updates = read_trace(io.BytesIO(f"{SMALL_HEADER}\n{line}\n".encode())).events[0].updates
+    except (TraceParseError, ValidationError):
+        assert expected is None
+    else:
+        assert expected is not None
+        assert updates.dtype == np.int64 and updates.shape == (len(expected), 3)
+        assert updates.tolist() == expected

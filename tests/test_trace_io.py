@@ -8,7 +8,6 @@ from steertrace import (
     Angles,
     Case,
     CaseParams,
-    CellUpdate,
     GatewayConfig,
     ReconfigEvent,
     SurfaceConfig,
@@ -93,9 +92,7 @@ def random_trace(rng):
             [(i, j) for i in range(surface.n_cols) for j in range(surface.n_rows)],
             rng.randint(0, surface.n_cells // 2),
         )
-        updates = tuple(
-            CellUpdate(c, r, rng.randrange(surface.n_states)) for c, r in cells
-        )
+        updates = tuple((c, r, rng.randrange(surface.n_states)) for c, r in cells)
         events.append(ReconfigEvent(t, Angles(rng.uniform(0, 89), rng.uniform(0, 360)), updates))
     return TrafficTrace(meta, tuple(events))
 
@@ -155,6 +152,8 @@ EVENT = '{"t":1.0,"theta_r":80.0,"phi_r":0.0,"updates":[[1,2,1]]}'
         ("[[1,2,1]]", "[[true,0,1]]", 2, "update [True, 0, 1]"),
         ('"theta_r":80.0', '"theta_r":NaN', 2, "theta_r"),
         ('"theta_r":80.0', '"theta_r":"80"', 2, "theta_r"),
+        ("[[1,2,1]]", "[[99999999999999999999,0,1]]", 2, "64 bits"),
+        ('"theta":0.0', '"theta":95.0', 1, "incidence.theta"),
     ],
 )
 def test_read_rejects_malformed_header_and_event_values(old, new, line, needle):
@@ -247,6 +246,44 @@ def test_report_round_trip(case_a_trace):
     write_report(report, buf)
     buf.seek(0)
     assert read_report(buf) == report
+
+
+REPORT_HEADER = '{"format_version":1,"created":"x","kind":"workload_report"}'
+REPORT_BODY = (
+    '{"total_packets":7,"spatial_cv":0.5,"per_event_changed_fraction":[0.5],'
+    '"burst_sizes":[7],"inter_event_times":[]}'
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ('"total_packets":7', '"total_packets":7.9', 2),
+        ('"total_packets":7', '"total_packets":true', 2),
+        ('"spatial_cv":0.5', '"spatial_cv":"NaN"', 2),
+        ('"spatial_cv":0.5', '"spatial_cv":NaN', 2),
+        ('"spatial_cv":0.5', '"spatial_cv":[0.5]', 2),
+        ("[0.5]", "[true]", 2),
+        ('"burst_sizes":[7]', '"burst_sizes":["3"]', 2),
+        ('"burst_sizes":[7]', '"burst_sizes":7', 2),
+        ('"inter_event_times":[]', '"inter_event_times":{}', 2),
+        ('"total_packets":7,', "", 2),
+        (REPORT_BODY, "", 2),
+        ('"format_version":1', '"format_version":true', 1),
+        ('"workload_report"', '"\udcff"', 1),  # the lone byte 0xff, not UTF-8
+    ],
+)
+def test_read_report_rejects_what_the_trace_rules_reject(old, new, line):
+    text = f"{REPORT_HEADER}\n{REPORT_BODY}"
+    assert read_report(io.BytesIO(text.encode())).burst_sizes == (7,)
+    assert text.count(old) == 1
+    data = text.replace(old, new).encode("utf-8", "surrogateescape")
+    with pytest.raises((TraceParseError, ValidationError)) as err:
+        read_report(io.BytesIO(data))
+    if isinstance(err.value, TraceParseError):
+        assert err.value.line_number == line
+    else:
+        assert err.value.key == "format_version"
 
 
 def test_heatmap_csv_exact_bytes():
