@@ -61,16 +61,20 @@ def load_scenario(args) -> tuple[TraceMeta, str]:
 def _warn_on_aliasing(trace: TrafficTrace):
     surface = trace.meta.surface
     incident = trace.meta.incident
+    aliased = []
     for ev in trace.events:
         report = aliasing_check(phase_gradients(incident, ev.reflected, surface), surface)
         if report.aliased:
-            print(
-                "warning: per-cell phase step exceeds half a cycle at "
-                f"t={format_number(ev.t)} (steps {report.step_x:.4f}, {report.step_y:.4f} rad); "
-                "the steered direction is undersampled",
-                file=sys.stderr,
-            )
-            return
+            aliased.append((ev, report))
+    if aliased:
+        import logging  # here, not at the top: every command would pay its import
+
+        ev, report = aliased[0]
+        logging.getLogger("steertrace").warning(
+            "aliasing at %d of %d events, first at t=%s: the per-cell phase step "
+            "(%.4f, %.4f rad) exceeds half a cycle, so the steered direction is undersampled",
+            len(aliased), len(trace.events), format_number(ev.t), report.step_x, report.step_y,
+        )
 
 
 def cmd_simulate(args) -> int:

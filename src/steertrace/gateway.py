@@ -15,10 +15,16 @@ import numpy as np
 
 from .coding import SurfaceConfig, state_matrix
 from .errors import ValidationError
-from .geometry import MAX_SAMPLES, Angles, Trajectory, angle_stream, signed_circular_delta_deg
+from .geometry import MAX_SAMPLES, Angles, AngleStream, Trajectory, angle_stream
+from .geometry import signed_circular_delta_deg
 
 # Absorbs float round-off when a sample lands exactly on a threshold.
 ANGLE_EPS_DEG = 1e-9
+# Degrees short of a threshold at which the search over numpy's angles
+# already stops, so that it passes no crossing of the scalar angles: numpy
+# and math.* differ on 4,186 of case A's 81,645 default theta samples, by at
+# most 1.4e-14 deg, so 1e-7 leaves a wide margin.
+BAND = 1e-7
 
 NORMAL_INCIDENCE = Angles(0.0, 0.0)
 
@@ -90,7 +96,7 @@ class TrafficTrace:
 
 
 def detect_events(
-    stream: list[tuple[float, Angles]], angular_step: float
+    stream: AngleStream | list[tuple[float, Angles]], angular_step: float
 ) -> list[tuple[float, Angles]]:
     """Pick the samples at which the gateway reconfigures.
 
@@ -102,22 +108,26 @@ def detect_events(
     nominal grid instead of accumulating per-sample slack, while the other
     angle re-anchors to the picked sample; the picked angles themselves are
     always the raw samples at each crossing.
+
+    The scan skips over the stream's arrays to the next sample within ``BAND``
+    of a threshold and decides it on its exact angles, so the picks are those
+    of a sample-by-sample scan of the scalar path.
     """
     if not angular_step > 0:
         raise ValidationError("angular_step must be > 0", key="angular_step")
+    if not isinstance(stream, AngleStream):
+        stream = AngleStream.of_pairs(stream)
     if len(stream) == 0:
         raise ValidationError("stream must not be empty", key="stream")
+    if not (np.diff(stream.t) > 0).all():
+        raise ValidationError("stream times must be strictly increasing", key="stream")
     a = angular_step
-    t_prev, first = stream[0]
-    picked = [stream[0]]
-    theta_ref = first.theta
-    phi_ref = first.phi
-    for t, ang in stream[1:]:
-        if t <= t_prev:
-            raise ValidationError("stream times must be strictly increasing", key="stream")
-        t_prev = t
-        d_theta = abs(ang.theta - theta_ref)
-        d_phi = signed_circular_delta_deg(ang.phi, phi_ref)
+    picked = [stream.exact(0)]
+    theta_ref, phi_ref = picked[0][1].theta, picked[0][1].phi
+    k = 0
+    while (k := _next_near_crossing(stream, k + 1, theta_ref, phi_ref, a)) < len(stream):
+        t, ang = stream.exact(k)
+        d_theta, d_phi = _drift(ang.theta, ang.phi, theta_ref, phi_ref)
         hit_theta = d_theta >= a - ANGLE_EPS_DEG
         hit_phi = abs(d_phi) >= a - ANGLE_EPS_DEG
         if not (hit_theta or hit_phi):
@@ -134,6 +144,30 @@ def detect_events(
         else:
             phi_ref = ang.phi
     return picked
+
+
+def _drift(theta, phi, theta_ref, phi_ref):
+    """Distance of theta and signed circular distance of phi from the references."""
+    return abs(theta - theta_ref), signed_circular_delta_deg(phi, phi_ref)
+
+
+def _next_near_crossing(stream: AngleStream, k: int, theta_ref, phi_ref, step) -> int:
+    """First sample from ``k`` whose array angles come within ``BAND`` of a step, else len(stream).
+
+    Windows double in size: a near crossing costs little, a far one a few passes.
+    """
+    threshold = step - ANGLE_EPS_DEG - BAND
+    width = 64
+    while k < len(stream):
+        window = slice(k, k + width)
+        d_theta, d_phi = _drift(stream.theta[window], stream.phi[window], theta_ref, phi_ref)
+        near = (d_theta >= threshold) | (np.abs(d_phi) >= threshold)
+        i = int(near.argmax())
+        if near[i]:
+            return k + i
+        k += width
+        width *= 2
+    return len(stream)
 
 
 def diff_states(old: np.ndarray, new: np.ndarray) -> np.ndarray:

@@ -23,6 +23,8 @@ from enum import Enum
 from functools import lru_cache
 from random import Random
 
+import numpy as np
+
 from .errors import BehindSurfaceError, ValidationError
 
 GRAVITY = 9.81  # m/s^2
@@ -178,27 +180,70 @@ def position_from_angles(angles: Angles, distance: float) -> Point3D:
     )
 
 
-def angle_stream(trajectory: Trajectory, dt: float) -> list[tuple[float, Angles]]:
+@dataclass(frozen=True, eq=False)
+class AngleStream:
+    """Angle samples as arrays, from ``angle_stream`` or from explicit (t, Angles) pairs.
+
+    A trajectory's ``theta``/``phi`` come from numpy and may differ from the
+    scalar path in the last bits; ``exact(k)`` gives sample k on that path.
+    """
+
+    source: Trajectory | list[tuple[float, Angles]]
+    t: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+
+    @classmethod
+    def of_pairs(cls, pairs) -> AngleStream:
+        pairs = list(pairs)
+        t, theta, phi = np.array([(s, a.theta, a.phi) for s, a in pairs], float).reshape(-1, 3).T
+        return cls(pairs, t, theta, phi)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def exact(self, k: int) -> tuple[float, Angles]:
+        if isinstance(self.source, Trajectory):
+            t = float(self.t[k])
+            return t, angles_from_position(position_at(self.source, t))
+        return self.source[k]
+
+
+def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
     """Sample the trajectory every ``dt`` seconds, endpoint always included.
 
     Samples fall on t = 0, dt, 2*dt, ...; the final sample lands exactly on
-    ``duration`` (appended when the regular grid misses it).
+    ``duration`` (appended when the regular grid misses it).  One numpy pass
+    follows the operation order of ``position_at`` and ``angles_from_position``.
     """
-    _require(dt > 0, "dt must be > 0", "dt")
-    return [
-        (t, angles_from_position(position_at(trajectory, t)))
-        for t in _sample_times(trajectory.duration, dt)
-    ]
-
-
-def _sample_times(duration: float, dt: float) -> list[float]:
+    duration = trajectory.duration
+    if not (dt > 0 and duration / dt <= MAX_SAMPLES):  # checked before any allocation
+        raise ValidationError(f"dt must be > 0 and give <= {MAX_SAMPLES} samples", key="dt")
     n = int(math.floor(duration / dt + 1e-9))
-    ts = [k * dt for k in range(n + 1)]
-    if duration - ts[-1] > 1e-9 * dt:
-        ts.append(duration)
+    t = np.arange(n + 1) * dt
+    if duration - t[-1] > 1e-9 * dt:
+        t = np.append(t, duration)
     else:
-        ts[-1] = duration
-    return ts
+        t[-1] = duration
+    p = trajectory.params
+    d = p.standoff_distance
+    y = 0.0
+    if trajectory.case_id is Case.A:
+        x = p.speed * (_case_a_arrival_time(p) - t)
+    elif trajectory.case_id is Case.B:
+        alpha = math.radians(p.launch_angle)
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+            x = p.speed * math.cos(alpha) * t
+            y = p.speed * math.sin(alpha) * t - 0.5 * GRAVITY * t * t
+    else:
+        schedule = np.array(_leap_schedule(p, duration))
+        idx = np.minimum((t / p.leap_interval).astype(np.int64), len(schedule) - 1)
+        x = d * np.tan(np.radians(schedule[idx]))
+    for name, v in (("x", x), ("y", y)):
+        _require(bool(np.isfinite(v).all()), f"{name} must be finite", key=name)
+    theta = np.degrees(np.arctan2(np.hypot(x, y), d))
+    phi = np.degrees(np.arctan2(y, x)) % 360.0  # may round up to 360, which is 0 circularly
+    return AngleStream(trajectory, t, theta, phi)
 
 
 @lru_cache(maxsize=64)

@@ -1,8 +1,14 @@
 import json
+import logging
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import steertrace
 from steertrace import (
     CaseParams,
     GatewayConfig,
@@ -218,3 +224,22 @@ def test_sweep_grid_shape_and_trend(capsys):
 
 def test_sweep_requires_angles_without_grid(capsys):
     assert run_cli("sweep", "--from-theta", "30") == 2
+
+
+def test_aliasing_is_one_logged_warning_with_the_count(tmp_path, monkeypatch):
+    # a 5 cm cell pitch undersamples 14 of the 18 default walk-by directions
+    out = tmp_path / "aliased.jsonl"
+    env = {**os.environ, "PYTHONPATH": str(Path(steertrace.__file__).parents[1])}
+    argv = ["simulate", "--out", str(out), "surface.d_u=0.05"]
+    done = subprocess.run(
+        [sys.executable, "-m", "steertrace.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0
+    warnings = done.stderr.splitlines()
+    assert len(warnings) == 1
+    assert "aliasing at 14 of 18 events, first at t=0:" in warnings[0]
+
+    monkeypatch.setattr(logging.getLogger("steertrace"), "disabled", True)
+    quiet = tmp_path / "quiet.jsonl"
+    assert run_cli("simulate", "--out", str(quiet), "surface.d_u=0.05") == 0
+    assert out.read_bytes() == quiet.read_bytes()

@@ -199,12 +199,13 @@ def test_event_spacing_at_least_step_minus_sampling_slack(make_traj):
     gw = GatewayConfig()
     stream = angle_stream(traj, gw.sample_dt)
     picked = detect_events(stream, gw.angular_step)
-    by_time = {t: idx for idx, (t, _) in enumerate(stream)}
+    samples = [Angles(th, ph) for th, ph in zip(stream.theta.tolist(), stream.phi.tolist())]
+    by_time = {t: idx for idx, t in enumerate(stream.t.tolist())}
     for (t0, a0), (t1, a1) in zip(picked, picked[1:]):
-        window = stream[by_time[t0] : by_time[t1] + 1]
+        window = samples[by_time[t0] : by_time[t1] + 1]
         slack = max(
             max(abs(b.theta - a.theta), circular_delta_deg(b.phi, a.phi))
-            for (_, a), (_, b) in zip(window, window[1:])
+            for a, b in zip(window, window[1:])
         )
         moved = max(abs(a1.theta - a0.theta), circular_delta_deg(a1.phi, a0.phi))
         assert moved >= gw.angular_step - slack - 1e-9

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from steertrace import (
@@ -111,14 +112,14 @@ def test_angle_stream_with_dt_equal_to_duration_has_two_samples():
     traj = case_a_trajectory()
     stream = angle_stream(traj, traj.duration)
     assert len(stream) == 2
-    assert stream[0][0] == 0.0
-    assert stream[-1][0] == traj.duration
+    assert stream.t[0] == 0.0
+    assert stream.t[-1] == traj.duration
 
 
 def test_angle_stream_times_increase_and_end_on_duration():
     traj = case_b_trajectory()
     stream = angle_stream(traj, 0.01)
-    times = [t for t, _ in stream]
+    times = stream.t.tolist()
     assert all(b > a for a, b in zip(times, times[1:]))
     assert times[-1] == traj.duration
 
@@ -128,23 +129,37 @@ def test_angle_stream_rejects_nonpositive_dt():
         angle_stream(case_a_trajectory(), 0.0)
 
 
+def test_angle_stream_rejects_too_many_samples_before_allocating():
+    # 1e-12 s over the 81 s walk would be about 8e13 samples
+    with pytest.raises(ValidationError) as err:
+        angle_stream(case_a_trajectory(), 1e-12)
+    assert err.value.key == "dt"
+
+
+def test_angle_stream_rejects_a_position_beyond_float_range():
+    traj = case_b_trajectory(CaseParams(speed=1e160))  # x reaches about 1e319 m on landing
+    with pytest.raises(ValidationError) as err:
+        angle_stream(traj, traj.duration)
+    assert err.value.key == "x"
+
+
 def test_case_c_is_seed_deterministic():
     traj = case_c_trajectory(CaseParams(rng_seed=7), duration=20.0)
     s1 = angle_stream(traj, 0.01)
     s2 = angle_stream(traj, 0.01)
-    assert s1 == s2
+    assert all(np.array_equal(getattr(s1, k), getattr(s2, k)) for k in ("t", "theta", "phi"))
 
     other = case_c_trajectory(CaseParams(rng_seed=8), duration=20.0)
     s3 = angle_stream(other, 0.01)
-    assert [a.theta for _, a in s3] != [a.theta for _, a in s1]
+    assert s3.theta.tolist() != s1.theta.tolist()
 
 
 def test_case_c_piecewise_constant_between_leaps():
     traj = case_c_trajectory(CaseParams(rng_seed=3, leap_interval=2.0), duration=10.0)
     stream = angle_stream(traj, 0.05)
     thetas = {}
-    for t, ang in stream:
-        thetas.setdefault(int(t / 2.0), set()).add(ang.theta)
+    for t, theta in zip(stream.t.tolist(), stream.theta.tolist()):
+        thetas.setdefault(int(t / 2.0), set()).add(theta)
     for interval, values in thetas.items():
         assert len(values) == 1, f"interval {interval} saw several angles: {values}"
 
@@ -153,14 +168,14 @@ def test_case_a_theta_near_ten_meters_is_45_degrees():
     # brute-force densest-sample oracle around x = 10 m
     traj = case_a_trajectory()
     stream = angle_stream(traj, 0.001)
-    best = min(stream, key=lambda s: abs(position_at(traj, s[0]).x - 10.0))
-    assert best[1].theta == pytest.approx(45.0, abs=0.05)
+    best = min(range(len(stream)), key=lambda k: abs(position_at(traj, stream.t[k]).x - 10.0))
+    assert stream.theta[best] == pytest.approx(45.0, abs=0.05)
 
 
 def test_case_a_theta_monotone_and_accelerating():
     traj = case_a_trajectory()
     stream = angle_stream(traj, 0.01)
-    thetas = [a.theta for _, a in stream]
+    thetas = stream.theta.tolist()
     assert all(b <= a for a, b in zip(thetas, thetas[1:]))
 
     n = len(thetas) // 10
@@ -171,8 +186,8 @@ def test_case_a_theta_monotone_and_accelerating():
 
 def test_case_b_varies_both_angles():
     stream = angle_stream(case_b_trajectory(), 0.001)
-    thetas = [a.theta for _, a in stream]
-    phis = [a.phi for _, a in stream]
+    thetas = stream.theta.tolist()
+    phis = stream.phi.tolist()
     assert max(thetas) - min(thetas) > 5.0
     assert max(phis) - min(phis) > 5.0
 

@@ -1,7 +1,8 @@
 """Golden digests: the exact bytes of traces, a report and a heat map.
 
-The digests were recorded from the program as it stood before bursts became
-arrays; any change to trace bytes must show up here and be explained.
+The first digests were recorded from the program as it stood before bursts
+became arrays, the three of ``test_more_trace_bytes`` before angle sampling
+moved to numpy; any change to trace bytes must show up here and be explained.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ from steertrace import (
     GatewayConfig,
     SurfaceConfig,
     burst_stats,
+    case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
     destination_matrix,
@@ -57,4 +59,34 @@ def test_case_a_trace_report_and_heatmap_bytes(case_a_trace):
 )
 def test_default_trace_bytes(trajectory, digest):
     trace = run_simulation(trajectory, SurfaceConfig(), GatewayConfig())
+    assert sha256_of(lambda b: write_trace(trace, b, created=EPOCH)) == digest
+
+
+@pytest.mark.parametrize(
+    "trajectory, gateway, events, digest",
+    [
+        (
+            case_a_trajectory(),
+            GatewayConfig(angular_step=1.0),
+            86,
+            "bf05a95c1248f06bbab2d70a0be6b5716f9aeabe7d320f9e7491504b50eb4791",
+        ),
+        (
+            case_b_trajectory(duration=20.0),
+            GatewayConfig(angular_step=2.5),
+            75,
+            "a8d53661eda3a3e6838c4536866fab39b49db2fb98cbcbc929288683fa133cc6",
+        ),
+        (
+            case_c_trajectory(CaseParams(rng_seed=3), duration=600.0),
+            GatewayConfig(),
+            259,
+            "4835412bdbface5ad26df15191dade107d0d99ddc988aedb436dcfee283a4664",
+        ),
+    ],
+    ids=["A-step-1", "B-20s-step-2.5", "C-600s-seed-3"],
+)
+def test_more_trace_bytes(trajectory, gateway, events, digest):
+    trace = run_simulation(trajectory, SurfaceConfig(), gateway)
+    assert len(trace.events) == events
     assert sha256_of(lambda b: write_trace(trace, b, created=EPOCH)) == digest

@@ -1,10 +1,11 @@
-"""Property tests of the input boundary: CLI overrides and trace files."""
+"""Property tests of the input boundary (CLI overrides, trace files) and of drift detection."""
 
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
+import scalar_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_trace_io import HEADER
@@ -21,10 +22,17 @@ from steertrace import (
     TrafficTrace,
     Trajectory,
     ValidationError,
+    angle_stream,
+    case_a_trajectory,
+    case_b_trajectory,
+    case_c_trajectory,
+    detect_events,
     read_trace,
     write_trace,
 )
 from steertrace.cli import main
+from steertrace.gateway import BAND
+from steertrace.geometry import signed_circular_delta_deg
 from steertrace.scenario import FIELDS
 
 CONFIG_KEYS = [f"{section}.{key}" for section, key, _ in FIELDS] + ["outputs.trace"]
@@ -195,3 +203,72 @@ def test_read_trace_accepts_exactly_the_update_lists_the_scalar_rules_accept(raw
         assert expected is not None
         assert updates.dtype == np.int64 and updates.shape == (len(expected), 3)
         assert updates.tolist() == expected
+
+
+@st.composite
+def sampled_scenarios(draw):
+    """A trajectory of any case, a sampling period and an angular step.
+
+    Steps include round values (a start angle on a step multiple puts
+    samples exactly on thresholds) and steps below one degree, at which
+    neighbouring samples can both fire.
+    """
+    case = draw(st.sampled_from(list(Case)))
+    params = CaseParams(
+        standoff_distance=draw(st.floats(0.5, 50.0)),
+        speed=draw(st.floats(0.1, 60.0)),
+        start_theta=draw(st.sampled_from([85.0, 60.0, 45.0]) | st.floats(1.0, 89.0)),
+        launch_angle=draw(st.floats(1.0, 89.0)),
+        leap_interval=draw(st.floats(0.01, 3.0)),
+        rng_seed=draw(st.integers(0, 2**32)),
+    )
+    if case is Case.A and draw(st.booleans()):
+        trajectory = case_a_trajectory(params)  # ends on the axis, where phi jumps 180 -> 0
+    else:
+        trajectory = Trajectory(case, params, draw(st.floats(0.05, 10.0)))
+    dt = draw(st.floats(trajectory.duration / 2000, trajectory.duration))
+    step = draw(st.sampled_from([0.1, 0.5, 1.0, 2.5, 5.0]) | st.floats(0.01, 10.0))
+    return trajectory, dt, step
+
+
+@settings(max_examples=300)
+@given(sampled_scenarios())
+def test_detect_events_picks_exactly_what_the_scalar_scan_picks(scenario):
+    trajectory, dt, step = scenario
+    stream = angle_stream(trajectory, dt)
+    scalar = scalar_oracle.angle_stream(trajectory, dt)
+    assert stream.t.tolist() == [t for t, _ in scalar]
+    expected = scalar_oracle.detect_events(scalar, step)
+    assert detect_events(stream, step) == expected
+    assert detect_events(scalar, step) == expected  # explicit pairs are taken as exact
+
+
+def test_numpy_angles_stay_far_inside_the_band():
+    """The four benchmark scenarios: numpy's angles are within BAND / 1000 of the scalar path's."""
+    scenarios = [
+        (case_a_trajectory(), 1e-3),  # walkby
+        (case_c_trajectory(CaseParams(rng_seed=3)), 1e-3),  # leaps
+        (case_a_trajectory(), 1e-2),  # bigwall
+        (case_b_trajectory(), 1e-3),  # sweep
+    ]
+    for trajectory, dt in scenarios:
+        stream = angle_stream(trajectory, dt)
+        scalar = scalar_oracle.angle_stream(trajectory, dt)
+        theta = np.array([a.theta for _, a in scalar])
+        phi = np.array([a.phi for _, a in scalar])
+        assert np.abs(stream.theta - theta).max() <= BAND / 1000
+        assert np.abs(signed_circular_delta_deg(stream.phi, phi)).max() <= BAND / 1000
+
+
+def test_a_crossing_at_any_distance_from_the_last_pick_is_found():
+    # The search after a pick looks at windows of doubling size; crossings
+    # 1, 2, ..., 500 samples after the previous pick meet its first three
+    # window boundaries from both sides.
+    gaps = range(1, 501)
+    theta = np.repeat(np.arange(len(gaps) + 1, dtype=float), [1, *gaps])
+    stream = [(k / 1000, Angles(th, 0.0)) for k, th in enumerate(theta.tolist())]
+    picked = detect_events(stream, 1.0)
+    assert picked == scalar_oracle.detect_events(stream, 1.0)
+    assert [k for k in range(len(stream)) if k == 0 or theta[k] != theta[k - 1]] == [
+        round(t * 1000) for t, _ in picked
+    ]
