@@ -11,11 +11,9 @@ from .coding import (
     PhaseGradient,
     SurfaceConfig,
     aliasing_check,
-    ideal_phase,
     phase_gradients,
     quantize_phase,
     state_matrix,
-    wrap_phase,
 )
 from .errors import BehindSurfaceError, TraceParseError, TraceWriteError, ValidationError
 from .gateway import (
@@ -93,7 +91,6 @@ __all__ = [
     "detect_events",
     "diff_states",
     "export_heatmap",
-    "ideal_phase",
     "injection_rate",
     "percent_changed",
     "phase_gradients",
@@ -106,7 +103,6 @@ __all__ = [
     "spatial_cv",
     "state_matrix",
     "sweep_diff",
-    "wrap_phase",
     "write_report",
     "write_trace",
 ]

@@ -15,7 +15,7 @@ from .coding import aliasing_check, phase_gradients
 from .errors import TraceParseError, ValidationError
 from .gateway import TraceMeta, TrafficTrace, run_simulation
 from .geometry import MAX_SAMPLES, Angles
-from .metrics import burst_stats, destination_matrix, sweep_diff
+from .metrics import burst_stats, destination_matrix, sweep_diff, sweep_grid
 from .scenario import defaults, meta_from_dict
 from .trace_io import export_heatmap, format_number, read_trace, write_report, write_trace
 
@@ -116,20 +116,15 @@ def cmd_metrics(args) -> int:
 def cmd_sweep(args) -> int:
     meta, _ = load_scenario(args)
     if args.grid is not None:
-        if not (args.grid > 0 and 85.0 / args.grid <= MAX_SAMPLES):  # one coding pair per step
+        if not (args.grid > 0 and 85.0 / args.grid <= MAX_SAMPLES):  # at most two codings per step
             raise ValidationError(f"--grid must be > 0 and give <= {MAX_SAMPLES} steps", "grid")
-        theta = 85.0
-        while theta - args.grid >= -1e-9:
-            nxt = theta - args.grid
-            fraction = sweep_diff(
-                Angles(theta, args.from_phi), Angles(max(nxt, 0.0), args.to_phi),
-                meta.surface, meta.incident,
-            )
+        for start, end, fraction in sweep_grid(
+            args.grid, args.from_phi, args.to_phi, meta.surface, meta.incident
+        ):
             print(
-                f"from_theta={format_number(theta)} to_theta={format_number(max(nxt, 0.0))} "
+                f"from_theta={format_number(start)} to_theta={format_number(end)} "
                 f"fraction={format_number(fraction)}"
             )
-            theta = nxt
         return 0
     if args.from_theta is None or args.to_theta is None:
         raise ValidationError("--from-theta and --to-theta are required without --grid")

@@ -7,7 +7,8 @@ discrete states.
 
 Grid convention: matrices have shape (n_rows, n_cols) and entry [j, i]
 belongs to the cell at column i, row j, whose reference corner sits at
-(i * d_u, j * d_u).  Cell indices are 0-based.  Phases live in [0, 2*pi).
+(i * d_u, j * d_u).  Cell indices are 0-based.  Phases are not wrapped;
+state k stands for the phase 2*pi*k/n_states.
 """
 
 from __future__ import annotations
@@ -50,6 +51,15 @@ class SurfaceConfig:
         for ok, message, key in checks:
             if not ok:
                 raise ValidationError(message, key=key)
+        # a bound on |_raw_phase| / step, the quantizer's ratio, in the same order of operations
+        k_sum, n_sum = self.k_i + self.k_r, self.n_cols + self.n_rows
+        if not math.isfinite(k_sum * n_sum * self.d_u / (TWO_PI / self.n_states)):
+            key = "d_u" if self.d_u > max(self.k_i, self.k_r) else (
+                "lambda_i" if self.k_i > self.k_r else "lambda_r"
+            )
+            raise ValidationError(
+                f"{key}={getattr(self, key)!r} makes the phase ramp overflow float range", key=key
+            )
 
     @property
     def k_i(self) -> float:
@@ -115,13 +125,6 @@ def _cos_deg(x: float) -> float:
     return _sin_deg(x + 90.0)
 
 
-def wrap_phase(x):
-    """Reduce phases (scalar or array) into [0, 2*pi)."""
-    r = np.mod(x, TWO_PI)
-    # np.mod can round up to exactly 2*pi for tiny negative inputs
-    return np.where(r >= TWO_PI, 0.0, r)
-
-
 def phase_gradients(incident: Angles, reflected: Angles, cfg: SurfaceConfig) -> PhaseGradient:
     """Gradients that redirect ``incident`` into ``reflected``.
 
@@ -150,11 +153,6 @@ def _raw_phase(g: PhaseGradient, cfg: SurfaceConfig) -> np.ndarray:
     return (g.gx * cols[None, :] + g.gy * rows[:, None]) * cfg.d_u
 
 
-def ideal_phase(g: PhaseGradient, cfg: SurfaceConfig) -> np.ndarray:
-    """Ideal continuous phase per cell: (gx*i + gy*j) * d_u wrapped to [0, 2*pi)."""
-    return wrap_phase(_raw_phase(g, cfg))
-
-
 def quantize_phase(phase: float, n_states: int) -> int:
     """Index of the discrete state phase 2*pi*k/n nearest to ``phase``.
 
@@ -169,13 +167,33 @@ def quantize_phase(phase: float, n_states: int) -> int:
 
 
 def _nearest_state(phases: np.ndarray, n_states: int) -> np.ndarray:
-    # Reducing the ratio modulo the (exactly representable) state count keeps
-    # unwrapped phases free of the upward bias a float mod-2*pi wrap adds.
-    ratio = np.mod(np.asarray(phases, dtype=float) / (TWO_PI / n_states), n_states)
-    low = np.floor(ratio)
-    # exact half-step ties round down to the lower neighbour
-    k = np.where(ratio - low > 0.5, low + 1.0, low)
-    return k.astype(np.int64) % n_states
+    """Nearest state index per phase, same shape as ``phases`` (0-d included).
+
+    The phase is divided by the state step into r = phase / (2*pi/n) and r is
+    reduced modulo n, an exact float: reducing the ratio, not the phase mod
+    2*pi, keeps unwrapped phases free of the upward bias a float wrap adds.
+    The reduced m must equal ``np.mod(r, n)``, which takes the exact fmod and,
+    for r < 0, adds n with one rounding.  libm's fmod is slow, so m is first
+    taken as r - Q*n with Q = floor(r/n).  For |r| < 2**52, Q is the true
+    floor of r/n or off by one, Q*n is exact (an integer below 2**53, or +-n), and
+    r - Q*n rounds the exact remainder once, as np.mod does.  A floor that is
+    off by one puts m below 0 or at n and above, so wherever m lands in
+    [0, n) it is np.mod's value.  Every other element (|r| >= 2**52, NaN,
+    inf, or m outside [0, n)) is recomputed with np.mod.  A phase whose r is
+    not finite has no nearest state; its index is whatever the cast gives.
+    """
+    phases = np.asarray(phases, dtype=float)
+    r = phases.reshape(-1) / (TWO_PI / n_states)
+    n = float(n_states)
+    m = r - np.floor(r / n) * n
+    slow = ~(np.abs(r) < 2.0**52) | (m < 0) | (m >= n)
+    if slow.any():
+        m[slow] = np.mod(r[slow], n)
+    low = np.floor(m)
+    # exact half-step ties round down to the lower neighbour; k == n wraps to 0
+    k = low + (m - low > 0.5)
+    k[k == n] = 0.0
+    return k.astype(np.int64).reshape(phases.shape)
 
 
 def state_matrix(incident: Angles, reflected: Angles, cfg: SurfaceConfig) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -78,6 +78,33 @@ def sweep_diff(
     before = state_matrix(incident, start, surface)
     after = state_matrix(incident, end, surface)
     return float(np.count_nonzero(before != after)) / before.size
+
+
+def sweep_grid(
+    step: float,
+    from_phi: float,
+    to_phi: float,
+    surface: SurfaceConfig,
+    incident: Angles = NORMAL_INCIDENCE,
+) -> Iterator[tuple[float, float, float]]:
+    """Yield (from_theta, to_theta, fraction) for each step from theta 85 down to 0.
+
+    Each step is ``sweep_diff`` from (theta, ``from_phi``) to
+    (max(theta - step, 0), ``to_phi``).  When the phis are equal, a step's
+    end direction is the next step's start, so its matrix is carried forward
+    and each distinct direction is coded once.
+    """
+    theta, before = 85.0, None
+    while theta - step >= -1e-9:
+        nxt = theta - step
+        end = max(nxt, 0.0)
+        if before is None:
+            before = state_matrix(incident, Angles(theta, from_phi), surface)
+        after = state_matrix(incident, Angles(end, to_phi), surface)
+        yield theta, end, float(np.count_nonzero(before != after)) / before.size
+        # the next start is (nxt, from_phi): the same direction only if nothing was clamped
+        before = after if from_phi == to_phi and end == nxt else None
+        theta = nxt
 
 
 def spatial_cv(ratios: np.ndarray) -> float:

@@ -17,6 +17,7 @@ from steertrace import (
     case_c_trajectory,
     read_report,
     read_trace,
+    state_matrix,
 )
 from steertrace.cli import main
 from steertrace.gateway import NORMAL_INCIDENCE
@@ -63,6 +64,8 @@ def test_simulate_unknown_override_key(tmp_path, capsys):
         (("simulate", "scenario.leap_interval=1e400"), "scenario.leap_interval"),
         (("sweep", "--from-theta", "30", "--to-theta", "0", "scenario.case=Z"), "scenario.case"),
         (("simulate", "incidence.theta=95"), "incidence.theta"),
+        # 2*pi / 1e-307 rad/m times 100 cells overflows the phase ramp
+        (("simulate", "wave.lambda_r=1e-307"), "wave.lambda_r"),
     ],
 )
 def test_malformed_value_exits_2_naming_the_key(tmp_path, capsys, argv, key):
@@ -220,6 +223,29 @@ def test_sweep_grid_shape_and_trend(capsys):
     # near-normal steps (end of the list) change more cells than near-grazing ones
     assert fractions[-1] > fractions[0]
     assert min(fractions[-3:]) > max(fractions[:2])
+
+
+@pytest.mark.parametrize(
+    "argv, steps, calls",
+    [
+        # 340 steps over 341 distinct directions
+        (("--grid", "0.25"), 340, 341),
+        # unequal phis: a step's end is never the next step's start
+        (("--grid", "5", "--to-phi", "10"), 17, 34),
+        (("--grid", "5", "--from-phi", "10"), 17, 34),
+    ],
+)
+def test_grid_sweep_codes_each_distinct_direction_once(capsys, monkeypatch, argv, steps, calls):
+    coded = []
+
+    def counting_state_matrix(incident, reflected, cfg):
+        coded.append(reflected)
+        return state_matrix(incident, reflected, cfg)
+
+    monkeypatch.setattr(steertrace.metrics, "state_matrix", counting_state_matrix)
+    assert run_cli("sweep", *argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == steps
+    assert len(coded) == len(set(coded)) == calls
 
 
 def test_sweep_requires_angles_without_grid(capsys):

@@ -2,9 +2,12 @@
 
 The first digests were recorded from the program as it stood before bursts
 became arrays, the three of ``test_more_trace_bytes`` before angle sampling
-moved to numpy; any change to trace bytes must show up here and be explained.
+moved to numpy, and the ``sweep`` stdout digests before the quantizer dropped
+its float ``np.mod`` and a grid sweep began to code each direction once; any
+change to these bytes must show up here and be explained.
 """
 
+import contextlib
 import hashlib
 import io
 
@@ -24,6 +27,7 @@ from steertrace import (
     write_report,
     write_trace,
 )
+from steertrace.cli import main
 
 EPOCH = "1970-01-01T00:00:00Z"
 
@@ -90,3 +94,36 @@ def test_more_trace_bytes(trajectory, gateway, events, digest):
     trace = run_simulation(trajectory, SurfaceConfig(), gateway)
     assert len(trace.events) == events
     assert sha256_of(lambda b: write_trace(trace, b, created=EPOCH)) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (
+            # consecutive steps share a direction: each is coded once
+            ("--grid", "0.5", "surface.n_cols=120", "surface.n_rows=120"),
+            170,
+            "5f114af1bfe1c33f30ad132efa475eceeba015d724d26df71f2cd12710879624",
+        ),
+        (
+            # the phis differ, so no direction repeats; negative raw phases, 5 states
+            ("--grid", "5", "--from-phi", "30", "--to-phi", "200", "surface.n_states=5",
+             "incidence.theta=30", "incidence.phi=45"),
+            17,
+            "ed6b3ebe424643312b287a7b64060fef72cce5e4e315f5680ba3f478081a0b7d",
+        ),
+        (
+            ("--from-theta", "62.5", "--to-theta", "17", "--from-phi", "-40", "--to-phi", "95",
+             "surface.n_states=3", "incidence.theta=20"),
+            1,
+            "ec195befd0cfa0f7fae28759516fab0a21538dd11fbc7272a9dd0bac92d23665",
+        ),
+    ],
+    ids=["grid-0.5-120x120", "grid-5-unequal-phi", "single-pair"],
+)
+def test_sweep_stdout_bytes(argv, lines, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["sweep", *argv]) == 0
+    assert len(out.getvalue().splitlines()) == lines
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
-"""Property tests of the input boundary (CLI overrides, trace files) and of drift detection."""
+"""Property tests of the input boundary (CLI overrides, trace files), of drift detection
+and of the quantizer."""
 
 import io
 import json
@@ -6,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import scalar_oracle
+from coding_oracle import nearest_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_trace_io import HEADER
@@ -31,6 +33,7 @@ from steertrace import (
     write_trace,
 )
 from steertrace.cli import main
+from steertrace.coding import TWO_PI, _nearest_state
 from steertrace.gateway import BAND
 from steertrace.geometry import signed_circular_delta_deg
 from steertrace.scenario import FIELDS
@@ -272,3 +275,57 @@ def test_a_crossing_at_any_distance_from_the_last_pick_is_found():
     assert [k for k in range(len(stream)) if k == 0 or theta[k] != theta[k - 1]] == [
         round(t * 1000) for t, _ in picked
     ]
+
+
+STATE_COUNTS = (2, 3, 4, 5, 6, 7, 2**31, 2**53)
+
+
+def _ulp_neighbours(x: float, ulps: int) -> float:
+    step = np.inf if ulps > 0 else -np.inf
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, step))
+    return x
+
+
+@st.composite
+def phase_arrays(draw):
+    """Phases near the quantizer's edges, for one state count, in a 0-d, 1-d or 2-d array."""
+    n = draw(st.sampled_from(STATE_COUNTS))
+    step = TWO_PI / n
+    ks = st.integers(-(2**60), 2**60) | st.integers(-1000, 1000)
+    near = st.integers(-2, 2)
+    phase = st.one_of(
+        # half-step ties and their ulp neighbours
+        st.builds(lambda k, u: _ulp_neighbours((k + 0.5) * step, u), ks, near),
+        # whole turns of n states and their ulp neighbours
+        st.builds(lambda k, u: _ulp_neighbours(k * n * step, u), ks, near),
+        # negative, subnormal and huge (|ratio| >= 2**52) phases, NaN and inf
+        st.floats(-1e3, 1e3),
+        st.floats(-1e-300, 1e-300),
+        st.builds(lambda x, sign: sign * x, st.floats(2.0**52 * step, 1e300), st.sampled_from([1, -1])),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf]),
+    )
+    phases = draw(st.lists(phase, min_size=1, max_size=8))
+    shape = draw(st.sampled_from(["0-d", "1-d", "2-d"]))
+    if shape == "0-d":
+        return np.asarray(phases[0]), n
+    if shape == "2-d":
+        return np.asarray(phases).reshape(2 - len(phases) % 2, -1), n
+    return np.asarray(phases), n
+
+
+@settings(max_examples=400)
+@given(phase_arrays())
+def test_nearest_state_gives_the_np_mod_quantizers_states(drawn):
+    phases, n = drawn
+    with np.errstate(over="ignore", invalid="ignore"):  # both cast NaN to int64
+        got, want = _nearest_state(phases, n), nearest_state(phases, n)
+    assert np.shape(got) == np.shape(phases) == np.shape(want)
+    # a phase whose ratio to the state step is not finite has no state, and
+    # must not change the states of the other elements
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(phases / (TWO_PI / n))
+    got, want = np.asarray(got)[finite], np.asarray(want)[finite]
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert ((got >= 0) & (got < n)).all()
