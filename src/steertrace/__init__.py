@@ -36,9 +36,7 @@ from .geometry import (
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
-    circular_delta_deg,
     position_at,
-    position_from_angles,
 )
 from .metrics import (
     WorkloadReport,
@@ -86,7 +84,6 @@ __all__ = [
     "case_a_trajectory",
     "case_b_trajectory",
     "case_c_trajectory",
-    "circular_delta_deg",
     "destination_matrix",
     "detect_events",
     "diff_states",
@@ -95,7 +92,6 @@ __all__ = [
     "percent_changed",
     "phase_gradients",
     "position_at",
-    "position_from_angles",
     "quantize_phase",
     "read_report",
     "read_trace",

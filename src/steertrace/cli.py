@@ -116,8 +116,8 @@ def cmd_metrics(args) -> int:
 def cmd_sweep(args) -> int:
     meta, _ = load_scenario(args)
     if args.grid is not None:
-        if not (args.grid > 0 and 85.0 / args.grid <= MAX_SAMPLES):  # at most two codings per step
-            raise ValidationError(f"--grid must be > 0 and give <= {MAX_SAMPLES} steps", "grid")
+        if not (0 < args.grid <= 85.0 and 85.0 / args.grid <= MAX_SAMPLES):  # two codings a step
+            raise ValidationError(f"--grid must be in (0, 85] with <= {MAX_SAMPLES} steps", "grid")
         for start, end, fraction in sweep_grid(
             args.grid, args.from_phi, args.to_phi, meta.surface, meta.incident
         ):

@@ -23,7 +23,8 @@ from .geometry import Angles
 
 TWO_PI = 2.0 * math.pi
 MAX_CELLS = 10**6  # n_cols * n_rows, checked before any matrix is allocated
-MAX_STATES = 2**53  # the quantizer needs the state count exact as a float
+MAX_STATES = 2**16  # finer than any surface resolves; far below the ratio bound
+MAX_PHASE_STEPS = 2**52  # |phase| / (2*pi/n_states) of any cell; see _nearest_state
 
 
 @dataclass(frozen=True)
@@ -44,21 +45,24 @@ class SurfaceConfig:
             (self.d_u > 0, "d_u must be > 0", "d_u"),
             (self.n_cells <= MAX_CELLS, f"n_cols * n_rows must be <= {MAX_CELLS}", "n_cols"),
             (self.n_states >= 2, "n_states must be >= 2", "n_states"),
-            (self.n_states <= MAX_STATES, "n_states must be <= 2**53", "n_states"),
+            (self.n_states <= MAX_STATES, f"n_states must be <= {MAX_STATES}", "n_states"),
             (self.lambda_i > 0, "lambda_i must be > 0", "lambda_i"),
             (self.lambda_r > 0, "lambda_r must be > 0", "lambda_r"),
         )
         for ok, message, key in checks:
             if not ok:
                 raise ValidationError(message, key=key)
-        # a bound on |_raw_phase| / step, the quantizer's ratio, in the same order of operations
+        # A bound on |_raw_phase| / step, the quantizer's ratio, in the same order of
+        # operations.  It counts n_cols + n_rows cells where the indices reach only
+        # n_cols - 1 and n_rows - 1: a margin far above the roundings of any cell's
+        # ratio.  Under the limits above, only a wavelength or d_u can break it.
         k_sum, n_sum = self.k_i + self.k_r, self.n_cols + self.n_rows
-        if not math.isfinite(k_sum * n_sum * self.d_u / (TWO_PI / self.n_states)):
+        if not k_sum * n_sum * self.d_u / (TWO_PI / self.n_states) < MAX_PHASE_STEPS:
             key = "d_u" if self.d_u > max(self.k_i, self.k_r) else (
                 "lambda_i" if self.k_i > self.k_r else "lambda_r"
             )
             raise ValidationError(
-                f"{key}={getattr(self, key)!r} makes the phase ramp overflow float range", key=key
+                f"{key}={getattr(self, key)!r} takes the phase ramp to 2**52 state steps", key=key
             )
 
     @property
@@ -159,10 +163,10 @@ def quantize_phase(phase: float, n_states: int) -> int:
     Distance is circular; an exact half-step tie rounds down to the lower
     neighbour (so a tie straddling the wrap stays at n_states - 1).
     """
-    if n_states < 2:
-        raise ValidationError("n_states must be >= 2", key="n_states")
-    if not math.isfinite(phase):
-        raise ValidationError("phase must be finite", key="phase")
+    if not 2 <= n_states <= MAX_STATES:
+        raise ValidationError(f"n_states must lie in [2, {MAX_STATES}]", key="n_states")
+    if not abs(phase) / (TWO_PI / n_states) < MAX_PHASE_STEPS:
+        raise ValidationError("phase must be below 2**52 state steps", key="phase")
     return int(_nearest_state(np.asarray(phase, dtype=float), n_states))
 
 
@@ -170,25 +174,18 @@ def _nearest_state(phases: np.ndarray, n_states: int) -> np.ndarray:
     """Nearest state index per phase, same shape as ``phases`` (0-d included).
 
     The phase is divided by the state step into r = phase / (2*pi/n) and r is
-    reduced modulo n, an exact float: reducing the ratio, not the phase mod
-    2*pi, keeps unwrapped phases free of the upward bias a float wrap adds.
-    The reduced m must equal ``np.mod(r, n)``, which takes the exact fmod and,
-    for r < 0, adds n with one rounding.  libm's fmod is slow, so m is first
-    taken as r - Q*n with Q = floor(r/n).  For |r| < 2**52, Q is the true
-    floor of r/n or off by one, Q*n is exact (an integer below 2**53, or +-n), and
-    r - Q*n rounds the exact remainder once, as np.mod does.  A floor that is
-    off by one puts m below 0 or at n and above, so wherever m lands in
-    [0, n) it is np.mod's value.  Every other element (|r| >= 2**52, NaN,
-    inf, or m outside [0, n)) is recomputed with np.mod.  A phase whose r is
-    not finite has no nearest state; its index is whatever the cast gives.
+    reduced modulo n: reducing the ratio, not the phase mod 2*pi, keeps
+    unwrapped phases free of the upward bias a float wrap adds.  Every caller
+    keeps |r| < MAX_PHASE_STEPS (2**52).  There Q = floor(r/n) is the true
+    floor of r/n or off by one, Q*n is exact, and m = r - Q*n rounds the exact
+    remainder once, as numpy's float modulo does.  A floor that is off by one
+    puts m in (-0.5, 0) or [n, n + 0.5), which round to the same state modulo
+    n as that remainder, so mapping k == n to 0 is the only wrap needed.
     """
     phases = np.asarray(phases, dtype=float)
     r = phases.reshape(-1) / (TWO_PI / n_states)
     n = float(n_states)
     m = r - np.floor(r / n) * n
-    slow = ~(np.abs(r) < 2.0**52) | (m < 0) | (m >= n)
-    if slow.any():
-        m[slow] = np.mod(r[slow], n)
     low = np.floor(m)
     # exact half-step ties round down to the lower neighbour; k == n wraps to 0
     k = low + (m - low > 0.5)

@@ -167,19 +167,6 @@ def angles_from_position(p: Point3D) -> Angles:
     return Angles(theta, phi)
 
 
-def position_from_angles(angles: Angles, distance: float) -> Point3D:
-    """Point at ``distance`` meters from the surface center along ``angles``."""
-    _require(distance > 0, "distance must be > 0", "distance")
-    th = math.radians(angles.theta)
-    ph = math.radians(angles.phi)
-    sin_th = math.sin(th)
-    return Point3D(
-        distance * sin_th * math.cos(ph),
-        distance * sin_th * math.sin(ph),
-        distance * math.cos(th),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class AngleStream:
     """Angle samples as arrays, from ``angle_stream`` or from explicit (t, Angles) pairs.
@@ -260,12 +247,6 @@ def _leap_angle(trajectory: Trajectory, t: float) -> float:
     schedule = _leap_schedule(trajectory.params, trajectory.duration)
     idx = min(int(t / trajectory.params.leap_interval), len(schedule) - 1)
     return schedule[idx]
-
-
-def circular_delta_deg(a: float, b: float) -> float:
-    """Shortest angular distance between two azimuths, in [0, 180]."""
-    d = abs(a - b) % 360.0
-    return min(d, 360.0 - d)
 
 
 def signed_circular_delta_deg(target: float, reference: float) -> float:

@@ -2,7 +2,7 @@
 
 ``nearest_state`` is the quantizer steertrace ran before it stopped calling
 float ``np.mod`` on every element, unchanged; the library's ``_nearest_state``
-must give the same states for every finite phase.  ``wrap_phase`` and
+must give the same states for every phase below 2**52 state steps.  ``wrap_phase`` and
 ``ideal_phase`` are the wrapped per-cell phase, which only tests used.
 """
 

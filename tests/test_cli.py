@@ -66,6 +66,16 @@ def test_simulate_unknown_override_key(tmp_path, capsys):
         (("simulate", "incidence.theta=95"), "incidence.theta"),
         # 2*pi / 1e-307 rad/m times 100 cells overflows the phase ramp
         (("simulate", "wave.lambda_r=1e-307"), "wave.lambda_r"),
+        # a finite ramp, but far beyond 2**52 state steps: every cell would be state 0
+        (
+            ("sweep", "--from-theta", "10", "--to-theta", "20",
+             "wave.lambda_r=1e-300", "wave.lambda_i=1e-300"),
+            "wave.lambda_r",
+        ),
+        (("simulate", "surface.n_states=65537"), "surface.n_states"),
+        # steps beyond the 85 degree sweep would print nothing
+        (("sweep", "--grid", "100"), "grid"),
+        (("sweep", "--grid", "inf"), "grid"),
     ],
 )
 def test_malformed_value_exits_2_naming_the_key(tmp_path, capsys, argv, key):
@@ -112,9 +122,10 @@ def test_value_just_over_a_resource_limit_exits_2_at_once(tmp_path, capsys, over
 
 
 def test_resource_limits_admit_their_own_value():
-    # 1000 x 1000 cells, 10,000,000 samples and 10,000,000 leaps: checked, never run
+    # 1000 x 1000 cells in 2**16 states, 10,000,000 samples and 10,000,000 leaps:
+    # checked, never run
     TraceMeta(
-        SurfaceConfig(n_cols=1000, n_rows=1000),
+        SurfaceConfig(n_cols=1000, n_rows=1000, n_states=2**16),
         GatewayConfig(),
         NORMAL_INCIDENCE,
         case_c_trajectory(CaseParams(leap_interval=0.001), duration=10000.0),

@@ -130,6 +130,10 @@ def test_quantize_validation():
         quantize_phase(1.0, 1)
     with pytest.raises(ValidationError):
         quantize_phase(float("inf"), 4)
+    with pytest.raises(ValidationError):
+        quantize_phase(2**52 * (TWO_PI / 4), 4)
+    with pytest.raises(ValidationError):
+        quantize_phase(1.0, 2**16 + 1)
 
 
 @pytest.mark.parametrize("n_states", [2, 4, 8, 16])

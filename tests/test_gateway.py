@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from geometry_helpers import circular_delta_deg
 
 from steertrace import (
     Angles,
@@ -15,7 +16,6 @@ from steertrace import (
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
-    circular_delta_deg,
     detect_events,
     diff_states,
     run_simulation,

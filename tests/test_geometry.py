@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from geometry_helpers import circular_delta_deg, position_from_angles
 
 from steertrace import (
     Angles,
@@ -15,9 +16,7 @@ from steertrace import (
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
-    circular_delta_deg,
     position_at,
-    position_from_angles,
 )
 from steertrace.geometry import GRAVITY
 

@@ -33,7 +33,7 @@ from steertrace import (
     write_trace,
 )
 from steertrace.cli import main
-from steertrace.coding import TWO_PI, _nearest_state
+from steertrace.coding import MAX_PHASE_STEPS, TWO_PI, _nearest_state
 from steertrace.gateway import BAND
 from steertrace.geometry import signed_circular_delta_deg
 from steertrace.scenario import FIELDS
@@ -104,7 +104,7 @@ incidence = st.floats(min_value=0.0, max_value=90.0, exclude_max=True)
 def traces(draw):
     surface = SurfaceConfig(
         draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(positive),
-        draw(st.integers(2, 2**53)), draw(positive), draw(positive),
+        draw(st.integers(2, 2**16)), draw(positive), draw(positive),
     )
     params = CaseParams(
         draw(positive), draw(positive), draw(angle), draw(angle), draw(positive),
@@ -277,7 +277,7 @@ def test_a_crossing_at_any_distance_from_the_last_pick_is_found():
     ]
 
 
-STATE_COUNTS = (2, 3, 4, 5, 6, 7, 2**31, 2**53)
+STATE_COUNTS = (2, 3, 4, 5, 6, 7, 2**16 - 1, 2**16)
 
 
 def _ulp_neighbours(x: float, ulps: int) -> float:
@@ -289,22 +289,29 @@ def _ulp_neighbours(x: float, ulps: int) -> float:
 
 @st.composite
 def phase_arrays(draw):
-    """Phases near the quantizer's edges, for one state count, in a 0-d, 1-d or 2-d array."""
+    """Phases near the quantizer's edges, for one state count, in a 0-d, 1-d or 2-d array.
+
+    Every phase lies in the domain the schema admits: below MAX_PHASE_STEPS state steps.
+    """
     n = draw(st.sampled_from(STATE_COUNTS))
     step = TWO_PI / n
-    ks = st.integers(-(2**60), 2**60) | st.integers(-1000, 1000)
+    top = MAX_PHASE_STEPS * step
+    ks = st.integers(-MAX_PHASE_STEPS, MAX_PHASE_STEPS) | st.integers(-1000, 1000)
+    turns = st.integers(-MAX_PHASE_STEPS // n, MAX_PHASE_STEPS // n) | st.integers(-1000, 1000)
     near = st.integers(-2, 2)
+    sign = st.sampled_from([1, -1])
     phase = st.one_of(
         # half-step ties and their ulp neighbours
         st.builds(lambda k, u: _ulp_neighbours((k + 0.5) * step, u), ks, near),
         # whole turns of n states and their ulp neighbours
-        st.builds(lambda k, u: _ulp_neighbours(k * n * step, u), ks, near),
-        # negative, subnormal and huge (|ratio| >= 2**52) phases, NaN and inf
+        st.builds(lambda k, u: _ulp_neighbours(k * n * step, u), turns, near),
+        # negative, subnormal and large phases, up to just below the bound
         st.floats(-1e3, 1e3),
         st.floats(-1e-300, 1e-300),
-        st.builds(lambda x, sign: sign * x, st.floats(2.0**52 * step, 1e300), st.sampled_from([1, -1])),
-        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf]),
-    )
+        st.builds(lambda x, s: s * x, st.floats(2.0**40 * step, top), sign),
+        st.builds(lambda u, s: s * _ulp_neighbours(top, -u), st.integers(1, 4), sign),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    ).filter(lambda p: abs(p) / step < MAX_PHASE_STEPS)
     phases = draw(st.lists(phase, min_size=1, max_size=8))
     shape = draw(st.sampled_from(["0-d", "1-d", "2-d"]))
     if shape == "0-d":
@@ -318,14 +325,8 @@ def phase_arrays(draw):
 @given(phase_arrays())
 def test_nearest_state_gives_the_np_mod_quantizers_states(drawn):
     phases, n = drawn
-    with np.errstate(over="ignore", invalid="ignore"):  # both cast NaN to int64
-        got, want = _nearest_state(phases, n), nearest_state(phases, n)
+    got, want = _nearest_state(phases, n), nearest_state(phases, n)
     assert np.shape(got) == np.shape(phases) == np.shape(want)
-    # a phase whose ratio to the state step is not finite has no state, and
-    # must not change the states of the other elements
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(phases / (TWO_PI / n))
-    got, want = np.asarray(got)[finite], np.asarray(want)[finite]
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
     assert ((got >= 0) & (got < n)).all()

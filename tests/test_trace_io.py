@@ -155,6 +155,8 @@ EVENT = '{"t":1.0,"theta_r":80.0,"phi_r":0.0,"updates":[[1,2,1]]}'
         ("[[1,2,1]]", "[[99999999999999999999,0,1]]", 2, "64 bits"),
         ('"theta":0.0', '"theta":95.0', 1, "incidence.theta"),
         ('"d_u":0.0075', '"d_u":1e306', 1, "surface.d_u"),
+        ('"n_states":4', '"n_states":65537', 1, "surface.n_states"),
+        ('"lambda_r":0.03', '"lambda_r":1e-300', 1, "wave.lambda_r"),
     ],
 )
 def test_read_rejects_malformed_header_and_event_values(old, new, line, needle):
