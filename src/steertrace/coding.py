@@ -100,16 +100,8 @@ class AliasingReport:
     step_y: float
 
     @property
-    def aliased_x(self) -> bool:
-        return abs(self.step_x) > math.pi
-
-    @property
-    def aliased_y(self) -> bool:
-        return abs(self.step_y) > math.pi
-
-    @property
     def aliased(self) -> bool:
-        return self.aliased_x or self.aliased_y
+        return abs(self.step_x) > math.pi or abs(self.step_y) > math.pi
 
 
 def _sin_deg(x: float) -> float:

@@ -50,6 +50,9 @@ class ReconfigEvent:
     updates: np.ndarray  # (n, 3) int64, read-only; built from integers only, never cast
 
     def __post_init__(self):
+        for key, v in (("t", self.t), ("theta", self.reflected.theta), ("phi", self.reflected.phi)):
+            if not math.isfinite(v):
+                raise ValidationError(f"{key}={v!r} must be finite", key)
         try:
             u = np.asarray(self.updates)
             if u.shape == (0,):  # an empty sequence
@@ -95,9 +98,7 @@ class TrafficTrace:
         return sum(len(ev.updates) for ev in self.events)
 
 
-def detect_events(
-    stream: AngleStream | list[tuple[float, Angles]], angular_step: float
-) -> list[tuple[float, Angles]]:
+def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float, Angles]]:
     """Pick the samples at which the gateway reconfigures.
 
     The first sample is always picked (initial configuration).  After that a
@@ -115,8 +116,6 @@ def detect_events(
     """
     if not angular_step > 0:
         raise ValidationError("angular_step must be > 0", key="angular_step")
-    if not isinstance(stream, AngleStream):
-        stream = AngleStream.of_pairs(stream)
     if len(stream) == 0:
         raise ValidationError("stream must not be empty", key="stream")
     if not (np.diff(stream.t) > 0).all():

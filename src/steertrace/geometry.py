@@ -169,31 +169,23 @@ def angles_from_position(p: Point3D) -> Angles:
 
 @dataclass(frozen=True, eq=False)
 class AngleStream:
-    """Angle samples as arrays, from ``angle_stream`` or from explicit (t, Angles) pairs.
+    """A trajectory's angle samples as arrays, from ``angle_stream``.
 
-    A trajectory's ``theta``/``phi`` come from numpy and may differ from the
-    scalar path in the last bits; ``exact(k)`` gives sample k on that path.
+    ``theta``/``phi`` come from numpy and may differ from the scalar path in
+    the last bits; ``exact(k)`` gives sample k on that path.
     """
 
-    source: Trajectory | list[tuple[float, Angles]]
+    trajectory: Trajectory
     t: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
-
-    @classmethod
-    def of_pairs(cls, pairs) -> AngleStream:
-        pairs = list(pairs)
-        t, theta, phi = np.array([(s, a.theta, a.phi) for s, a in pairs], float).reshape(-1, 3).T
-        return cls(pairs, t, theta, phi)
 
     def __len__(self) -> int:
         return len(self.t)
 
     def exact(self, k: int) -> tuple[float, Angles]:
-        if isinstance(self.source, Trajectory):
-            t = float(self.t[k])
-            return t, angles_from_position(position_at(self.source, t))
-        return self.source[k]
+        t = float(self.t[k])
+        return t, angles_from_position(position_at(self.trajectory, t))
 
 
 def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:

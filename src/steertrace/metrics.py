@@ -11,7 +11,7 @@ import numpy as np
 from .coding import SurfaceConfig, state_matrix
 from .errors import ValidationError
 from .gateway import NORMAL_INCIDENCE, TrafficTrace
-from .geometry import Angles
+from .geometry import MAX_SAMPLES, Angles
 
 
 @dataclass(frozen=True)
@@ -23,12 +23,6 @@ class WorkloadReport:
     burst_sizes: tuple[int, ...]
     inter_event_times: tuple[float, ...]
     spatial_cv: float
-
-
-def percent_changed(trace: TrafficTrace) -> list[float]:
-    """Fraction of cells updated by each event."""
-    n_cells = trace.meta.surface.n_cells
-    return [len(ev.updates) / n_cells for ev in trace.events]
 
 
 def destination_matrix(trace: TrafficTrace) -> np.ndarray:
@@ -58,12 +52,17 @@ def injection_rate(
         ]
     if mode != "binned":
         raise ValidationError("mode must be 'per_burst' or 'binned'", key="mode")
-    if bin_width is None or not bin_width > 0:
-        raise ValidationError("bin_width must be > 0 for binned mode", key="bin_width")
     duration = trace.meta.trajectory.duration
+    # checked before the bins are allocated
+    if bin_width is None or not (0 < bin_width < math.inf and duration / bin_width <= MAX_SAMPLES):
+        raise ValidationError(
+            f"bin_width must be finite, > 0 and give <= {MAX_SAMPLES} bins", key="bin_width"
+        )
     n_bins = max(1, math.ceil(duration / bin_width))
     counts = [0] * n_bins
     for ev in trace.events:
+        if not 0.0 <= ev.t <= duration:
+            raise ValidationError(f"event t={ev.t!r} outside [0, {duration!r}]", key="t")
         counts[min(int(ev.t / bin_width), n_bins - 1)] += len(ev.updates)
     return [((k + 0.5) * bin_width, c / bin_width) for k, c in enumerate(counts)]
 
@@ -119,9 +118,10 @@ def spatial_cv(ratios: np.ndarray) -> float:
 def burst_stats(trace: TrafficTrace) -> WorkloadReport:
     """Per-event sizes and fractions, inter-event gaps, totals, spatial CV."""
     sizes = [len(ev.updates) for ev in trace.events]
+    n_cells = trace.meta.surface.n_cells
     gaps = [ev.t - prev.t for prev, ev in zip(trace.events, trace.events[1:])]
     return WorkloadReport(
-        per_event_changed_fraction=tuple(percent_changed(trace)),
+        per_event_changed_fraction=tuple(s / n_cells for s in sizes),
         total_packets=sum(sizes),
         burst_sizes=tuple(sizes),
         inter_event_times=tuple(gaps),

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from steertrace.errors import ValidationError
 from steertrace.gateway import ANGLE_EPS_DEG
 from steertrace.geometry import (
@@ -44,6 +46,24 @@ def _sample_times(duration: float, dt: float) -> list[float]:
     else:
         ts[-1] = duration
     return ts
+
+
+class PairStream:
+    """Explicit (t, Angles) pairs in the shape the library's ``detect_events`` reads.
+
+    ``exact(k)`` returns pair k as given: the pairs are taken as exact.
+    """
+
+    def __init__(self, pairs):
+        self.pairs = list(pairs)
+        rows = [(t, a.theta, a.phi) for t, a in self.pairs]
+        self.t, self.theta, self.phi = np.array(rows, float).reshape(-1, 3).T
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def exact(self, k: int) -> tuple[float, Angles]:
+        return self.pairs[k]
 
 
 def detect_events(

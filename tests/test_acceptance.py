@@ -19,22 +19,21 @@ from steertrace import (
     SurfaceConfig,
     TraceMeta,
     TrafficTrace,
+    burst_stats,
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
     destination_matrix,
     injection_rate,
-    percent_changed,
-    quantize_phase,
     read_trace,
     run_simulation,
-    spatial_cv,
     state_matrix,
     sweep_diff,
     write_trace,
 )
-from steertrace.coding import TWO_PI, _nearest_state
+from steertrace.coding import TWO_PI, _nearest_state, phase_gradients, quantize_phase
 from steertrace.geometry import Case, Trajectory
+from steertrace.metrics import spatial_cv
 
 INC = Angles(0.0, 0.0)
 
@@ -130,7 +129,7 @@ def test_criterion_4_angular_step_monotonicity():
         means, counts = {}, {}
         for step in (2.0, 5.0, 10.0):
             trace = run_simulation(trajectory, surface, GatewayConfig(angular_step=step))
-            fractions = percent_changed(trace)
+            fractions = burst_stats(trace).per_event_changed_fraction
             means[step] = sum(fractions) / len(fractions)
             counts[step] = len(trace.events)
         assert means[2.0] < means[5.0] < means[10.0], means
@@ -200,8 +199,6 @@ def test_criterion_7_oracle_suites():
 
         # gradient relation recovers the reflected direction, 1e4 pairs
         cfg = SurfaceConfig(lambda_i=0.03, lambda_r=0.02)
-        from steertrace import phase_gradients
-
         pairs = rng.uniform(0.0, 1.0, (10000, 4))
         for ti, pi_, tr, pr in pairs:
             inc = Angles(89.9 * ti, 360.0 * pi_)

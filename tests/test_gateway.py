@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from geometry_helpers import circular_delta_deg
+from scalar_oracle import PairStream
 
 from steertrace import (
     Angles,
@@ -12,30 +13,29 @@ from steertrace import (
     ReconfigEvent,
     SurfaceConfig,
     ValidationError,
-    angle_stream,
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
-    detect_events,
-    diff_states,
     run_simulation,
     state_matrix,
     write_trace,
 )
+from steertrace.gateway import detect_events, diff_states
+from steertrace.geometry import angle_stream
 
 INC = Angles(0.0, 0.0)
 
 
 def ramp_stream(n=1000, theta_to=10.0):
     """theta climbing linearly over one second, phi fixed."""
-    return [(i / n, Angles(theta_to * i / n, 0.0)) for i in range(n + 1)]
+    return PairStream((i / n, Angles(theta_to * i / n, 0.0)) for i in range(n + 1))
 
 
 def test_constant_stream_yields_single_event():
-    stream = [(0.1 * i, Angles(12.0, 34.0)) for i in range(100)]
+    stream = PairStream((0.1 * i, Angles(12.0, 34.0)) for i in range(100))
     picked = detect_events(stream, 5.0)
     assert len(picked) == 1
-    assert picked[0] == stream[0]
+    assert picked[0] == stream.exact(0)
 
 
 def test_linear_ramp_crossings():
@@ -48,31 +48,31 @@ def test_linear_ramp_crossings():
 
 
 def test_multi_step_jump_advances_reference_in_whole_steps():
-    stream = [
+    stream = PairStream([
         (0.0, Angles(0.0, 0.0)),
         (1.0, Angles(23.0, 0.0)),  # one event; reference lands on 20
         (2.0, Angles(24.9, 0.0)),  # within 5 of the reference: quiet
         (3.0, Angles(25.0, 0.0)),  # crosses 25: fires
-    ]
+    ])
     picked = detect_events(stream, 5.0)
     assert [t for t, _ in picked] == [0.0, 1.0, 3.0]
 
 
 def test_phi_distance_is_circular():
-    stream = [
+    stream = PairStream([
         (0.0, Angles(10.0, 358.0)),
         (1.0, Angles(10.0, 2.0)),  # 4 degrees across the wrap: quiet
         (2.0, Angles(10.0, 3.5)),  # 5.5 degrees: fires
-    ]
+    ])
     picked = detect_events(stream, 5.0)
     assert [t for t, _ in picked] == [0.0, 2.0]
 
 
 def test_detect_events_validation():
     with pytest.raises(ValidationError):
-        detect_events([], 5.0)
+        detect_events(PairStream([]), 5.0)
     with pytest.raises(ValidationError):
-        detect_events([(0.0, Angles(0, 0)), (0.0, Angles(1, 0))], 5.0)
+        detect_events(PairStream([(0.0, Angles(0, 0)), (0.0, Angles(1, 0))]), 5.0)
     with pytest.raises(ValidationError):
         detect_events(ramp_stream(), 0.0)
 
@@ -176,6 +176,15 @@ def test_event_updates_are_read_only(case_a_trace):
 def test_event_rejects_updates_that_are_not_integer_triples(updates):
     with pytest.raises(ValidationError, match="updates"):
         ReconfigEvent(0.0, INC, updates)
+
+
+@pytest.mark.parametrize("key", ["t", "theta", "phi"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_event_rejects_a_non_finite_time_or_angle(key, bad):
+    values = {"t": 1.0, "theta": 10.0, "phi": 20.0, key: bad}
+    with pytest.raises(ValidationError) as err:
+        ReconfigEvent(values["t"], Angles(values["theta"], values["phi"]), [])
+    assert err.value.key == key
 
 
 def test_event_sizes_match_independent_recomputation(case_a_trace):

@@ -7,18 +7,14 @@ from geometry_helpers import circular_delta_deg, position_from_angles
 
 from steertrace import (
     Angles,
-    BehindSurfaceError,
     CaseParams,
-    Point3D,
     ValidationError,
-    angle_stream,
-    angles_from_position,
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
-    position_at,
 )
-from steertrace.geometry import GRAVITY
+from steertrace.errors import BehindSurfaceError
+from steertrace.geometry import GRAVITY, Point3D, angle_stream, angles_from_position, position_at
 
 
 def test_case_a_start_position():

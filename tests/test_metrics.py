@@ -18,10 +18,9 @@ from steertrace import (
     burst_stats,
     destination_matrix,
     injection_rate,
-    percent_changed,
-    spatial_cv,
     sweep_diff,
 )
+from steertrace.metrics import spatial_cv
 
 INC = Angles(0.0, 0.0)
 
@@ -50,7 +49,7 @@ def test_percent_changed_values():
         (1.0, [(i % 50, i // 50, 1) for i in range(1800)]),
         (2.0, [(i % 50, i // 50, 2) for i in range(2500)]),
     ])
-    assert percent_changed(trace) == [0.0, 0.72, 1.0]
+    assert burst_stats(trace).per_event_changed_fraction == (0.0, 0.72, 1.0)
 
 
 def test_destination_matrix_single_event():
@@ -96,6 +95,16 @@ def test_injection_rate_validation():
         injection_rate(trace, "binned")
     with pytest.raises(ValidationError):
         injection_rate(trace, "nope")
+    # bins are bounded before allocation: no MemoryError, OverflowError or infinite midpoint
+    for bin_width in (1e-9, 1e-300, math.inf):
+        with pytest.raises(ValidationError) as err:
+            injection_rate(trace, "binned", bin_width)
+        assert err.value.key == "bin_width"
+    # an event time outside [0, duration] is rejected, not wrapped into the last bin
+    for t in (-5.0, 10.5):
+        with pytest.raises(ValidationError) as err:
+            injection_rate(make_trace([(t, [(0, 0, 1)])]), "binned", 1.0)
+        assert err.value.key == "t"
 
 
 def test_case_a_peak_rate_in_final_third(case_a_trace):
@@ -163,6 +172,7 @@ def test_bursts_carry_all_packets(case_a_trace):
     # packets exist only at event instants: summing per-event sizes is exhaustive
     assert case_a_trace.total_packets == sum(len(ev.updates) for ev in case_a_trace.events)
     assert math.isclose(
-        sum(percent_changed(case_a_trace)) * case_a_trace.meta.surface.n_cells,
+        sum(burst_stats(case_a_trace).per_event_changed_fraction)
+        * case_a_trace.meta.surface.n_cells,
         case_a_trace.total_packets,
     )

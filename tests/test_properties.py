@@ -24,18 +24,16 @@ from steertrace import (
     TrafficTrace,
     Trajectory,
     ValidationError,
-    angle_stream,
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
-    detect_events,
     read_trace,
     write_trace,
 )
 from steertrace.cli import main
 from steertrace.coding import MAX_PHASE_STEPS, TWO_PI, _nearest_state
-from steertrace.gateway import BAND
-from steertrace.geometry import signed_circular_delta_deg
+from steertrace.gateway import BAND, detect_events
+from steertrace.geometry import angle_stream, signed_circular_delta_deg
 from steertrace.scenario import FIELDS
 
 CONFIG_KEYS = [f"{section}.{key}" for section, key, _ in FIELDS] + ["outputs.trace"]
@@ -243,7 +241,8 @@ def test_detect_events_picks_exactly_what_the_scalar_scan_picks(scenario):
     assert stream.t.tolist() == [t for t, _ in scalar]
     expected = scalar_oracle.detect_events(scalar, step)
     assert detect_events(stream, step) == expected
-    assert detect_events(scalar, step) == expected  # explicit pairs are taken as exact
+    explicit = scalar_oracle.PairStream(scalar)  # explicit pairs are taken as exact
+    assert detect_events(explicit, step) == expected
 
 
 def test_numpy_angles_stay_far_inside_the_band():
@@ -270,7 +269,7 @@ def test_a_crossing_at_any_distance_from_the_last_pick_is_found():
     gaps = range(1, 501)
     theta = np.repeat(np.arange(len(gaps) + 1, dtype=float), [1, *gaps])
     stream = [(k / 1000, Angles(th, 0.0)) for k, th in enumerate(theta.tolist())]
-    picked = detect_events(stream, 1.0)
+    picked = detect_events(scalar_oracle.PairStream(stream), 1.0)
     assert picked == scalar_oracle.detect_events(stream, 1.0)
     assert [k for k in range(len(stream)) if k == 0 or theta[k] != theta[k - 1]] == [
         round(t * 1000) for t, _ in picked
