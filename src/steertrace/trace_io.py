@@ -9,6 +9,12 @@ and every following line is one reconfiguration event::
 
     {"t": ..., "theta_r": ..., "phi_r": ..., "updates": [[col, row, state], ...]}
 
+with ``t`` in ``[0, meta.scenario.duration]``.  The writer spells every line
+as ``json.dumps`` does with ``separators=(",", ":")``; the reader accepts any
+JSON spelling under the same rules.  Both code ``updates`` with digit
+arithmetic in numpy, for runs of consecutive events at a time; the reader
+leaves a line that is not in the writer's spelling to ``json``.
+
 ``meta`` snapshots the surface, gateway, incidence, and scenario in full, so
 a trace header alone suffices to regenerate the trace; :mod:`.scenario`, the
 schema of the CLI config too, lays it out and parses it.  Floats are rendered
@@ -41,6 +47,15 @@ FORMAT_VERSION = 1
 
 _PGM_MAX_LINE = 70  # plain-PGM line length limit
 
+# A run of consecutive events is coded in one numpy pass until it holds this
+# many updates plus events: per-event numpy calls would cost more than the
+# coding on traces of many small bursts, and one pass over a whole trace would
+# hold temporaries of several times its size.
+_GROUP_ROWS = 2**12
+_MAX_DIGITS = 18  # digits a value may have on the reader's numpy path: 10**18 < 2**63
+_UPDATES_KEY = ',"updates":'
+_LBRACKET, _RBRACKET, _COMMA, _MINUS, _ZERO = b"[],-0"
+
 
 def format_number(value: float) -> str:
     """Shortest decimal form that round-trips; integral floats drop the '.0'."""
@@ -65,7 +80,9 @@ class _CountingSink:
         self.offset = 0
 
     def write_line(self, text: str):
-        data = text.encode("utf-8") + b"\n"
+        self.write(text.encode("utf-8") + b"\n")
+
+    def write(self, data: bytes):
         try:
             self._dest.write(data)
         except OSError as exc:
@@ -86,16 +103,90 @@ def _start(dest: BinaryIO, created: str | None, **header) -> _CountingSink:
     return sink
 
 
+def _groups(items, size):
+    """Runs of consecutive ``items``, each closed once its ``size(item)`` adds up to _GROUP_ROWS."""
+    group, total = [], 0
+    for item in items:
+        group.append(item)
+        total += size(item)
+        if total >= _GROUP_ROWS:
+            yield group
+            group, total = [], 0
+    if group:
+        yield group
+
+
+def _encode_updates(arrays: list[np.ndarray]) -> list[bytes]:
+    """``json.dumps(a.tolist(), separators=(",", ":"))`` of each (n, 3) int64 array, as bytes.
+
+    The arrays are coded together: each value becomes a token of prefix
+    ("[[" before an array's first row, "],[" before a later row, "," inside
+    a row), sign and digits, and the closing "]]" is appended per array.
+    """
+    full = [a for a in arrays if len(a)]
+    if not full:
+        return [b"[]"] * len(arrays)
+    values = np.concatenate(full).reshape(-1)
+    neg = values < 0
+    mag = values.view(np.uint64)
+    if neg.any():
+        mag = np.where(neg, np.negative(mag), mag)  # -2**63 wraps to 2**63, as it should
+    top = int(mag.max())
+    width = len(str(top))
+    q = mag.astype(np.uint32) if top < 2**32 else mag  # narrower division is faster
+    n_digits = np.ones(len(values), np.intp)
+    for k in range(1, width):
+        n_digits += q >= 10**k
+    digits = np.empty((width, len(values)), np.uint8)
+    for k in range(width):  # digits[k] is the 10**k digit
+        q, rest = q // 10, q
+        digits[k] = rest - q * 10
+    digits += _ZERO
+
+    rows = np.array([len(a) for a in full])
+    first = np.zeros(len(values) // 3, bool)  # each array's first row
+    first[np.cumsum(rows) - rows] = True
+    length = n_digits + neg + 1
+    length[::3] += 2 - first
+    ends = np.cumsum(length) + width  # room for the stray writes below, left of the first token
+    out = np.empty(ends[-1], np.uint8)
+    # Digit k of every value goes to ``ends - 1 - k``, also where the value
+    # has k digits or fewer.  That byte then belongs to the value's own sign
+    # or prefix, written afterwards, or to an earlier token, whose own digit
+    # there has a lower k and is written later, as k runs down.
+    for k in range(width - 1, -1, -1):
+        out[ends - 1 - k] = digits[k]
+    lead = ends - n_digits - neg  # one past each value's prefix
+    out[lead[neg]] = _MINUS
+    out[lead - 1] = _COMMA
+    row_lead = lead[::3]
+    out[row_lead - 1] = _LBRACKET
+    out[row_lead - 2] = np.where(first, _LBRACKET, _COMMA)
+    out[row_lead[~first] - 3] = _RBRACKET
+    blob = out.tobytes()
+    stops = iter((ends[np.cumsum(rows) * 3 - 1]).tolist())
+    start = width
+    bodies = []
+    for a in arrays:
+        if len(a):
+            stop = next(stops)
+            bodies.append(blob[start:stop] + b"]]")
+            start = stop
+        else:
+            bodies.append(b"[]")
+    return bodies
+
+
 def write_trace(trace: TrafficTrace, dest: BinaryIO, created: str | None = None):
     """Serialize a trace; see the module docstring for the format."""
     sink = _start(dest, created, meta=meta_to_dict(trace.meta))
-    for ev in trace.events:
-        sink.write_json({
-            "t": ev.t,
-            "theta_r": ev.reflected.theta,
-            "phi_r": ev.reflected.phi,
-            "updates": ev.updates.tolist(),
-        })
+    for group in _groups(trace.events, lambda ev: 1 + len(ev.updates)):
+        for ev, body in zip(group, _encode_updates([ev.updates for ev in group])):
+            head = json.dumps(
+                {"t": ev.t, "theta_r": ev.reflected.theta, "phi_r": ev.reflected.phi},
+                separators=(",", ":"),
+            )
+            sink.write(f"{head[:-1]}{_UPDATES_KEY}".encode() + body + b"}\n")
 
 
 def _parse_line(text: str, line_number: int) -> dict:
@@ -130,33 +221,143 @@ def _read_lines(source: BinaryIO) -> tuple[dict, list[str]]:
     return header, lines
 
 
-def _updates(raw, surface, line_number: int) -> np.ndarray:
-    """``raw`` as (n, 3) int64 rows of distinct cells; an error names the bad update."""
+def _split_event(line: str) -> tuple[dict, str] | None:
+    """The head object and the ``updates`` text of an event line that, like the
+    writer's, ends in ``,"updates":...}`` after an object of exactly the keys
+    ``t``, ``theta_r`` and ``phi_r``; None for any other line."""
+    cut = line.rfind(_UPDATES_KEY)
+    if cut < 0 or not line.endswith("}"):
+        return None
+    try:
+        head = json.loads(line[:cut] + "}")
+    except (ValueError, RecursionError):
+        return None
+    if type(head) is not dict or head.keys() != {"t", "theta_r", "phi_r"}:
+        return None
+    return head, line[cut + len(_UPDATES_KEY):-1]
+
+
+def _decode_updates(bodies: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows of ``updates`` texts in the writer's spelling, as (n, 3) int64 with the
+    row offsets of each text; None unless every text is ``[]`` or ``[[c,r,s],...]``
+    with no sign, no leading zero, at most _MAX_DIGITS digits a value and nothing else.
+
+    For such a text the rows are those ``json`` parses; the texts are decoded together.
+    """
+    counts = [body.count("[") - 1 for body in bodies]
+    if any(n < 1 and body != "[]" for n, body in zip(counts, bodies)):
+        return None
+    bounds = np.cumsum([0, *counts])
+    full = [body for n, body in zip(counts, bodies) if n]
+    text = "".join(full)
+    if not text:
+        return np.empty((0, 3), np.int64), bounds
+    if not (text.isascii() and text.startswith("[[") and text.endswith("]]")):
+        return None
+    data = np.frombuffer(text.encode(), np.uint8)
+    digit = data - _ZERO  # wraps around for bytes below "0"
+    is_digit = digit < 10
+    # the runs of digits: text[start[i]:stop[i]] is value i
+    edges = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
+    start, stop = edges[::2], edges[1::2]
+    n_rows = int(bounds[-1])
+    if len(start) != 3 * n_rows or start[0] != 2:
+        return None
+    lengths = np.diff(edges)  # a value's digits, then the bytes up to the next value, ...
+    size, gap = lengths[::2], lengths[1::2]
+    if size.max() > _MAX_DIGITS or ((size > 1) & (digit[start] == 0)).any():
+        return None
+    # Between values: "," inside a row; "],[" between rows of a text; "]][[" where
+    # one text meets the next.  Texts end after their last value's "]]".
+    after = data[stop].reshape(-1, 3)
+    row_end = stop[2::3][:-1]  # the last value of every row but the final one
+    text_rows = np.cumsum([n for n in counts if n])  # rows up to the end of each text
+    meets = np.zeros(n_rows - 1, bool)  # a row is the last of its text
+    meets[text_rows[:-1] - 1] = True
+    if not (
+        (gap[0::3] == 1).all()
+        and (gap[1::3] == 1).all()
+        and np.array_equal(gap[2::3], 3 + meets)
+        and (after[:, :2] == _COMMA).all()
+        and (after[:, 2] == _RBRACKET).all()
+        and np.array_equal(data[row_end + 1], np.where(meets, _RBRACKET, _COMMA))
+        and (data[row_end + 2] == _LBRACKET).all()
+        and (data[row_end[meets] + 3] == _LBRACKET).all()
+        and len(data) - stop[-1] == 2
+        and np.array_equal(stop[3 * text_rows - 1] + 2, np.cumsum([len(b) for b in full]))
+    ):
+        return None
+    values = digit[stop - 1].astype(np.int64)
+    for k in range(1, size.max()):
+        values += (size > k) * (digit.take(stop - 1 - k, mode="clip") * np.int64(10**k))
+    return values.reshape(-1, 3), bounds
+
+
+def _updates(raw, line_number: int) -> np.ndarray:
+    """A ``json``-parsed ``updates`` as (n, 3) int64 rows; an error names the bad update."""
     if type(raw) is not list:
         raise TraceParseError(f"updates must be a list, got {raw!r}", line_number)
     try:
         # one C-level pass over the values: np.array below would cast bools and floats
         if not set(map(type, chain.from_iterable(raw))) <= {int}:
             raise TypeError
-        updates = np.array(raw, dtype=np.int64).reshape(len(raw), 3)
+        return np.array(raw, dtype=np.int64).reshape(len(raw), 3)
     except (TypeError, ValueError, OverflowError):
         for u in raw:
             if not (type(u) is list and len(u) == 3 and all(type(x) is int for x in u)):
                 raise TraceParseError(f"update {u!r} is not 3 integers", line_number) from None
         raise TraceParseError("an update integer exceeds 64 bits", line_number) from None
+
+
+def _cell_fault(rows: np.ndarray, bounds, surface) -> tuple[int, str]:
+    """The first event (rows ``rows[bounds[k]:bounds[k + 1]]``) with an update outside the
+    surface or two updates for one cell, and what is wrong; ``(len(bounds) - 1, "")`` if none."""
     limits = (surface.n_cols, surface.n_rows, surface.n_states)
-    inside = ((updates >= 0) & (updates < limits)).all(axis=1)
-    if not inside.all():
-        raise ValidationError(
-            f"line {line_number}: update {updates[inside.argmin()].tolist()} outside the "
-            f"{surface.n_cols}x{surface.n_rows} grid or the states [0, {surface.n_states})"
-        )
-    cells = np.sort(updates[:, 1] * surface.n_cols + updates[:, 0])
+    inside = ((rows >= 0) & (rows < limits)).all(axis=1)
+    outside = len(rows) if inside.all() else int(inside.argmin())
+    k_out = int(np.searchsorted(bounds, outside, side="right")) - 1
+    # repeats among the events before that one, whose cells are all inside
+    n = int(bounds[k_out]) if outside < len(rows) else len(rows)
+    event = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[:n]
+    cells = np.sort((event * surface.n_rows + rows[:n, 1]) * surface.n_cols + rows[:n, 0])
     repeated = cells[1:][cells[1:] == cells[:-1]]
     if repeated.size:
-        r, c = divmod(int(repeated[0]), surface.n_cols)
-        raise ValidationError(f"line {line_number}: duplicate update for cell ({c}, {r})")
-    return updates
+        k, cell = divmod(int(repeated[0]), surface.n_cells)
+        r, c = divmod(cell, surface.n_cols)
+        return k, f"duplicate update for cell ({c}, {r})"
+    if outside < len(rows):
+        return k_out, (
+            f"update {rows[outside].tolist()} outside the {surface.n_cols}x{surface.n_rows} "
+            f"grid or the states [0, {surface.n_states})"
+        )
+    return len(bounds) - 1, ""
+
+
+def _event_records(lines, surface):
+    """(line number, object, updates, fault) of each event line, in order.
+
+    A line in the writer's spelling yields its head object and its decoded
+    rows with their ``_cell_fault`` message ("" when sound); any other line
+    yields ``json``'s object and None, None, and is parsed only when reached,
+    so that an earlier line's error comes first.
+    """
+    numbered = enumerate(lines, start=2)
+    for group in _groups(numbered, lambda item: item[1].count("[")):
+        split = [_split_event(line) for _, line in group]
+        decoded = _decode_updates([s[1] for s in split if s])
+        if decoded is None:  # keep the lines that decode on their own
+            split = [s if s and _decode_updates([s[1]]) else None for s in split]
+            decoded = _decode_updates([s[1] for s in split if s])
+        rows, bounds = decoded
+        k_fault, fault = _cell_fault(rows, bounds, surface)
+        k = 0
+        for (line_number, line), s in zip(group, split):
+            if s is None:
+                yield line_number, _parse_line(line, line_number), None, None
+            else:
+                updates = rows[bounds[k]:bounds[k + 1]]
+                yield line_number, s[0], updates, fault if k == k_fault else ""
+                k += 1
 
 
 def read_trace(source: BinaryIO) -> TrafficTrace:
@@ -166,12 +367,13 @@ def read_trace(source: BinaryIO) -> TrafficTrace:
         meta = meta_from_dict(header.get("meta"))
     except ValidationError as exc:
         raise TraceParseError(f"bad header meta: {exc}", 1) from None
+    duration = meta.trajectory.duration
 
     events = []
-    for line_number, line in enumerate(lines[1:], start=2):
-        obj = _parse_line(line, line_number)
+    for line_number, obj, updates, fault in _event_records(lines[1:], meta.surface):
         try:
-            t, theta, phi, raw_updates = obj["t"], obj["theta_r"], obj["phi_r"], obj["updates"]
+            t, theta, phi = obj["t"], obj["theta_r"], obj["phi_r"]
+            raw = obj["updates"] if updates is None else None
         except KeyError as exc:
             raise TraceParseError(f"event record lacks {exc}", line_number) from None
         if not (is_finite_number(t) and is_finite_number(theta) and is_finite_number(phi)):
@@ -180,12 +382,20 @@ def read_trace(source: BinaryIO) -> TrafficTrace:
                 line_number,
             )
         t = float(t)
+        if not 0.0 <= t <= duration:
+            raise ValidationError(
+                f"line {line_number}: event time {t!r} outside the scenario's [0, {duration!r}]"
+            )
         if events and t <= events[-1].t:
             raise ValidationError(
                 f"line {line_number}: event times must be strictly increasing "
                 f"({t!r} after {events[-1].t!r})"
             )
-        updates = _updates(raw_updates, meta.surface, line_number)
+        if updates is None:  # the json path
+            updates = _updates(raw, line_number)
+            fault = _cell_fault(updates, (0, len(updates)), meta.surface)[1]
+        if fault:
+            raise ValidationError(f"line {line_number}: {fault}")
         events.append(ReconfigEvent(t, Angles(float(theta), float(phi)), updates))
     return TrafficTrace(meta, tuple(events))
 

@@ -216,6 +216,19 @@ def test_metrics_malformed_trace_names_line(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k, t", [(1, "-5.0"), (-1, "1e9")])  # the first event, the last
+def test_metrics_rejects_an_event_time_outside_the_scenario(tmp_path, capsys, k, t):
+    trace_path = tmp_path / "t.jsonl"
+    argv = ["simulate", "--out", str(trace_path), "surface.n_cols=4", "surface.n_rows=4"]
+    assert run_cli(*argv) == 0
+    lines = trace_path.read_text().splitlines()
+    lines[k] = f'{{"t":{t},{lines[k].split(",", 1)[1]}'
+    trace_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("metrics", "--trace", str(trace_path), "--report", str(tmp_path / "r")) == 2
+    assert f"line {k % len(lines) + 1}: event time {float(t)!r} outside" in capsys.readouterr().err
+
+
 def test_sweep_identity(capsys):
     assert run_cli("sweep", "--from-theta", "30", "--to-theta", "30") == 0
     assert "fraction=0" in capsys.readouterr().out

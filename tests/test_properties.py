@@ -4,11 +4,12 @@ and of the quantizer."""
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import scalar_oracle
 from coding_oracle import nearest_state
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_trace_io import HEADER
 
@@ -30,11 +31,13 @@ from steertrace import (
     read_trace,
     write_trace,
 )
+from steertrace import trace_io
 from steertrace.cli import main
 from steertrace.coding import MAX_PHASE_STEPS, TWO_PI, _nearest_state
 from steertrace.gateway import BAND, detect_events
 from steertrace.geometry import angle_stream, signed_circular_delta_deg
 from steertrace.scenario import FIELDS
+from steertrace.trace_io import _decode_updates, _encode_updates
 
 CONFIG_KEYS = [f"{section}.{key}" for section, key, _ in FIELDS] + ["outputs.trace"]
 
@@ -114,9 +117,10 @@ def traces(draw):
         Angles(draw(incidence), draw(finite)),
         Trajectory(draw(st.sampled_from(Case)), params, draw(positive)),
     )
+    times = st.floats(0.0, meta.trajectory.duration)  # the reader's rule for event times
     cells = st.tuples(st.integers(0, surface.n_cols - 1), st.integers(0, surface.n_rows - 1))
     events = []
-    for t in sorted(set(draw(st.lists(finite, max_size=4)))):
+    for t in sorted(set(draw(st.lists(times, max_size=4)))):
         updates = tuple(
             (c, r, draw(st.integers(0, surface.n_states - 1)))
             for c, r in draw(st.lists(cells, unique=True))
@@ -192,9 +196,11 @@ def update_lists(draw):
 
 
 @settings(max_examples=500)
-@given(update_lists())
-def test_read_trace_accepts_exactly_the_update_lists_the_scalar_rules_accept(raw):
-    line = json.dumps({"t": 1.0, "theta_r": 80.0, "phi_r": 0.0, "updates": raw})
+@given(update_lists(), st.sampled_from([(",", ":"), (", ", ": ")]))
+def test_read_trace_accepts_exactly_the_update_lists_the_scalar_rules_accept(raw, separators):
+    # the writer's compact spelling reaches the numpy decoder, the spaced one json
+    event = {"t": 1.0, "theta_r": 80.0, "phi_r": 0.0, "updates": raw}
+    line = json.dumps(event, separators=separators)
     expected = oracle_rows(raw)
     try:
         updates = read_trace(io.BytesIO(f"{SMALL_HEADER}\n{line}\n".encode())).events[0].updates
@@ -204,6 +210,119 @@ def test_read_trace_accepts_exactly_the_update_lists_the_scalar_rules_accept(raw
         assert expected is not None
         assert updates.dtype == np.int64 and updates.shape == (len(expected), 3)
         assert updates.tolist() == expected
+
+
+int64s = st.integers(-(2**63), 2**63 - 1) | st.sampled_from(
+    [0, 1, 9, 10, 99, -1, -10, 10**18, -(10**18), 2**32, 2**63 - 1, -(2**63) + 1, -(2**63)]
+)
+update_arrays = st.lists(st.tuples(int64s, int64s, int64s), max_size=4).map(
+    lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(update_arrays, max_size=5))
+def test_encoder_writes_the_bytes_of_json_dumps(arrays):
+    expected = [json.dumps(a.tolist(), separators=(",", ":")).encode() for a in arrays]
+    assert _encode_updates(arrays) == expected
+
+
+def canonical(rows) -> str:
+    return json.dumps(rows, separators=(",", ":"))
+
+
+small_rows = st.lists(
+    st.lists(st.integers(0, 120) | st.integers(0, 10**18 - 1), min_size=3, max_size=3), max_size=4
+)
+# Spellings json may or may not accept, each one the writer never makes.
+faults = [
+    " ", "\n", "0", "00", "-", "-0", ".0", "e1", "true", "null", ",", "[", "]", "[]", "]]", "x",
+    "1234567890123456789", "9223372036854775808", "99999999999999999999", "\u00e9",
+]
+odd_texts = [
+    "[[]]", "[[1,2],[3,4,5,6]]", "[[1,2,3],]", "[[1,2,3]],", "[[1,2,3]] ", "[[1,2,3]]]",
+    "[[1,2,3][4,5,6]]", "[[1,2,3],[4,5]]", "[1,2,3]", "[[01,2,3]]", "[[-0,2,3]]",
+    "[[1.0,2,3]]", "[[true,2,3]]", "[[1,2,3,4]]", "[ ]", "[[1,2,3]][[4,5,6]]", "", "]", "[",
+]
+
+
+@st.composite
+def update_texts(draw):
+    """An ``updates`` text in the writer's spelling, half of them with one fault spliced in."""
+    text = canonical(draw(small_rows))
+    kind = draw(st.sampled_from(["canonical", "insert", "replace", "fixed"]))
+    if kind == "insert":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from(faults)) + text[at:]
+    if kind == "replace":
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + draw(st.sampled_from(faults)) + text[at + 1:]
+    if kind == "fixed":
+        return draw(st.sampled_from(odd_texts))
+    return text
+
+
+def json_rows(text: str):
+    """``json``'s list for an ``updates`` text, or None where it is not a JSON array."""
+    try:
+        rows = json.loads(text)
+    except ValueError:
+        return None
+    return rows if type(rows) is list else None
+
+
+def writers_spelling(text: str) -> bool:
+    """Rows of three ints in [0, 10**18), spelled as the writer spells them."""
+    rows = json_rows(text)
+    return (
+        rows is not None
+        and all(type(r) is list and len(r) == 3 for r in rows)
+        and all(type(x) is int and 0 <= x < 10**18 for r in rows for x in r)
+        and text == canonical(rows)
+    )
+
+
+@settings(max_examples=400)
+@given(st.lists(update_texts(), max_size=4))
+@example(odd_texts)
+def test_decoder_declines_or_gives_jsons_rows(texts):
+    one_by_one = [_decode_updates([text]) for text in texts]
+    for text, decoded in zip(texts, one_by_one):
+        if writers_spelling(text):
+            assert decoded is not None, text
+        if decoded is not None:
+            rows, bounds = decoded
+            assert rows.dtype == np.int64 and rows.shape == (bounds[-1], 3)
+            assert list(bounds) == [0, len(rows)]
+            assert rows.tolist() == json_rows(text)
+    # a group decodes iff each text does, into the texts' rows one after another
+    group = _decode_updates(texts)
+    assert (group is None) == (None in one_by_one)
+    if group is not None:
+        rows, bounds = group
+        for k, (alone, _) in enumerate(one_by_one):
+            assert np.array_equal(rows[bounds[k]:bounds[k + 1]], alone)
+
+
+@settings(max_examples=200)
+@given(traces(), st.integers(1, 12))
+def test_traces_round_trip_across_coding_group_boundaries(trace, group_rows):
+    with mock.patch.object(trace_io, "_GROUP_ROWS", group_rows):
+        first = io.BytesIO()
+        write_trace(trace, first)
+        assert first.getvalue() == reference_bytes(trace)
+        assert read_trace(io.BytesIO(first.getvalue())) == trace
+
+
+def reference_bytes(trace) -> bytes:
+    """A trace file as one ``json.dumps`` per line writes it."""
+    buf = io.BytesIO()
+    trace_io._start(buf, None, meta=trace_io.meta_to_dict(trace.meta))
+    for ev in trace.events:
+        line = {"t": ev.t, "theta_r": ev.reflected.theta, "phi_r": ev.reflected.phi}
+        line["updates"] = ev.updates.tolist()
+        buf.write(json.dumps(line, separators=(",", ":")).encode() + b"\n")
+    return buf.getvalue()
 
 
 @st.composite

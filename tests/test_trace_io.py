@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from steertrace import trace_io
 from steertrace import (
     Angles,
     Case,
@@ -74,6 +75,7 @@ def random_trace(rng):
         n_rows=rng.randint(2, 12),
         n_states=rng.choice([2, 4, 8]),
     )
+    duration = rng.uniform(0.5, 100.0)
     meta = TraceMeta(
         surface,
         GatewayConfig(angular_step=rng.uniform(1, 10), sample_dt=rng.uniform(1e-3, 0.1)),
@@ -81,13 +83,13 @@ def random_trace(rng):
         Trajectory(
             rng.choice([Case.A, Case.B, Case.C]),
             CaseParams(rng_seed=rng.randint(0, 2**31)),
-            rng.uniform(0.5, 100.0),
+            duration,
         ),
     )
     t = 0.0
     events = []
     for _ in range(rng.randint(0, 6)):
-        t += rng.uniform(1e-3, 5.0)
+        t += rng.uniform(1e-3, duration / 6)  # event times lie in [0, duration]
         cells = rng.sample(
             [(i, j) for i in range(surface.n_cols) for j in range(surface.n_rows)],
             rng.randint(0, surface.n_cells // 2),
@@ -153,10 +155,13 @@ EVENT = '{"t":1.0,"theta_r":80.0,"phi_r":0.0,"updates":[[1,2,1]]}'
         ('"theta_r":80.0', '"theta_r":NaN', 2, "theta_r"),
         ('"theta_r":80.0', '"theta_r":"80"', 2, "theta_r"),
         ("[[1,2,1]]", "[[99999999999999999999,0,1]]", 2, "64 bits"),
+        ("[[1,2,1]]", "", 2, "invalid JSON"),
         ('"theta":0.0', '"theta":95.0', 1, "incidence.theta"),
         ('"d_u":0.0075', '"d_u":1e306', 1, "surface.d_u"),
         ('"n_states":4', '"n_states":65537', 1, "surface.n_states"),
         ('"lambda_r":0.03', '"lambda_r":1e-300', 1, "wave.lambda_r"),
+        ('"t":1.0', '"t":-5.0', 2, "event time -5.0 outside"),
+        ('"t":1.0', '"t":81.5', 2, "event time 81.5 outside"),  # the header's duration is 81
     ],
 )
 def test_read_rejects_malformed_header_and_event_values(old, new, line, needle):
@@ -216,6 +221,38 @@ def test_read_rejects_duplicate_cells():
         read_trace(src)
 
 
+def test_read_accepts_event_times_at_both_ends_of_the_scenario():
+    src = write_lines(
+        HEADER,
+        '{"t":0,"theta_r":80.0,"phi_r":0.0,"updates":[]}',
+        '{"t":81.0,"theta_r":75.0,"phi_r":0.0,"updates":[]}',
+    )
+    assert [ev.t for ev in read_trace(src).events] == [0.0, 81.0]
+
+
+@pytest.mark.parametrize(
+    "line_3, line_4",
+    [
+        # an update off the grid, in the writer's spelling, then JSON that is not
+        ("[[50,0,1]]", "[[1, 2, 1]"),
+        ("[[1,2,1],[1,2,0]]", '[[1,2,1]],"x":'),
+        # and the other way round
+        ("[[1, 2, 1]", "[[50,0,1]]"),
+        ("[[1,2,1],]", "[[1,2,1],[1,2,0]]"),
+    ],
+)
+def test_the_first_bad_line_is_reported_whichever_path_reads_it(line_3, line_4):
+    src = write_lines(
+        HEADER,
+        '{"t":1.0,"theta_r":80.0,"phi_r":0.0,"updates":[[1,2,1]]}',
+        f'{{"t":2.0,"theta_r":80.0,"phi_r":0.0,"updates":{line_3}}}',
+        f'{{"t":3.0,"theta_r":80.0,"phi_r":0.0,"updates":{line_4}}}',
+    )
+    with pytest.raises((TraceParseError, ValidationError)) as err:
+        read_trace(src)
+    assert str(err.value).startswith("line 3:")
+
+
 def test_read_rejects_empty_file():
     with pytest.raises(TraceParseError) as err:
         read_trace(io.BytesIO(b""))
@@ -233,7 +270,7 @@ class FailingSink:
         self.taken += len(data)
 
 
-def test_write_failure_reports_byte_offset(short_case_c_trace):
+def test_write_failure_reports_byte_offset(short_case_c_trace, monkeypatch):
     whole = io.BytesIO()
     write_trace(short_case_c_trace, whole)
     first_line_len = whole.getvalue().index(b"\n") + 1
@@ -241,6 +278,16 @@ def test_write_failure_reports_byte_offset(short_case_c_trace):
     with pytest.raises(TraceWriteError) as err:
         write_trace(short_case_c_trace, sink)
     assert err.value.byte_offset == first_line_len
+
+    # with every event coded in one group, a failure inside a later event
+    # still reports where that event's line begins
+    monkeypatch.setattr(trace_io, "_GROUP_ROWS", 10**9)
+    assert len(short_case_c_trace.events) >= 3
+    line_starts = [0, *(k + 1 for k, byte in enumerate(whole.getvalue()) if byte == ord("\n"))]
+    for start, stop in zip(line_starts[2:], line_starts[3:]):
+        with pytest.raises(TraceWriteError) as err:
+            write_trace(short_case_c_trace, FailingSink((start + stop) // 2))
+        assert err.value.byte_offset == start
 
 
 def test_report_round_trip(case_a_trace):
