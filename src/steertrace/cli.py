@@ -98,7 +98,8 @@ def cmd_simulate(args) -> int:
 def cmd_metrics(args) -> int:
     with open(args.trace, "rb") as fh:
         trace = read_trace(fh)
-    report = burst_stats(trace)
+    matrix = destination_matrix(trace)
+    report = burst_stats(trace, matrix=matrix)
     with open(args.report, "wb") as fh:
         write_report(report, fh)
     summary = (
@@ -107,7 +108,7 @@ def cmd_metrics(args) -> int:
     )
     if args.heatmap is not None:
         with open(args.heatmap, "wb") as fh:
-            export_heatmap(destination_matrix(trace), args.format, fh)
+            export_heatmap(matrix, args.format, fh)
         summary += f" heatmap={args.heatmap}"
     print(summary)
     return 0

@@ -115,8 +115,11 @@ def spatial_cv(ratios: np.ndarray) -> float:
     return float(ratios.std() / mean)
 
 
-def burst_stats(trace: TrafficTrace) -> WorkloadReport:
-    """Per-event sizes and fractions, inter-event gaps, totals, spatial CV."""
+def burst_stats(trace: TrafficTrace, *, matrix: np.ndarray | None = None) -> WorkloadReport:
+    """Per-event sizes and fractions, inter-event gaps, totals, spatial CV.
+
+    ``matrix``, if given, is ``destination_matrix(trace)``, already computed.
+    """
     sizes = [len(ev.updates) for ev in trace.events]
     n_cells = trace.meta.surface.n_cells
     gaps = [ev.t - prev.t for prev, ev in zip(trace.events, trace.events[1:])]
@@ -125,5 +128,5 @@ def burst_stats(trace: TrafficTrace) -> WorkloadReport:
         total_packets=sum(sizes),
         burst_sizes=tuple(sizes),
         inter_event_times=tuple(gaps),
-        spatial_cv=spatial_cv(destination_matrix(trace)),
+        spatial_cv=spatial_cv(destination_matrix(trace) if matrix is None else matrix),
     )

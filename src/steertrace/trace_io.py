@@ -312,19 +312,23 @@ def _updates(raw, line_number: int) -> np.ndarray:
 def _cell_fault(rows: np.ndarray, bounds, surface) -> tuple[int, str]:
     """The first event (rows ``rows[bounds[k]:bounds[k + 1]]``) with an update outside the
     surface or two updates for one cell, and what is wrong; ``(len(bounds) - 1, "")`` if none."""
-    limits = (surface.n_cols, surface.n_rows, surface.n_states)
-    inside = ((rows >= 0) & (rows < limits)).all(axis=1)
-    outside = len(rows) if inside.all() else int(inside.argmin())
+    limits = np.array([surface.n_cols, surface.n_rows, surface.n_states], np.uint64)
+    bad = rows.view(np.uint64) >= limits  # a negative value wraps above every limit
+    outside = int(bad.argmax()) // 3 if bad.any() else len(rows)
     k_out = int(np.searchsorted(bounds, outside, side="right")) - 1
     # repeats among the events before that one, whose cells are all inside
     n = int(bounds[k_out]) if outside < len(rows) else len(rows)
     event = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[:n]
-    cells = np.sort((event * surface.n_rows + rows[:n, 1]) * surface.n_cols + rows[:n, 0])
-    repeated = cells[1:][cells[1:] == cells[:-1]]
-    if repeated.size:
-        k, cell = divmod(int(repeated[0]), surface.n_cells)
-        r, c = divmod(cell, surface.n_cols)
-        return k, f"duplicate update for cell ({c}, {r})"
+    cells = (event * surface.n_rows + rows[:n, 1]) * surface.n_cols + rows[:n, 0]
+    # The writer lists an event's cells in row-major order, so its keys increase
+    # and hold no repeat; only another order needs the sort.
+    if not (cells[1:] > cells[:-1]).all():
+        cells.sort()
+        repeated = cells[1:][cells[1:] == cells[:-1]]
+        if repeated.size:
+            k, cell = divmod(int(repeated[0]), surface.n_cells)
+            r, c = divmod(cell, surface.n_cols)
+            return k, f"duplicate update for cell ({c}, {r})"
     if outside < len(rows):
         return k_out, (
             f"update {rows[outside].tolist()} outside the {surface.n_cols}x{surface.n_rows} "
@@ -442,8 +446,12 @@ def export_heatmap(matrix: np.ndarray, fmt: str, dest: BinaryIO):
         raise ValidationError("heat-map entries must be finite and >= 0", key="matrix")
     sink = _CountingSink(dest)
     if fmt == "csv":
-        for row in m:
-            sink.write_line(",".join(format_number(v) for v in row))
+        # An entry is count / total, so a heat map holds few distinct values: each is
+        # formatted once.  Bit patterns keep -0.0 apart from 0.0.
+        keys, index = np.unique(np.ascontiguousarray(m).view(np.int64), return_inverse=True)
+        words = [format_number(v) for v in keys.view(float)]
+        for row in index.reshape(m.shape).tolist():
+            sink.write_line(",".join([words[i] for i in row]))
     elif fmt == "pgm":
         peak = m.max()
         if peak > 0:

@@ -2,9 +2,11 @@
 
 The first digests were recorded from the program as it stood before bursts
 became arrays, the three of ``test_more_trace_bytes`` before angle sampling
-moved to numpy, and the ``sweep`` stdout digests before the quantizer dropped
-its float ``np.mod`` and a grid sweep began to code each direction once; any
-change to these bytes must show up here and be explained.
+moved to numpy, the ``sweep`` stdout digests before the quantizer dropped
+its float ``np.mod`` and a grid sweep began to code each direction once, and
+the PGM heat map and the 100x100 ``metrics`` outputs before the CSV heat map
+was formatted once per distinct value; any change to these bytes must show up
+here and be explained.
 """
 
 import contextlib
@@ -48,6 +50,26 @@ def test_case_a_trace_report_and_heatmap_bytes(case_a_trace):
     assert sha256_of(lambda b: export_heatmap(destination_matrix(case_a_trace), "csv", b)) == (
         "8e62beff6478ae0c535b477962bec3e6dbb9d488f17509f9cf1b16b8017b1b69"
     )
+    assert sha256_of(lambda b: export_heatmap(destination_matrix(case_a_trace), "pgm", b)) == (
+        "fd7456cb6f9153775e844c664ec9cdd1622b4d0007f6c41f66e4bebb6bb76872"
+    )
+
+
+def test_metrics_outputs_of_case_a_on_a_100x100_surface(tmp_path, monkeypatch):
+    """A few large bursts, each a sizeable share of 10,000 cells, through the CLI."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    trace, report, heat = tmp_path / "t.jsonl", tmp_path / "r.jsonl", tmp_path / "h.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--out", str(trace), "surface.n_cols=100",
+                     "surface.n_rows=100", "gateway.sample_dt=0.01"]) == 0
+        assert main(["metrics", "--trace", str(trace), "--report", str(report),
+                     "--heatmap", str(heat)]) == 0
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (trace, report, heat)]
+    assert digests == [
+        "21b9adda0871d1a1c3aa6f986f0753785fb1867b812208669d5cdc62d10a6beb",
+        "160875ab8a68ba707666dad7d5d23f8bb7da238278bd12068d0e4cf8d4fd0407",
+        "cb9f93c6fef463bcd07f86a13c6864ae3719ac76564ccbd7b57d4f00bd2e77ce",
+    ]
 
 
 @pytest.mark.parametrize(

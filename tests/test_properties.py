@@ -1,5 +1,5 @@
-"""Property tests of the input boundary (CLI overrides, trace files), of drift detection
-and of the quantizer."""
+"""Property tests of the input boundary (CLI overrides, trace files), of drift detection,
+of the quantizer and of the CSV heat map."""
 
 import io
 import json
@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import scalar_oracle
+import trace_io_oracle
 from coding_oracle import nearest_state
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from steertrace import (
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
+    export_heatmap,
     read_trace,
     write_trace,
 )
@@ -37,7 +39,7 @@ from steertrace.coding import MAX_PHASE_STEPS, TWO_PI, _nearest_state
 from steertrace.gateway import BAND, detect_events
 from steertrace.geometry import angle_stream, signed_circular_delta_deg
 from steertrace.scenario import FIELDS
-from steertrace.trace_io import _decode_updates, _encode_updates
+from steertrace.trace_io import _cell_fault, _decode_updates, _encode_updates
 
 CONFIG_KEYS = [f"{section}.{key}" for section, key, _ in FIELDS] + ["outputs.trace"]
 
@@ -448,3 +450,81 @@ def test_nearest_state_gives_the_np_mod_quantizers_states(drawn):
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
     assert ((got >= 0) & (got < n)).all()
+
+
+OUT_OF_RANGE = (-1, -(2**63), -(2**63 - 1), 2**63 - 1)
+
+
+@st.composite
+def cell_groups(draw):
+    """Rows and bounds of a group of events, as ``_event_records`` hands them to
+    ``_cell_fault``: row-major or shuffled bursts, with repeats and out-of-range values."""
+    surface = SurfaceConfig(
+        n_cols=draw(st.integers(1, 4)), n_rows=draw(st.integers(1, 4)),
+        n_states=draw(st.integers(2, 4)),
+    )
+    events = []
+    for _ in range(draw(st.integers(1, 5))):
+        cells = sorted(draw(st.sets(st.integers(0, surface.n_cells - 1))))
+        state = st.integers(0, surface.n_states - 1)
+        rows = [[cell % surface.n_cols, cell // surface.n_cols, draw(state)] for cell in cells]
+        if rows and draw(st.booleans()):  # a repeat beside the row it repeats
+            at = draw(st.integers(0, len(rows) - 1))
+            rows.insert(draw(st.sampled_from([at + 1, at])), [*rows[at][:2], draw(state)])
+        if draw(st.booleans()):
+            rows = draw(st.permutations(rows))
+        if rows and draw(st.booleans()):
+            row, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
+            limit = (surface.n_cols, surface.n_rows, surface.n_states)[column]
+            rows[row][column] = draw(st.sampled_from([limit, limit + 1, *OUT_OF_RANGE]))
+        events.append(rows)
+    flat = [row for rows in events for row in rows]
+    return np.array(flat, np.int64).reshape(-1, 3), np.cumsum([0, *map(len, events)]), surface
+
+
+@settings(max_examples=400)
+@given(cell_groups())
+@example((np.array([[0, 0, 1], [0, 0, 1]]), np.array([0, 2]), SurfaceConfig(n_cols=2, n_rows=2)))
+@example((np.array([[0, 0, 1], [1, 0, 1], [0, 0, 1]]), np.array([0, 3]), SurfaceConfig()))
+def test_cell_fault_agrees_with_the_check_that_always_sorts(drawn):
+    rows, bounds, surface = drawn
+    assert _cell_fault(rows, bounds, surface) == trace_io_oracle.cell_fault(rows, bounds, surface)
+
+
+# Values a heat map holds: count / total shares, both zeros, subnormals, values around
+# 1e-05 and 1e16, where repr switches notation, and integral floats.
+heat_values = st.one_of(
+    st.builds(lambda count, total: count / max(count, total), st.integers(0, 99),
+              st.integers(1, 99)),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-308]),
+    st.builds(_ulp_neighbours, st.sampled_from([1e-05, 1e-04, 1e16, 1e15]), st.integers(-3, 3)),
+    st.integers(0, 2**60).map(float),
+    st.floats(0, allow_infinity=False),
+)
+
+
+@st.composite
+def heat_maps(draw):
+    """A matrix of a few values each repeated, contiguous, transposed or strided."""
+    pool = draw(st.lists(heat_values, min_size=1, max_size=5))
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    side = 2 * max(n_rows, n_cols, 1)
+    picks = draw(st.lists(st.sampled_from(pool), min_size=side**2, max_size=side**2))
+    big = np.array(picks, float).reshape(side, side)
+    return draw(st.sampled_from([
+        np.ascontiguousarray(big[:n_rows, :n_cols]),
+        big[:n_cols, :n_rows].T,
+        big[::2, ::2][:n_rows, :n_cols],
+        big[1:n_rows + 1, 1:n_cols + 1],
+    ]))
+
+
+@settings(max_examples=300)
+@given(heat_maps())
+@example(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+@example(np.array([[-0.0, 1e16, 9999999999999998.0, 1e-05, 9.999999999999999e-06, 5e-324]]))
+def test_csv_heat_map_has_the_bytes_of_formatting_every_entry(matrix):
+    got, want = io.BytesIO(), io.BytesIO()
+    export_heatmap(matrix, "csv", got)
+    trace_io_oracle.export_heatmap_csv(matrix, want)
+    assert got.getvalue() == want.getvalue()

@@ -221,6 +221,14 @@ def test_read_rejects_duplicate_cells():
         read_trace(src)
 
 
+def test_read_accepts_bursts_in_any_cell_order(case_a_trace):
+    """The writer lists a burst's cells in row-major order; the reverse is as valid."""
+    events = [ReconfigEvent(ev.t, ev.reflected, ev.updates[::-1]) for ev in case_a_trace.events]
+    reversed_trace = TrafficTrace(case_a_trace.meta, tuple(events))
+    assert any(len(ev.updates) > 1 for ev in events)
+    assert roundtrip(reversed_trace) == reversed_trace != case_a_trace
+
+
 def test_read_accepts_event_times_at_both_ends_of_the_scenario():
     src = write_lines(
         HEADER,
