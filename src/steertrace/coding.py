@@ -143,10 +143,12 @@ def phase_gradients(incident: Angles, reflected: Angles, cfg: SurfaceConfig) -> 
 
 
 def _raw_phase(g: PhaseGradient, cfg: SurfaceConfig) -> np.ndarray:
-    """Unwrapped per-cell phase (gx*i + gy*j) * d_u, shape (n_rows, n_cols)."""
-    cols = np.arange(cfg.n_cols, dtype=float)
-    rows = np.arange(cfg.n_rows, dtype=float)
-    return (g.gx * cols[None, :] + g.gy * rows[:, None]) * cfg.d_u
+    """Unwrapped per-cell phase (gx*i + gy*j) * d_u, shape (n_rows, n_cols) except
+    that an axis whose gradient component is zero has length 1 (see state_matrix)."""
+    cols = np.arange(1 if g.gx == 0 else cfg.n_cols, dtype=float)
+    rows = np.arange(1 if g.gy == 0 else cfg.n_rows, dtype=float)
+    ramp = g.gx * cols[None, :] + g.gy * rows[:, None]
+    return np.multiply(ramp, cfg.d_u, out=ramp)
 
 
 def quantize_phase(phase: float, n_states: int) -> int:
@@ -173,14 +175,18 @@ def _nearest_state(phases: np.ndarray, n_states: int) -> np.ndarray:
     remainder once, as numpy's float modulo does.  A floor that is off by one
     puts m in (-0.5, 0) or [n, n + 0.5), which round to the same state modulo
     n as that remainder, so mapping k == n to 0 is the only wrap needed.
+
+    The steps run in two float buffers, r (then m, then m - low) and q (then
+    low, then k), and never write ``phases``.
     """
     phases = np.asarray(phases, dtype=float)
-    r = phases.reshape(-1) / (TWO_PI / n_states)
+    r = np.divide(phases.reshape(-1), TWO_PI / n_states)
     n = float(n_states)
-    m = r - np.floor(r / n) * n
-    low = np.floor(m)
+    q = np.divide(r, n)
+    m = np.subtract(r, np.multiply(np.floor(q, out=q), n, out=q), out=r)
+    low = np.floor(m, out=q)
     # exact half-step ties round down to the lower neighbour; k == n wraps to 0
-    k = low + (m - low > 0.5)
+    k = np.add(low, np.subtract(m, low, out=m) > 0.5, out=low)
     k[k == n] = 0.0
     return k.astype(np.int64).reshape(phases.shape)
 
@@ -191,9 +197,17 @@ def state_matrix(incident: Angles, reflected: Angles, cfg: SurfaceConfig) -> np.
     Cell-wise composition of the gradients, the ideal per-cell phase, and the
     quantizer; the quantizer consumes the unwrapped phase so its rounding is
     identical to quantizing the mathematically reduced value.
+
+    A zero gradient component codes one line.  When gy is +0.0 or -0.0, gy*j
+    is that same signed zero for every row j >= 0, so every row of the ramp
+    holds the same bits as row 0; likewise every column when gx is zero.  The
+    ramp is then built and quantized over that one row or column, and one
+    broadcast copy returns the full, writable, C-contiguous matrix.
     """
     g = phase_gradients(incident, reflected, cfg)
-    return _nearest_state(_raw_phase(g, cfg), cfg.n_states)
+    full = (cfg.n_rows, cfg.n_cols)
+    states = _nearest_state(_raw_phase(g, cfg), cfg.n_states)
+    return states if states.shape == full else np.broadcast_to(states, full).copy()
 
 
 def aliasing_check(g: PhaseGradient, cfg: SurfaceConfig) -> AliasingReport:

@@ -3,9 +3,9 @@ import random
 
 import numpy as np
 import pytest
-from coding_oracle import ideal_phase, wrap_phase
+from coding_oracle import ideal_phase, nearest_state_with_temporaries, wrap_phase
 
-from steertrace import Angles, SurfaceConfig, ValidationError, state_matrix
+from steertrace import Angles, SurfaceConfig, ValidationError, coding, state_matrix
 from steertrace.coding import (
     TWO_PI,
     PhaseGradient,
@@ -41,6 +41,11 @@ def test_gradients_vanish_for_specular_pair():
     cfg = SurfaceConfig()
     g = phase_gradients(Angles(37.3, 123.4), Angles(37.3, 123.4), cfg)
     assert g.gx == 0.0 and g.gy == 0.0
+
+
+def test_theta_0_at_phi_270_gives_a_negative_zero_gy():
+    g = phase_gradients(INC, Angles(0.0, 270.0), SurfaceConfig())
+    assert g.gx == 0.0 and math.copysign(1.0, g.gy) == -1.0
 
 
 def test_gradient_hand_value_30_degrees():
@@ -184,6 +189,49 @@ def test_state_matrix_column_invariance_for_vertical_azimuths():
     for phi in (90.0, 270.0):
         m = state_matrix(INC, Angles(30.0, phi), cfg)
         assert (m == m[:, [0]]).all(), f"columns differ for phi={phi}"
+
+
+@pytest.mark.parametrize("reflected, coded", [
+    (Angles(30.0, 0.0), 30),
+    (Angles(30.0, 90.0), 70),
+    (Angles(30.0, 33.0), 30 * 70),
+    (Angles(0.0, 270.0), 1),  # gx == 0.0 and gy == -0.0
+], ids=["phi-0", "phi-90", "phi-33", "theta-0"])
+def test_a_zero_gradient_component_codes_one_line(monkeypatch, reflected, coded):
+    sizes = []
+
+    def nearest_state(phases, n_states):
+        sizes.append(np.size(phases))
+        return _nearest_state(phases, n_states)
+
+    monkeypatch.setattr(coding, "_nearest_state", nearest_state)
+    m = state_matrix(INC, reflected, SurfaceConfig(n_cols=30, n_rows=70))
+    assert sizes == [coded]
+    assert m.shape == (70, 30)
+
+
+def _read_only(a):
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("phases", [
+    _read_only(2.5),
+    _read_only([[-3.0, 0.7, 1e6], [TWO_PI, -0.0, math.pi / 4]]),
+    _read_only(np.arange(12.0).reshape(3, 4) * 0.9).T,
+    np.linspace(-20.0, 20.0, 7),
+], ids=["0-d", "2-d", "transposed", "writable"])
+def test_the_quantizer_leaves_its_input_unchanged(phases):
+    before = phases.copy()
+    got = _nearest_state(phases, 5)
+    assert phases.tobytes() == before.tobytes()
+    assert got.shape == phases.shape
+    assert np.array_equal(got, nearest_state_with_temporaries(before, 5))
+    for phase, state in zip(before.reshape(-1), got.reshape(-1)):
+        scalar = _read_only(phase)
+        assert quantize_phase(scalar, 5) == state
+        assert scalar.tobytes() == phase.tobytes()
 
 
 def test_state_matrix_is_pure():

@@ -2,11 +2,12 @@
 
 The first digests were recorded from the program as it stood before bursts
 became arrays, the three of ``test_more_trace_bytes`` before angle sampling
-moved to numpy, the ``sweep`` stdout digests before the quantizer dropped
-its float ``np.mod`` and a grid sweep began to code each direction once, and
-the PGM heat map and the 100x100 ``metrics`` outputs before the CSV heat map
-was formatted once per distinct value; any change to these bytes must show up
-here and be explained.
+moved to numpy, the first three ``sweep`` stdout digests before the quantizer
+dropped its float ``np.mod`` and a grid sweep began to code each direction
+once, the PGM heat map and the 100x100 ``metrics`` outputs before the CSV heat
+map was formatted once per distinct value, and the two line-path ``sweep``
+digests before a zero gradient component began to code one line; any change
+to these bytes must show up here and be explained.
 """
 
 import contextlib
@@ -140,8 +141,23 @@ def test_more_trace_bytes(trajectory, gateway, events, digest):
             1,
             "ec195befd0cfa0f7fae28759516fab0a21538dd11fbc7272a9dd0bac92d23665",
         ),
+        (
+            # gx == 0: every column of a state matrix holds the same states
+            ("--grid", "1", "--from-phi", "90", "--to-phi", "90", "surface.n_cols=30",
+             "surface.n_rows=70"),
+            85,
+            "9af782cd24db2c18c4e155d80a35e40dbbc007b35e50b3f77715ee536b70928e",
+        ),
+        (
+            # oblique incidence in the same plane: gy == 0, every row the same
+            ("--grid", "1", "--from-phi", "180", "--to-phi", "180", "surface.n_cols=70",
+             "surface.n_rows=30", "incidence.theta=20", "incidence.phi=180"),
+            85,
+            "e907f7257c1ba93dab227805a7b0085bc96f9ffe51b54eed2b14d9b49887f381",
+        ),
     ],
-    ids=["grid-0.5-120x120", "grid-5-unequal-phi", "single-pair"],
+    ids=["grid-0.5-120x120", "grid-5-unequal-phi", "single-pair", "column-line-gx-0",
+         "oblique-row-line-gy-0"],
 )
 def test_sweep_stdout_bytes(argv, lines, digest):
     out = io.StringIO()

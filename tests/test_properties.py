@@ -1,5 +1,5 @@
 """Property tests of the input boundary (CLI overrides, trace files), of drift detection,
-of the quantizer and of the CSV heat map."""
+of the quantizer and the state matrix, and of the CSV heat map."""
 
 import io
 import json
@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import scalar_oracle
 import trace_io_oracle
-from coding_oracle import nearest_state
+from coding_oracle import full_grid_state_matrix, nearest_state
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_trace_io import HEADER
@@ -31,11 +31,12 @@ from steertrace import (
     case_c_trajectory,
     export_heatmap,
     read_trace,
+    state_matrix,
     write_trace,
 )
 from steertrace import trace_io
 from steertrace.cli import main
-from steertrace.coding import MAX_PHASE_STEPS, TWO_PI, _nearest_state
+from steertrace.coding import MAX_PHASE_STEPS, MAX_STATES, TWO_PI, _nearest_state
 from steertrace.gateway import BAND, detect_events
 from steertrace.geometry import angle_stream, signed_circular_delta_deg
 from steertrace.scenario import FIELDS
@@ -450,6 +451,45 @@ def test_nearest_state_gives_the_np_mod_quantizers_states(drawn):
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
     assert ((got >= 0) & (got < n)).all()
+
+
+# theta 0 gives gradient components of +-0.0: at phi 270, gy == -0.0
+angles = st.builds(
+    Angles,
+    st.sampled_from([0.0]) | st.floats(0.0, 89.99),
+    st.sampled_from([0.0, 90.0, 180.0, 270.0, -90.0, 360.0]) | st.floats(-720.0, 720.0),
+)
+
+
+@st.composite
+def steering_pairs(draw):
+    """A surface (a line, a column or a rectangle), its state count, and two directions."""
+    sizes = st.integers(1, 40)
+    n_cols, n_rows = draw(
+        st.tuples(st.just(1), sizes) | st.tuples(sizes, st.just(1)) | st.tuples(sizes, sizes)
+    )
+    surface = SurfaceConfig(
+        n_cols=n_cols, n_rows=n_rows,
+        n_states=draw(st.sampled_from(STATE_COUNTS) | st.integers(2, MAX_STATES)),
+        lambda_r=draw(st.sampled_from([0.03, 0.025])),
+    )
+    return draw(angles), draw(angles), surface
+
+
+@settings(max_examples=400)
+@given(steering_pairs())
+@example((Angles(0.0, 0.0), Angles(0.0, 270.0), SurfaceConfig(n_cols=3, n_rows=5)))
+@example((Angles(20.0, 180.0), Angles(40.0, 180.0), SurfaceConfig(n_cols=7, n_rows=4)))
+@example((Angles(0.0, 0.0), Angles(30.0, 90.0), SurfaceConfig(n_cols=1, n_rows=9)))
+def test_state_matrix_gives_the_full_grid_codings_states(drawn):
+    incident, reflected, surface = drawn
+    got = state_matrix(incident, reflected, surface)
+    want = full_grid_state_matrix(incident, reflected, surface)
+    assert got.dtype == np.int64
+    assert got.shape == (surface.n_rows, surface.n_cols)
+    assert got.flags.writeable and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert not np.shares_memory(got, state_matrix(incident, reflected, surface))
 
 
 OUT_OF_RANGE = (-1, -(2**63), -(2**63 - 1), 2**63 - 1)
