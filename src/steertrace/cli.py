@@ -15,9 +15,9 @@ from .coding import aliasing_check, phase_gradients
 from .errors import TraceParseError, ValidationError
 from .gateway import TraceMeta, TrafficTrace, run_simulation
 from .geometry import MAX_SAMPLES, Angles
-from .metrics import burst_stats, destination_matrix, sweep_diff, sweep_grid
+from .metrics import summarize, sweep_diff, sweep_grid
 from .scenario import defaults, meta_from_dict
-from .trace_io import export_heatmap, format_number, read_trace, write_report, write_trace
+from .trace_io import export_heatmap, format_number, iter_trace, write_report, write_trace
 
 
 def load_scenario(args) -> tuple[TraceMeta, str]:
@@ -97,13 +97,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_metrics(args) -> int:
     with open(args.trace, "rb") as fh:
-        trace = read_trace(fh)
-    matrix = destination_matrix(trace)
-    report = burst_stats(trace, matrix=matrix)
+        meta, events = iter_trace(fh)
+        report, matrix = summarize(meta.surface, events)
     with open(args.report, "wb") as fh:
         write_report(report, fh)
     summary = (
-        f"events={len(trace.events)} packets={report.total_packets} "
+        f"events={len(report.burst_sizes)} packets={report.total_packets} "
         f"spatial_cv={format_number(report.spatial_cv)} report={args.report}"
     )
     if args.heatmap is not None:

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Literal
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
 from .coding import SurfaceConfig, state_matrix
 from .errors import ValidationError
-from .gateway import NORMAL_INCIDENCE, TrafficTrace
+from .gateway import NORMAL_INCIDENCE, ReconfigEvent, TrafficTrace
 from .geometry import MAX_SAMPLES, Angles
 
 
@@ -25,12 +25,35 @@ class WorkloadReport:
     spatial_cv: float
 
 
+def summarize(
+    surface: SurfaceConfig, events: Iterable[ReconfigEvent]
+) -> tuple[WorkloadReport, np.ndarray]:
+    """The workload report and the destination matrix of ``events`` on ``surface``.
+
+    One pass that keeps no event: per event, its size, its time and one
+    ``np.add.at`` of its cells into the per-cell packet counts, so memory is
+    one count per cell plus two numbers per event.
+    """
+    sizes, times = [], []
+    counts = np.zeros(surface.n_cells, np.int64)
+    for ev in events:
+        sizes.append(len(ev.updates))
+        times.append(ev.t)
+        np.add.at(counts, ev.updates[:, 1] * surface.n_cols + ev.updates[:, 0], 1)
+    matrix = counts.reshape(surface.n_rows, surface.n_cols) / max(counts.sum(), 1)
+    report = WorkloadReport(
+        per_event_changed_fraction=tuple(s / surface.n_cells for s in sizes),
+        total_packets=sum(sizes),
+        burst_sizes=tuple(sizes),
+        inter_event_times=tuple(t - prev for prev, t in zip(times, times[1:])),
+        spatial_cv=spatial_cv(matrix),
+    )
+    return report, matrix
+
+
 def destination_matrix(trace: TrafficTrace) -> np.ndarray:
     """Per-cell share of all packets, shape (n_rows, n_cols); zero if no packets."""
-    surface = trace.meta.surface
-    updates = np.concatenate([np.empty((0, 3), np.int64), *(ev.updates for ev in trace.events)])
-    cells = np.bincount(updates[:, 1] * surface.n_cols + updates[:, 0], minlength=surface.n_cells)
-    return cells.reshape(surface.n_rows, surface.n_cols) / max(cells.sum(), 1)
+    return summarize(trace.meta.surface, trace.events)[1]
 
 
 def injection_rate(
@@ -118,15 +141,7 @@ def spatial_cv(ratios: np.ndarray) -> float:
 def burst_stats(trace: TrafficTrace, *, matrix: np.ndarray | None = None) -> WorkloadReport:
     """Per-event sizes and fractions, inter-event gaps, totals, spatial CV.
 
-    ``matrix``, if given, is ``destination_matrix(trace)``, already computed.
+    ``matrix``, if given, is the destination matrix to take the spatial CV of.
     """
-    sizes = [len(ev.updates) for ev in trace.events]
-    n_cells = trace.meta.surface.n_cells
-    gaps = [ev.t - prev.t for prev, ev in zip(trace.events, trace.events[1:])]
-    return WorkloadReport(
-        per_event_changed_fraction=tuple(s / n_cells for s in sizes),
-        total_packets=sum(sizes),
-        burst_sizes=tuple(sizes),
-        inter_event_times=tuple(gaps),
-        spatial_cv=spatial_cv(destination_matrix(trace) if matrix is None else matrix),
-    )
+    report = summarize(trace.meta.surface, trace.events)[0]
+    return report if matrix is None else replace(report, spatial_cv=spatial_cv(matrix))

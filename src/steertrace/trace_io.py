@@ -1,11 +1,12 @@
 """Plain-text persistence for traces, workload reports, and heat maps.
 
-Trace files are UTF-8 with LF newlines, one JSON object per line.  Line 1 is
-the header::
+Trace files are UTF-8, one JSON object per line; lines end at LF and
+nowhere else.  Line 1 is the header, of exactly these keys::
 
     {"format_version": 1, "created": "...", "meta": {...}}
 
-and every following line is one reconfiguration event::
+with a string ``created``, and every following line is one reconfiguration
+event, of exactly these keys::
 
     {"t": ..., "theta_r": ..., "phi_r": ..., "updates": [[col, row, state], ...]}
 
@@ -13,7 +14,9 @@ with ``t`` in ``[0, meta.scenario.duration]``.  The writer spells every line
 as ``json.dumps`` does with ``separators=(",", ":")``; the reader accepts any
 JSON spelling under the same rules.  Both code ``updates`` with digit
 arithmetic in numpy, for runs of consecutive events at a time; the reader
-leaves a line that is not in the writer's spelling to ``json``.
+leaves a line that is not in the writer's spelling to ``json``.  The reader
+streams: it holds one such run of lines, never the whole file, and each line
+is decoded when it is reached, so the first bad line is the one reported.
 
 ``meta`` snapshots the surface, gateway, incidence, and scenario in full, so
 a trace header alone suffices to regenerate the trace; :mod:`.scenario`, the
@@ -33,12 +36,12 @@ import os
 from dataclasses import fields
 from datetime import datetime, timezone
 from itertools import chain
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
 from .errors import TraceParseError, TraceWriteError, ValidationError
-from .gateway import ReconfigEvent, TrafficTrace
+from .gateway import ReconfigEvent, TraceMeta, TrafficTrace
 from .geometry import Angles
 from .metrics import WorkloadReport
 from .scenario import is_finite_number, meta_from_dict, meta_to_dict
@@ -53,8 +56,9 @@ _PGM_MAX_LINE = 70  # plain-PGM line length limit
 # hold temporaries of several times its size.
 _GROUP_ROWS = 2**12
 _MAX_DIGITS = 18  # digits a value may have on the reader's numpy path: 10**18 < 2**63
-_UPDATES_KEY = ',"updates":'
-_LBRACKET, _RBRACKET, _COMMA, _MINUS, _ZERO = b"[],-0"
+_UPDATES_KEY = b',"updates":'
+_EVENT_KEYS = ("t", "theta_r", "phi_r", "updates")
+_LBRACKET, _RBRACKET, _RBRACE, _COMMA, _MINUS, _ZERO = b"[]},-0"
 
 
 def format_number(value: float) -> str:
@@ -186,12 +190,17 @@ def write_trace(trace: TrafficTrace, dest: BinaryIO, created: str | None = None)
                 {"t": ev.t, "theta_r": ev.reflected.theta, "phi_r": ev.reflected.phi},
                 separators=(",", ":"),
             )
-            sink.write(f"{head[:-1]}{_UPDATES_KEY}".encode() + body + b"}\n")
+            sink.write(head[:-1].encode() + _UPDATES_KEY + body + b"}\n")
 
 
-def _parse_line(text: str, line_number: int) -> dict:
+def _parse_line(line: bytes, line_number: int) -> dict:
+    """The JSON object on ``line``, decoded as strict UTF-8 and parsed without its LF."""
     try:
-        obj = json.loads(text)
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"not UTF-8: {exc}", line_number) from None
+    try:
+        obj = json.loads(text[:-1] if text.endswith("\n") else text)
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"invalid JSON: {exc.msg}", line_number) from exc
     except (ValueError, RecursionError) as exc:  # an over-long integer, or nesting too deep
@@ -201,63 +210,73 @@ def _parse_line(text: str, line_number: int) -> dict:
     return obj
 
 
-def _read_lines(source: BinaryIO) -> tuple[dict, list[str]]:
-    """Decode a trace or report file; return its version-checked header and all lines."""
-    data = source.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TraceParseError(f"not UTF-8: {exc}", data.count(b"\n", 0, exc.start) + 1) from None
-    lines = text.splitlines()
-    if not lines:
+def _exact_keys(obj: dict, keys: tuple[str, ...], what: str, line_number: int):
+    """Reject an ``obj`` that lacks one of ``keys`` (the first, in their order) or has another."""
+    for key in keys:
+        if key not in obj:
+            raise TraceParseError(f"{what} lacks {key!r}", line_number)
+    for key in obj:
+        if key not in keys:
+            raise TraceParseError(f"{what} has unknown key {key!r}", line_number)
+
+
+def _header(lines, key: str) -> dict:
+    """The version-checked header on the first of ``lines``: exactly ``format_version``,
+    a string ``created`` and ``key``."""
+    _, line = next(lines, (1, None))
+    if line is None:
         raise TraceParseError("empty file, header missing", 1)
-    header = _parse_line(lines[0], 1)
+    header = _parse_line(line, 1)
     version = header.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise ValidationError(
             f"unsupported format_version {version!r} (expected {FORMAT_VERSION})",
             key="format_version",
         )
-    return header, lines
+    _exact_keys(header, ("format_version", "created", key), "header", 1)
+    if type(header["created"]) is not str:
+        raise TraceParseError(f"created must be a string, got {header['created']!r}", 1)
+    return header
 
 
-def _split_event(line: str) -> tuple[dict, str] | None:
-    """The head object and the ``updates`` text of an event line that, like the
+def _split_event(line: bytes) -> tuple[dict, bytes] | None:
+    """The head object and the ``updates`` bytes of an event line that, like the
     writer's, ends in ``,"updates":...}`` after an object of exactly the keys
     ``t``, ``theta_r`` and ``phi_r``; None for any other line."""
-    cut = line.rfind(_UPDATES_KEY)
-    if cut < 0 or not line.endswith("}"):
+    end = len(line) - 1 - line.endswith(b"\n")  # where the closing brace must be
+    cut = line.rfind(_UPDATES_KEY, 0, end)
+    if cut < 0 or line[end] != _RBRACE:
         return None
     try:
-        head = json.loads(line[:cut] + "}")
-    except (ValueError, RecursionError):
+        head = json.loads(line[:cut].decode("utf-8") + "}")
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         return None
     if type(head) is not dict or head.keys() != {"t", "theta_r", "phi_r"}:
         return None
-    return head, line[cut + len(_UPDATES_KEY):-1]
+    return head, line[cut + len(_UPDATES_KEY):end]
 
 
-def _decode_updates(bodies: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rows of ``updates`` texts in the writer's spelling, as (n, 3) int64 with the
-    row offsets of each text; None unless every text is ``[]`` or ``[[c,r,s],...]``
+def _decode_updates(bodies: list[bytes]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows of ``updates`` bytes in the writer's spelling, as (n, 3) int64 with the
+    row offsets of each body; None unless every body is ``[]`` or ``[[c,r,s],...]``
     with no sign, no leading zero, at most _MAX_DIGITS digits a value and nothing else.
 
-    For such a text the rows are those ``json`` parses; the texts are decoded together.
+    For such a body the rows are those ``json`` parses; the bodies are decoded together.
     """
-    counts = [body.count("[") - 1 for body in bodies]
-    if any(n < 1 and body != "[]" for n, body in zip(counts, bodies)):
+    counts = [body.count(b"[") - 1 for body in bodies]
+    if any(n < 1 and body != b"[]" for n, body in zip(counts, bodies)):
         return None
     bounds = np.cumsum([0, *counts])
     full = [body for n, body in zip(counts, bodies) if n]
-    text = "".join(full)
-    if not text:
+    joined = b"".join(full)
+    if not joined:
         return np.empty((0, 3), np.int64), bounds
-    if not (text.isascii() and text.startswith("[[") and text.endswith("]]")):
+    if not (joined.isascii() and joined.startswith(b"[[") and joined.endswith(b"]]")):
         return None
-    data = np.frombuffer(text.encode(), np.uint8)
+    data = np.frombuffer(joined, np.uint8)
     digit = data - _ZERO  # wraps around for bytes below "0"
     is_digit = digit < 10
-    # the runs of digits: text[start[i]:stop[i]] is value i
+    # the runs of digits: data[start[i]:stop[i]] is value i
     edges = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
     start, stop = edges[::2], edges[1::2]
     n_rows = int(bounds[-1])
@@ -267,13 +286,13 @@ def _decode_updates(bodies: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     size, gap = lengths[::2], lengths[1::2]
     if size.max() > _MAX_DIGITS or ((size > 1) & (digit[start] == 0)).any():
         return None
-    # Between values: "," inside a row; "],[" between rows of a text; "]][[" where
-    # one text meets the next.  Texts end after their last value's "]]".
+    # Between values: "," inside a row; "],[" between rows of a body; "]][[" where
+    # one body meets the next.  Bodies end after their last value's "]]".
     after = data[stop].reshape(-1, 3)
     row_end = stop[2::3][:-1]  # the last value of every row but the final one
-    text_rows = np.cumsum([n for n in counts if n])  # rows up to the end of each text
-    meets = np.zeros(n_rows - 1, bool)  # a row is the last of its text
-    meets[text_rows[:-1] - 1] = True
+    body_rows = np.cumsum([n for n in counts if n])  # rows up to the end of each body
+    meets = np.zeros(n_rows - 1, bool)  # a row is the last of its body
+    meets[body_rows[:-1] - 1] = True
     if not (
         (gap[0::3] == 1).all()
         and (gap[1::3] == 1).all()
@@ -284,7 +303,7 @@ def _decode_updates(bodies: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
         and (data[row_end + 2] == _LBRACKET).all()
         and (data[row_end[meets] + 3] == _LBRACKET).all()
         and len(data) - stop[-1] == 2
-        and np.array_equal(stop[3 * text_rows - 1] + 2, np.cumsum([len(b) for b in full]))
+        and np.array_equal(stop[3 * body_rows - 1] + 2, np.cumsum([len(b) for b in full]))
     ):
         return None
     values = digit[stop - 1].astype(np.int64)
@@ -343,10 +362,10 @@ def _event_records(lines, surface):
     A line in the writer's spelling yields its head object and its decoded
     rows with their ``_cell_fault`` message ("" when sound); any other line
     yields ``json``'s object and None, None, and is parsed only when reached,
-    so that an earlier line's error comes first.
+    so that an earlier line's error comes first.  ``lines`` are (number,
+    bytes) pairs, read one group at a time.
     """
-    numbered = enumerate(lines, start=2)
-    for group in _groups(numbered, lambda item: item[1].count("[")):
+    for group in _groups(lines, lambda item: item[1].count(b"[")):
         split = [_split_event(line) for _, line in group]
         decoded = _decode_updates([s[1] for s in split if s])
         if decoded is None:  # keep the lines that decode on their own
@@ -364,22 +383,29 @@ def _event_records(lines, surface):
                 k += 1
 
 
-def read_trace(source: BinaryIO) -> TrafficTrace:
-    """Inverse of :func:`write_trace`; validates structure on load."""
-    header, lines = _read_lines(source)
+def iter_trace(source: BinaryIO) -> tuple[TraceMeta, Iterator[ReconfigEvent]]:
+    """The scenario of a trace file and an iterator over its events.
+
+    The header is read and checked at once.  Event lines are read as the
+    iterator reaches them, one run of ``_groups`` at a time, so memory is
+    bounded by one run of lines, not by the file; every rule of
+    :func:`read_trace` holds, and the first bad line raises when reached.
+    """
+    lines = enumerate(source, start=1)  # a binary file splits at LF only
+    header = _header(lines, "meta")
     try:
-        meta = meta_from_dict(header.get("meta"))
+        meta = meta_from_dict(header["meta"])
     except ValidationError as exc:
         raise TraceParseError(f"bad header meta: {exc}", 1) from None
-    duration = meta.trajectory.duration
+    return meta, _events(lines, meta)
 
-    events = []
-    for line_number, obj, updates, fault in _event_records(lines[1:], meta.surface):
-        try:
-            t, theta, phi = obj["t"], obj["theta_r"], obj["phi_r"]
-            raw = obj["updates"] if updates is None else None
-        except KeyError as exc:
-            raise TraceParseError(f"event record lacks {exc}", line_number) from None
+
+def _events(lines, meta: TraceMeta) -> Iterator[ReconfigEvent]:
+    duration, last = meta.trajectory.duration, None
+    for line_number, obj, updates, fault in _event_records(lines, meta.surface):
+        if updates is None:  # the json path; the writer's spelling has the keys
+            _exact_keys(obj, _EVENT_KEYS, "event record", line_number)
+        t, theta, phi = obj["t"], obj["theta_r"], obj["phi_r"]
         if not (is_finite_number(t) and is_finite_number(theta) and is_finite_number(phi)):
             raise TraceParseError(
                 f"t, theta_r and phi_r must be finite numbers, got {t!r}, {theta!r}, {phi!r}",
@@ -390,17 +416,29 @@ def read_trace(source: BinaryIO) -> TrafficTrace:
             raise ValidationError(
                 f"line {line_number}: event time {t!r} outside the scenario's [0, {duration!r}]"
             )
-        if events and t <= events[-1].t:
+        if last is not None and t <= last:
             raise ValidationError(
                 f"line {line_number}: event times must be strictly increasing "
-                f"({t!r} after {events[-1].t!r})"
+                f"({t!r} after {last!r})"
             )
-        if updates is None:  # the json path
-            updates = _updates(raw, line_number)
+        if updates is None:
+            updates = _updates(obj["updates"], line_number)
             fault = _cell_fault(updates, (0, len(updates)), meta.surface)[1]
         if fault:
             raise ValidationError(f"line {line_number}: {fault}")
-        events.append(ReconfigEvent(t, Angles(float(theta), float(phi)), updates))
+        yield ReconfigEvent(t, Angles(float(theta), float(phi)), updates)
+        last = t
+
+
+def read_trace(source: BinaryIO) -> TrafficTrace:
+    """Inverse of :func:`write_trace`; validates structure on load.
+
+    Lines are split at LF only.  The header holds exactly ``format_version``,
+    a string ``created`` and ``meta``; an event line exactly ``t``,
+    ``theta_r``, ``phi_r`` and ``updates``.  The first bad line, whatever is
+    wrong with it, raises with its number.
+    """
+    meta, events = iter_trace(source)
     return TrafficTrace(meta, tuple(events))
 
 
@@ -417,9 +455,16 @@ def write_report(report: WorkloadReport, dest: BinaryIO, created: str | None = N
 
 
 def read_report(source: BinaryIO) -> WorkloadReport:
-    """Inverse of :func:`write_report`; each value must fit its WorkloadReport field's type."""
-    _, lines = _read_lines(source)
-    body = _parse_line(lines[1], 2) if len(lines) > 1 else {}
+    """Inverse of :func:`write_report`: exactly a header and a body line, each value of
+    the body fitting its WorkloadReport field's type."""
+    lines = enumerate(source, start=1)
+    header = _header(lines, "kind")
+    if header["kind"] != "workload_report":
+        raise TraceParseError(f"kind must be 'workload_report', got {header['kind']!r}", 1)
+    _, line = next(lines, (2, None))
+    if line is None:
+        raise TraceParseError("report body missing", 2)
+    body = _parse_line(line, 2)
     values = {}
     for field in fields(WorkloadReport):
         value, many = body.get(field.name), str(field.type).startswith("tuple")
@@ -429,6 +474,10 @@ def read_report(source: BinaryIO) -> WorkloadReport:
         if many != (type(value) is list) or not all(valid):
             raise TraceParseError(f"bad report body: {field.name} is {value!r}", 2)
         values[field.name] = tuple(map(kind, items)) if many else kind(value)
+    _exact_keys(body, tuple(values), "report body", 2)
+    extra = next(lines, None)
+    if extra is not None:
+        raise TraceParseError("a report has two lines, a header and a body", extra[0])
     return WorkloadReport(**values)
 
 

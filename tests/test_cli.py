@@ -216,6 +216,30 @@ def test_metrics_malformed_trace_names_line(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "k, old, new",
+    [
+        (0, '"meta":', '"note":1,"meta":'),  # a header key too many
+        (0, '"created":"1970-01-01T00:00:00Z"', '"created":5'),
+        (1, '"updates":', '"note":1,"updates":'),  # an event key too many
+        (-1, '"theta_r":', '"phi":0,"theta_r":'),
+    ],
+)
+def test_metrics_rejects_a_line_with_other_keys(tmp_path, capsys, k, old, new):
+    trace_path = tmp_path / "t.jsonl"
+    argv = ["simulate", "--out", str(trace_path), "surface.n_cols=4", "surface.n_rows=4"]
+    assert run_cli(*argv) == 0
+    lines = trace_path.read_text().splitlines()
+    assert lines[k].count(old) == 1
+    lines[k] = lines[k].replace(old, new)
+    trace_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    report = tmp_path / "r"
+    assert run_cli("metrics", "--trace", str(trace_path), "--report", str(report)) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {k % len(lines) + 1}: ")
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("k, t", [(1, "-5.0"), (-1, "1e9")])  # the first event, the last
 def test_metrics_rejects_an_event_time_outside_the_scenario(tmp_path, capsys, k, t):
     trace_path = tmp_path / "t.jsonl"

@@ -1,5 +1,8 @@
+import io
 import math
 import random
+import tracemalloc
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -19,8 +22,11 @@ from steertrace import (
     destination_matrix,
     injection_rate,
     sweep_diff,
+    write_trace,
 )
+from steertrace.cli import main
 from steertrace.metrics import spatial_cv
+from steertrace.trace_io import _GROUP_ROWS
 
 INC = Angles(0.0, 0.0)
 
@@ -176,3 +182,42 @@ def test_bursts_carry_all_packets(case_a_trace):
         * case_a_trace.meta.surface.n_cells,
         case_a_trace.total_packets,
     )
+
+
+def test_metrics_memory_is_bounded_by_one_group_of_lines(tmp_path):
+    """``metrics`` on a trace of many large bursts peaks at a bound set by the largest run
+    of lines the reader decodes at once, not by the trace.
+
+    A run closes once it holds _GROUP_ROWS updates, so it holds fewer than _GROUP_ROWS
+    plus the largest event's.  The bound allows 512 bytes (64 int64 words) for each of
+    those rows: their text, the decoder's arrays, the event's copy and its cell indices.
+    It adds 64 bytes for each cell (counts, matrix, CSV export) and for each event (sizes,
+    times, report), and 1 MB for everything else.  The events alone hold 24 bytes per
+    update, so a reader that kept them would pass the bound twice over.
+    """
+    surface = SurfaceConfig(n_cols=64, n_rows=64)
+    cells = np.arange(surface.n_cells)
+    sizes = [surface.n_cells, 700, 1500] * 100  # bursts of the whole surface, and smaller runs
+    events = tuple(
+        ReconfigEvent(1.0 + k, Angles(10.0, 0.0), np.stack(
+            [cells[:n] % surface.n_cols, cells[:n] // surface.n_cols, np.full(n, k % 4)], 1
+        ))
+        for k, n in enumerate(sizes)
+    )
+    meta = TraceMeta(surface, GatewayConfig(), INC, Trajectory(Case.A, CaseParams(), 400.0))
+    path = tmp_path / "t.jsonl"
+    with open(path, "wb") as fh:
+        write_trace(TrafficTrace(meta, events), fh)
+    bound = 512 * (_GROUP_ROWS + max(sizes)) + 64 * (surface.n_cells + len(sizes)) + 2**20
+    assert 24 * sum(sizes) > 2 * bound
+    del events
+    argv = ["metrics", "--trace", str(path), "--report", str(tmp_path / "r"),
+            "--heatmap", str(tmp_path / "h.csv")]
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)

@@ -3,6 +3,7 @@ of the quantizer and the state matrix, and of the CSV heat map."""
 
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -10,7 +11,7 @@ import numpy as np
 import scalar_oracle
 import trace_io_oracle
 from coding_oracle import full_grid_state_matrix, nearest_state
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_trace_io import HEADER
 
@@ -30,6 +31,7 @@ from steertrace import (
     case_b_trajectory,
     case_c_trajectory,
     export_heatmap,
+    read_report,
     read_trace,
     state_matrix,
     write_trace,
@@ -289,7 +291,8 @@ def writers_spelling(text: str) -> bool:
 @given(st.lists(update_texts(), max_size=4))
 @example(odd_texts)
 def test_decoder_declines_or_gives_jsons_rows(texts):
-    one_by_one = [_decode_updates([text]) for text in texts]
+    bodies = [text.encode() for text in texts]  # the decoder reads a line's bytes
+    one_by_one = [_decode_updates([body]) for body in bodies]
     for text, decoded in zip(texts, one_by_one):
         if writers_spelling(text):
             assert decoded is not None, text
@@ -299,7 +302,7 @@ def test_decoder_declines_or_gives_jsons_rows(texts):
             assert list(bounds) == [0, len(rows)]
             assert rows.tolist() == json_rows(text)
     # a group decodes iff each text does, into the texts' rows one after another
-    group = _decode_updates(texts)
+    group = _decode_updates(bodies)
     assert (group is None) == (None in one_by_one)
     if group is not None:
         rows, bounds = group
@@ -326,6 +329,156 @@ def reference_bytes(trace) -> bytes:
         line["updates"] = ev.updates.tolist()
         buf.write(json.dumps(line, separators=(",", ":")).encode() + b"\n")
     return buf.getvalue()
+
+
+VALID_REPORT = (
+    '{"format_version":1,"created":"x","kind":"workload_report"}\n'
+    '{"total_packets":2,"spatial_cv":1.2,"per_event_changed_fraction":[0.0008,0.0],'
+    '"burst_sizes":[2,0],"inter_event_times":[1.5]}\n'
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from([(read_trace, VALID_TRACE, k) for k in range(3)]
+                    + [(read_report, VALID_REPORT, k) for k in range(2)]),
+    st.text(max_size=6), json_values, st.booleans(), st.sampled_from([(",", ":"), None]),
+)
+def test_adding_any_key_to_a_valid_line_is_an_error_on_that_line(
+    drawn, key, value, first, separators
+):
+    read, text, k = drawn
+    lines = text.splitlines()
+    read(io.BytesIO(text.encode()))  # valid as it stands
+    obj = json.loads(lines[k])
+    assume(key not in obj)
+    obj = {key: value, **obj} if first else {**obj, key: value}
+    lines[k] = json.dumps(obj, separators=separators)
+    try:
+        read(io.BytesIO("\n".join(lines).encode() + b"\n"))
+    except TraceParseError as exc:
+        assert exc.line_number == k + 1
+    else:
+        raise AssertionError("an added key was accepted")
+
+
+# Bytes spliced into a line.  The characters besides "\n" that str.splitlines
+# also breaks at are left out: there the two readers differ by design (see
+# test_lines_split_at_lf_only in test_trace_io.py).
+SPLICES = [
+    b"", b" ", b"\n", b"0", b"-", b".5", b"1e400", b"[", b"]", b"[]", b"{", b"}", b",", b":",
+    b'"', b"x", b"\\", b"\x00", b"\xff", b"\xc3", "\u00e9".encode(), b'"k":1,', b',"updates":',
+]
+
+
+@st.composite
+def one_fault_files(draw):
+    """A written trace with one fault: bytes spliced into a line, bytes that are not
+    UTF-8, a value replaced, a repeated or off-surface cell, a line dropped, repeated
+    or swapped with the next, or the file cut short; or a line respelled with spaces,
+    which is no fault."""
+    buf = io.BytesIO()
+    write_trace(draw(traces()), buf)
+    lines = buf.getvalue().split(b"\n")[:-1]
+    k = len(lines) - 1 - draw(st.integers(0, len(lines) - 1))  # the last line first
+    kind = draw(st.sampled_from(
+        ["splice", "splice", "value", "cell", "cell", "utf8", "spaces", "drop", "repeat", "swap"]
+    ))
+    if kind == "splice":
+        at = draw(st.integers(0, len(lines[k])))
+        cut = at + draw(st.integers(0, 2))
+        lines[k] = lines[k][:at] + draw(st.sampled_from(SPLICES)) + lines[k][cut:]
+    elif kind == "utf8":
+        at = draw(st.integers(0, len(lines[k])))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+        lines[k] = lines[k][:at] + bad + lines[k][at:]
+    elif kind == "value":
+        doc = json.loads(lines[k])
+        path = draw(st.sampled_from([p for p in node_paths(doc) if p]))
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = draw(json_values)
+        lines[k] = json.dumps(doc, separators=(",", ":")).encode()
+    elif kind == "cell" and (bursts := [j for j, ln in enumerate(lines) if b"[[" in ln]):
+        k = draw(st.sampled_from(bursts))
+        doc = json.loads(lines[k])
+        i = draw(st.integers(0, len(doc["updates"]) - 1))
+        if draw(st.booleans()):
+            doc["updates"].insert(draw(st.integers(0, i + 1)), [*doc["updates"][i][:2], 0])
+        else:
+            off = draw(st.sampled_from([-1, 5, 2**16, 2**63]))  # 5 is off every drawn grid
+            doc["updates"][i][draw(st.integers(0, 2))] = off
+        lines[k] = json.dumps(doc, separators=(",", ":")).encode()
+    elif kind == "spaces":
+        lines[k] = json.dumps(json.loads(lines[k])).encode()
+    elif kind == "drop":
+        del lines[k]
+    elif kind == "repeat":
+        lines.insert(k, lines[k])
+    elif k + 1 < len(lines):
+        lines[k], lines[k + 1] = lines[k + 1], lines[k]
+    data = b"\n".join(lines) + b"\n"
+    return data[: draw(st.integers(0, len(data)))] if draw(st.integers(0, 9)) == 9 else data
+
+
+def outcome(read, data: bytes):
+    try:
+        return read(io.BytesIO(data))
+    except (TraceParseError, ValidationError) as exc:
+        return exc
+
+
+def error_line(exc: Exception) -> int:
+    """The line an error names; a format_version error, which names none, is line 1's."""
+    if isinstance(exc, TraceParseError):
+        return exc.line_number
+    named = re.match(r"line (\d+):", str(exc))
+    return int(named[1]) if named else 1
+
+
+def envelope_break(data: bytes) -> int | None:
+    """The first line that is a JSON object, but not of the keys its line must have:
+    the header's with a string ``created``, or an event's."""
+    for number, line in enumerate(data.split(b"\n"), start=1):
+        try:
+            obj = json.loads(line.decode())
+        except ValueError:
+            continue
+        if number == 1:
+            if not (isinstance(obj, dict) and obj.keys() == {"format_version", "created", "meta"}
+                    and type(obj["created"]) is str):
+                return number
+        elif isinstance(obj, dict) and obj.keys() != {"t", "theta_r", "phi_r", "updates"}:
+            return number
+    return None
+
+
+def without_position(message: str) -> str:
+    """A "not UTF-8" message without the byte position, which the whole-file reader
+    counted from the start of the file and the streaming reader from the start of the line."""
+    return re.sub(r"in position \d+(-\d+)?", "in position _", message)
+
+
+@settings(max_examples=300)
+@given(one_fault_files(), st.integers(1, 12) | st.just(trace_io._GROUP_ROWS))
+@example(f'{HEADER}\n{{"t":1.0,"theta_r":"8\n'.encode(), 12)  # a string cut short by the LF
+@example(f'{HEADER}\n{{"t":1'.encode() + b"\xc3\n", 12)  # a sequence cut short by the LF
+def test_the_streaming_reader_agrees_with_the_whole_file_reader(data, group_rows):
+    """Same events, or the same first error, as the reader that decoded the whole file;
+    a line that breaks the exact envelopes, which that reader did not check, is an error
+    on that line unless the other reader stopped at an earlier one."""
+    with mock.patch.object(trace_io, "_GROUP_ROWS", group_rows):
+        want = outcome(trace_io_oracle.read_trace, data)
+        got = outcome(read_trace, data)
+    broken = envelope_break(data)
+    if broken is not None and not (isinstance(want, Exception) and error_line(want) < broken):
+        assert isinstance(got, Exception) and error_line(got) == broken
+    elif isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert without_position(str(got)) == without_position(str(want))
+    else:
+        assert got == want
 
 
 @st.composite

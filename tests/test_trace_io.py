@@ -1,4 +1,5 @@
 import io
+import json
 import random
 
 import numpy as np
@@ -405,3 +406,88 @@ def test_heatmap_validation():
         export_heatmap(np.array([[-0.1, 0.2]]), "csv", io.BytesIO())
     with pytest.raises(ValidationError):
         export_heatmap(np.zeros(4), "csv", io.BytesIO())
+
+
+# Characters that str.splitlines breaks a line at, besides "\n" and "\r".
+LINE_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS)
+def test_lines_split_at_lf_only(sep):
+    """A header string may hold any of them raw; they neither end the line nor shift the
+    line numbers after it.  JSON allows the control characters among them only escaped."""
+    created = f"x{sep}y"
+    header = HEADER.replace('"created":"x"', f'"created":"{created}"')
+    plain = read_trace(write_lines(HEADER, EVENT))
+    if sep >= " ":
+        assert read_trace(write_lines(header, EVENT)) == plain
+        assert trace_io._header(enumerate([header.encode()], 1), "meta")["created"] == created
+        with pytest.raises(ValidationError, match="^line 2: event time -1.0 outside"):
+            read_trace(write_lines(header, EVENT.replace('"t":1.0', '"t":-1.0')))
+    else:
+        with pytest.raises(TraceParseError, match="^line 1: invalid JSON: Invalid control"):
+            read_trace(write_lines(header, EVENT))
+        escaped = header.replace(sep, json.dumps(sep)[1:-1])
+        assert read_trace(write_lines(escaped, EVENT)) == plain
+
+
+def test_the_first_bad_line_wins_over_a_later_utf8_error():
+    later = EVENT.replace('"t":1.0', '"t":2.0').encode().replace(b"80", b"\xff")
+    src = io.BytesIO(f"{HEADER}\n{EVENT.replace('[[1,2,1]]', '[[1,2,1]')}\n".encode() + later)
+    with pytest.raises(TraceParseError, match="^line 2: invalid JSON"):
+        read_trace(src)
+
+
+def test_a_utf8_error_names_its_line_and_the_position_in_it():
+    later = EVENT.replace('"t":1.0', '"t":2.0').encode().replace(b"80", b"\xff")
+    src = io.BytesIO(f"{HEADER}\n{EVENT}\n".encode() + later)
+    with pytest.raises(TraceParseError, match="^line 3: not UTF-8: .* in position 19:"):
+        read_trace(src)
+
+
+@pytest.mark.parametrize(
+    "old, new, line, needle",
+    [
+        ('"updates":', '"note":1,"updates":', 2, "event record has unknown key 'note'"),
+        ("[[1,2,1]]}", '[[1,2,1]],"note":1}', 2, "event record has unknown key 'note'"),
+        ('"theta_r":80.0,', "", 2, "event record lacks 'theta_r'"),
+        ('"meta":', '"extra":1,"meta":', 1, "header has unknown key 'extra'"),
+        ('"created":"x",', "", 1, "header lacks 'created'"),
+        ('"created":"x"', '"created":5', 1, "created must be a string, got 5"),
+        ('"created":"x"', '"created":null', 1, "created must be a string, got None"),
+        ('"created":"x"', '"created":"x","kind":"workload_report"', 1,
+         "header has unknown key 'kind'"),
+    ],
+)
+def test_read_trace_envelopes_are_exact(old, new, line, needle):
+    text = f"{HEADER}\n{EVENT}"
+    assert text.count(old) == 1
+    with pytest.raises(TraceParseError) as err:
+        read_trace(write_lines(text.replace(old, new)))
+    assert str(err.value) == f"line {line}: {needle}"
+
+
+@pytest.mark.parametrize(
+    "data, line, needle",
+    [
+        (REPORT_HEADER.replace(',"kind":"workload_report"', ""), 1, "header lacks 'kind'"),
+        (REPORT_HEADER.replace('"workload_report"', '"trace"'), 1, "kind must be"),
+        (REPORT_HEADER.replace('"x"', "5"), 1, "created must be a string"),
+        (REPORT_HEADER.replace('"x",', '"x","extra":[],'), 1, "header has unknown key 'extra'"),
+        (REPORT_BODY.replace("[]}", '[],"note":1}'), 2, "report body has unknown key 'note'"),
+        (f"{REPORT_BODY}\ngarbage", 3, "a report has two lines"),
+        (f"{REPORT_BODY}\n{REPORT_BODY}", 3, "a report has two lines"),
+        (f"{REPORT_BODY}\n\n", 3, "a report has two lines"),  # a blank third line
+        (None, 2, "report body missing"),
+    ],
+)
+def test_read_report_envelopes_are_exact(data, line, needle):
+    """``data`` is the report's header (line 1) or the text after it (line 2 on); the
+    file ends in a newline or without one."""
+    header, body = (data, REPORT_BODY) if line == 1 else (REPORT_HEADER, data)
+    text = header if body is None else f"{header}\n{body}"
+    for ending in ("\n", ""):
+        with pytest.raises(TraceParseError) as err:
+            read_report(io.BytesIO(f"{text}{ending}".encode()))
+        assert err.value.line_number == line
+        assert needle in str(err.value)
