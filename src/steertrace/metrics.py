@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
 import numpy as np
@@ -32,14 +32,24 @@ def summarize(
 
     One pass that keeps no event: per event, its size, its time and one
     ``np.add.at`` of its cells into the per-cell packet counts, so memory is
-    one count per cell plus two numbers per event.
+    one count per cell plus two numbers per event.  A cell index outside the
+    surface is refused rather than wrapped into another cell.
     """
     sizes, times = [], []
     counts = np.zeros(surface.n_cells, np.int64)
     for ev in events:
         sizes.append(len(ev.updates))
         times.append(ev.t)
-        np.add.at(counts, ev.updates[:, 1] * surface.n_cols + ev.updates[:, 0], 1)
+        cols, rows = ev.updates[:, 0], ev.updates[:, 1]
+        if len(cols) and (
+            min(cols.min(), rows.min()) < 0
+            or cols.max() >= surface.n_cols
+            or rows.max() >= surface.n_rows
+        ):
+            raise ValidationError(
+                f"event at t={ev.t!r} updates a cell outside the surface", key="updates"
+            )
+        np.add.at(counts, rows * surface.n_cols + cols, 1)
     matrix = counts.reshape(surface.n_rows, surface.n_cols) / max(counts.sum(), 1)
     report = WorkloadReport(
         per_event_changed_fraction=tuple(s / surface.n_cells for s in sizes),
@@ -138,10 +148,6 @@ def spatial_cv(ratios: np.ndarray) -> float:
     return float(ratios.std() / mean)
 
 
-def burst_stats(trace: TrafficTrace, *, matrix: np.ndarray | None = None) -> WorkloadReport:
-    """Per-event sizes and fractions, inter-event gaps, totals, spatial CV.
-
-    ``matrix``, if given, is the destination matrix to take the spatial CV of.
-    """
-    report = summarize(trace.meta.surface, trace.events)[0]
-    return report if matrix is None else replace(report, spatial_cv=spatial_cv(matrix))
+def burst_stats(trace: TrafficTrace) -> WorkloadReport:
+    """Per-event sizes and fractions, inter-event gaps, totals, spatial CV."""
+    return summarize(trace.meta.surface, trace.events)[0]

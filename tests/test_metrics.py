@@ -72,6 +72,17 @@ def test_destination_matrix_zero_packets_is_all_zero():
     assert not m.any()
 
 
+@pytest.mark.parametrize(
+    "cell", [(-1, 0), (0, -1), (-3, 1), (50, 0), (0, 50), (5, 60)], ids=str
+)
+def test_a_cell_outside_the_surface_is_refused_not_wrapped(cell):
+    trace = make_trace([(0.0, [(1, 1, 1)]), (1.0, [(2, 2, 1), (*cell, 1)])])
+    for metric in (destination_matrix, burst_stats):
+        with pytest.raises(ValidationError, match="outside the surface") as err:
+            metric(trace)
+        assert err.value.key == "updates"
+
+
 def test_destination_matrix_normalizes(case_a_trace):
     m = destination_matrix(case_a_trace)
     assert m.sum() == pytest.approx(1.0, abs=1e-12)
