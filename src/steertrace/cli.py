@@ -17,7 +17,9 @@ from .gateway import TraceMeta, TrafficTrace, run_simulation
 from .geometry import MAX_SAMPLES, Angles
 from .metrics import summarize, sweep_diff, sweep_grid
 from .scenario import defaults, meta_from_dict
-from .trace_io import export_heatmap, format_number, iter_trace, write_report, write_trace
+from .trace_io import (
+    default_created, export_heatmap, format_number, iter_trace, write_report, write_trace,
+)
 
 
 def load_scenario(args) -> tuple[TraceMeta, str]:
@@ -78,6 +80,7 @@ def _warn_on_aliasing(trace: TrafficTrace):
 
 
 def cmd_simulate(args) -> int:
+    created = default_created()  # a bad SOURCE_DATE_EPOCH stops the run before any output
     meta, out_path = load_scenario(args)
     if args.seed is not None:
         params = replace(meta.trajectory.params, rng_seed=args.seed)
@@ -87,7 +90,7 @@ def cmd_simulate(args) -> int:
     trace = run_simulation(meta.trajectory, meta.surface, meta.gateway, meta.incident)
     _warn_on_aliasing(trace)
     with open(out_path, "wb") as fh:
-        write_trace(trace, fh)
+        write_trace(trace, fh, created)
     print(
         f"events={len(trace.events)} packets={trace.total_packets} "
         f"duration={format_number(meta.trajectory.duration)} trace={out_path}"
@@ -96,11 +99,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    created = default_created()
     with open(args.trace, "rb") as fh:
         meta, events = iter_trace(fh)
         report, matrix = summarize(meta.surface, events)
     with open(args.report, "wb") as fh:
-        write_report(report, fh)
+        write_report(report, fh, created)
     summary = (
         f"events={len(report.burst_sizes)} packets={report.total_packets} "
         f"spatial_cv={format_number(report.spatial_cv)} report={args.report}"

@@ -12,17 +12,20 @@ event, of exactly these keys::
 
 with ``t`` in ``[0, meta.scenario.duration]``.  The writer spells every line
 as ``json.dumps`` does with ``separators=(",", ":")``; the reader accepts any
-JSON spelling under the same rules.  Both code ``updates`` with digit
-arithmetic in numpy, for runs of consecutive events at a time; the reader
-leaves a line that is not in the writer's spelling to ``json``.  The reader
-streams: it holds one such run of lines, never the whole file, and each line
-is decoded when it is reached, so the first bad line is the one reported.
+JSON spelling under the same rules.  The writer codes each event's
+``updates`` from digit tables built once per trace, one for each of col, row
+and state, and refuses an update outside the surface's grid or states, which
+the reader would refuse.  The reader decodes ``updates`` with digit
+arithmetic in numpy, for runs of consecutive lines at a time, and leaves a
+line that is not in the writer's spelling to ``json``.  It streams: it holds
+one such run of lines, never the whole file, and each line is decoded when
+it is reached, so the first bad line is the one reported.
 
 ``meta`` snapshots the surface, gateway, incidence, and scenario in full, so
 a trace header alone suffices to regenerate the trace; :mod:`.scenario`, the
 schema of the CLI config too, lays it out and parses it.  Floats are rendered
 with full round-trip precision and no locale dependence.  ``created``
-defaults to the epoch of SOURCE_DATE_EPOCH (or 0 when unset) so identical
+defaults to the time of SOURCE_DATE_EPOCH (epoch 0 when unset) so identical
 scenarios always produce identical bytes.
 
 Heat maps export either as header-less CSV (one line per row) or as plain
@@ -50,15 +53,16 @@ FORMAT_VERSION = 1
 
 _PGM_MAX_LINE = 70  # plain-PGM line length limit
 
-# A run of consecutive events is coded in one numpy pass until it holds this
-# many updates plus events: per-event numpy calls would cost more than the
-# coding on traces of many small bursts, and one pass over a whole trace would
-# hold temporaries of several times its size.
+# The reader decodes a run of consecutive event lines in one numpy pass until
+# it holds this many updates plus lines: per-line numpy calls would cost more
+# than the decoding on traces of many small bursts, and one pass over a whole
+# trace would hold temporaries of several times its size.
 _GROUP_ROWS = 2**12
 _MAX_DIGITS = 18  # digits a value may have on the reader's numpy path: 10**18 < 2**63
 _UPDATES_KEY = b',"updates":'
+_JSON = json.JSONEncoder(separators=(",", ":"))  # json.dumps's text with these separators
 _EVENT_KEYS = ("t", "theta_r", "phi_r", "updates")
-_LBRACKET, _RBRACKET, _RBRACE, _COMMA, _MINUS, _ZERO = b"[]},-0"
+_LBRACKET, _RBRACKET, _RBRACE, _COMMA, _ZERO = b"[]},0"
 
 
 def format_number(value: float) -> str:
@@ -68,12 +72,22 @@ def format_number(value: float) -> str:
 
 
 def default_created() -> str:
-    """Deterministic creation stamp honoring SOURCE_DATE_EPOCH."""
+    """The UTC time of SOURCE_DATE_EPOCH, or of epoch 0 when it is unset, as a stamp.
+
+    A set value must be ASCII digits whose time falls within year 9999;
+    any other raises ValidationError.
+    """
+    raw = os.environ.get("SOURCE_DATE_EPOCH", "0")
     try:
-        epoch = int(os.environ.get("SOURCE_DATE_EPOCH", "0"))
-    except ValueError:
-        epoch = 0
-    return datetime.fromtimestamp(epoch, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError
+        stamp = datetime.fromtimestamp(int(raw), timezone.utc)
+    except (ValueError, OverflowError, OSError):  # OSError: past the platform's time_t
+        raise ValidationError(
+            f"SOURCE_DATE_EPOCH must be a non-negative integer of seconds up to year 9999, "
+            f"got {raw[:40]!r}", key="SOURCE_DATE_EPOCH",
+        ) from None
+    return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 class _CountingSink:
@@ -84,26 +98,23 @@ class _CountingSink:
         self.offset = 0
 
     def write_line(self, text: str):
-        self.write(text.encode("utf-8") + b"\n")
+        self.write(text.encode() + b"\n")
 
     def write(self, data: bytes):
         try:
             self._dest.write(data)
         except OSError as exc:
             raise TraceWriteError(
-                f"write failed at byte offset {self.offset}: {exc}", byte_offset=self.offset
+                f"write failed at byte offset {self.offset}: {exc}", self.offset
             ) from exc
         self.offset += len(data)
-
-    def write_json(self, obj):
-        self.write_line(json.dumps(obj, separators=(",", ":")))
 
 
 def _start(dest: BinaryIO, created: str | None, **header) -> _CountingSink:
     """A sink on ``dest`` that has written the header line: version, stamp, ``header``."""
     sink = _CountingSink(dest)
     created = created if created is not None else default_created()
-    sink.write_json({"format_version": FORMAT_VERSION, "created": created, **header})
+    sink.write_line(_JSON.encode({"format_version": FORMAT_VERSION, "created": created, **header}))
     return sink
 
 
@@ -120,77 +131,47 @@ def _groups(items, size):
         yield group
 
 
-def _encode_updates(arrays: list[np.ndarray]) -> list[bytes]:
-    """``json.dumps(a.tolist(), separators=(",", ":"))`` of each (n, 3) int64 array, as bytes.
-
-    The arrays are coded together: each value becomes a token of prefix
-    ("[[" before an array's first row, "],[" before a later row, "," inside
-    a row), sign and digits, and the closing "]]" is appended per array.
-    """
-    full = [a for a in arrays if len(a)]
-    if not full:
-        return [b"[]"] * len(arrays)
-    values = np.concatenate(full).reshape(-1)
-    neg = values < 0
-    mag = values.view(np.uint64)
-    if neg.any():
-        mag = np.where(neg, np.negative(mag), mag)  # -2**63 wraps to 2**63, as it should
-    top = int(mag.max())
-    width = len(str(top))
-    q = mag.astype(np.uint32) if top < 2**32 else mag  # narrower division is faster
-    n_digits = np.ones(len(values), np.intp)
-    for k in range(1, width):
-        n_digits += q >= 10**k
-    digits = np.empty((width, len(values)), np.uint8)
-    for k in range(width):  # digits[k] is the 10**k digit
-        q, rest = q // 10, q
-        digits[k] = rest - q * 10
-    digits += _ZERO
-
-    rows = np.array([len(a) for a in full])
-    first = np.zeros(len(values) // 3, bool)  # each array's first row
-    first[np.cumsum(rows) - rows] = True
-    length = n_digits + neg + 1
-    length[::3] += 2 - first
-    ends = np.cumsum(length) + width  # room for the stray writes below, left of the first token
-    out = np.empty(ends[-1], np.uint8)
-    # Digit k of every value goes to ``ends - 1 - k``, also where the value
-    # has k digits or fewer.  That byte then belongs to the value's own sign
-    # or prefix, written afterwards, or to an earlier token, whose own digit
-    # there has a lower k and is written later, as k runs down.
-    for k in range(width - 1, -1, -1):
-        out[ends - 1 - k] = digits[k]
-    lead = ends - n_digits - neg  # one past each value's prefix
-    out[lead[neg]] = _MINUS
-    out[lead - 1] = _COMMA
-    row_lead = lead[::3]
-    out[row_lead - 1] = _LBRACKET
-    out[row_lead - 2] = np.where(first, _LBRACKET, _COMMA)
-    out[row_lead[~first] - 3] = _RBRACKET
-    blob = out.tobytes()
-    stops = iter((ends[np.cumsum(rows) * 3 - 1]).tolist())
-    start = width
-    bodies = []
-    for a in arrays:
-        if len(a):
-            stop = next(stops)
-            bodies.append(blob[start:stop] + b"]]")
-            start = stop
-        else:
-            bodies.append(b"[]")
-    return bodies
+def _token_table(n: int, before: bytes, after: bytes) -> np.ndarray:
+    """``before + str(v).encode() + after`` of each v in 0 .. n-1 as (n,) fixed-width
+    ``V`` records, the digits right-aligned in a NUL-padded field."""
+    end = len(before) + len(str(n - 1))  # one past the last digit
+    table = np.tile(np.frombuffer(before.ljust(end, b"\0") + after, np.uint8), (n, 1))
+    for k in range(end - len(before)):  # the 10**k digit, NUL in values below 10**k (k > 0)
+        lead = 10**k if k else 0
+        digit = np.repeat(np.frombuffer(b"0123456789", np.uint8), 10**k)
+        table[lead:, end - 1 - k] = np.resize(digit, n)[lead:]
+    return table.view(f"V{table.shape[1]}").ravel()
 
 
 def write_trace(trace: TrafficTrace, dest: BinaryIO, created: str | None = None):
-    """Serialize a trace; see the module docstring for the format."""
+    """Serialize a trace; see the module docstring for the format.
+
+    An event with an update outside the surface's grid or states raises
+    ValidationError before any byte of its line is written.  Two updates for
+    one cell are written as they are; the reader refuses them.
+    """
+    surface = trace.meta.surface
+    # a row codes as "[col," "row," "state]," from these tables, its NUL padding dropped
+    tables = [
+        _token_table(surface.n_cols, b"[", b","),
+        _token_table(surface.n_rows, b"", b","),
+        _token_table(surface.n_states, b"", b"],"),
+    ]
+    record = np.dtype([("", table.dtype) for table in tables])  # fields f0, f1 and f2
     sink = _start(dest, created, meta=meta_to_dict(trace.meta))
-    for group in _groups(trace.events, lambda ev: 1 + len(ev.updates)):
-        for ev, body in zip(group, _encode_updates([ev.updates for ev in group])):
-            head = json.dumps(
-                {"t": ev.t, "theta_r": ev.reflected.theta, "phi_r": ev.reflected.phi},
-                separators=(",", ":"),
-            )
-            sink.write(head[:-1].encode() + _UPDATES_KEY + body + b"}\n")
+    for ev in trace.events:
+        rows = ev.updates
+        fault = _outside(rows, surface)[1]
+        if fault:
+            raise ValidationError(f"event at t={ev.t!r}: {fault}")
+        coded = np.empty(len(rows), record)
+        for name, table, column in zip(record.names, tables, rows.T):
+            coded[name] = table.take(column)
+        data = coded.view(np.uint8)
+        kept = data[data != 0]
+        head = _JSON.encode({"t": ev.t, "theta_r": ev.reflected.theta, "phi_r": ev.reflected.phi})
+        # "[" + the rows but the last one's "," + "]": "[]" for an event of no rows
+        sink.write(b"".join([head[:-1].encode(), _UPDATES_KEY, b"[", kept[:-1], b"]}\n"]))
 
 
 def _parse_line(line: bytes, line_number: int) -> dict:
@@ -331,12 +312,10 @@ def _updates(raw, line_number: int) -> np.ndarray:
 def _cell_fault(rows: np.ndarray, bounds, surface) -> tuple[int, str]:
     """The first event (rows ``rows[bounds[k]:bounds[k + 1]]``) with an update outside the
     surface or two updates for one cell, and what is wrong; ``(len(bounds) - 1, "")`` if none."""
-    limits = np.array([surface.n_cols, surface.n_rows, surface.n_states], np.uint64)
-    bad = rows.view(np.uint64) >= limits  # a negative value wraps above every limit
-    outside = int(bad.argmax()) // 3 if bad.any() else len(rows)
+    outside, fault = _outside(rows, surface)
     k_out = int(np.searchsorted(bounds, outside, side="right")) - 1
     # repeats among the events before that one, whose cells are all inside
-    n = int(bounds[k_out]) if outside < len(rows) else len(rows)
+    n = int(bounds[k_out]) if fault else len(rows)
     event = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[:n]
     cells = (event * surface.n_rows + rows[:n, 1]) * surface.n_cols + rows[:n, 0]
     # The writer lists an event's cells in row-major order, so its keys increase
@@ -348,12 +327,21 @@ def _cell_fault(rows: np.ndarray, bounds, surface) -> tuple[int, str]:
             k, cell = divmod(int(repeated[0]), surface.n_cells)
             r, c = divmod(cell, surface.n_cols)
             return k, f"duplicate update for cell ({c}, {r})"
-    if outside < len(rows):
-        return k_out, (
-            f"update {rows[outside].tolist()} outside the {surface.n_cols}x{surface.n_rows} "
-            f"grid or the states [0, {surface.n_states})"
-        )
-    return len(bounds) - 1, ""
+    return (k_out, fault) if fault else (len(bounds) - 1, "")
+
+
+def _outside(rows: np.ndarray, surface) -> tuple[int, str]:
+    """The first of ``rows`` outside the surface's grid or states and what is wrong with
+    it; ``(len(rows), "")`` if none is."""
+    limits = np.array([surface.n_cols, surface.n_rows, surface.n_states], np.uint64)
+    bad = rows.view(np.uint64) >= limits  # a negative value wraps above every limit
+    if not bad.any():
+        return len(rows), ""
+    k = int(bad.argmax()) // 3
+    return k, (
+        f"update {rows[k].tolist()} outside the {surface.n_cols}x{surface.n_rows} "
+        f"grid or the states [0, {surface.n_states})"
+    )
 
 
 def _event_records(lines, surface):
@@ -445,13 +433,13 @@ def read_trace(source: BinaryIO) -> TrafficTrace:
 def write_report(report: WorkloadReport, dest: BinaryIO, created: str | None = None):
     """Write a workload report in the same line-delimited object format."""
     sink = _start(dest, created, kind="workload_report")
-    sink.write_json({
+    sink.write_line(_JSON.encode({
         "total_packets": report.total_packets,
         "spatial_cv": report.spatial_cv,
         "per_event_changed_fraction": list(report.per_event_changed_fraction),
         "burst_sizes": list(report.burst_sizes),
         "inter_event_times": list(report.inter_event_times),
-    })
+    }))
 
 
 def read_report(source: BinaryIO) -> WorkloadReport:
@@ -502,15 +490,8 @@ def export_heatmap(matrix: np.ndarray, fmt: str, dest: BinaryIO):
         for row in index.reshape(m.shape).tolist():
             sink.write_line(",".join([words[i] for i in row]))
     elif fmt == "pgm":
-        peak = m.max()
-        if peak > 0:
-            pixels = np.rint(255.0 * m / peak).astype(int)
-        else:
-            pixels = np.zeros(m.shape, dtype=int)
-        n_rows, n_cols = m.shape
-        sink.write_line("P2")
-        sink.write_line(f"{n_cols} {n_rows}")
-        sink.write_line("255")
+        pixels = np.rint(255.0 * m / (m.max() or 1.0)).astype(int)  # max 0: all entries are 0
+        sink.write_line(f"P2\n{m.shape[1]} {m.shape[0]}\n255")
         for row in pixels:
             for chunk in _wrap_tokens([str(v) for v in row], _PGM_MAX_LINE):
                 sink.write_line(chunk)

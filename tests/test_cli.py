@@ -203,6 +203,41 @@ def test_metrics_zero_packet_trace_gives_zero_heatmap(tmp_path, capsys):
     assert values == {"0"}
 
 
+BAD_EPOCHS = ["99999999999999999", "-99999999999999", "abc", "1.5", "", " 5", "+5", "253402300800"]
+
+
+@pytest.mark.parametrize("epoch", BAD_EPOCHS)
+def test_a_bad_source_date_epoch_exits_2_before_any_output(tmp_path, capsys, monkeypatch, epoch):
+    trace_path = tmp_path / "t.jsonl"
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    assert run_cli("simulate", "--out", str(trace_path), "surface.n_cols=4") == 0
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    out, report, heatmap = tmp_path / "u.jsonl", tmp_path / "r.jsonl", tmp_path / "h.csv"
+    assert run_cli("simulate", "--out", str(out), "surface.n_cols=4") == 2
+    assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
+    argv = ["--trace", str(trace_path), "--report", str(report), "--heatmap", str(heatmap)]
+    assert run_cli("metrics", *argv) == 2
+    assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
+    assert not (out.exists() or report.exists() or heatmap.exists())
+
+
+@pytest.mark.parametrize(
+    "epoch, stamp",
+    [(None, "1970-01-01T00:00:00Z"), ("0", "1970-01-01T00:00:00Z"),
+     ("1700000000", "2023-11-14T22:13:20Z"), ("253402300799", "9999-12-31T23:59:59Z")],
+)
+def test_source_date_epoch_stamps_the_outputs(tmp_path, capsys, monkeypatch, epoch, stamp):
+    if epoch is None:
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    else:
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    trace_path, report = tmp_path / "t.jsonl", tmp_path / "r.jsonl"
+    assert run_cli("simulate", "--out", str(trace_path), "surface.n_cols=4") == 0
+    assert run_cli("metrics", "--trace", str(trace_path), "--report", str(report)) == 0
+    for path in (trace_path, report):
+        assert json.loads(path.read_bytes().split(b"\n")[0])["created"] == stamp
+
+
 def test_metrics_missing_trace(tmp_path, capsys):
     code = run_cli("metrics", "--trace", str(tmp_path / "no.jsonl"), "--report", str(tmp_path / "r"))
     assert code == 3

@@ -195,6 +195,45 @@ def test_bursts_carry_all_packets(case_a_trace):
     )
 
 
+class NullSink:
+    def write(self, data):
+        pass
+
+
+def test_write_trace_memory_is_bounded_by_the_largest_event():
+    """``write_trace`` on a trace of many large events peaks at a bound set by its largest
+    event, not by the trace.
+
+    Each row of an event codes into one fixed-width record: "[", then the digits of the
+    surface's largest col, row and state, NUL-padded, each followed by "," or "],".  The
+    bound allows 8 records for each row of the largest event (the records, their NUL mask,
+    the kept bytes and the line), 8 bytes for each entry of the three digit tables,
+    and 64 KB for the header and everything else.  The coded lines of the whole trace
+    are far above it.
+    """
+    surface = SurfaceConfig(n_cols=64, n_rows=64, n_states=1000)
+    record = sum(len(str(n - 1)) for n in (64, 64, 1000)) + len("[,,],")
+    cells = np.arange(surface.n_cells)
+    sizes = [surface.n_cells, 700, 1500] * 100
+    events = tuple(
+        ReconfigEvent(1.0 + k, Angles(10.0, 0.0), np.stack(
+            [cells[:n] % surface.n_cols, cells[:n] // surface.n_cols, np.full(n, k)], 1
+        ))
+        for k, n in enumerate(sizes)
+    )
+    meta = TraceMeta(surface, GatewayConfig(), INC, Trajectory(Case.A, CaseParams(), 400.0))
+    trace = TrafficTrace(meta, events)
+    bound = 8 * record * max(sizes) + 8 * (64 + 64 + 1000) + 2**16
+    assert record * sum(sizes) > 10 * bound
+    tracemalloc.start()
+    try:
+        write_trace(trace, NullSink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+
+
 def test_metrics_memory_is_bounded_by_one_group_of_lines(tmp_path):
     """``metrics`` on a trace of many large bursts peaks at a bound set by the largest run
     of lines the reader decodes at once, not by the trace.

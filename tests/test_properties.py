@@ -38,11 +38,11 @@ from steertrace import (
 )
 from steertrace import trace_io
 from steertrace.cli import main
-from steertrace.coding import MAX_PHASE_STEPS, MAX_STATES, TWO_PI, _nearest_state
+from steertrace.coding import MAX_CELLS, MAX_PHASE_STEPS, MAX_STATES, TWO_PI, _nearest_state
 from steertrace.gateway import BAND, detect_events
 from steertrace.geometry import angle_stream, signed_circular_delta_deg
 from steertrace.scenario import FIELDS
-from steertrace.trace_io import _cell_fault, _decode_updates, _encode_updates
+from steertrace.trace_io import _cell_fault, _decode_updates
 
 CONFIG_KEYS = [f"{section}.{key}" for section, key, _ in FIELDS] + ["outputs.trace"]
 
@@ -217,19 +217,82 @@ def test_read_trace_accepts_exactly_the_update_lists_the_scalar_rules_accept(raw
         assert updates.tolist() == expected
 
 
-int64s = st.integers(-(2**63), 2**63 - 1) | st.sampled_from(
-    [0, 1, 9, 10, 99, -1, -10, 10**18, -(10**18), 2**32, 2**63 - 1, -(2**63) + 1, -(2**63)]
-)
-update_arrays = st.lists(st.tuples(int64s, int64s, int64s), max_size=4).map(
-    lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), 3)
-)
+def hand_trace(n_cols, n_rows, n_states, *events) -> TrafficTrace:
+    """A trace on an ``n_cols`` x ``n_rows`` surface of ``n_states`` states, one event
+    (at t = 1, 2, ...) per list of ``[col, row, state]`` rows."""
+    meta = TraceMeta(
+        SurfaceConfig(n_cols, n_rows, n_states=n_states), GatewayConfig(), Angles(0.0, 0.0),
+        Trajectory(Case.A, CaseParams(), 10.0),
+    )
+    return TrafficTrace(meta, tuple(
+        ReconfigEvent(1.0 + k, Angles(10.0, 0.0), np.array(rows, np.int64).reshape(-1, 3))
+        for k, rows in enumerate(events)
+    ))
 
 
-@settings(max_examples=200)
-@given(st.lists(update_arrays, max_size=5))
-def test_encoder_writes_the_bytes_of_json_dumps(arrays):
-    expected = [json.dumps(a.tolist(), separators=(",", ":")).encode() for a in arrays]
-    assert _encode_updates(arrays) == expected
+@st.composite
+def hand_traces(draw, spill=0):
+    """A hand-built trace on a 1xN, Nx1 or rectangular surface with at most one update a
+    cell, each value within the surface or, given a ``spill``, up to ``spill`` past
+    either end of it or at an int64 extreme."""
+    n = draw(st.integers(1, MAX_CELLS))
+    m = draw(st.integers(1, MAX_CELLS // n))
+    n_cols, n_rows = draw(st.sampled_from([(1, n), (n, 1), (n, m), (m, n)]))
+    n_states = draw(st.integers(2, MAX_STATES) | st.sampled_from([2, 10, 11, MAX_STATES]))
+
+    def values(n):
+        inside = st.integers(0, n - 1) | st.sampled_from([0, n - 1])
+        if not spill:
+            return inside
+        return inside | st.integers(-spill, n - 1 + spill) | st.sampled_from([-(2**63), 2**63 - 1])
+
+    row = st.tuples(values(n_cols), values(n_rows), values(n_states))
+    events = st.lists(st.lists(row, max_size=5, unique_by=lambda u: u[:2]), max_size=4)
+    return hand_trace(n_cols, n_rows, n_states, *draw(events))
+
+
+@settings(max_examples=150)
+@given(hand_traces())
+@example(hand_trace(1, 1, 2, [[0, 0, 0]], [], [[0, 0, 1]]))
+@example(hand_trace(10, 11, 10, [[0, 0, 9], [9, 0, 0], [0, 10, 0], [9, 10, 9]]))
+@example(hand_trace(3, 2, 11, [[0, 0, 10], [2, 1, 9], [1, 0, 0]]))
+@example(hand_trace(2, 2, MAX_STATES, [[0, 0, 65535], [1, 0, 0]], [[0, 1, 9999], [1, 1, 10000]]))
+@example(hand_trace(MAX_CELLS, 1, 2, [[0, 0, 1], [99999, 0, 0], [100000, 0, 1], [999999, 0, 0]]))
+@example(hand_trace(1, MAX_CELLS, 4, [[0, 0, 3], [0, 999999, 0]]))
+@example(hand_trace(4, 3, 4))
+@example(hand_trace(4, 3, 4, [], []))
+def test_writer_codes_updates_as_json_dumps(trace):
+    buf = io.BytesIO()
+    write_trace(trace, buf)
+    lines = buf.getvalue().split(b"\n")
+    assert len(lines) == len(trace.events) + 2 and lines[-1] == b""
+    for line, ev in zip(lines[1:], trace.events):
+        head = {"t": ev.t, "theta_r": ev.reflected.theta, "phi_r": ev.reflected.phi}
+        head = json.dumps(head, separators=(",", ":"))[:-1]
+        updates = json.dumps(ev.updates.tolist(), separators=(",", ":"))
+        assert line == f'{head},"updates":{updates}}}'.encode()
+
+
+@settings(max_examples=150)
+@given(hand_traces(spill=2))
+@example(hand_trace(4, 3, 2, [[0, 0, 1]], [[3, 2, 1], [-1, 0, 0], [4, 0, 0]]))
+@example(hand_trace(4, 3, 2, [[0, 0, -(2**63)]]))
+def test_writer_refuses_exactly_the_updates_the_reader_refuses(trace):
+    """The writer raises on the event whose line the reader would refuse, naming the same
+    update, before writing a byte of that line; any other trace round-trips."""
+    file = reference_bytes(trace)
+    expected = outcome(read_trace, file)
+    buf = io.BytesIO()
+    try:
+        write_trace(trace, buf)
+    except ValidationError as exc:
+        assert isinstance(expected, ValidationError), exc
+        written = buf.getvalue()
+        assert file.startswith(written) and written.count(b"\n") == error_line(expected) - 1
+        assert str(exc).split(": ", 1)[1] == str(expected).split(": ", 1)[1]
+    else:
+        assert expected == trace
+        assert buf.getvalue() == file
 
 
 def canonical(rows) -> str:

@@ -279,7 +279,7 @@ class FailingSink:
         self.taken += len(data)
 
 
-def test_write_failure_reports_byte_offset(short_case_c_trace, monkeypatch):
+def test_write_failure_reports_byte_offset(short_case_c_trace):
     whole = io.BytesIO()
     write_trace(short_case_c_trace, whole)
     first_line_len = whole.getvalue().index(b"\n") + 1
@@ -288,9 +288,7 @@ def test_write_failure_reports_byte_offset(short_case_c_trace, monkeypatch):
         write_trace(short_case_c_trace, sink)
     assert err.value.byte_offset == first_line_len
 
-    # with every event coded in one group, a failure inside a later event
-    # still reports where that event's line begins
-    monkeypatch.setattr(trace_io, "_GROUP_ROWS", 10**9)
+    # a failure inside a later event reports where that event's line begins
     assert len(short_case_c_trace.events) >= 3
     line_starts = [0, *(k + 1 for k, byte in enumerate(whole.getvalue()) if byte == ord("\n"))]
     for start, stop in zip(line_starts[2:], line_starts[3:]):
