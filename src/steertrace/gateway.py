@@ -72,6 +72,20 @@ class ReconfigEvent:
         return self.t == other.t and self.reflected == other.reflected and same_updates
 
 
+def outside_surface(rows: np.ndarray, surface: SurfaceConfig) -> tuple[int, str]:
+    """The first of (col, row, state) ``rows`` outside the surface's grid or states and
+    what is wrong with it; ``(len(rows), "")`` if none is."""
+    limits = np.array([surface.n_cols, surface.n_rows, surface.n_states], np.uint64)
+    bad = rows.view(np.uint64) >= limits  # a negative value wraps above every limit
+    if not bad.any():
+        return len(rows), ""
+    k = int(bad.argmax()) // 3
+    return k, (
+        f"update {rows[k].tolist()} outside the {surface.n_cols}x{surface.n_rows} "
+        f"grid or the states [0, {surface.n_states})"
+    )
+
+
 @dataclass(frozen=True)
 class TraceMeta:
     """Everything needed to re-run the scenario that produced a trace."""

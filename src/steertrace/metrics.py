@@ -10,7 +10,7 @@ import numpy as np
 
 from .coding import SurfaceConfig, state_matrix
 from .errors import ValidationError
-from .gateway import NORMAL_INCIDENCE, ReconfigEvent, TrafficTrace
+from .gateway import NORMAL_INCIDENCE, ReconfigEvent, TrafficTrace, outside_surface
 from .geometry import MAX_SAMPLES, Angles
 
 
@@ -32,24 +32,20 @@ def summarize(
 
     One pass that keeps no event: per event, its size, its time and one
     ``np.add.at`` of its cells into the per-cell packet counts, so memory is
-    one count per cell plus two numbers per event.  A cell index outside the
-    surface is refused rather than wrapped into another cell.
+    one count per cell plus two numbers per event.  An update outside the
+    surface's grid or states is refused rather than counted in another cell.
     """
     sizes, times = [], []
     counts = np.zeros(surface.n_cells, np.int64)
     for ev in events:
         sizes.append(len(ev.updates))
         times.append(ev.t)
-        cols, rows = ev.updates[:, 0], ev.updates[:, 1]
-        if len(cols) and (
-            min(cols.min(), rows.min()) < 0
-            or cols.max() >= surface.n_cols
-            or rows.max() >= surface.n_rows
-        ):
-            raise ValidationError(
-                f"event at t={ev.t!r} updates a cell outside the surface", key="updates"
-            )
-        np.add.at(counts, rows * surface.n_cols + cols, 1)
+        if not sizes[-1]:
+            continue  # no cell to check or count: many bursts are empty at a fine angular step
+        fault = outside_surface(ev.updates, surface)[1]
+        if fault:
+            raise ValidationError(f"event at t={ev.t!r} outside the surface: {fault}", "updates")
+        np.add.at(counts, ev.updates[:, 1] * surface.n_cols + ev.updates[:, 0], 1)
     matrix = counts.reshape(surface.n_rows, surface.n_cols) / max(counts.sum(), 1)
     report = WorkloadReport(
         per_event_changed_fraction=tuple(s / surface.n_cells for s in sizes),

@@ -44,7 +44,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .errors import TraceParseError, TraceWriteError, ValidationError
-from .gateway import ReconfigEvent, TraceMeta, TrafficTrace
+from .gateway import ReconfigEvent, TraceMeta, TrafficTrace, outside_surface
 from .geometry import Angles
 from .metrics import WorkloadReport
 from .scenario import is_finite_number, meta_from_dict, meta_to_dict
@@ -62,7 +62,7 @@ _MAX_DIGITS = 18  # digits a value may have on the reader's numpy path: 10**18 <
 _UPDATES_KEY = b',"updates":'
 _JSON = json.JSONEncoder(separators=(",", ":"))  # json.dumps's text with these separators
 _EVENT_KEYS = ("t", "theta_r", "phi_r", "updates")
-_LBRACKET, _RBRACKET, _RBRACE, _COMMA, _ZERO = b"[]},0"
+_RBRACE, _ZERO = b"}0"
 
 
 def format_number(value: float) -> str:
@@ -161,7 +161,7 @@ def write_trace(trace: TrafficTrace, dest: BinaryIO, created: str | None = None)
     sink = _start(dest, created, meta=meta_to_dict(trace.meta))
     for ev in trace.events:
         rows = ev.updates
-        fault = _outside(rows, surface)[1]
+        fault = outside_surface(rows, surface)[1]
         if fault:
             raise ValidationError(f"event at t={ev.t!r}: {fault}")
         coded = np.empty(len(rows), record)
@@ -243,52 +243,35 @@ def _decode_updates(bodies: list[bytes]) -> tuple[np.ndarray, np.ndarray] | None
     with no sign, no leading zero, at most _MAX_DIGITS digits a value and nothing else.
 
     For such a body the rows are those ``json`` parses; the bodies are decoded together.
+
+    The rule is one comparison.  Each body must begin with "[" and end with "]"; then
+    the joined bodies, with each run of digits cut to one "0", must equal the joined
+    layouts ``[[0,0,0],...,[0,0,0]]`` (``[]`` for no row) of each body's row count, a
+    third of its runs.  The brackets make that line every body up with its own layout:
+    no layout holds "][", so in the joined layouts it marks just the places where one
+    body meets the next, and the bodies' own brackets put one at each of those places.
+    Without them, ``[[1,2,3]`` and ``][]`` would pass as one row and an empty body.
     """
-    counts = [body.count(b"[") - 1 for body in bodies]
-    if any(n < 1 and body != b"[]" for n, body in zip(counts, bodies)):
+    if not all(body[:1] == b"[" and body[-1:] == b"]" for body in bodies):
         return None
-    bounds = np.cumsum([0, *counts])
-    full = [body for n, body in zip(counts, bodies) if n]
-    joined = b"".join(full)
-    if not joined:
-        return np.empty((0, 3), np.int64), bounds
-    if not (joined.isascii() and joined.startswith(b"[[") and joined.endswith(b"]]")):
-        return None
-    data = np.frombuffer(joined, np.uint8)
+    data = np.frombuffer(b"".join(bodies), np.uint8)
     digit = data - _ZERO  # wraps around for bytes below "0"
     is_digit = digit < 10
-    # the runs of digits: data[start[i]:stop[i]] is value i
+    # the runs of digits, none at a body's ends: data[start[i]:stop[i]] is value i
     edges = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
     start, stop = edges[::2], edges[1::2]
-    n_rows = int(bounds[-1])
-    if len(start) != 3 * n_rows or start[0] != 2:
+    bounds = np.searchsorted(start, np.cumsum([0, *map(len, bodies)])) // 3
+    keep = ~is_digit
+    keep[start] = True  # each run's first digit, which the skeleton holds as "0"
+    skeleton = (data - digit * is_digit)[keep]
+    layout = b"".join([b"[" + (b"[0,0,0]," * n)[:-1] + b"]" for n in np.diff(bounds).tolist()])
+    if skeleton.tobytes() != layout:
         return None
-    lengths = np.diff(edges)  # a value's digits, then the bytes up to the next value, ...
-    size, gap = lengths[::2], lengths[1::2]
-    if size.max() > _MAX_DIGITS or ((size > 1) & (digit[start] == 0)).any():
-        return None
-    # Between values: "," inside a row; "],[" between rows of a body; "]][[" where
-    # one body meets the next.  Bodies end after their last value's "]]".
-    after = data[stop].reshape(-1, 3)
-    row_end = stop[2::3][:-1]  # the last value of every row but the final one
-    body_rows = np.cumsum([n for n in counts if n])  # rows up to the end of each body
-    meets = np.zeros(n_rows - 1, bool)  # a row is the last of its body
-    meets[body_rows[:-1] - 1] = True
-    if not (
-        (gap[0::3] == 1).all()
-        and (gap[1::3] == 1).all()
-        and np.array_equal(gap[2::3], 3 + meets)
-        and (after[:, :2] == _COMMA).all()
-        and (after[:, 2] == _RBRACKET).all()
-        and np.array_equal(data[row_end + 1], np.where(meets, _RBRACKET, _COMMA))
-        and (data[row_end + 2] == _LBRACKET).all()
-        and (data[row_end[meets] + 3] == _LBRACKET).all()
-        and len(data) - stop[-1] == 2
-        and np.array_equal(stop[3 * body_rows - 1] + 2, np.cumsum([len(b) for b in full]))
-    ):
+    size = stop - start
+    if size.max(initial=0) > _MAX_DIGITS or ((size > 1) & (digit[start] == 0)).any():
         return None
     values = digit[stop - 1].astype(np.int64)
-    for k in range(1, size.max()):
+    for k in range(1, size.max(initial=0)):
         values += (size > k) * (digit.take(stop - 1 - k, mode="clip") * np.int64(10**k))
     return values.reshape(-1, 3), bounds
 
@@ -312,7 +295,7 @@ def _updates(raw, line_number: int) -> np.ndarray:
 def _cell_fault(rows: np.ndarray, bounds, surface) -> tuple[int, str]:
     """The first event (rows ``rows[bounds[k]:bounds[k + 1]]``) with an update outside the
     surface or two updates for one cell, and what is wrong; ``(len(bounds) - 1, "")`` if none."""
-    outside, fault = _outside(rows, surface)
+    outside, fault = outside_surface(rows, surface)
     k_out = int(np.searchsorted(bounds, outside, side="right")) - 1
     # repeats among the events before that one, whose cells are all inside
     n = int(bounds[k_out]) if fault else len(rows)
@@ -328,20 +311,6 @@ def _cell_fault(rows: np.ndarray, bounds, surface) -> tuple[int, str]:
             r, c = divmod(cell, surface.n_cols)
             return k, f"duplicate update for cell ({c}, {r})"
     return (k_out, fault) if fault else (len(bounds) - 1, "")
-
-
-def _outside(rows: np.ndarray, surface) -> tuple[int, str]:
-    """The first of ``rows`` outside the surface's grid or states and what is wrong with
-    it; ``(len(rows), "")`` if none is."""
-    limits = np.array([surface.n_cols, surface.n_rows, surface.n_states], np.uint64)
-    bad = rows.view(np.uint64) >= limits  # a negative value wraps above every limit
-    if not bad.any():
-        return len(rows), ""
-    k = int(bad.argmax()) // 3
-    return k, (
-        f"update {rows[k].tolist()} outside the {surface.n_cols}x{surface.n_rows} "
-        f"grid or the states [0, {surface.n_states})"
-    )
 
 
 def _event_records(lines, surface):
@@ -492,21 +461,13 @@ def export_heatmap(matrix: np.ndarray, fmt: str, dest: BinaryIO):
     elif fmt == "pgm":
         pixels = np.rint(255.0 * m / (m.max() or 1.0)).astype(int)  # max 0: all entries are 0
         sink.write_line(f"P2\n{m.shape[1]} {m.shape[0]}\n255")
-        for row in pixels:
-            for chunk in _wrap_tokens([str(v) for v in row], _PGM_MAX_LINE):
-                sink.write_line(chunk)
+        for row in pixels.tolist():
+            line = " ".join(map(str, row))
+            while len(line) > _PGM_MAX_LINE:  # break at the last space that fits
+                cut = line.rindex(" ", 0, _PGM_MAX_LINE + 1)
+                sink.write_line(line[:cut])
+                line = line[cut + 1:]
+            sink.write_line(line)
     else:
         raise ValidationError(f"unknown heat-map format {fmt!r}", key="format")
 
-
-def _wrap_tokens(tokens: list[str], width: int):
-    """Join tokens with spaces into lines no longer than ``width`` characters."""
-    line = ""
-    for tok in tokens:
-        if line and len(line) + 1 + len(tok) > width:
-            yield line
-            line = tok
-        else:
-            line = tok if not line else f"{line} {tok}"
-    if line:
-        yield line

@@ -73,10 +73,11 @@ def test_destination_matrix_zero_packets_is_all_zero():
 
 
 @pytest.mark.parametrize(
-    "cell", [(-1, 0), (0, -1), (-3, 1), (50, 0), (0, 50), (5, 60)], ids=str
+    "cell", [(-1, 0), (0, -1), (-3, 1), (50, 0), (0, 50), (5, 60), (3, 3, 4)], ids=str
 )
 def test_a_cell_outside_the_surface_is_refused_not_wrapped(cell):
-    trace = make_trace([(0.0, [(1, 1, 1)]), (1.0, [(2, 2, 1), (*cell, 1)])])
+    update = (*cell, 1)[:3]  # a third value in ``cell`` is the state, past the 4 states
+    trace = make_trace([(0.0, [(1, 1, 1)]), (1.0, [(2, 2, 1), update])])
     for metric in (destination_matrix, burst_stats):
         with pytest.raises(ValidationError, match="outside the surface") as err:
             metric(trace)

@@ -353,6 +353,9 @@ def writers_spelling(text: str) -> bool:
 @settings(max_examples=400)
 @given(st.lists(update_texts(), max_size=4))
 @example(odd_texts)
+@example(["[[1,2,3]", "][]"])  # joined, one row and an empty body: each alone, not JSON
+@example(["[[1,2,3],[4,5", ",6]]"])
+@example(["[[1,2,3]]", ""])
 def test_decoder_declines_or_gives_jsons_rows(texts):
     bodies = [text.encode() for text in texts]  # the decoder reads a line's bytes
     one_by_one = [_decode_updates([body]) for body in bodies]

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import textwrap
 
 import numpy as np
 import pytest
@@ -262,6 +263,19 @@ def test_the_first_bad_line_is_reported_whichever_path_reads_it(line_3, line_4):
     assert str(err.value).startswith("line 3:")
 
 
+def test_a_body_cut_short_is_not_joined_with_the_next_line():
+    """Line 2's updates lack their "]" and line 3's start with it: read together, the
+    bytes spell one burst and one empty one, but line 2 alone is not JSON."""
+    src = write_lines(
+        HEADER,
+        '{"t":1.0,"theta_r":80.0,"phi_r":0.0,"updates":[[1,2,3]}',
+        '{"t":2.0,"theta_r":80.0,"phi_r":0.0,"updates":][]}',
+    )
+    with pytest.raises(TraceParseError, match="invalid JSON") as err:
+        read_trace(src)
+    assert err.value.line_number == 2
+
+
 def test_read_rejects_empty_file():
     with pytest.raises(TraceParseError) as err:
         read_trace(io.BytesIO(b""))
@@ -395,6 +409,16 @@ def test_heatmap_pgm_scales_by_max(case_a_trace):
     assert np.array_equal(pixels, np.rint(255.0 * m / m.max()).astype(int))
     lines = buf.getvalue().decode().splitlines()
     assert max(len(line) for line in lines) <= 70
+
+
+def test_heatmap_pgm_rows_wrap_greedily_at_70_characters():
+    """Each row's pixels fill lines as textwrap fills them: as many as fit in 70."""
+    m = np.random.default_rng(5).choice([0.0, 0.01, 0.2, 1.0], (9, 61))
+    buf = io.BytesIO()
+    export_heatmap(m, "pgm", buf)
+    pixels = np.rint(255.0 * m / m.max()).astype(int)
+    expected = [line for row in pixels for line in textwrap.wrap(" ".join(map(str, row)), 70)]
+    assert buf.getvalue().decode().splitlines()[3:] == expected
 
 
 def test_heatmap_validation():

@@ -24,10 +24,7 @@ from steertrace.gateway import ReconfigEvent, TrafficTrace
 from steertrace.geometry import Angles
 from steertrace.scenario import is_finite_number, meta_from_dict
 from steertrace.trace_io import (
-    _COMMA,
-    _LBRACKET,
     _MAX_DIGITS,
-    _RBRACKET,
     _ZERO,
     FORMAT_VERSION,
     _cell_fault,
@@ -38,6 +35,7 @@ from steertrace.trace_io import (
 )
 
 _UPDATES_KEY = ',"updates":'
+_LBRACKET, _RBRACKET, _COMMA = b"[],"
 
 
 def export_heatmap_csv(matrix: np.ndarray, dest: BinaryIO):
