@@ -70,15 +70,19 @@ def injection_rate(
     """Packet injection rate over time, as (t, packets/s) points.
 
     ``per_burst`` rates each event after the first against the gap to its
-    predecessor; ``binned`` counts packets per fixed bin across the scenario
-    duration (partial final bin still divided by the full width) and reports
-    bin midpoints.
+    predecessor, and needs strictly increasing event times; ``binned`` counts
+    packets per fixed bin across the scenario duration (partial final bin
+    still divided by the full width) and reports bin midpoints.
     """
     if mode == "per_burst":
-        return [
-            (ev.t, len(ev.updates) / (ev.t - prev.t))
-            for prev, ev in zip(trace.events, trace.events[1:])
-        ]
+        rates = []
+        for prev, ev in zip(trace.events, trace.events[1:]):
+            if not ev.t > prev.t:
+                raise ValidationError(
+                    f"event times must be strictly increasing ({ev.t!r} after {prev.t!r})", "t"
+                )
+            rates.append((ev.t, len(ev.updates) / (ev.t - prev.t)))
+        return rates
     if mode != "binned":
         raise ValidationError("mode must be 'per_burst' or 'binned'", key="mode")
     duration = trace.meta.trajectory.duration

@@ -15,11 +15,11 @@ as ``json.dumps`` does with ``separators=(",", ":")``; the reader accepts any
 JSON spelling under the same rules.  The writer codes each event's
 ``updates`` from digit tables built once per trace, one for each of col, row
 and state, and refuses an update outside the surface's grid or states, which
-the reader would refuse.  The reader decodes ``updates`` with digit
-arithmetic in numpy, for runs of consecutive lines at a time, and leaves a
-line that is not in the writer's spelling to ``json``.  It streams: it holds
-one such run of lines, never the whole file, and each line is decoded when
-it is reached, so the first bad line is the one reported.
+the reader would refuse.  The reader decodes each line's ``updates`` on
+its own with digit arithmetic in numpy, and leaves a line that is not in the
+writer's spelling to ``json``.  It streams: it holds one line at a time,
+never the whole file, and checks each line when it reads it, so the first
+bad line is the one reported.
 
 ``meta`` snapshots the surface, gateway, incidence, and scenario in full, so
 a trace header alone suffices to regenerate the trace; :mod:`.scenario`, the
@@ -53,11 +53,6 @@ FORMAT_VERSION = 1
 
 _PGM_MAX_LINE = 70  # plain-PGM line length limit
 
-# The reader decodes a run of consecutive event lines in one numpy pass until
-# it holds this many updates plus lines: per-line numpy calls would cost more
-# than the decoding on traces of many small bursts, and one pass over a whole
-# trace would hold temporaries of several times its size.
-_GROUP_ROWS = 2**12
 _MAX_DIGITS = 18  # digits a value may have on the reader's numpy path: 10**18 < 2**63
 _UPDATES_KEY = b',"updates":'
 _JSON = json.JSONEncoder(separators=(",", ":"))  # json.dumps's text with these separators
@@ -116,19 +111,6 @@ def _start(dest: BinaryIO, created: str | None, **header) -> _CountingSink:
     created = created if created is not None else default_created()
     sink.write_line(_JSON.encode({"format_version": FORMAT_VERSION, "created": created, **header}))
     return sink
-
-
-def _groups(items, size):
-    """Runs of consecutive ``items``, each closed once its ``size(item)`` adds up to _GROUP_ROWS."""
-    group, total = [], 0
-    for item in items:
-        group.append(item)
-        total += size(item)
-        if total >= _GROUP_ROWS:
-            yield group
-            group, total = [], 0
-    if group:
-        yield group
 
 
 def _token_table(n: int, before: bytes, after: bytes) -> np.ndarray:
@@ -237,35 +219,30 @@ def _split_event(line: bytes) -> tuple[dict, bytes] | None:
     return head, line[cut + len(_UPDATES_KEY):end]
 
 
-def _decode_updates(bodies: list[bytes]) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rows of ``updates`` bytes in the writer's spelling, as (n, 3) int64 with the
-    row offsets of each body; None unless every body is ``[]`` or ``[[c,r,s],...]``
-    with no sign, no leading zero, at most _MAX_DIGITS digits a value and nothing else.
+def _decode_updates(body: bytes) -> np.ndarray | None:
+    """The rows of an ``updates`` body in the writer's spelling, as (n, 3) int64; None
+    unless it is ``[]`` or ``[[c,r,s],...]`` with no sign, no leading zero, at most
+    _MAX_DIGITS digits a value and nothing else.  Its rows are those ``json`` parses.
 
-    For such a body the rows are those ``json`` parses; the bodies are decoded together.
-
-    The rule is one comparison.  Each body must begin with "[" and end with "]"; then
-    the joined bodies, with each run of digits cut to one "0", must equal the joined
-    layouts ``[[0,0,0],...,[0,0,0]]`` (``[]`` for no row) of each body's row count, a
-    third of its runs.  The brackets make that line every body up with its own layout:
-    no layout holds "][", so in the joined layouts it marks just the places where one
-    body meets the next, and the bodies' own brackets put one at each of those places.
-    Without them, ``[[1,2,3]`` and ``][]`` would pass as one row and an empty body.
+    The rule is one comparison: the body, with each run of digits cut to one "0", must
+    equal the layout ``[[0,0,0],...,[0,0,0]]`` of a third of its runs.  The body must
+    begin with "[" and end with "]" first: then no run of digits touches its ends, and
+    the edges between digits and other bytes pair up as each run's start and stop.
     """
-    if not all(body[:1] == b"[" and body[-1:] == b"]" for body in bodies):
+    if body == b"[]":  # no numpy for an empty burst: most are empty at a fine angular step
+        return np.empty((0, 3), np.int64)
+    if body[:1] != b"[" or body[-1:] != b"]":
         return None
-    data = np.frombuffer(b"".join(bodies), np.uint8)
+    data = np.frombuffer(body, np.uint8)
     digit = data - _ZERO  # wraps around for bytes below "0"
     is_digit = digit < 10
-    # the runs of digits, none at a body's ends: data[start[i]:stop[i]] is value i
+    # the runs of digits: data[start[i]:stop[i]] is value i
     edges = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
     start, stop = edges[::2], edges[1::2]
-    bounds = np.searchsorted(start, np.cumsum([0, *map(len, bodies)])) // 3
     keep = ~is_digit
     keep[start] = True  # each run's first digit, which the skeleton holds as "0"
     skeleton = (data - digit * is_digit)[keep]
-    layout = b"".join([b"[" + (b"[0,0,0]," * n)[:-1] + b"]" for n in np.diff(bounds).tolist()])
-    if skeleton.tobytes() != layout:
+    if skeleton.tobytes() != b"[" + (b"[0,0,0]," * (len(start) // 3))[:-1] + b"]":
         return None
     size = stop - start
     if size.max(initial=0) > _MAX_DIGITS or ((size > 1) & (digit[start] == 0)).any():
@@ -273,7 +250,7 @@ def _decode_updates(bodies: list[bytes]) -> tuple[np.ndarray, np.ndarray] | None
     values = digit[stop - 1].astype(np.int64)
     for k in range(1, size.max(initial=0)):
         values += (size > k) * (digit.take(stop - 1 - k, mode="clip") * np.int64(10**k))
-    return values.reshape(-1, 3), bounds
+    return values.reshape(-1, 3)
 
 
 def _updates(raw, line_number: int) -> np.ndarray:
@@ -292,61 +269,31 @@ def _updates(raw, line_number: int) -> np.ndarray:
         raise TraceParseError("an update integer exceeds 64 bits", line_number) from None
 
 
-def _cell_fault(rows: np.ndarray, bounds, surface) -> tuple[int, str]:
-    """The first event (rows ``rows[bounds[k]:bounds[k + 1]]``) with an update outside the
-    surface or two updates for one cell, and what is wrong; ``(len(bounds) - 1, "")`` if none."""
-    outside, fault = outside_surface(rows, surface)
-    k_out = int(np.searchsorted(bounds, outside, side="right")) - 1
-    # repeats among the events before that one, whose cells are all inside
-    n = int(bounds[k_out]) if fault else len(rows)
-    event = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[:n]
-    cells = (event * surface.n_rows + rows[:n, 1]) * surface.n_cols + rows[:n, 0]
+def _cell_fault(rows: np.ndarray, surface) -> str:
+    """What is wrong with one event's ``rows``: an update outside the surface, else
+    two updates for one cell; "" if neither."""
+    fault = outside_surface(rows, surface)[1]
+    if fault:
+        return fault
+    cells = rows[:, 1] * surface.n_cols + rows[:, 0]
     # The writer lists an event's cells in row-major order, so its keys increase
     # and hold no repeat; only another order needs the sort.
     if not (cells[1:] > cells[:-1]).all():
         cells.sort()
         repeated = cells[1:][cells[1:] == cells[:-1]]
         if repeated.size:
-            k, cell = divmod(int(repeated[0]), surface.n_cells)
-            r, c = divmod(cell, surface.n_cols)
-            return k, f"duplicate update for cell ({c}, {r})"
-    return (k_out, fault) if fault else (len(bounds) - 1, "")
-
-
-def _event_records(lines, surface):
-    """(line number, object, updates, fault) of each event line, in order.
-
-    A line in the writer's spelling yields its head object and its decoded
-    rows with their ``_cell_fault`` message ("" when sound); any other line
-    yields ``json``'s object and None, None, and is parsed only when reached,
-    so that an earlier line's error comes first.  ``lines`` are (number,
-    bytes) pairs, read one group at a time.
-    """
-    for group in _groups(lines, lambda item: item[1].count(b"[")):
-        split = [_split_event(line) for _, line in group]
-        decoded = _decode_updates([s[1] for s in split if s])
-        if decoded is None:  # keep the lines that decode on their own
-            split = [s if s and _decode_updates([s[1]]) else None for s in split]
-            decoded = _decode_updates([s[1] for s in split if s])
-        rows, bounds = decoded
-        k_fault, fault = _cell_fault(rows, bounds, surface)
-        k = 0
-        for (line_number, line), s in zip(group, split):
-            if s is None:
-                yield line_number, _parse_line(line, line_number), None, None
-            else:
-                updates = rows[bounds[k]:bounds[k + 1]]
-                yield line_number, s[0], updates, fault if k == k_fault else ""
-                k += 1
+            r, c = divmod(int(repeated[0]), surface.n_cols)
+            return f"duplicate update for cell ({c}, {r})"
+    return ""
 
 
 def iter_trace(source: BinaryIO) -> tuple[TraceMeta, Iterator[ReconfigEvent]]:
     """The scenario of a trace file and an iterator over its events.
 
-    The header is read and checked at once.  Event lines are read as the
-    iterator reaches them, one run of ``_groups`` at a time, so memory is
-    bounded by one run of lines, not by the file; every rule of
-    :func:`read_trace` holds, and the first bad line raises when reached.
+    The header is read and checked at once.  Event lines are read and
+    checked one at a time as the iterator reaches them, so memory is bounded
+    by one line, not by the file; every rule of :func:`read_trace` holds, and
+    the first bad line raises when reached.
     """
     lines = enumerate(source, start=1)  # a binary file splits at LF only
     header = _header(lines, "meta")
@@ -359,9 +306,14 @@ def iter_trace(source: BinaryIO) -> tuple[TraceMeta, Iterator[ReconfigEvent]]:
 
 def _events(lines, meta: TraceMeta) -> Iterator[ReconfigEvent]:
     duration, last = meta.trajectory.duration, None
-    for line_number, obj, updates, fault in _event_records(lines, meta.surface):
+    for line_number, line in lines:
+        split = _split_event(line)
+        updates = split and _decode_updates(split[1])
         if updates is None:  # the json path; the writer's spelling has the keys
+            obj = _parse_line(line, line_number)
             _exact_keys(obj, _EVENT_KEYS, "event record", line_number)
+        else:
+            obj = split[0]
         t, theta, phi = obj["t"], obj["theta_r"], obj["phi_r"]
         if not (is_finite_number(t) and is_finite_number(theta) and is_finite_number(phi)):
             raise TraceParseError(
@@ -380,9 +332,10 @@ def _events(lines, meta: TraceMeta) -> Iterator[ReconfigEvent]:
             )
         if updates is None:
             updates = _updates(obj["updates"], line_number)
-            fault = _cell_fault(updates, (0, len(updates)), meta.surface)[1]
-        if fault:
-            raise ValidationError(f"line {line_number}: {fault}")
+        if len(updates):  # an empty burst has no cell to check
+            fault = _cell_fault(updates, meta.surface)
+            if fault:
+                raise ValidationError(f"line {line_number}: {fault}")
         yield ReconfigEvent(t, Angles(float(theta), float(phi)), updates)
         last = t
 
@@ -448,6 +401,8 @@ def export_heatmap(matrix: np.ndarray, fmt: str, dest: BinaryIO):
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValidationError("heat-map matrix must be 2-D", key="matrix")
+    if not m.size:
+        raise ValidationError(f"heat-map matrix of shape {m.shape} has no entries", key="matrix")
     if not np.all(np.isfinite(m)) or np.any(m < 0):
         raise ValidationError("heat-map entries must be finite and >= 0", key="matrix")
     sink = _CountingSink(dest)

@@ -26,7 +26,6 @@ from steertrace import (
 )
 from steertrace.cli import main
 from steertrace.metrics import spatial_cv
-from steertrace.trace_io import _GROUP_ROWS
 
 INC = Angles(0.0, 0.0)
 
@@ -122,6 +121,12 @@ def test_injection_rate_validation():
     for t in (-5.0, 10.5):
         with pytest.raises(ValidationError) as err:
             injection_rate(make_trace([(t, [(0, 0, 1)])]), "binned", 1.0)
+        assert err.value.key == "t"
+    # per burst, equal times would divide by zero and reversed ones give negative rates
+    for second in (2.0, 1.0):
+        with pytest.raises(ValidationError, match=r"strictly increasing \(%s after 2\.0\)"
+                           % second) as err:
+            injection_rate(make_trace([(2.0, []), (second, [(0, 0, 1)])]), "per_burst")
         assert err.value.key == "t"
 
 
@@ -235,16 +240,15 @@ def test_write_trace_memory_is_bounded_by_the_largest_event():
     assert peak < bound, (peak, bound)
 
 
-def test_metrics_memory_is_bounded_by_one_group_of_lines(tmp_path):
-    """``metrics`` on a trace of many large bursts peaks at a bound set by the largest run
-    of lines the reader decodes at once, not by the trace.
+def test_metrics_memory_is_bounded_by_one_line(tmp_path):
+    """``metrics`` on a trace of many large bursts peaks at a bound set by the largest
+    line, which the reader decodes on its own, not by the trace.
 
-    A run closes once it holds _GROUP_ROWS updates, so it holds fewer than _GROUP_ROWS
-    plus the largest event's.  The bound allows 512 bytes (64 int64 words) for each of
-    those rows: their text, the decoder's arrays, the event's copy and its cell indices.
-    It adds 64 bytes for each cell (counts, matrix, CSV export) and for each event (sizes,
-    times, report), and 1 MB for everything else.  The events alone hold 24 bytes per
-    update, so a reader that kept them would pass the bound twice over.
+    The bound allows 512 bytes (64 int64 words) for each row of the largest event: its
+    text, the decoder's arrays, the event's copy and its cell indices.  It adds 64 bytes
+    for each cell (counts, matrix, CSV export) and for each event (sizes, times, report),
+    and 1 MB for everything else.  The events alone hold 24 bytes per update, so a reader
+    that kept them would pass the bound twice over.
     """
     surface = SurfaceConfig(n_cols=64, n_rows=64)
     cells = np.arange(surface.n_cells)
@@ -259,7 +263,7 @@ def test_metrics_memory_is_bounded_by_one_group_of_lines(tmp_path):
     path = tmp_path / "t.jsonl"
     with open(path, "wb") as fh:
         write_trace(TrafficTrace(meta, events), fh)
-    bound = 512 * (_GROUP_ROWS + max(sizes)) + 64 * (surface.n_cells + len(sizes)) + 2**20
+    bound = 512 * max(sizes) + 64 * (surface.n_cells + len(sizes)) + 2**20
     assert 24 * sum(sizes) > 2 * bound
     del events
     argv = ["metrics", "--trace", str(path), "--report", str(tmp_path / "r"),

@@ -5,7 +5,6 @@ import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
-from unittest import mock
 
 import numpy as np
 import scalar_oracle
@@ -353,37 +352,27 @@ def writers_spelling(text: str) -> bool:
 @settings(max_examples=400)
 @given(st.lists(update_texts(), max_size=4))
 @example(odd_texts)
-@example(["[[1,2,3]", "][]"])  # joined, one row and an empty body: each alone, not JSON
+@example(["[[1,2,3]", "][]"])  # a row cut short, and stray brackets: neither is JSON
 @example(["[[1,2,3],[4,5", ",6]]"])
 @example(["[[1,2,3]]", ""])
+@example(["0[]", "[]0", "7[[1,2,3]]", "[[1,2,3]]7"])  # a digit outside the brackets
 def test_decoder_declines_or_gives_jsons_rows(texts):
-    bodies = [text.encode() for text in texts]  # the decoder reads a line's bytes
-    one_by_one = [_decode_updates([body]) for body in bodies]
-    for text, decoded in zip(texts, one_by_one):
+    for text in texts:
+        decoded = _decode_updates(text.encode())  # the decoder reads a line's bytes
         if writers_spelling(text):
             assert decoded is not None, text
         if decoded is not None:
-            rows, bounds = decoded
-            assert rows.dtype == np.int64 and rows.shape == (bounds[-1], 3)
-            assert list(bounds) == [0, len(rows)]
-            assert rows.tolist() == json_rows(text)
-    # a group decodes iff each text does, into the texts' rows one after another
-    group = _decode_updates(bodies)
-    assert (group is None) == (None in one_by_one)
-    if group is not None:
-        rows, bounds = group
-        for k, (alone, _) in enumerate(one_by_one):
-            assert np.array_equal(rows[bounds[k]:bounds[k + 1]], alone)
+            assert decoded.dtype == np.int64 and decoded.shape == (len(decoded), 3)
+            assert decoded.tolist() == json_rows(text), text
 
 
 @settings(max_examples=200)
-@given(traces(), st.integers(1, 12))
-def test_traces_round_trip_across_coding_group_boundaries(trace, group_rows):
-    with mock.patch.object(trace_io, "_GROUP_ROWS", group_rows):
-        first = io.BytesIO()
-        write_trace(trace, first)
-        assert first.getvalue() == reference_bytes(trace)
-        assert read_trace(io.BytesIO(first.getvalue())) == trace
+@given(traces())
+def test_traces_are_written_in_json_dumps_spelling_and_read_back(trace):
+    first = io.BytesIO()
+    write_trace(trace, first)
+    assert first.getvalue() == reference_bytes(trace)
+    assert read_trace(io.BytesIO(first.getvalue())) == trace
 
 
 def reference_bytes(trace) -> bytes:
@@ -527,16 +516,15 @@ def without_position(message: str) -> str:
 
 
 @settings(max_examples=300)
-@given(one_fault_files(), st.integers(1, 12) | st.just(trace_io._GROUP_ROWS))
-@example(f'{HEADER}\n{{"t":1.0,"theta_r":"8\n'.encode(), 12)  # a string cut short by the LF
-@example(f'{HEADER}\n{{"t":1'.encode() + b"\xc3\n", 12)  # a sequence cut short by the LF
-def test_the_streaming_reader_agrees_with_the_whole_file_reader(data, group_rows):
+@given(one_fault_files())
+@example(f'{HEADER}\n{{"t":1.0,"theta_r":"8\n'.encode())  # a string cut short by the LF
+@example(f'{HEADER}\n{{"t":1'.encode() + b"\xc3\n")  # a sequence cut short by the LF
+def test_the_streaming_reader_agrees_with_the_whole_file_reader(data):
     """Same events, or the same first error, as the reader that decoded the whole file;
     a line that breaks the exact envelopes, which that reader did not check, is an error
     on that line unless the other reader stopped at an earlier one."""
-    with mock.patch.object(trace_io, "_GROUP_ROWS", group_rows):
-        want = outcome(trace_io_oracle.read_trace, data)
-        got = outcome(read_trace, data)
+    want = outcome(trace_io_oracle.read_trace, data)
+    got = outcome(read_trace, data)
     broken = envelope_break(data)
     if broken is not None and not (isinstance(want, Exception) and error_line(want) < broken):
         assert isinstance(got, Exception) and error_line(got) == broken
@@ -716,8 +704,8 @@ OUT_OF_RANGE = (-1, -(2**63), -(2**63 - 1), 2**63 - 1)
 
 @st.composite
 def cell_groups(draw):
-    """Rows and bounds of a group of events, as ``_event_records`` hands them to
-    ``_cell_fault``: row-major or shuffled bursts, with repeats and out-of-range values."""
+    """Rows and bounds of a run of events, as the oracle's reader hands them to its
+    ``cell_fault``: row-major or shuffled bursts, with repeats and out-of-range values."""
     surface = SurfaceConfig(
         n_cols=draw(st.integers(1, 4)), n_rows=draw(st.integers(1, 4)),
         n_states=draw(st.integers(2, 4)),
@@ -746,8 +734,12 @@ def cell_groups(draw):
 @example((np.array([[0, 0, 1], [0, 0, 1]]), np.array([0, 2]), SurfaceConfig(n_cols=2, n_rows=2)))
 @example((np.array([[0, 0, 1], [1, 0, 1], [0, 0, 1]]), np.array([0, 3]), SurfaceConfig()))
 def test_cell_fault_agrees_with_the_check_that_always_sorts(drawn):
+    """The first event that ``_cell_fault``, checking one event at a time, faults, and its
+    message, are those of the oracle, which checks the run at once."""
     rows, bounds, surface = drawn
-    assert _cell_fault(rows, bounds, surface) == trace_io_oracle.cell_fault(rows, bounds, surface)
+    faults = [_cell_fault(rows[a:b], surface) for a, b in zip(bounds, bounds[1:])]
+    first = next(((k, fault) for k, fault in enumerate(faults) if fault), (len(faults), ""))
+    assert first == trace_io_oracle.cell_fault(rows, bounds, surface)
 
 
 # Values a heat map holds: count / total shares, both zeros, subnormals, values around
@@ -764,9 +756,10 @@ heat_values = st.one_of(
 
 @st.composite
 def heat_maps(draw):
-    """A matrix of a few values each repeated, contiguous, transposed or strided."""
+    """A matrix of a few values each repeated, contiguous, transposed or strided; at least
+    one entry, since ``export_heatmap`` refuses a matrix of none."""
     pool = draw(st.lists(heat_values, min_size=1, max_size=5))
-    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     side = 2 * max(n_rows, n_cols, 1)
     picks = draw(st.lists(st.sampled_from(pool), min_size=side**2, max_size=side**2))
     big = np.array(picks, float).reshape(side, side)

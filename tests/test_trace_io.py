@@ -428,6 +428,13 @@ def test_heatmap_validation():
         export_heatmap(np.array([[-0.1, 0.2]]), "csv", io.BytesIO())
     with pytest.raises(ValidationError):
         export_heatmap(np.zeros(4), "csv", io.BytesIO())
+    # a matrix with no entries, refused before any byte is written
+    for shape in ((0, 3), (3, 0)):
+        for fmt in ("csv", "pgm"):
+            buf = io.BytesIO()
+            with pytest.raises(ValidationError, match="no entries") as err:
+                export_heatmap(np.zeros(shape), fmt, buf)
+            assert err.value.key == "matrix" and buf.getvalue() == b""
 
 
 # Characters that str.splitlines breaks a line at, besides "\n" and "\r".

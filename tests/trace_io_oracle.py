@@ -3,13 +3,16 @@
 ``export_heatmap_csv`` is the CSV branch of ``export_heatmap`` as it stood
 before each distinct value was formatted once: ``format_number`` on every
 entry.  ``cell_fault`` is ``_cell_fault`` as it stood before the writer's
-row-major order skipped the sort: it sorts every event's cell keys.  The
-library must give the same bytes and the same ``(event, message)``.
+row-major order skipped the sort and before the reader checked one event at
+a time: it sorts every event's cell keys, over a run of events at once.  The
+library must give the same bytes, and the same first faulty event and message.
 
 ``read_trace`` and the helpers above it are the trace reader as it stood
 before it streamed: it decodes the whole file, splits it with
-``str.splitlines`` and reads the text lines.  On a file with one fault the
-streaming reader must give the same events or the same first error.
+``str.splitlines`` and reads the text lines, decoding runs of them together
+(``_groups``) and checking their cells with ``cell_fault``.  On a file with
+one fault the streaming reader, which reads one line at a time, must give
+the same events or the same first error.
 """
 
 from __future__ import annotations
@@ -27,14 +30,17 @@ from steertrace.trace_io import (
     _MAX_DIGITS,
     _ZERO,
     FORMAT_VERSION,
-    _cell_fault,
     _CountingSink,
-    _groups,
     _updates,
     format_number,
 )
 
 _UPDATES_KEY = ',"updates":'
+# The reader decoded a run of consecutive event lines in one numpy pass until
+# it held this many updates plus lines: per-line numpy calls would cost more
+# than the decoding on traces of many small bursts, and one pass over a whole
+# trace would hold temporaries of several times its size.
+_GROUP_ROWS = 2**12
 _LBRACKET, _RBRACKET, _COMMA = b"[],"
 
 
@@ -65,6 +71,19 @@ def cell_fault(rows: np.ndarray, bounds, surface) -> tuple[int, str]:
             f"grid or the states [0, {surface.n_states})"
         )
     return len(bounds) - 1, ""
+
+
+def _groups(items, size):
+    """Runs of consecutive ``items``, each closed once its ``size(item)`` adds up to _GROUP_ROWS."""
+    group, total = [], 0
+    for item in items:
+        group.append(item)
+        total += size(item)
+        if total >= _GROUP_ROWS:
+            yield group
+            group, total = [], 0
+    if group:
+        yield group
 
 
 def _parse_line(text: str, line_number: int) -> dict:
@@ -175,7 +194,7 @@ def _event_records(lines, surface):
     """(line number, object, updates, fault) of each event line, in order.
 
     A line in the writer's spelling yields its head object and its decoded
-    rows with their ``_cell_fault`` message ("" when sound); any other line
+    rows with their ``cell_fault`` message ("" when sound); any other line
     yields ``json``'s object and None, None, and is parsed only when reached,
     so that an earlier line's error comes first.
     """
@@ -187,7 +206,7 @@ def _event_records(lines, surface):
             split = [s if s and _decode_updates([s[1]]) else None for s in split]
             decoded = _decode_updates([s[1] for s in split if s])
         rows, bounds = decoded
-        k_fault, fault = _cell_fault(rows, bounds, surface)
+        k_fault, fault = cell_fault(rows, bounds, surface)
         k = 0
         for (line_number, line), s in zip(group, split):
             if s is None:
@@ -231,7 +250,7 @@ def read_trace(source: BinaryIO) -> TrafficTrace:
             )
         if updates is None:  # the json path
             updates = _updates(raw, line_number)
-            fault = _cell_fault(updates, (0, len(updates)), meta.surface)[1]
+            fault = cell_fault(updates, (0, len(updates)), meta.surface)[1]
         if fault:
             raise ValidationError(f"line {line_number}: {fault}")
         events.append(ReconfigEvent(t, Angles(float(theta), float(phi)), updates))

@@ -1,0 +1,169 @@
+"""Time ``steertrace metrics --heatmap`` on the north-star scenario matrix, parent
+against change, and write the medians as ``BENCH_<pr>.json``.
+
+    python3 tools/bench_matrix.py PARENT_TREE CHANGE_TREE --pr N --change "what changed"
+
+PARENT_TREE and CHANGE_TREE are source trees of steertrace (``git archive`` of
+each commit will do); each side imports the package from its tree's ``src``.
+Each scenario's trace is written once by the parent's ``simulate``.  Then each
+round runs ``metrics`` once per side, alternating which side goes first, each
+in a fresh interpreter started from /bin/sh, and hashes the report and heat map
+it writes.  Runs go one at a time, so peak memory is that of one command.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import shlex
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from importlib import metadata
+from pathlib import Path
+
+SCENARIOS = {
+    "A_default": ([], None),
+    "B_default": (["scenario.case=B"], None),
+    "C_600s_seed3": (["scenario.case=C", "scenario.duration=600", "--seed", "3"], None),
+    "A_500x500": (["surface.n_cols=500", "surface.n_rows=500"], None),
+    "A_8x8_step002": (
+        ["surface.n_cols=8", "surface.n_rows=8", "gateway.angular_step=0.02"],
+        "many tiny bursts: 4,251 events, 4,227 of them empty, 272 packets",
+    ),
+}
+
+# Runs one command and prints, as its last stdout line, the cli.main call's time and
+# page faults and the process's peak RSS.
+CHILD = """\
+import json, resource, sys, time
+from steertrace.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF)
+start = time.perf_counter()
+rc = main(sys.argv[1:])
+elapsed = time.perf_counter() - start
+after = resource.getrusage(resource.RUSAGE_SELF)
+print(json.dumps({"rc": rc, "metrics_s": elapsed, "maxrss_kb": after.ru_maxrss,
+                  "minflt": after.ru_minflt - before.ru_minflt}))
+"""
+
+METHOD = (
+    "Each trace T is written once by the parent's simulate with the scenario's args. Each "
+    "round runs metrics once per side, alternating which side goes first, in a fresh "
+    "interpreter started from /bin/sh (PYTHONDONTWRITEBYTECODE=1 with no __pycache__ in "
+    "either tree, so every run compiles the package; SOURCE_DATE_EPOCH=0, one BLAS "
+    "thread). Every run's report and heat map are hashed; outputs_identical means every "
+    "run of both sides gave the same bytes and exit code 0. Values are medians over the "
+    "rounds, in host seconds, unscaled. command_s: spawn to exit, interpreter start and "
+    "imports included. metrics_s: the cli.main call. peak_rss_mb: getrusage ru_maxrss of "
+    "that process. minflt: getrusage ru_minflt during the cli.main call. change_lower: "
+    "rounds in which the change's cli.main call was faster."
+)
+
+
+def run(tree: Path, argv: list[str], env: dict) -> tuple[dict, float]:
+    """One command in a fresh interpreter on ``tree``'s package: the child's probe, and
+    the time from spawn to exit."""
+    command = shlex.join([sys.executable, "-c", CHILD, *argv])
+    start = time.perf_counter()
+    done = subprocess.run(
+        ["/bin/sh", "-c", command], env={**env, "PYTHONPATH": str(tree / "src")},
+        capture_output=True, text=True,
+    )
+    elapsed = time.perf_counter() - start
+    if done.returncode != 0:
+        raise SystemExit(f"{shlex.join(argv)} on {tree} failed:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1]), elapsed
+
+
+def digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def hardware() -> str:
+    model = platform.machine()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        names = [ln.split(":", 1)[1].strip() for ln in cpuinfo.read_text().splitlines()
+                 if ln.startswith("model name")]
+        model = names[0] if names else model
+    numpy = metadata.version("numpy")
+    return f"{os.cpu_count()} CPUs, {model}, Python {platform.python_version()}, numpy {numpy}"
+
+
+def bench(parent: Path, change: Path, rounds: int, work: Path) -> dict:
+    """Each scenario's row of BENCH_<pr>.json, traces and outputs written under ``work``."""
+    env = {
+        **os.environ, "PYTHONDONTWRITEBYTECODE": "1", "SOURCE_DATE_EPOCH": "0",
+        "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+    }
+    trees = {"parent": parent, "change": change}
+    for tree in trees.values():
+        if next((tree / "src").rglob("__pycache__"), None):  # a side that skips compiling
+            raise SystemExit(f"{tree / 'src'} holds __pycache__; pass a tree without it")
+    scenarios = {}
+    for name, (args, why) in SCENARIOS.items():
+        trace, report, heat = work / f"{name}.jsonl", work / "r.jsonl", work / "h.csv"
+        run(parent, ["simulate", "--out", str(trace), *args], env)
+        argv = ["metrics", "--trace", str(trace), "--report", str(report), "--heatmap", str(heat)]
+        samples = {side: [] for side in trees}
+        outputs = set()
+        for k in range(rounds):
+            for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+                probe, command_s = run(trees[side], argv, env)
+                outputs.add((probe["rc"], digest(report), digest(heat)))
+                samples[side].append({
+                    "command_s": command_s, "metrics_s": probe["metrics_s"],
+                    "peak_rss_mb": probe["maxrss_kb"] / 1024, "minflt": probe["minflt"],
+                })
+        faster = sum(c["metrics_s"] < p["metrics_s"] for p, c in zip(*samples.values()))
+        rc, report_sha, heat_sha = min(outputs)
+        scenarios[name] = {
+            "rounds": rounds,
+            "outputs_identical": len(outputs) == 1 and rc == 0,
+            "outputs_sha256": {"report": report_sha, "heatmap": heat_sha},
+            "trace_bytes": trace.stat().st_size,
+            "format": "csv",
+        }
+        for side, runs in samples.items():
+            scenarios[name][side] = {
+                key: round(statistics.median(run[key] for run in runs), 4) for key in runs[0]
+            }
+        scenarios[name].update(change_lower=f"{faster}/{rounds}", args=args)
+        if why:
+            scenarios[name]["why"] = why
+        trace.unlink()
+        print(name, json.dumps(scenarios[name]), file=sys.stderr)
+    return scenarios
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="source tree of the parent commit")
+    parser.add_argument("change", type=Path, help="source tree of the change")
+    parser.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
+    parser.add_argument("--change", dest="what", required=True, help="what the change does")
+    parser.add_argument("--rounds", type=int, default=11)
+    parser.add_argument("--out-dir", type=Path, default=Path("."))
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as work:
+        scenarios = bench(args.parent.resolve(), args.change.resolve(), args.rounds, Path(work))
+    result = {
+        "change": args.what,
+        "commands": ["steertrace metrics --trace T --report R --heatmap H"],
+        "hardware": hardware(),
+        "method": METHOD,
+        "scenarios": scenarios,
+    }
+    out = args.out_dir / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(result, indent=2) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
