@@ -124,9 +124,11 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
     angle re-anchors to the picked sample; the picked angles themselves are
     always the raw samples at each crossing.
 
-    The scan skips over the stream's arrays to the next sample within ``BAND``
+    The scan skips over the stream's arrays to the next entry within ``BAND``
     of a threshold and decides it on its exact angles, so the picks are those
-    of a sample-by-sample scan of the scalar path.
+    of a sample-by-sample scan of the scalar path.  The rest of an entry's run
+    has its angles, so after a pick only the run's next sample can fire, and
+    after a sample that does not fire none of the run can.
     """
     if not angular_step > 0:
         raise ValidationError("angular_step must be > 0", key="angular_step")
@@ -136,16 +138,26 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
         raise ValidationError("stream times must be strictly increasing", key="stream")
     a = angular_step
     picked = [stream.exact(0)]
-    theta_ref, phi_ref = picked[0][1].theta, picked[0][1].phi
-    k = 0
-    while (k := _next_near_crossing(stream, k + 1, theta_ref, phi_ref, a)) < len(stream):
-        t, ang = stream.exact(k)
+    ang = picked[0][1]
+    theta_ref, phi_ref = ang.theta, ang.phi
+    k, r, end = 0, 1, stream.run_length(0)  # decide sample r of entry k's run, of end samples
+    while True:
+        if r == end:
+            k = _next_near_crossing(stream, k + 1, theta_ref, phi_ref, a)
+            if k == len(stream):
+                return picked
+            r, end = 0, stream.run_length(k)
+            t, ang = stream.exact(k)
         d_theta, d_phi = _drift(ang.theta, ang.phi, theta_ref, phi_ref)
         hit_theta = d_theta >= a - ANGLE_EPS_DEG
         hit_phi = abs(d_phi) >= a - ANGLE_EPS_DEG
         if not (hit_theta or hit_phi):
+            r = end
             continue
+        if r:  # a later sample of the run: the same angles at its own time
+            t, ang = stream.exact(k, r)
         picked.append((t, ang))
+        r += 1
         if hit_theta:
             steps = math.floor((d_theta + ANGLE_EPS_DEG) / a)
             theta_ref += math.copysign(steps * a, ang.theta - theta_ref)
@@ -156,7 +168,6 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
             phi_ref = (phi_ref + math.copysign(steps * a, d_phi)) % 360.0
         else:
             phi_ref = ang.phi
-    return picked
 
 
 def _drift(theta, phi, theta_ref, phi_ref):

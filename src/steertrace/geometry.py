@@ -172,19 +172,31 @@ class AngleStream:
     """A trajectory's angle samples as arrays, from ``angle_stream``.
 
     ``theta``/``phi`` come from numpy and may differ from the scalar path in
-    the last bits; ``exact(k)`` gives sample k on that path.
+    the last bits; ``exact(k)`` gives entry k on that path.  An entry stands
+    for a run of samples at equal angles: one sample in cases A and B, the
+    samples between two leaps in case C.  There ``runs`` holds each entry's
+    sample index and then the sample count, and ``exact(k, r)`` gives the
+    run's sample r, whose angles are entry k's.
     """
 
     trajectory: Trajectory
     t: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
+    runs: np.ndarray | None
+    dt: float
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def exact(self, k: int) -> tuple[float, Angles]:
+    def run_length(self, k: int) -> int:
+        return 1 if self.runs is None else int(self.runs[k + 1] - self.runs[k])
+
+    def exact(self, k: int, r: int = 0) -> tuple[float, Angles]:
         t = float(self.t[k])
+        if r:
+            s = int(self.runs[k]) + r
+            t = self.trajectory.duration if s == self.runs[-1] - 1 else s * self.dt
         return t, angles_from_position(position_at(self.trajectory, t))
 
 
@@ -194,35 +206,64 @@ def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
     Samples fall on t = 0, dt, 2*dt, ...; the final sample lands exactly on
     ``duration`` (appended when the regular grid misses it).  One numpy pass
     follows the operation order of ``position_at`` and ``angles_from_position``.
+    Case C keeps only the first sample of each leap's run, so its cost grows
+    with the leaps and not with the samples.
     """
     duration = trajectory.duration
     if not (dt > 0 and duration / dt <= MAX_SAMPLES):  # checked before any allocation
         raise ValidationError(f"dt must be > 0 and give <= {MAX_SAMPLES} samples", key="dt")
     n = int(math.floor(duration / dt + 1e-9))
-    t = np.arange(n + 1) * dt
-    if duration - t[-1] > 1e-9 * dt:
-        t = np.append(t, duration)
-    else:
-        t[-1] = duration
+    last = n + (duration - n * dt > 1e-9 * dt)  # the endpoint's sample index
     p = trajectory.params
     d = p.standoff_distance
     y = 0.0
-    if trajectory.case_id is Case.A:
-        x = p.speed * (_case_a_arrival_time(p) - t)
-    elif trajectory.case_id is Case.B:
-        alpha = math.radians(p.launch_angle)
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-            x = p.speed * math.cos(alpha) * t
-            y = p.speed * math.sin(alpha) * t - 0.5 * GRAVITY * t * t
+    runs = None
+    if trajectory.case_id is Case.C:
+        runs = np.append(_run_heads(trajectory, dt, last), last + 1)
+        t, leap = _leap_times(trajectory, dt, last, runs[:-1])
+        x = d * np.tan(np.radians(np.array(_leap_schedule(p, duration))[leap]))
     else:
-        schedule = np.array(_leap_schedule(p, duration))
-        idx = np.minimum((t / p.leap_interval).astype(np.int64), len(schedule) - 1)
-        x = d * np.tan(np.radians(schedule[idx]))
+        t = np.arange(last + 1) * dt
+        t[-1] = duration
+        if trajectory.case_id is Case.A:
+            x = p.speed * (_case_a_arrival_time(p) - t)
+        else:
+            alpha = math.radians(p.launch_angle)
+            with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+                x = p.speed * math.cos(alpha) * t
+                y = p.speed * math.sin(alpha) * t - 0.5 * GRAVITY * t * t
     for name, v in (("x", x), ("y", y)):
         _require(bool(np.isfinite(v).all()), f"{name} must be finite", key=name)
     theta = np.degrees(np.arctan2(np.hypot(x, y), d))
     phi = np.degrees(np.arctan2(y, x)) % 360.0  # may round up to 360, which is 0 circularly
-    return AngleStream(trajectory, t, theta, phi)
+    return AngleStream(trajectory, t, theta, phi, runs, dt)
+
+
+def _leap_times(trajectory: Trajectory, dt: float, last: int, k: np.ndarray):
+    """Times of samples ``k`` and their indices into the leap schedule, by ``position_at``'s rule."""
+    t = k * dt
+    t[k == last] = trajectory.duration
+    n_leaps = len(_leap_schedule(trajectory.params, trajectory.duration)) - 1
+    return t, np.minimum((t / trajectory.params.leap_interval).astype(np.int64), n_leaps)
+
+
+def _run_heads(trajectory: Trajectory, dt: float, last: int) -> np.ndarray:
+    """Sample 0 and, per leap j that a sample reaches, the first sample at leap j or later.
+
+    ``ceil(j * leap_interval / dt)`` is off by at most a sample or two, so a
+    few passes of the rule that times the samples settle every leap.
+    """
+    j = np.arange(1, len(_leap_schedule(trajectory.params, trajectory.duration)))
+    k = np.minimum(np.ceil(j * trajectory.params.leap_interval / dt), last).astype(np.int64)
+    while True:
+        late = (k > 0) & (_leap_times(trajectory, dt, last, k - 1)[1] >= j)
+        early = (k < last) & (_leap_times(trajectory, dt, last, k)[1] < j)
+        if not (late.any() or early.any()):
+            break
+        k += early.astype(np.int64) - late
+    heads = np.append(0, k[_leap_times(trajectory, dt, last, k)[1] >= j])  # leaps reached
+    # sorted already, as the leaps are; a plain np.unique imports numpy.ma, about 13 ms
+    return heads[np.append(True, heads[1:] != heads[:-1])]
 
 
 @lru_cache(maxsize=64)

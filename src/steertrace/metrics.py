@@ -32,8 +32,9 @@ def summarize(
 
     One pass that keeps no event: per event, its size, its time and one
     ``np.add.at`` of its cells into the per-cell packet counts, so memory is
-    one count per cell plus two numbers per event.  An update outside the
-    surface's grid or states is refused rather than counted in another cell.
+    one count per cell plus two numbers per event.  The events must be checked
+    already, as ``read_trace`` and ``_checked_events`` check them: an update outside
+    the surface would be counted in another cell.
     """
     sizes, times = [], []
     counts = np.zeros(surface.n_cells, np.int64)
@@ -41,10 +42,7 @@ def summarize(
         sizes.append(len(ev.updates))
         times.append(ev.t)
         if not sizes[-1]:
-            continue  # no cell to check or count: many bursts are empty at a fine angular step
-        fault = outside_surface(ev.updates, surface)[1]
-        if fault:
-            raise ValidationError(f"event at t={ev.t!r} outside the surface: {fault}", "updates")
+            continue  # no cell to count: many bursts are empty at a fine angular step
         np.add.at(counts, ev.updates[:, 1] * surface.n_cols + ev.updates[:, 0], 1)
     matrix = counts.reshape(surface.n_rows, surface.n_cols) / max(counts.sum(), 1)
     report = WorkloadReport(
@@ -57,9 +55,27 @@ def summarize(
     return report, matrix
 
 
+def _checked_events(trace: TrafficTrace) -> tuple[ReconfigEvent, ...]:
+    """``trace``'s events, once each is checked as the reader checks it: its time in
+    [0, duration] and after the previous one, its updates inside the surface."""
+    duration, surface, last = trace.meta.trajectory.duration, trace.meta.surface, None
+    for ev in trace.events:
+        if not 0.0 <= ev.t <= duration:
+            raise ValidationError(f"event t={ev.t!r} outside [0, {duration!r}]", key="t")
+        if last is not None and not ev.t > last:
+            raise ValidationError(
+                f"event times must be strictly increasing ({ev.t!r} after {last!r})", "t"
+            )
+        fault = len(ev.updates) and outside_surface(ev.updates, surface)[1]
+        if fault:
+            raise ValidationError(f"event at t={ev.t!r} outside the surface: {fault}", "updates")
+        last = ev.t
+    return trace.events
+
+
 def destination_matrix(trace: TrafficTrace) -> np.ndarray:
     """Per-cell share of all packets, shape (n_rows, n_cols); zero if no packets."""
-    return summarize(trace.meta.surface, trace.events)[1]
+    return summarize(trace.meta.surface, _checked_events(trace))[1]
 
 
 def injection_rate(
@@ -70,19 +86,13 @@ def injection_rate(
     """Packet injection rate over time, as (t, packets/s) points.
 
     ``per_burst`` rates each event after the first against the gap to its
-    predecessor, and needs strictly increasing event times; ``binned`` counts
-    packets per fixed bin across the scenario duration (partial final bin
-    still divided by the full width) and reports bin midpoints.
+    predecessor; ``binned`` counts packets per fixed bin across the scenario
+    duration (partial final bin still divided by the full width) and reports
+    bin midpoints.
     """
+    events = _checked_events(trace)
     if mode == "per_burst":
-        rates = []
-        for prev, ev in zip(trace.events, trace.events[1:]):
-            if not ev.t > prev.t:
-                raise ValidationError(
-                    f"event times must be strictly increasing ({ev.t!r} after {prev.t!r})", "t"
-                )
-            rates.append((ev.t, len(ev.updates) / (ev.t - prev.t)))
-        return rates
+        return [(ev.t, len(ev.updates) / (ev.t - prev.t)) for prev, ev in zip(events, events[1:])]
     if mode != "binned":
         raise ValidationError("mode must be 'per_burst' or 'binned'", key="mode")
     duration = trace.meta.trajectory.duration
@@ -93,9 +103,7 @@ def injection_rate(
         )
     n_bins = max(1, math.ceil(duration / bin_width))
     counts = [0] * n_bins
-    for ev in trace.events:
-        if not 0.0 <= ev.t <= duration:
-            raise ValidationError(f"event t={ev.t!r} outside [0, {duration!r}]", key="t")
+    for ev in events:
         counts[min(int(ev.t / bin_width), n_bins - 1)] += len(ev.updates)
     return [((k + 0.5) * bin_width, c / bin_width) for k, c in enumerate(counts)]
 
@@ -150,4 +158,4 @@ def spatial_cv(ratios: np.ndarray) -> float:
 
 def burst_stats(trace: TrafficTrace) -> WorkloadReport:
     """Per-event sizes and fractions, inter-event gaps, totals, spatial CV."""
-    return summarize(trace.meta.surface, trace.events)[0]
+    return summarize(trace.meta.surface, _checked_events(trace))[0]

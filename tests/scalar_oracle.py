@@ -4,7 +4,9 @@ This is the list-of-tuples ``angle_stream`` and the per-sample
 ``detect_events`` scan that steertrace ran before sampling moved to numpy,
 unchanged: every sample goes through ``position_at`` and
 ``angles_from_position``, every comparison through ``math``.  The library's
-picks must equal these exactly, in times and in ``Angles``.
+picks must equal these exactly, in times and in ``Angles``.  ``leap_runs`` and
+``check_runs`` add the contract of the library's stream: one entry per run of
+samples at equal angles, which in case C is the run between two leaps.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from steertrace.errors import ValidationError
 from steertrace.gateway import ANGLE_EPS_DEG
 from steertrace.geometry import (
     Angles,
+    Case,
     Trajectory,
     _require,
     angles_from_position,
@@ -48,10 +51,35 @@ def _sample_times(duration: float, dt: float) -> list[float]:
     return ts
 
 
+def leap_runs(trajectory: Trajectory, times: list[float]) -> list[int]:
+    """Index of the first of ``times`` in each run on one leap of the schedule, then
+    the sample count; every sample is a run of its own outside case C."""
+    if trajectory.case_id is not Case.C:
+        return list(range(len(times) + 1))
+    interval = trajectory.params.leap_interval
+    n_leaps = int(math.floor(trajectory.duration / interval + 1e-9))
+    leap = [min(int(t / interval), n_leaps) for t in times]
+    return [k for k in range(len(times)) if k == 0 or leap[k] != leap[k - 1]] + [len(times)]
+
+
+def check_runs(stream, scalar: list[tuple[float, Angles]]) -> None:
+    """``stream`` has one entry per run of ``leap_runs`` over the ``scalar`` samples,
+    and sample r of entry k's run is the scalar sample it stands for, in time and
+    exact angles, with the angles of the run's first sample."""
+    runs = leap_runs(stream.trajectory, [t for t, _ in scalar])
+    assert [stream.run_length(k) for k in range(len(stream))] == np.diff(runs).tolist()
+    assert stream.t.tolist() == [scalar[k][0] for k in runs[:-1]]
+    for k, head in enumerate(runs[:-1]):
+        for r in range(stream.run_length(k)):
+            assert stream.exact(k, r) == scalar[head + r]
+            assert scalar[head + r][1] == scalar[head][1]
+
+
 class PairStream:
     """Explicit (t, Angles) pairs in the shape the library's ``detect_events`` reads.
 
-    ``exact(k)`` returns pair k as given: the pairs are taken as exact.
+    Each pair is a run of its own, and ``exact(k)`` returns pair k as given:
+    the pairs are taken as exact.
     """
 
     def __init__(self, pairs):
@@ -62,7 +90,10 @@ class PairStream:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def exact(self, k: int) -> tuple[float, Angles]:
+    def run_length(self, k: int) -> int:
+        return 1
+
+    def exact(self, k: int, r: int = 0) -> tuple[float, Angles]:
         return self.pairs[k]
 
 

@@ -1,8 +1,10 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scalar_oracle
 from geometry_helpers import circular_delta_deg
 from scalar_oracle import PairStream
 
@@ -20,8 +22,8 @@ from steertrace import (
     state_matrix,
     write_trace,
 )
-from steertrace.gateway import detect_events, diff_states
-from steertrace.geometry import angle_stream
+from steertrace.gateway import ANGLE_EPS_DEG, detect_events, diff_states
+from steertrace.geometry import Case, Trajectory, angle_stream
 
 INC = Angles(0.0, 0.0)
 
@@ -237,3 +239,79 @@ def test_simulation_is_deterministic():
     write_trace(t1, b1)
     write_trace(t2, b2)
     assert b1.getvalue() == b2.getvalue()
+
+
+def leap_picks(duration, dt, step=5.0, **params):
+    """Case C's stream and picks, checked against the scalar sampler and scan."""
+    trajectory = Trajectory(Case.C, CaseParams(rng_seed=3, **params), duration)
+    stream = angle_stream(trajectory, dt)
+    scalar = scalar_oracle.angle_stream(trajectory, dt)
+    scalar_oracle.check_runs(stream, scalar)
+    picked = detect_events(stream, step)
+    assert picked == scalar_oracle.detect_events(scalar, step)
+    return stream, picked
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+@pytest.mark.parametrize("m", [1, 2, 3, 1000])
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 0.3])
+def test_leaps_on_and_one_ulp_off_the_sample_grid(dt, m, ulps):
+    # a leap instant j * m * dt meets the sample grid, or misses it by an ulp either side
+    interval = m * dt
+    for _ in range(abs(ulps)):
+        interval = math.nextafter(interval, math.copysign(math.inf, ulps))
+    stream, _ = leap_picks(4.5 * interval, dt, leap_interval=interval)
+    assert len(stream) in (4, 5)  # a run per leap that a sample reaches
+
+
+@pytest.mark.parametrize("interval", [0.003, 0.005, 0.01 / 3])
+def test_several_leaps_between_two_samples(interval):
+    stream, _ = leap_picks(1.0, 0.01, leap_interval=interval)
+    assert len(stream) == 101  # every sample heads a run
+
+
+def test_sample_period_equal_to_the_duration():
+    stream, _ = leap_picks(5.0, 5.0, leap_interval=2.0)
+    assert stream.t.tolist() == [0.0, 5.0]
+
+
+@pytest.mark.parametrize(
+    "duration, interval, runs",
+    [
+        (1.05, 0.35, [0, 4, 7, 11, 12]),  # the endpoint, appended after 1.0, heads a run
+        (0.3, 0.1, [0, 1, 2, 4]),  # the endpoint replaces 3 * 0.1 and misses its leap
+        (0.3, 0.15, [0, 2, 3, 4]),  # the endpoint replaces 3 * 0.1 and heads a run
+    ],
+)
+def test_the_endpoint_appended_or_replacing_the_last_grid_time(duration, interval, runs):
+    stream, _ = leap_picks(duration, 0.1, leap_interval=interval)
+    assert stream.runs.tolist() == runs
+    assert stream.exact(len(stream) - 1, stream.run_length(len(stream) - 1) - 1)[0] == duration
+
+
+@pytest.mark.parametrize("start_theta", [85.0, 45.0, 2.5])  # 45 and 2.5 on multiples of 2.5
+@pytest.mark.parametrize("step", [1e-12, ANGLE_EPS_DEG, 2.5, 5.0])
+def test_repeated_picks_inside_one_run(start_theta, step):
+    stream, picked = leap_picks(3.0, 0.01, step, leap_interval=0.7, start_theta=start_theta)
+    if step <= ANGLE_EPS_DEG:  # every sample fires, so each run is picked whole
+        assert len(picked) == 301 > len(stream)
+
+
+def test_leaps_outnumbering_samples_at_a_large_step():
+    stream, picked = leap_picks(60.0, 0.02, 40.0, leap_interval=0.01)
+    assert len(stream) == 3001 and 1 < len(picked) < len(stream)
+
+
+def test_case_c_simulation_memory_grows_with_the_events_not_the_samples():
+    # 9,990 s at 1 ms is 9,990,001 samples, just under MAX_SAMPLES; an array over the
+    # samples alone would take 80 MB
+    traj = case_c_trajectory(CaseParams(rng_seed=3), duration=9990.0)
+    tracemalloc.start()
+    try:
+        trace = run_simulation(traj, SurfaceConfig(n_cols=8, n_rows=8), GatewayConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = sum(ev.updates.nbytes for ev in trace.events)
+    # the events' rows, 1 KiB per event for the rest of it, and 1 MiB for one surface's work
+    assert peak < rows + 1024 * len(trace.events) + 2**20

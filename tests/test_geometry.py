@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+import scalar_oracle
 from geometry_helpers import circular_delta_deg, position_from_angles
 
 from steertrace import (
@@ -150,13 +151,11 @@ def test_case_c_is_seed_deterministic():
 
 
 def test_case_c_piecewise_constant_between_leaps():
+    # one entry per leap's run of samples, and every sample of a run has its angles
     traj = case_c_trajectory(CaseParams(rng_seed=3, leap_interval=2.0), duration=10.0)
     stream = angle_stream(traj, 0.05)
-    thetas = {}
-    for t, theta in zip(stream.t.tolist(), stream.theta.tolist()):
-        thetas.setdefault(int(t / 2.0), set()).add(theta)
-    for interval, values in thetas.items():
-        assert len(values) == 1, f"interval {interval} saw several angles: {values}"
+    assert len(stream) == 6
+    scalar_oracle.check_runs(stream, scalar_oracle.angle_stream(traj, 0.05))
 
 
 def test_case_a_theta_near_ten_meters_is_45_degrees():

@@ -83,6 +83,18 @@ def test_a_cell_outside_the_surface_is_refused_not_wrapped(cell):
         assert err.value.key == "updates"
 
 
+@pytest.mark.parametrize(
+    "times, match",
+    [((2.0, 1.0, 1.0), "strictly increasing"), ((0.0, 10.5), "outside"), ((-1.0,), "outside")],
+)
+def test_event_times_out_of_order_or_outside_the_duration_are_refused(times, match):
+    trace = make_trace([(t, [(1, 1, 1)]) for t in times])
+    for metric in (destination_matrix, burst_stats, injection_rate):
+        with pytest.raises(ValidationError, match=match) as err:
+            metric(trace)
+        assert err.value.key == "t"
+
+
 def test_destination_matrix_normalizes(case_a_trace):
     m = destination_matrix(case_a_trace)
     assert m.sum() == pytest.approx(1.0, abs=1e-12)

@@ -1,14 +1,14 @@
-"""Time ``steertrace metrics --heatmap`` on the north-star scenario matrix, parent
-against change, and write the medians as ``BENCH_<pr>.json``.
+"""Time ``steertrace simulate`` and ``steertrace metrics --heatmap`` on the north-star
+scenario matrix, parent against change, and write the medians as ``BENCH_<pr>.json``.
 
     python3 tools/bench_matrix.py PARENT_TREE CHANGE_TREE --pr N --change "what changed"
 
 PARENT_TREE and CHANGE_TREE are source trees of steertrace (``git archive`` of
 each commit will do); each side imports the package from its tree's ``src``.
-Each scenario's trace is written once by the parent's ``simulate``.  Then each
-round runs ``metrics`` once per side, alternating which side goes first, each
-in a fresh interpreter started from /bin/sh, and hashes the report and heat map
-it writes.  Runs go one at a time, so peak memory is that of one command.
+Each round runs ``simulate`` once per side and then ``metrics`` once per side on
+that side's trace, alternating which side goes first, each command in a fresh
+interpreter started from /bin/sh, and hashes every trace, report and heat map.
+Runs go one at a time, so peak memory is that of one command.
 """
 
 from __future__ import annotations
@@ -36,6 +36,16 @@ SCENARIOS = {
         ["surface.n_cols=8", "surface.n_rows=8", "gateway.angular_step=0.02"],
         "many tiny bursts: 4,251 events, 4,227 of them empty, 272 packets",
     ),
+    "C_9990s_seed3_8x8": (
+        ["scenario.case=C", "scenario.duration=9990", "surface.n_cols=8", "surface.n_rows=8",
+         "--seed", "3"],
+        "9,990,001 samples at 1 ms, just under MAX_SAMPLES, and 4,995 leaps: 4,421 events",
+    ),
+    "C_leaps_outnumber_samples": (
+        ["scenario.case=C", "scenario.leap_interval=0.01", "gateway.sample_dt=0.02",
+         "gateway.angular_step=40"],
+        "6,000 leaps over 3,001 samples, so every sample heads a leap's run",
+    ),
 }
 
 # Runs one command and prints, as its last stdout line, the cli.main call's time and
@@ -48,19 +58,19 @@ start = time.perf_counter()
 rc = main(sys.argv[1:])
 elapsed = time.perf_counter() - start
 after = resource.getrusage(resource.RUSAGE_SELF)
-print(json.dumps({"rc": rc, "metrics_s": elapsed, "maxrss_kb": after.ru_maxrss,
+print(json.dumps({"rc": rc, "main_s": elapsed, "maxrss_kb": after.ru_maxrss,
                   "minflt": after.ru_minflt - before.ru_minflt}))
 """
 
 METHOD = (
-    "Each trace T is written once by the parent's simulate with the scenario's args. Each "
-    "round runs metrics once per side, alternating which side goes first, in a fresh "
-    "interpreter started from /bin/sh (PYTHONDONTWRITEBYTECODE=1 with no __pycache__ in "
-    "either tree, so every run compiles the package; SOURCE_DATE_EPOCH=0, one BLAS "
-    "thread). Every run's report and heat map are hashed; outputs_identical means every "
+    "Each round runs simulate once per side, then metrics once per side on the trace "
+    "that side wrote, alternating which side goes first, each in a fresh interpreter "
+    "started from /bin/sh (PYTHONDONTWRITEBYTECODE=1 with no __pycache__ in either "
+    "tree, so every run compiles the package; SOURCE_DATE_EPOCH=0, one BLAS thread). "
+    "Every run's trace, report and heat map are hashed; outputs_identical means every "
     "run of both sides gave the same bytes and exit code 0. Values are medians over the "
     "rounds, in host seconds, unscaled. command_s: spawn to exit, interpreter start and "
-    "imports included. metrics_s: the cli.main call. peak_rss_mb: getrusage ru_maxrss of "
+    "imports included. main_s: the cli.main call. peak_rss_mb: getrusage ru_maxrss of "
     "that process. minflt: getrusage ru_minflt during the cli.main call. change_lower: "
     "rounds in which the change's cli.main call was faster."
 )
@@ -108,37 +118,47 @@ def bench(parent: Path, change: Path, rounds: int, work: Path) -> dict:
             raise SystemExit(f"{tree / 'src'} holds __pycache__; pass a tree without it")
     scenarios = {}
     for name, (args, why) in SCENARIOS.items():
-        trace, report, heat = work / f"{name}.jsonl", work / "r.jsonl", work / "h.csv"
-        run(parent, ["simulate", "--out", str(trace), *args], env)
-        argv = ["metrics", "--trace", str(trace), "--report", str(report), "--heatmap", str(heat)]
-        samples = {side: [] for side in trees}
-        outputs = set()
+        report, heat = work / "r.jsonl", work / "h.csv"
+        traces = {side: work / f"{name}.{side}.jsonl" for side in trees}
+        commands = {
+            "simulate": lambda side: ["simulate", "--out", str(traces[side]), *args],
+            "metrics": lambda side: ["metrics", "--trace", str(traces[side]),
+                                     "--report", str(report), "--heatmap", str(heat)],
+        }
+        samples = {command: {side: [] for side in trees} for command in commands}
+        outputs = {"simulate": set(), "metrics": set()}
         for k in range(rounds):
-            for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-                probe, command_s = run(trees[side], argv, env)
-                outputs.add((probe["rc"], digest(report), digest(heat)))
-                samples[side].append({
-                    "command_s": command_s, "metrics_s": probe["metrics_s"],
-                    "peak_rss_mb": probe["maxrss_kb"] / 1024, "minflt": probe["minflt"],
-                })
-        faster = sum(c["metrics_s"] < p["metrics_s"] for p, c in zip(*samples.values()))
-        rc, report_sha, heat_sha = min(outputs)
-        scenarios[name] = {
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for command, argv in commands.items():
+                for side in order:
+                    probe, command_s = run(trees[side], argv(side), env)
+                    written = (traces[side],) if command == "simulate" else (report, heat)
+                    outputs[command].add((probe["rc"], *map(digest, written)))
+                    samples[command][side].append({
+                        "command_s": command_s, "main_s": probe["main_s"],
+                        "peak_rss_mb": probe["maxrss_kb"] / 1024, "minflt": probe["minflt"],
+                    })
+        (rc_sim, trace_sha), (rc_met, report_sha, heat_sha) = map(min, outputs.values())
+        row = scenarios[name] = {
             "rounds": rounds,
-            "outputs_identical": len(outputs) == 1 and rc == 0,
-            "outputs_sha256": {"report": report_sha, "heatmap": heat_sha},
-            "trace_bytes": trace.stat().st_size,
+            "outputs_identical": all(len(o) == 1 for o in outputs.values()) and rc_sim == rc_met == 0,
+            "outputs_sha256": {"trace": trace_sha, "report": report_sha, "heatmap": heat_sha},
+            "trace_bytes": traces["parent"].stat().st_size,
             "format": "csv",
         }
-        for side, runs in samples.items():
-            scenarios[name][side] = {
-                key: round(statistics.median(run[key] for run in runs), 4) for key in runs[0]
+        for command, by_side in samples.items():
+            row[command] = {
+                side: {key: round(statistics.median(r[key] for r in runs), 4) for key in runs[0]}
+                for side, runs in by_side.items()
             }
-        scenarios[name].update(change_lower=f"{faster}/{rounds}", args=args)
+            faster = sum(c["main_s"] < p["main_s"] for p, c in zip(*by_side.values()))
+            row[command]["change_lower"] = f"{faster}/{rounds}"
+        row["args"] = args
         if why:
-            scenarios[name]["why"] = why
-        trace.unlink()
-        print(name, json.dumps(scenarios[name]), file=sys.stderr)
+            row["why"] = why
+        for trace in traces.values():
+            trace.unlink()
+        print(name, json.dumps(row), file=sys.stderr)
     return scenarios
 
 
@@ -155,7 +175,10 @@ def main() -> None:
         scenarios = bench(args.parent.resolve(), args.change.resolve(), args.rounds, Path(work))
     result = {
         "change": args.what,
-        "commands": ["steertrace metrics --trace T --report R --heatmap H"],
+        "commands": [
+            "steertrace simulate --out T ARGS",
+            "steertrace metrics --trace T --report R --heatmap H",
+        ],
         "hardware": hardware(),
         "method": METHOD,
         "scenarios": scenarios,
