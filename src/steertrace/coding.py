@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +26,7 @@ TWO_PI = 2.0 * math.pi
 MAX_CELLS = 10**6  # n_cols * n_rows, checked before any matrix is allocated
 MAX_STATES = 2**16  # finer than any surface resolves; far below the ratio bound
 MAX_PHASE_STEPS = 2**52  # |phase| / (2*pi/n_states) of any cell; see _nearest_state
+BLOCK_CELLS = 2**14  # cells coded at once by state_blocks, unless one direction alone has more
 
 
 @dataclass(frozen=True)
@@ -142,15 +144,6 @@ def phase_gradients(incident: Angles, reflected: Angles, cfg: SurfaceConfig) -> 
     return PhaseGradient(gx, gy)
 
 
-def _raw_phase(g: PhaseGradient, cfg: SurfaceConfig) -> np.ndarray:
-    """Unwrapped per-cell phase (gx*i + gy*j) * d_u, shape (n_rows, n_cols) except
-    that an axis whose gradient component is zero has length 1 (see state_matrix)."""
-    cols = np.arange(1 if g.gx == 0 else cfg.n_cols, dtype=float)
-    rows = np.arange(1 if g.gy == 0 else cfg.n_rows, dtype=float)
-    ramp = g.gx * cols[None, :] + g.gy * rows[:, None]
-    return np.multiply(ramp, cfg.d_u, out=ramp)
-
-
 def quantize_phase(phase: float, n_states: int) -> int:
     """Index of the discrete state phase 2*pi*k/n nearest to ``phase``.
 
@@ -187,26 +180,60 @@ def _nearest_state(phases: np.ndarray, n_states: int) -> np.ndarray:
     low = np.floor(m, out=q)
     # exact half-step ties round down to the lower neighbour; k == n wraps to 0
     k = np.add(low, np.subtract(m, low, out=m) > 0.5, out=low)
-    k[k == n] = 0.0
+    np.multiply(k, k != n, out=k)  # k is finite and >= 0, so a wrapped 0.0 casts to 0
     return k.astype(np.int64).reshape(phases.shape)
 
 
-def state_matrix(incident: Angles, reflected: Angles, cfg: SurfaceConfig) -> np.ndarray:
-    """Quantized state index per cell for the given steering pair.
+def state_blocks(
+    incident: Angles, directions: Iterable[Angles], cfg: SurfaceConfig
+) -> Iterator[np.ndarray]:
+    """Quantized states of ``directions``, in order, as blocks of shape (n, r, c).
 
-    Cell-wise composition of the gradients, the ideal per-cell phase, and the
-    quantizer; the quantizer consumes the unwrapped phase so its rounding is
-    identical to quantizing the mathematically reduced value.
+    Entry [k, j, i] is the state of cell (i, j) for the block's direction k:
+    its unwrapped phase (gx*i + gy*j) * d_u, quantized as the reduced phase
+    would be.
 
-    A zero gradient component codes one line.  When gy is +0.0 or -0.0, gy*j
-    is that same signed zero for every row j >= 0, so every row of the ramp
-    holds the same bits as row 0; likewise every column when gx is zero.  The
-    ramp is then built and quantized over that one row or column, and one
-    broadcast copy returns the full, writable, C-contiguous matrix.
+    An axis is coded once when its gradient component is +0.0 or -0.0 for
+    every direction of the block: gy*j is then that same signed zero for every
+    row j >= 0, so every row holds the bits of row 0 (r is 1); likewise the
+    columns when every gx is zero (c is 1).  A direction with a zero component
+    in a block that codes the full axis gets the same bits on every line.  The
+    gradients stay scalar, one ``phase_gradients`` call per direction, and
+    each later step is elementwise, so stacking changes no bit.  A block holds
+    at most ``BLOCK_CELLS`` cells unless its one direction alone has more.
     """
-    g = phase_gradients(incident, reflected, cfg)
+    block, rows, cols = [], False, False  # (gx, gy) pairs; whether all rows, all cols are coded
+    for reflected in directions:
+        g = phase_gradients(incident, reflected, cfg)
+        r, c = rows or g.gy != 0, cols or g.gx != 0
+        cells = (len(block) + 1) * (cfg.n_rows if r else 1) * (cfg.n_cols if c else 1)
+        if block and cells > BLOCK_CELLS:
+            yield _code_block(block, rows, cols, cfg)
+            block, r, c = [], g.gy != 0, g.gx != 0
+        block.append((g.gx, g.gy))
+        rows, cols = r, c
+    if block:
+        yield _code_block(block, rows, cols, cfg)
+
+
+def _code_block(block: list, rows: bool, cols: bool, cfg: SurfaceConfig) -> np.ndarray:
+    """States of a block of (gx, gy) pairs, over all rows and all columns where asked."""
+    gx, gy = np.array(block).T[:, :, None, None]
+    i = np.arange(cfg.n_cols if cols else 1, dtype=float)
+    j = np.arange(cfg.n_rows if rows else 1, dtype=float)
+    ramp = gx * i + gy * j[:, None]
+    return _nearest_state(np.multiply(ramp, cfg.d_u, out=ramp), cfg.n_states)
+
+
+def state_matrix(incident: Angles, reflected: Angles, cfg: SurfaceConfig) -> np.ndarray:
+    """Quantized state index per cell for the given steering pair, shape (n_rows, n_cols).
+
+    One direction's block from ``state_blocks``, which codes a line when a
+    gradient component is zero; one broadcast copy then returns the full,
+    writable, C-contiguous matrix.
+    """
     full = (cfg.n_rows, cfg.n_cols)
-    states = _nearest_state(_raw_phase(g, cfg), cfg.n_states)
+    states = next(state_blocks(incident, (reflected,), cfg))[0]
     return states if states.shape == full else np.broadcast_to(states, full).copy()
 
 

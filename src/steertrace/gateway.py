@@ -8,12 +8,13 @@ burst sequence is the traffic trace.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import SurfaceConfig, state_matrix
+from .coding import SurfaceConfig, state_blocks
 from .errors import ValidationError
 from .geometry import MAX_SAMPLES, Angles, AngleStream, Trajectory, angle_stream
 from .geometry import signed_circular_delta_deg
@@ -194,14 +195,27 @@ def _next_near_crossing(stream: AngleStream, k: int, theta_ref, phi_ref, step) -
     return len(stream)
 
 
-def diff_states(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Packets turning ``old`` into ``new``: (col, row, state) rows in row-major cell order."""
+def diff_states(
+    old: np.ndarray, new: np.ndarray, shape: tuple[int, int] | None = None
+) -> np.ndarray:
+    """Packets turning ``old`` into ``new``: (col, row, state) rows in row-major cell order.
+
+    Given the grid's ``shape``, either matrix may be compact as ``state_blocks``
+    codes it, a length-1 axis standing for the whole axis; only the
+    comparison's result is broadcast to the grid.
+    """
     old = np.asarray(old)
     new = np.asarray(new)
-    if old.shape != new.shape:
+    if shape is None and old.shape != new.shape:
         raise ValidationError(f"matrix shapes differ: {old.shape} vs {new.shape}")
-    rows, cols = np.nonzero(old != new)
-    return np.column_stack((cols, rows, new[rows, cols]))
+    shape = shape or old.shape
+    changed = old != new
+    if not changed.any():
+        return np.empty((0, 3), np.int64)
+    if (changed.shape, new.shape) != (shape, shape):  # nonzero is faster on a contiguous mask
+        changed, new = np.broadcast_to(changed, shape).copy(), np.broadcast_to(new, shape)
+    rows, cols = np.nonzero(changed)
+    return np.column_stack((cols, rows, new[changed]))
 
 
 def run_simulation(
@@ -213,15 +227,17 @@ def run_simulation(
     """Simulate one scenario end to end and return its traffic trace.
 
     The surface starts in the all-zero state.  Every detected event is
-    recorded, including those whose diff is empty.
+    recorded, including those whose diff is empty.  The picks are coded in
+    ``state_blocks``'s blocks, and the surface's state is kept compact.
     """
     meta = TraceMeta(surface, gateway, incident, trajectory)  # checks the sample count
     stream = angle_stream(trajectory, gateway.sample_dt)
-    current = np.zeros((surface.n_rows, surface.n_cols), dtype=np.int64)
+    picks = detect_events(stream, gateway.angular_step)
+    blocks = state_blocks(incident, (ang for _, ang in picks), surface)
+    full = (surface.n_rows, surface.n_cols)
+    current = np.zeros((1, 1), dtype=np.int64)
     events = []
-    for t, ang in detect_events(stream, gateway.angular_step):
-        target = state_matrix(incident, ang, surface)
-        events.append(ReconfigEvent(t, ang, diff_states(current, target)))
+    for (t, ang), target in zip(picks, itertools.chain.from_iterable(blocks)):
+        events.append(ReconfigEvent(t, ang, diff_states(current, target, full)))
         current = target
     return TrafficTrace(meta, tuple(events))
-

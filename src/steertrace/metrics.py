@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
-from .coding import SurfaceConfig, state_matrix
+from .coding import SurfaceConfig, state_blocks
 from .errors import ValidationError
 from .gateway import NORMAL_INCIDENCE, ReconfigEvent, TrafficTrace, outside_surface
 from .geometry import MAX_SAMPLES, Angles
@@ -108,6 +109,16 @@ def injection_rate(
     return [((k + 0.5) * bin_width, c / bin_width) for k, c in enumerate(counts)]
 
 
+def _changed_cells(before: np.ndarray, after: np.ndarray, n_cells: int) -> int | list[int]:
+    """Changed grid cells between two states, or per pair of states stacked on axis 0,
+    in ``state_blocks``'s compact form, where a length-1 axis stands for the whole axis."""
+    diff = before != after
+    lines = n_cells // (diff.shape[-2] * diff.shape[-1])  # full cells per compact cell
+    if diff.ndim == 2:  # one pair: count_nonzero is several times faster without an axis
+        return np.count_nonzero(diff) * lines
+    return (np.count_nonzero(diff, axis=(1, 2)) * lines).tolist()
+
+
 def sweep_diff(
     start: Angles,
     end: Angles,
@@ -115,9 +126,16 @@ def sweep_diff(
     incident: Angles = NORMAL_INCIDENCE,
 ) -> float:
     """Fraction of cells whose state differs between two steering directions."""
-    before = state_matrix(incident, start, surface)
-    after = state_matrix(incident, end, surface)
-    return float(np.count_nonzero(before != after)) / before.size
+    before, after = itertools.chain.from_iterable(state_blocks(incident, (start, end), surface))
+    return _changed_cells(before, after, surface.n_cells) / surface.n_cells
+
+
+def _grid_steps(step: float) -> Iterator[tuple[float, float]]:
+    theta = 85.0
+    while theta - step >= -1e-9:
+        nxt = theta - step
+        yield theta, max(nxt, 0.0)
+        theta = nxt
 
 
 def sweep_grid(
@@ -130,21 +148,34 @@ def sweep_grid(
     """Yield (from_theta, to_theta, fraction) for each step from theta 85 down to 0.
 
     Each step is ``sweep_diff`` from (theta, ``from_phi``) to
-    (max(theta - step, 0), ``to_phi``).  When the phis are equal, a step's
-    end direction is the next step's start, so its matrix is carried forward
-    and each distinct direction is coded once.
+    (max(theta - step, 0), ``to_phi``).  Each distinct direction is coded
+    once, in ``state_blocks``'s blocks, and a block's steps are counted at
+    once.  When the phis are equal, a step's end direction is the next step's
+    start (only the last end can be clamped), so the coded states form one
+    chain; otherwise they alternate start, end.
     """
-    theta, before = 85.0, None
-    while theta - step >= -1e-9:
-        nxt = theta - step
-        end = max(nxt, 0.0)
-        if before is None:
-            before = state_matrix(incident, Angles(theta, from_phi), surface)
-        after = state_matrix(incident, Angles(end, to_phi), surface)
-        yield theta, end, float(np.count_nonzero(before != after)) / before.size
-        # the next start is (nxt, from_phi): the same direction only if nothing was clamped
-        before = after if from_phi == to_phi and end == nxt else None
-        theta = nxt
+    steps = _grid_steps(step)
+    if from_phi == to_phi:
+        stride = 1
+        ends = (Angles(end, to_phi) for _, end in _grid_steps(step))
+        directions = itertools.chain([Angles(85.0, from_phi)], ends)
+    else:
+        stride = 2
+        directions = itertools.chain.from_iterable(
+            (Angles(theta, from_phi), Angles(end, to_phi)) for theta, end in _grid_steps(step)
+        )
+    coded, last = 0, None  # states coded so far, and the last of them
+    for block in state_blocks(incident, directions, surface):
+        # a step starts at every stride-th state: the block's first such state is at a,
+        # and the step before it may start at the previous block's last state
+        a, changed = -coded % stride, []
+        if coded and (coded - 1) % stride == 0:
+            changed.append(_changed_cells(last, block[0], surface.n_cells))
+        if len(block) > a + 1:
+            changed += _changed_cells(block[a:-1:stride], block[a + 1 :: stride], surface.n_cells)
+        for count, (theta, end) in zip(changed, steps):
+            yield theta, end, count / surface.n_cells
+        coded, last = coded + len(block), block[-1]
 
 
 def spatial_cv(ratios: np.ndarray) -> float:

@@ -17,9 +17,9 @@ from steertrace import (
     case_c_trajectory,
     read_report,
     read_trace,
-    state_matrix,
 )
 from steertrace.cli import main
+from steertrace.coding import state_blocks
 from steertrace.gateway import NORMAL_INCIDENCE
 
 
@@ -321,11 +321,10 @@ def test_sweep_grid_shape_and_trend(capsys):
 def test_grid_sweep_codes_each_distinct_direction_once(capsys, monkeypatch, argv, steps, calls):
     coded = []
 
-    def counting_state_matrix(incident, reflected, cfg):
-        coded.append(reflected)
-        return state_matrix(incident, reflected, cfg)
+    def counting_state_blocks(incident, directions, cfg):
+        return state_blocks(incident, (coded.append(d) or d for d in directions), cfg)
 
-    monkeypatch.setattr(steertrace.metrics, "state_matrix", counting_state_matrix)
+    monkeypatch.setattr(steertrace.metrics, "state_blocks", counting_state_blocks)
     assert run_cli("sweep", *argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == steps
     assert len(coded) == len(set(coded)) == calls

@@ -14,6 +14,7 @@ from steertrace.coding import (
     phase_gradients,
     quantize_phase,
 )
+from steertrace.metrics import sweep_grid
 
 INC = Angles(0.0, 0.0)
 
@@ -208,6 +209,26 @@ def test_a_zero_gradient_component_codes_one_line(monkeypatch, reflected, coded)
     m = state_matrix(INC, reflected, SurfaceConfig(n_cols=30, n_rows=70))
     assert sizes == [coded]
     assert m.shape == (70, 30)
+
+
+@pytest.mark.parametrize("phi, sizes", [
+    # 341 rows of 120 cells: two full blocks and the rest
+    (0.0, [136 * 120, 136 * 120, 69 * 120]),
+    # a full 120x120 grid a block, until theta 0 codes one cell
+    (33.0, [120 * 120] * 340 + [1]),
+])
+def test_a_sweep_quantizes_once_per_capped_block(monkeypatch, phi, sizes):
+    coded = []
+
+    def nearest_state(phases, n_states):
+        coded.append(np.size(phases))
+        return _nearest_state(phases, n_states)
+
+    monkeypatch.setattr(coding, "_nearest_state", nearest_state)
+    surface = SurfaceConfig(n_cols=120, n_rows=120)
+    assert len(list(sweep_grid(0.25, phi, phi, surface))) == 340
+    assert coded == sizes
+    assert max(coded) <= coding.BLOCK_CELLS == 2**14
 
 
 def _read_only(a):

@@ -1,12 +1,14 @@
 """Property tests of the input boundary (CLI overrides, trace files), of drift detection,
-of the quantizer and the state matrix, and of the CSV heat map."""
+of the quantizer, the state matrix and the block coder, and of the CSV heat map."""
 
 import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
+import pytest
 import scalar_oracle
 import trace_io_oracle
 from coding_oracle import full_grid_state_matrix, nearest_state
@@ -35,11 +37,13 @@ from steertrace import (
     state_matrix,
     write_trace,
 )
-from steertrace import trace_io
+from steertrace import coding, trace_io
 from steertrace.cli import main
 from steertrace.coding import MAX_CELLS, MAX_PHASE_STEPS, MAX_STATES, TWO_PI, _nearest_state
-from steertrace.gateway import BAND, detect_events
+from steertrace.coding import phase_gradients, state_blocks
+from steertrace.gateway import BAND, NORMAL_INCIDENCE, detect_events, diff_states
 from steertrace.geometry import angle_stream, signed_circular_delta_deg
+from steertrace.metrics import sweep_diff, sweep_grid
 from steertrace.scenario import FIELDS
 from steertrace.trace_io import _cell_fault, _decode_updates
 
@@ -673,19 +677,24 @@ angles = st.builds(
 )
 
 
-@st.composite
-def steering_pairs(draw):
-    """A surface (a line, a column or a rectangle), its state count, and two directions."""
-    sizes = st.integers(1, 40)
+def small_surfaces(draw, size=12):
+    """A line, a column or a rectangle of at most ``size`` cells a side, with its state
+    count and a wavelength, drawn with ``draw``."""
+    sizes = st.integers(1, size)
     n_cols, n_rows = draw(
         st.tuples(st.just(1), sizes) | st.tuples(sizes, st.just(1)) | st.tuples(sizes, sizes)
     )
-    surface = SurfaceConfig(
+    return SurfaceConfig(
         n_cols=n_cols, n_rows=n_rows,
         n_states=draw(st.sampled_from(STATE_COUNTS) | st.integers(2, MAX_STATES)),
         lambda_r=draw(st.sampled_from([0.03, 0.025])),
     )
-    return draw(angles), draw(angles), surface
+
+
+@st.composite
+def steering_pairs(draw):
+    """A surface (a line, a column or a rectangle), its state count, and two directions."""
+    return draw(angles), draw(angles), small_surfaces(draw, size=40)
 
 
 @settings(max_examples=400)
@@ -702,6 +711,132 @@ def test_state_matrix_gives_the_full_grid_codings_states(drawn):
     assert got.flags.writeable and got.flags.c_contiguous
     assert np.array_equal(got, want)
     assert not np.shares_memory(got, state_matrix(incident, reflected, surface))
+
+
+def block_lines(grads, surface):
+    """The (rows, cols) that a block of these gradients codes."""
+    return (
+        surface.n_rows if any(g.gy != 0 for g in grads) else 1,
+        surface.n_cols if any(g.gx != 0 for g in grads) else 1,
+    )
+
+
+@st.composite
+def direction_blocks(draw):
+    """A surface, an incidence, a cap of ``per_block`` full grids, and directions that
+    fill 1, per_block - 1, per_block or per_block + 1 full grids, or any number."""
+    surface = small_surfaces(draw)
+    incident = draw(st.just(NORMAL_INCIDENCE) | angles)
+    per_block = draw(st.integers(1, 6))
+    n = draw(st.sampled_from([1, per_block - 1, per_block, per_block + 1]) | st.integers(0, 20))
+    # the incidence itself cancels to gradients of +0.0 when the wavelengths are equal
+    directions = draw(st.lists(angles | st.just(incident), min_size=n, max_size=n))
+    return incident, directions, surface, per_block * surface.n_cells
+
+
+def check_blocks(incident, directions, surface, cap):
+    """``state_blocks`` under ``cap`` against the full-grid coding, direction by direction,
+    with each block as large as the cap allows and its axes compact where they can be."""
+    with mock.patch.object(coding, "BLOCK_CELLS", cap):
+        blocks = list(state_blocks(incident, iter(directions), surface))
+    assert sum(map(len, blocks)) == len(directions)
+    grads = [phase_gradients(incident, d, surface) for d in directions]
+    k = 0
+    for block in blocks:
+        n = len(block)
+        assert block.dtype == np.int64
+        assert block.shape[1:] == block_lines(grads[k : k + n], surface)
+        assert n == 1 or block.size <= cap
+        if k + n < len(directions):  # the next direction would not have fitted
+            assert (n + 1) * np.prod(block_lines(grads[k : k + n + 1], surface)) > cap
+        for states, reflected in zip(block, directions[k : k + n]):
+            want = full_grid_state_matrix(incident, reflected, surface)
+            assert np.array_equal(np.broadcast_to(states, want.shape), want)
+        k += n
+
+
+@settings(max_examples=300)
+@given(direction_blocks())
+@example((Angles(0.0, 0.0), [Angles(30.0, 0.0), Angles(0.0, 270.0), Angles(30.0, 90.0)],
+          SurfaceConfig(n_cols=3, n_rows=5), 3 * 15))
+@example((Angles(20.0, 180.0), [Angles(20.0, 180.0), Angles(40.0, -90.0), Angles(0.0, 360.0)],
+          SurfaceConfig(n_cols=1, n_rows=4), 4))
+def test_state_blocks_give_the_full_grid_codings_states(drawn):
+    check_blocks(*drawn)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_state_blocks_fill_blocks_at_the_modules_cap(extra):
+    # a 2x1 surface codes two cells a direction that has gx != 0
+    surface = SurfaceConfig(n_cols=2, n_rows=1)
+    n = coding.BLOCK_CELLS // 2 + extra
+    directions = [Angles(1.0 + 88.0 * k / n, 0.0) for k in range(n)]
+    check_blocks(NORMAL_INCIDENCE, directions, surface, coding.BLOCK_CELLS)
+
+
+def grid_steps(step):
+    """The sweep's (from_theta, to_theta) pairs, as the one-direction-at-a-time loop made them."""
+    theta, steps = 85.0, []
+    while theta - step >= -1e-9:
+        steps.append((theta, max(theta - step, 0.0)))
+        theta -= step
+    return steps
+
+
+phis = st.sampled_from([0.0, -0.0, 33.0, 90.0, 180.0, 270.0, 360.0]) | st.floats(-720.0, 720.0)
+
+
+@st.composite
+def grid_sweeps(draw):
+    """A sweep's step (85/k clamps the last step at 0 for many k), phis, surface and cap."""
+    surface = small_surfaces(draw, size=6)
+    step = draw(st.integers(1, 40).map(lambda k: 85.0 / k) | st.floats(2.0, 85.0))
+    from_phi = draw(phis)
+    to_phi = draw(st.just(from_phi) | phis)
+    incident = draw(st.just(NORMAL_INCIDENCE) | angles)
+    # blocks of one to five full grids, so that a block can end on a step's start
+    cap = max(1, draw(st.integers(1, 5)) * surface.n_cells + draw(st.sampled_from([-1, 0, 1])))
+    return step, from_phi, to_phi, surface, incident, cap
+
+
+@settings(max_examples=200)
+@given(grid_sweeps())
+@example((85.0 / 11, 0.0, 0.0, SurfaceConfig(n_cols=4, n_rows=3), NORMAL_INCIDENCE, 5))
+@example((85.0 / 11, 33.0, 10.0, SurfaceConfig(n_cols=4, n_rows=3), NORMAL_INCIDENCE, 36))
+@example((85.0 / 15, 33.0, 33.0, SurfaceConfig(n_cols=2, n_rows=5), Angles(20.0, 0.0), 25))
+def test_every_sweep_grid_fraction_is_the_sweep_diff_of_its_pair(drawn):
+    step, from_phi, to_phi, surface, incident, cap = drawn
+    with mock.patch.object(coding, "BLOCK_CELLS", cap):
+        got = list(sweep_grid(step, from_phi, to_phi, surface, incident))
+        assert [(a, b) for a, b, _ in got] == grid_steps(step)
+        for theta, end, fraction in got:
+            pair = Angles(theta, from_phi), Angles(end, to_phi)
+            assert fraction == sweep_diff(*pair, surface, incident)
+            before, after = (full_grid_state_matrix(incident, d, surface) for d in pair)
+            assert fraction == np.count_nonzero(before != after) / surface.n_cells
+
+
+@st.composite
+def compact_pairs(draw):
+    """Two state matrices of one grid, each with its rows, its columns or both compact."""
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def matrix():
+        shape = (draw(st.sampled_from([1, n_rows])), draw(st.sampled_from([1, n_cols])))
+        values = draw(st.lists(st.integers(0, 2), min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]))
+        return np.array(values, np.int64).reshape(shape)
+
+    return matrix(), matrix(), (n_rows, n_cols)
+
+
+@given(compact_pairs())
+def test_a_compact_diff_gives_the_full_diffs_rows(drawn):
+    old, new, shape = drawn
+    got = diff_states(old, new, shape)
+    want = diff_states(np.broadcast_to(old, shape).copy(), np.broadcast_to(new, shape).copy())
+    assert got.shape == want.shape and got.shape[1:] == (3,)
+    assert np.array_equal(got, want)
 
 
 OUT_OF_RANGE = (-1, -(2**63), -(2**63 - 1), 2**63 - 1)

@@ -1,14 +1,16 @@
 """Time ``steertrace simulate`` and ``steertrace metrics --heatmap`` on the north-star
-scenario matrix, parent against change, and write the medians as ``BENCH_<pr>.json``.
+scenario matrix, and ``steertrace sweep --grid`` on a few sweeps, parent against
+change, and write the medians as ``BENCH_<pr>.json``.
 
     python3 tools/bench_matrix.py PARENT_TREE CHANGE_TREE --pr N --change "what changed"
 
 PARENT_TREE and CHANGE_TREE are source trees of steertrace (``git archive`` of
 each commit will do); each side imports the package from its tree's ``src``.
 Each round runs ``simulate`` once per side and then ``metrics`` once per side on
-that side's trace, alternating which side goes first, each command in a fresh
-interpreter started from /bin/sh, and hashes every trace, report and heat map.
-Runs go one at a time, so peak memory is that of one command.
+that side's trace (or, for a sweep, ``sweep`` once per side), alternating which
+side goes first, each command in a fresh interpreter started from /bin/sh, and
+hashes every trace, report, heat map and sweep output.  Runs go one at a time,
+so peak memory is that of one command.
 """
 
 from __future__ import annotations
@@ -48,6 +50,25 @@ SCENARIOS = {
     ),
 }
 
+# The sweep workload of perfbench, and the same sweep and a 500x500 one off phi 0,
+# where every direction codes the full grid.
+SWEEPS = {
+    "sweep_120x120": (
+        ["--grid", "0.25", "surface.n_cols=120", "surface.n_rows=120"],
+        "340 steps over 341 directions at phi 0, one row of 120 cells each",
+    ),
+    "sweep_120x120_phi33": (
+        ["--grid", "0.25", "--from-phi", "33", "--to-phi", "33",
+         "surface.n_cols=120", "surface.n_rows=120"],
+        "340 steps over 341 directions that each code the full 120x120 grid but the last",
+    ),
+    "sweep_500x500_phi33": (
+        ["--grid", "5", "--from-phi", "33", "--to-phi", "33",
+         "surface.n_cols=500", "surface.n_rows=500"],
+        "17 steps over 18 directions that each code the full 500x500 grid but the last",
+    ),
+}
+
 # Runs one command and prints, as its last stdout line, the cli.main call's time and
 # page faults and the process's peak RSS.
 CHILD = """\
@@ -64,10 +85,12 @@ print(json.dumps({"rc": rc, "main_s": elapsed, "maxrss_kb": after.ru_maxrss,
 
 METHOD = (
     "Each round runs simulate once per side, then metrics once per side on the trace "
-    "that side wrote, alternating which side goes first, each in a fresh interpreter "
+    "that side wrote (a sweep row: sweep once per side), alternating which side goes "
+    "first, each in a fresh interpreter "
     "started from /bin/sh (PYTHONDONTWRITEBYTECODE=1 with no __pycache__ in either "
     "tree, so every run compiles the package; SOURCE_DATE_EPOCH=0, one BLAS thread). "
-    "Every run's trace, report and heat map are hashed; outputs_identical means every "
+    "Every run's trace, report and heat map, or sweep stdout, are hashed; "
+    "outputs_identical means every "
     "run of both sides gave the same bytes and exit code 0. Values are medians over the "
     "rounds, in host seconds, unscaled. command_s: spawn to exit, interpreter start and "
     "imports included. main_s: the cli.main call. peak_rss_mb: getrusage ru_maxrss of "
@@ -76,9 +99,9 @@ METHOD = (
 )
 
 
-def run(tree: Path, argv: list[str], env: dict) -> tuple[dict, float]:
-    """One command in a fresh interpreter on ``tree``'s package: the child's probe, and
-    the time from spawn to exit."""
+def run(tree: Path, argv: list[str], env: dict) -> tuple[dict, float, str]:
+    """One command in a fresh interpreter on ``tree``'s package: the child's probe, the
+    time from spawn to exit, and the digest of the command's own stdout."""
     command = shlex.join([sys.executable, "-c", CHILD, *argv])
     start = time.perf_counter()
     done = subprocess.run(
@@ -88,7 +111,8 @@ def run(tree: Path, argv: list[str], env: dict) -> tuple[dict, float]:
     elapsed = time.perf_counter() - start
     if done.returncode != 0:
         raise SystemExit(f"{shlex.join(argv)} on {tree} failed:\n{done.stderr}")
-    return json.loads(done.stdout.splitlines()[-1]), elapsed
+    *printed, probe = done.stdout.splitlines(keepends=True)
+    return json.loads(probe), elapsed, hashlib.sha256("".join(printed).encode()).hexdigest()
 
 
 def digest(path: Path) -> str:
@@ -116,36 +140,42 @@ def bench(parent: Path, change: Path, rounds: int, work: Path) -> dict:
     for tree in trees.values():
         if next((tree / "src").rglob("__pycache__"), None):  # a side that skips compiling
             raise SystemExit(f"{tree / 'src'} holds __pycache__; pass a tree without it")
+    rows = {name: ("simulate", *row) for name, row in SCENARIOS.items()}
+    rows.update({name: ("sweep", *row) for name, row in SWEEPS.items()})
     scenarios = {}
-    for name, (args, why) in SCENARIOS.items():
+    for name, (kind, args, why) in rows.items():
         report, heat = work / "r.jsonl", work / "h.csv"
         traces = {side: work / f"{name}.{side}.jsonl" for side in trees}
-        commands = {
-            "simulate": lambda side: ["simulate", "--out", str(traces[side]), *args],
-            "metrics": lambda side: ["metrics", "--trace", str(traces[side]),
-                                     "--report", str(report), "--heatmap", str(heat)],
+        # per command and side: its argv and the named files that hold its output;
+        # a command with no such file has its stdout as its output
+        commands = {"sweep": lambda side: (["sweep", *args], {})} if kind == "sweep" else {
+            "simulate": lambda side: (["simulate", "--out", str(traces[side]), *args],
+                                      {"trace": traces[side]}),
+            "metrics": lambda side: (["metrics", "--trace", str(traces[side]), "--report",
+                                      str(report), "--heatmap", str(heat)],
+                                     {"report": report, "heatmap": heat}),
         }
         samples = {command: {side: [] for side in trees} for command in commands}
-        outputs = {"simulate": set(), "metrics": set()}
+        outputs = {command: set() for command in commands}
         for k in range(rounds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for command, argv in commands.items():
+            for command, spec in commands.items():
                 for side in order:
-                    probe, command_s = run(trees[side], argv(side), env)
-                    written = (traces[side],) if command == "simulate" else (report, heat)
-                    outputs[command].add((probe["rc"], *map(digest, written)))
+                    argv, files = spec(side)
+                    probe, command_s, printed = run(trees[side], argv, env)
+                    sha = {key: digest(path) for key, path in files.items()} or {"stdout": printed}
+                    outputs[command].add((probe["rc"], *sha.items()))
                     samples[command][side].append({
                         "command_s": command_s, "main_s": probe["main_s"],
                         "peak_rss_mb": probe["maxrss_kb"] / 1024, "minflt": probe["minflt"],
                     })
-        (rc_sim, trace_sha), (rc_met, report_sha, heat_sha) = map(min, outputs.values())
         row = scenarios[name] = {
             "rounds": rounds,
-            "outputs_identical": all(len(o) == 1 for o in outputs.values()) and rc_sim == rc_met == 0,
-            "outputs_sha256": {"trace": trace_sha, "report": report_sha, "heatmap": heat_sha},
-            "trace_bytes": traces["parent"].stat().st_size,
-            "format": "csv",
+            "outputs_identical": all(len(o) == 1 and min(o)[0] == 0 for o in outputs.values()),
+            "outputs_sha256": {key: sha for o in outputs.values() for key, sha in min(o)[1:]},
         }
+        if kind == "simulate":
+            row.update(trace_bytes=traces["parent"].stat().st_size, format="csv")
         for command, by_side in samples.items():
             row[command] = {
                 side: {key: round(statistics.median(r[key] for r in runs), 4) for key in runs[0]}
@@ -157,7 +187,7 @@ def bench(parent: Path, change: Path, rounds: int, work: Path) -> dict:
         if why:
             row["why"] = why
         for trace in traces.values():
-            trace.unlink()
+            trace.unlink(missing_ok=True)  # a sweep row writes none
         print(name, json.dumps(row), file=sys.stderr)
     return scenarios
 
@@ -178,6 +208,7 @@ def main() -> None:
         "commands": [
             "steertrace simulate --out T ARGS",
             "steertrace metrics --trace T --report R --heatmap H",
+            "steertrace sweep ARGS",
         ],
         "hardware": hardware(),
         "method": METHOD,
