@@ -11,15 +11,12 @@ import json
 import sys
 from dataclasses import replace
 
-from .coding import aliasing_check, phase_gradients
 from .errors import TraceParseError, ValidationError
-from .gateway import TraceMeta, TrafficTrace, run_simulation
+from .gateway import TraceMeta, format_number, iter_events
 from .geometry import MAX_SAMPLES, Angles
 from .metrics import summarize, sweep_diff, sweep_grid
 from .scenario import defaults, meta_from_dict
-from .trace_io import (
-    default_created, export_heatmap, format_number, iter_trace, write_report, write_trace,
-)
+from .trace_io import default_created, export_heatmap, iter_trace, write_events, write_report
 
 
 def load_scenario(args) -> tuple[TraceMeta, str]:
@@ -60,25 +57,6 @@ def load_scenario(args) -> tuple[TraceMeta, str]:
     return meta_from_dict(cfg), trace_path
 
 
-def _warn_on_aliasing(trace: TrafficTrace):
-    surface = trace.meta.surface
-    incident = trace.meta.incident
-    aliased = []
-    for ev in trace.events:
-        report = aliasing_check(phase_gradients(incident, ev.reflected, surface), surface)
-        if report.aliased:
-            aliased.append((ev, report))
-    if aliased:
-        import logging  # here, not at the top: every command would pay its import
-
-        ev, report = aliased[0]
-        logging.getLogger("steertrace").warning(
-            "aliasing at %d of %d events, first at t=%s: the per-cell phase step "
-            "(%.4f, %.4f rad) exceeds half a cycle, so the steered direction is undersampled",
-            len(aliased), len(trace.events), format_number(ev.t), report.step_x, report.step_y,
-        )
-
-
 def cmd_simulate(args) -> int:
     created = default_created()  # a bad SOURCE_DATE_EPOCH stops the run before any output
     meta, out_path = load_scenario(args)
@@ -87,12 +65,11 @@ def cmd_simulate(args) -> int:
         meta = replace(meta, trajectory=replace(meta.trajectory, params=params))
     if args.out is not None:
         out_path = args.out
-    trace = run_simulation(meta.trajectory, meta.surface, meta.gateway, meta.incident)
-    _warn_on_aliasing(trace)
+    events = iter_events(meta)  # a refused scenario raises here, before the file is opened
     with open(out_path, "wb") as fh:
-        write_trace(trace, fh, created)
+        n_events, n_packets = write_events(meta, events, fh, created)
     print(
-        f"events={len(trace.events)} packets={trace.total_packets} "
+        f"events={n_events} packets={n_packets} "
         f"duration={format_number(meta.trajectory.duration)} trace={out_path}"
     )
     return 0

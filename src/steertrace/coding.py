@@ -202,9 +202,13 @@ def state_blocks(
     each later step is elementwise, so stacking changes no bit.  A block holds
     at most ``BLOCK_CELLS`` cells unless its one direction alone has more.
     """
+    return gradient_blocks((phase_gradients(incident, d, cfg) for d in directions), cfg)
+
+
+def gradient_blocks(gradients: Iterable[PhaseGradient], cfg: SurfaceConfig) -> Iterator[np.ndarray]:
+    """``state_blocks`` of the directions whose ``phase_gradients`` are ``gradients``."""
     block, rows, cols = [], False, False  # (gx, gy) pairs; whether all rows, all cols are coded
-    for reflected in directions:
-        g = phase_gradients(incident, reflected, cfg)
+    for g in gradients:
         r, c = rows or g.gy != 0, cols or g.gx != 0
         cells = (len(block) + 1) * (cfg.n_rows if r else 1) * (cfg.n_cols if c else 1)
         if block and cells > BLOCK_CELLS:

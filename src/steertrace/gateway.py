@@ -1,4 +1,4 @@
-"""Gateway emulation: drift detection, state-matrix diffs, trace assembly.
+"""Gateway emulation: drift detection, state-matrix diffs, the event stream.
 
 The gateway watches the sampled reflection angles and reconfigures the
 surface whenever either angle has drifted by the angular step.  Each
@@ -11,10 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .coding import SurfaceConfig, state_blocks
+from .coding import PhaseGradient, SurfaceConfig, aliasing_check, gradient_blocks, phase_gradients
 from .errors import ValidationError
 from .geometry import MAX_SAMPLES, Angles, AngleStream, Trajectory, angle_stream
 from .geometry import signed_circular_delta_deg
@@ -28,6 +29,12 @@ ANGLE_EPS_DEG = 1e-9
 BAND = 1e-7
 
 NORMAL_INCIDENCE = Angles(0.0, 0.0)
+
+
+def format_number(value: float) -> str:
+    """Shortest decimal form that round-trips; integral floats drop the '.0'."""
+    s = repr(float(value))
+    return s[:-2] if s.endswith(".0") else s
 
 
 @dataclass(frozen=True)
@@ -218,26 +225,55 @@ def diff_states(
     return np.column_stack((cols, rows, new[changed]))
 
 
+def iter_events(meta: TraceMeta) -> Iterator[ReconfigEvent]:
+    """The events of ``meta``'s scenario, each coded and diffed when the iterator reaches it.
+
+    Sampling, detection and every pick's ``phase_gradients`` run before this
+    returns, so a scenario that any of them refuses raises here, before a
+    caller opens an output; the aliasing warning, if a pick is aliased, is
+    logged here too.  The iterator holds the picks, their gradients, the
+    surface's state and one event, not the samples.  The surface starts in
+    the all-zero state, and every pick is an event, even one whose diff is
+    empty.  The picks are coded in ``state_blocks``'s blocks, and the
+    surface's state is kept compact.
+    """
+    gw = meta.gateway
+    picks = detect_events(angle_stream(meta.trajectory, gw.sample_dt), gw.angular_step)
+    grads = [phase_gradients(meta.incident, ang, meta.surface) for _, ang in picks]
+    _warn_on_aliasing(picks, grads, meta.surface)
+    return _diffed(picks, grads, meta.surface)
+
+
+def _warn_on_aliasing(picks: list, grads: list[PhaseGradient], surface: SurfaceConfig):
+    reports = (aliasing_check(g, surface) for g in grads)
+    aliased = [(t, report) for (t, _), report in zip(picks, reports) if report.aliased]
+    if aliased:
+        import logging  # here, not at the top: every command would pay its import
+
+        t, report = aliased[0]
+        logging.getLogger("steertrace").warning(
+            "aliasing at %d of %d events, first at t=%s: the per-cell phase step "
+            "(%.4f, %.4f rad) exceeds half a cycle, so the steered direction is undersampled",
+            len(aliased), len(picks), format_number(t), report.step_x, report.step_y,
+        )
+
+
+def _diffed(picks: list, grads: list[PhaseGradient], surface: SurfaceConfig) -> Iterator:
+    full = (surface.n_rows, surface.n_cols)
+    current = np.zeros((1, 1), dtype=np.int64)
+    targets = itertools.chain.from_iterable(gradient_blocks(grads, surface))
+    for (t, ang), target in zip(picks, targets):
+        yield ReconfigEvent(t, ang, diff_states(current, target, full))
+        current = target
+
+
 def run_simulation(
     trajectory: Trajectory,
     surface: SurfaceConfig,
     gateway: GatewayConfig,
     incident: Angles = NORMAL_INCIDENCE,
 ) -> TrafficTrace:
-    """Simulate one scenario end to end and return its traffic trace.
-
-    The surface starts in the all-zero state.  Every detected event is
-    recorded, including those whose diff is empty.  The picks are coded in
-    ``state_blocks``'s blocks, and the surface's state is kept compact.
-    """
+    """Simulate one scenario end to end and return its traffic trace, every event of
+    :func:`iter_events` held."""
     meta = TraceMeta(surface, gateway, incident, trajectory)  # checks the sample count
-    stream = angle_stream(trajectory, gateway.sample_dt)
-    picks = detect_events(stream, gateway.angular_step)
-    blocks = state_blocks(incident, (ang for _, ang in picks), surface)
-    full = (surface.n_rows, surface.n_cols)
-    current = np.zeros((1, 1), dtype=np.int64)
-    events = []
-    for (t, ang), target in zip(picks, itertools.chain.from_iterable(blocks)):
-        events.append(ReconfigEvent(t, ang, diff_states(current, target, full)))
-        current = target
-    return TrafficTrace(meta, tuple(events))
+    return TrafficTrace(meta, tuple(iter_events(meta)))

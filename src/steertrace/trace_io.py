@@ -39,12 +39,12 @@ import os
 from dataclasses import fields
 from datetime import datetime, timezone
 from itertools import chain
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
 from .errors import TraceParseError, TraceWriteError, ValidationError
-from .gateway import ReconfigEvent, TraceMeta, TrafficTrace, outside_surface
+from .gateway import ReconfigEvent, TraceMeta, TrafficTrace, format_number, outside_surface
 from .geometry import Angles
 from .metrics import WorkloadReport
 from .scenario import is_finite_number, meta_from_dict, meta_to_dict
@@ -58,12 +58,6 @@ _UPDATES_KEY = b',"updates":'
 _JSON = json.JSONEncoder(separators=(",", ":"))  # json.dumps's text with these separators
 _EVENT_KEYS = ("t", "theta_r", "phi_r", "updates")
 _RBRACE, _ZERO = b"}0"
-
-
-def format_number(value: float) -> str:
-    """Shortest decimal form that round-trips; integral floats drop the '.0'."""
-    s = repr(float(value))
-    return s[:-2] if s.endswith(".0") else s
 
 
 def default_created() -> str:
@@ -126,13 +120,22 @@ def _token_table(n: int, before: bytes, after: bytes) -> np.ndarray:
 
 
 def write_trace(trace: TrafficTrace, dest: BinaryIO, created: str | None = None):
-    """Serialize a trace; see the module docstring for the format.
+    """Serialize a trace: :func:`write_events` of its scenario and events."""
+    write_events(trace.meta, trace.events, dest, created)
+
+
+def write_events(
+    meta: TraceMeta, events: Iterable[ReconfigEvent], dest: BinaryIO, created: str | None = None
+) -> tuple[int, int]:
+    """Serialize ``meta`` and ``events``, each event's line written as ``events`` yields
+    it; see the module docstring for the format.  Returns the number of events and of
+    packets written.
 
     An event with an update outside the surface's grid or states raises
     ValidationError before any byte of its line is written.  Two updates for
     one cell are written as they are; the reader refuses them.
     """
-    surface = trace.meta.surface
+    surface = meta.surface
     # a row codes as "[col," "row," "state]," from these tables, its NUL padding dropped
     tables = [
         _token_table(surface.n_cols, b"[", b","),
@@ -140,8 +143,9 @@ def write_trace(trace: TrafficTrace, dest: BinaryIO, created: str | None = None)
         _token_table(surface.n_states, b"", b"],"),
     ]
     record = np.dtype([("", table.dtype) for table in tables])  # fields f0, f1 and f2
-    sink = _start(dest, created, meta=meta_to_dict(trace.meta))
-    for ev in trace.events:
+    sink = _start(dest, created, meta=meta_to_dict(meta))
+    n_events = n_packets = 0
+    for ev in events:
         rows = ev.updates
         fault = outside_surface(rows, surface)[1]
         if fault:
@@ -154,6 +158,9 @@ def write_trace(trace: TrafficTrace, dest: BinaryIO, created: str | None = None)
         head = _JSON.encode({"t": ev.t, "theta_r": ev.reflected.theta, "phi_r": ev.reflected.phi})
         # "[" + the rows but the last one's "," + "]": "[]" for an event of no rows
         sink.write(b"".join([head[:-1].encode(), _UPDATES_KEY, b"[", kept[:-1], b"]}\n"]))
+        n_events += 1
+        n_packets += len(rows)
+    return n_events, n_packets
 
 
 def _parse_line(line: bytes, line_number: int) -> dict:

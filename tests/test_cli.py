@@ -45,6 +45,35 @@ def test_simulate_rejects_single_state_surface(tmp_path, capsys):
     assert "n_states" in capsys.readouterr().err
 
 
+def test_a_refused_simulation_leaves_an_existing_output_alone(tmp_path, capsys):
+    # the flight is so fast that the target passes overhead, where theta is 90
+    out = tmp_path / "trace.jsonl"
+    out.write_bytes(b"an earlier trace\n")
+    argv = ["scenario.case=B", "scenario.speed=1e20", "scenario.duration=1"]
+    assert run_cli("simulate", "--out", str(out), *argv) == 2
+    assert "reflected.theta=90.0 must lie in [0, 90)" in capsys.readouterr().err
+    assert out.read_bytes() == b"an earlier trace\n"
+
+
+def test_simulate_computes_each_picks_gradients_once(tmp_path, capsys):
+    # a profile hook sees every call of the function, whatever name a module imported it by
+    code, calls = steertrace.coding.phase_gradients.__code__, []
+
+    def count_calls(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(event)
+
+    argv = ["surface.n_cols=8", "surface.n_rows=8", "gateway.angular_step=0.02"]
+    sys.setprofile(count_calls)
+    try:
+        rc = run_cli("simulate", "--out", str(tmp_path / "t.jsonl"), *argv)
+    finally:
+        sys.setprofile(None)
+    assert rc == 0
+    assert "events=4251 " in capsys.readouterr().out
+    assert len(calls) == 4251
+
+
 def test_simulate_unknown_override_key(tmp_path, capsys):
     code = run_cli("simulate", "--out", str(tmp_path / "t.jsonl"), "surface.bogus=3")
     assert code == 2

@@ -1,4 +1,5 @@
 import io
+import logging
 import math
 import tracemalloc
 
@@ -22,7 +23,7 @@ from steertrace import (
     state_matrix,
     write_trace,
 )
-from steertrace.gateway import ANGLE_EPS_DEG, detect_events, diff_states
+from steertrace.gateway import ANGLE_EPS_DEG, TraceMeta, detect_events, diff_states, iter_events
 from steertrace.geometry import Case, Trajectory, angle_stream
 
 INC = Angles(0.0, 0.0)
@@ -315,3 +316,14 @@ def test_case_c_simulation_memory_grows_with_the_events_not_the_samples():
     rows = sum(ev.updates.nbytes for ev in trace.events)
     # the events' rows, 1 KiB per event for the rest of it, and 1 MiB for one surface's work
     assert peak < rows + 1024 * len(trace.events) + 2**20
+
+
+def test_iter_events_logs_the_aliasing_warning_once_before_it_returns(caplog):
+    # a 5 cm cell pitch undersamples 14 of the 18 default walk-by directions
+    meta = TraceMeta(SurfaceConfig(d_u=0.05), GatewayConfig(), INC, case_a_trajectory())
+    with caplog.at_level(logging.WARNING, logger="steertrace"):
+        events = iter_events(meta)
+        assert len(caplog.records) == 1
+        assert "aliasing at 14 of 18 events, first at t=0:" in caplog.records[0].getMessage()
+        assert len(list(events)) == 18
+    assert len(caplog.records) == 1

@@ -19,13 +19,17 @@ from steertrace import (
     Trajectory,
     ValidationError,
     burst_stats,
+    case_a_trajectory,
     destination_matrix,
     injection_rate,
+    run_simulation,
     sweep_diff,
     write_trace,
 )
 from steertrace.cli import main
+from steertrace.gateway import iter_events
 from steertrace.metrics import spatial_cv
+from steertrace.trace_io import write_events
 
 INC = Angles(0.0, 0.0)
 
@@ -249,6 +253,30 @@ def test_write_trace_memory_is_bounded_by_the_largest_event():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+
+
+def test_streamed_simulation_memory_is_bounded_by_the_largest_event():
+    """``write_events`` of ``iter_events`` peaks at a bound set by the largest event, not
+    by the trace.
+
+    Case A on a 200x200 surface sampled every 10 ms bursts in 18 events of up to 33,400
+    rows.  The bound allows 6 times the largest event's rows (its diff's index arrays,
+    its rows and their copy, the previous event and the coded line) and 1 MB for the
+    picks, the surface's state and everything else.  The built trace's rows alone
+    exceed it.
+    """
+    surface, gateway = SurfaceConfig(n_cols=200, n_rows=200), GatewayConfig(sample_dt=0.01)
+    meta = TraceMeta(surface, gateway, INC, case_a_trajectory())
+    tracemalloc.start()
+    try:
+        write_events(meta, iter_events(meta), NullSink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = [ev.updates.nbytes for ev in run_simulation(meta.trajectory, surface, gateway).events]
+    bound = 6 * max(rows) + 2**20
+    assert sum(rows) > bound
     assert peak < bound, (peak, bound)
 
 

@@ -31,6 +31,8 @@ from steertrace import (
     write_report,
     write_trace,
 )
+from steertrace.gateway import iter_events
+from steertrace.trace_io import write_events
 
 
 def roundtrip(trace):
@@ -42,6 +44,29 @@ def roundtrip(trace):
 
 def test_round_trip_is_identity(short_case_c_trace):
     assert roundtrip(short_case_c_trace) == short_case_c_trace
+
+
+@pytest.mark.parametrize(
+    "surface, gateway, trajectory",
+    [
+        (SurfaceConfig(), GatewayConfig(), case_a_trajectory()),
+        (SurfaceConfig(), GatewayConfig(), case_b_trajectory()),
+        (SurfaceConfig(), GatewayConfig(), case_c_trajectory(CaseParams(rng_seed=3))),
+        # 4,251 events, 4,227 of them empty
+        (SurfaceConfig(n_cols=8, n_rows=8), GatewayConfig(angular_step=0.02), case_a_trajectory()),
+        # 14 of the 18 picks aliased
+        (SurfaceConfig(d_u=0.05), GatewayConfig(), case_a_trajectory()),
+    ],
+    ids=["A", "B", "C-seed3", "A-8x8-step0.02", "A-aliased"],
+)
+def test_streamed_events_write_the_bytes_of_the_built_trace(surface, gateway, trajectory):
+    meta = TraceMeta(surface, gateway, Angles(0.0, 0.0), trajectory)
+    trace = run_simulation(trajectory, surface, gateway)
+    built, streamed = io.BytesIO(), io.BytesIO()
+    write_trace(trace, built)
+    counts = write_events(meta, iter_events(meta), streamed)
+    assert streamed.getvalue() == built.getvalue()
+    assert counts == (len(trace.events), trace.total_packets)
 
 
 def test_case_a_trace_has_one_line_per_event_plus_header(case_a_trace):

@@ -34,6 +34,10 @@ SCENARIOS = {
     "B_default": (["scenario.case=B"], None),
     "C_600s_seed3": (["scenario.case=C", "scenario.duration=600", "--seed", "3"], None),
     "A_500x500": (["surface.n_cols=500", "surface.n_rows=500"], None),
+    "A_1000x1000": (
+        ["surface.n_cols=1000", "surface.n_rows=1000"],
+        "MAX_CELLS: 18 events, 13,517,000 packets, a 159 MB trace",
+    ),
     "A_8x8_step002": (
         ["surface.n_cols=8", "surface.n_rows=8", "gateway.angular_step=0.02"],
         "many tiny bursts: 4,251 events, 4,227 of them empty, 272 packets",
@@ -95,7 +99,8 @@ METHOD = (
     "rounds, in host seconds, unscaled. command_s: spawn to exit, interpreter start and "
     "imports included. main_s: the cli.main call. peak_rss_mb: getrusage ru_maxrss of "
     "that process. minflt: getrusage ru_minflt during the cli.main call. change_lower: "
-    "rounds in which the change's cli.main call was faster."
+    "rounds in which the change's cli.main call was faster. rss_lower: rounds in which "
+    "the change's peak_rss_mb was lower."
 )
 
 
@@ -181,8 +186,10 @@ def bench(parent: Path, change: Path, rounds: int, work: Path) -> dict:
                 side: {key: round(statistics.median(r[key] for r in runs), 4) for key in runs[0]}
                 for side, runs in by_side.items()
             }
-            faster = sum(c["main_s"] < p["main_s"] for p, c in zip(*by_side.values()))
-            row[command]["change_lower"] = f"{faster}/{rounds}"
+            pairs = list(zip(*by_side.values()))
+            faster = sum(c["main_s"] < p["main_s"] for p, c in pairs)
+            leaner = sum(c["peak_rss_mb"] < p["peak_rss_mb"] for p, c in pairs)
+            row[command].update(change_lower=f"{faster}/{rounds}", rss_lower=f"{leaner}/{rounds}")
         row["args"] = args
         if why:
             row["why"] = why
