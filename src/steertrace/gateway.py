@@ -17,7 +17,7 @@ import numpy as np
 
 from .coding import PhaseGradient, SurfaceConfig, aliasing_check, gradient_blocks, phase_gradients
 from .errors import ValidationError
-from .geometry import MAX_SAMPLES, Angles, AngleStream, Trajectory, angle_stream
+from .geometry import MAX_STEPS, Angles, AngleStream, Trajectory, angle_stream
 from .geometry import signed_circular_delta_deg
 
 # Absorbs float round-off when a sample lands exactly on a threshold.
@@ -106,8 +106,8 @@ class TraceMeta:
     def __post_init__(self):
         if not 0.0 <= self.incident.theta < 90.0:
             raise ValidationError(f"theta={self.incident.theta!r} must lie in [0, 90)", "theta")
-        if self.trajectory.duration / self.gateway.sample_dt > MAX_SAMPLES:
-            raise ValidationError(f"sample_dt gives over {MAX_SAMPLES} samples", key="sample_dt")
+        if self.trajectory.duration / self.gateway.sample_dt > MAX_STEPS:
+            raise ValidationError(f"sample_dt gives over {MAX_STEPS} samples", key="sample_dt")
 
 
 @dataclass(frozen=True)
@@ -132,28 +132,33 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
     angle re-anchors to the picked sample; the picked angles themselves are
     always the raw samples at each crossing.
 
-    The scan skips over the stream's arrays to the next entry within ``BAND``
-    of a threshold and decides it on its exact angles, so the picks are those
-    of a sample-by-sample scan of the scalar path.  The rest of an entry's run
-    has its angles, so after a pick only the run's next sample can fire, and
-    after a sample that does not fire none of the run can.
+    The scan reads the stream's blocks in turn, skips over each block's arrays
+    to the next entry within ``BAND`` of a threshold and decides it on its
+    exact angles, so the picks are those of a sample-by-sample scan of the
+    scalar path.  The rest of an entry's run has its angles, so after a pick
+    only the run's next sample can fire, and after a sample that does not fire
+    none of the run can.
     """
     if not angular_step > 0:
         raise ValidationError("angular_step must be > 0", key="angular_step")
     if len(stream) == 0:
         raise ValidationError("stream must not be empty", key="stream")
-    if not (np.diff(stream.t) > 0).all():
-        raise ValidationError("stream times must be strictly increasing", key="stream")
     a = angular_step
+    blocks = _checked_blocks(stream)
+    k0, theta, phi = next(blocks)  # entry k0 and on
     picked = [stream.exact(0)]
     ang = picked[0][1]
     theta_ref, phi_ref = ang.theta, ang.phi
     k, r, end = 0, 1, stream.run_length(0)  # decide sample r of entry k's run, of end samples
     while True:
         if r == end:
-            k = _next_near_crossing(stream, k + 1, theta_ref, phi_ref, a)
-            if k == len(stream):
-                return picked
+            i = _next_near_crossing(theta, phi, k + 1 - k0, theta_ref, phi_ref, a)
+            while i == len(theta):  # none in this block: search the next
+                if (block := next(blocks, None)) is None:
+                    return picked
+                k0, theta, phi = block
+                i = _next_near_crossing(theta, phi, 0, theta_ref, phi_ref, a)
+            k = k0 + i
             r, end = 0, stream.run_length(k)
             t, ang = stream.exact(k)
         d_theta, d_phi = _drift(ang.theta, ang.phi, theta_ref, phi_ref)
@@ -178,28 +183,39 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
             phi_ref = ang.phi
 
 
+def _checked_blocks(stream: AngleStream) -> Iterator:
+    """Each of ``stream.blocks()`` as (first entry, theta, phi), once its times are checked."""
+    k0, t_prev = 0, -math.inf
+    for t, theta, phi in stream.blocks():
+        if not (t[0] > t_prev and (np.diff(t) > 0).all()):
+            raise ValidationError("stream times must be strictly increasing", key="stream")
+        yield k0, theta, phi
+        k0, t_prev = k0 + len(t), t[-1]
+
+
 def _drift(theta, phi, theta_ref, phi_ref):
     """Distance of theta and signed circular distance of phi from the references."""
     return abs(theta - theta_ref), signed_circular_delta_deg(phi, phi_ref)
 
 
-def _next_near_crossing(stream: AngleStream, k: int, theta_ref, phi_ref, step) -> int:
-    """First sample from ``k`` whose array angles come within ``BAND`` of a step, else len(stream).
+def _next_near_crossing(theta, phi, i: int, theta_ref, phi_ref, step) -> int:
+    """First index from ``i`` of a block's arrays whose angles come within ``BAND`` of a
+    step, else the block's length.
 
     Windows double in size: a near crossing costs little, a far one a few passes.
     """
     threshold = step - ANGLE_EPS_DEG - BAND
     width = 64
-    while k < len(stream):
-        window = slice(k, k + width)
-        d_theta, d_phi = _drift(stream.theta[window], stream.phi[window], theta_ref, phi_ref)
+    while i < len(theta):
+        window = slice(i, i + width)
+        d_theta, d_phi = _drift(theta[window], phi[window], theta_ref, phi_ref)
         near = (d_theta >= threshold) | (np.abs(d_phi) >= threshold)
-        i = int(near.argmax())
-        if near[i]:
-            return k + i
-        k += width
+        j = int(near.argmax())
+        if near[j]:
+            return i + j
+        i += width
         width *= 2
-    return len(stream)
+    return len(theta)
 
 
 def diff_states(

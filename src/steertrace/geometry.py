@@ -20,8 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from random import Random
+from typing import Iterator
 
 import numpy as np
 
@@ -30,7 +31,11 @@ from .errors import BehindSurfaceError, ValidationError
 GRAVITY = 9.81  # m/s^2
 LEAP_THETA_MAX = 85.0  # degrees, upper bound of the case-C leap draw
 CASE_B_SPEED = 30.0  # m/s, launch speed typical of the projectile case
-MAX_SAMPLES = 10**7  # angle samples per run, and case-C leaps; checked before allocation
+# Steps per run: angle samples, case-C leaps, metrics bins or sweep steps, each checked
+# before the count is used.  Samples are computed a block at a time, so for them this
+# bounds run time (about 0.1 us a sample), not memory.
+MAX_STEPS = 10**7
+SAMPLE_BLOCK = 2**13  # angle samples computed at once, a cache-sized block; cf. coding.BLOCK_CELLS
 
 
 class Case(str, Enum):
@@ -104,8 +109,8 @@ class Trajectory:
             "duration must be > 0",
             "duration",
         )
-        if self.case_id is Case.C and self.duration / self.params.leap_interval > MAX_SAMPLES:
-            raise ValidationError(f"leap_interval gives over {MAX_SAMPLES} leaps", key="leap_interval")
+        if self.case_id is Case.C and self.duration / self.params.leap_interval > MAX_STEPS:
+            raise ValidationError(f"leap_interval gives over {MAX_STEPS} leaps", key="leap_interval")
 
 
 def case_a_trajectory(params: CaseParams | None = None) -> Trajectory:
@@ -169,80 +174,105 @@ def angles_from_position(p: Point3D) -> Angles:
 
 @dataclass(frozen=True, eq=False)
 class AngleStream:
-    """A trajectory's angle samples as arrays, from ``angle_stream``.
+    """A trajectory's angle samples, from ``angle_stream``, computed a block at a time.
 
-    ``theta``/``phi`` come from numpy and may differ from the scalar path in
-    the last bits; ``exact(k)`` gives entry k on that path.  An entry stands
-    for a run of samples at equal angles: one sample in cases A and B, the
-    samples between two leaps in case C.  There ``runs`` holds each entry's
-    sample index and then the sample count, and ``exact(k, r)`` gives the
-    run's sample r, whose angles are entry k's.
+    An entry stands for a run of samples at equal angles: one sample in cases A
+    and B, the samples between two leaps in case C.  There ``runs`` holds each
+    entry's sample index and then the sample count.  ``blocks()`` yields the
+    entries' times and angles as numpy arrays, ``SAMPLE_BLOCK`` entries at a
+    time; the angles may differ from the scalar path in the last bits, and
+    ``exact(k, r)`` gives sample r of entry k's run on that path, with entry
+    k's angles.  ``t``, ``theta`` and ``phi`` are the whole stream's arrays,
+    computed on first use; detection does not use them.
     """
 
     trajectory: Trajectory
-    t: np.ndarray
-    theta: np.ndarray
-    phi: np.ndarray
-    runs: np.ndarray | None
     dt: float
+    last: int  # the endpoint's sample index
+    runs: np.ndarray | None  # None in cases A and B, where entry k is sample k
 
     def __len__(self) -> int:
-        return len(self.t)
+        return self.last + 1 if self.runs is None else len(self.runs) - 1
 
     def run_length(self, k: int) -> int:
         return 1 if self.runs is None else int(self.runs[k + 1] - self.runs[k])
 
     def exact(self, k: int, r: int = 0) -> tuple[float, Angles]:
-        t = float(self.t[k])
-        if r:
-            s = int(self.runs[k]) + r
-            t = self.trajectory.duration if s == self.runs[-1] - 1 else s * self.dt
+        s = (k if self.runs is None else int(self.runs[k])) + r
+        t = self.trajectory.duration if s == self.last else s * self.dt
         return t, angles_from_position(position_at(self.trajectory, t))
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(t, theta, phi) of entries [0, SAMPLE_BLOCK), [SAMPLE_BLOCK, 2 * SAMPLE_BLOCK), ..."""
+        for k0 in range(0, len(self), SAMPLE_BLOCK):
+            yield self._entries(k0, min(k0 + SAMPLE_BLOCK, len(self)))
+
+    @cached_property
+    def _whole(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._entries(0, len(self))
+
+    t = property(lambda self: self._whole[0])
+    theta = property(lambda self: self._whole[1])
+    phi = property(lambda self: self._whole[2])
+
+    def _entries(self, k0: int, k1: int):
+        s = np.arange(k0, k1) if self.runs is None else self.runs[k0:k1]
+        t, x, y = _positions(self.trajectory, self.dt, self.last, s)
+        theta = np.degrees(np.arctan2(np.hypot(x, y), self.trajectory.params.standoff_distance))
+        phi = np.degrees(np.arctan2(y, x)) % 360.0  # may round up to 360, which is 0 circularly
+        return t, theta, phi
 
 
 def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
     """Sample the trajectory every ``dt`` seconds, endpoint always included.
 
     Samples fall on t = 0, dt, 2*dt, ...; the final sample lands exactly on
-    ``duration`` (appended when the regular grid misses it).  One numpy pass
-    follows the operation order of ``position_at`` and ``angles_from_position``.
-    Case C keeps only the first sample of each leap's run, so its cost grows
-    with the leaps and not with the samples.
+    ``duration`` (appended when the regular grid misses it).  The stream holds
+    no sample arrays: its blocks are computed in numpy when read, following the
+    operation order of ``position_at`` and ``angles_from_position``.  Case C
+    keeps only the first sample of each leap's run, so its cost grows with the
+    leaps and not with the samples.  A position beyond float range is refused
+    here.  In cases A and B, |x| and t*t are largest at the endpoints, so the
+    two endpoint samples decide it; in case C every run's first sample does.
     """
     duration = trajectory.duration
-    if not (dt > 0 and duration / dt <= MAX_SAMPLES):  # checked before any allocation
-        raise ValidationError(f"dt must be > 0 and give <= {MAX_SAMPLES} samples", key="dt")
+    if not (dt > 0 and duration / dt <= MAX_STEPS):
+        raise ValidationError(f"dt must be > 0 and give <= {MAX_STEPS} samples", key="dt")
     n = int(math.floor(duration / dt + 1e-9))
     last = n + (duration - n * dt > 1e-9 * dt)  # the endpoint's sample index
+    if trajectory.case_id is not Case.C:  # Point3D refuses a non-finite position
+        position_at(trajectory, 0.0), position_at(trajectory, duration)
+        return AngleStream(trajectory, dt, last, None)
+    runs = np.append(_run_heads(trajectory, dt, last), last + 1)
+    x = _positions(trajectory, dt, last, runs[:-1])[1]
+    _require(bool(np.isfinite(x).all()), "x must be finite", key="x")
+    return AngleStream(trajectory, dt, last, runs)
+
+
+def _positions(trajectory: Trajectory, dt: float, last: int, k: np.ndarray):
+    """Times and x, y of samples ``k``, in ``position_at``'s operation order."""
     p = trajectory.params
-    d = p.standoff_distance
-    y = 0.0
-    runs = None
     if trajectory.case_id is Case.C:
-        runs = np.append(_run_heads(trajectory, dt, last), last + 1)
-        t, leap = _leap_times(trajectory, dt, last, runs[:-1])
-        x = d * np.tan(np.radians(np.array(_leap_schedule(p, duration))[leap]))
-    else:
-        t = np.arange(last + 1) * dt
-        t[-1] = duration
-        if trajectory.case_id is Case.A:
-            x = p.speed * (_case_a_arrival_time(p) - t)
-        else:
-            alpha = math.radians(p.launch_angle)
-            with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-                x = p.speed * math.cos(alpha) * t
-                y = p.speed * math.sin(alpha) * t - 0.5 * GRAVITY * t * t
-    for name, v in (("x", x), ("y", y)):
-        _require(bool(np.isfinite(v).all()), f"{name} must be finite", key=name)
-    theta = np.degrees(np.arctan2(np.hypot(x, y), d))
-    phi = np.degrees(np.arctan2(y, x)) % 360.0  # may round up to 360, which is 0 circularly
-    return AngleStream(trajectory, t, theta, phi, runs, dt)
+        t, leap = _leap_times(trajectory, dt, last, k)
+        schedule = np.array(_leap_schedule(p, trajectory.duration))
+        return t, p.standoff_distance * np.tan(np.radians(schedule[leap])), 0.0
+    t = _sample_times(trajectory, dt, last, k)
+    if trajectory.case_id is Case.A:
+        return t, p.speed * (_case_a_arrival_time(p) - t), 0.0
+    alpha = math.radians(p.launch_angle)
+    return t, p.speed * math.cos(alpha) * t, p.speed * math.sin(alpha) * t - 0.5 * GRAVITY * t * t
+
+
+def _sample_times(trajectory: Trajectory, dt: float, last: int, k: np.ndarray) -> np.ndarray:
+    """Times of samples ``k``: ``k * dt``, and the duration for the endpoint ``last``."""
+    t = k * dt
+    t[k == last] = trajectory.duration
+    return t
 
 
 def _leap_times(trajectory: Trajectory, dt: float, last: int, k: np.ndarray):
     """Times of samples ``k`` and their indices into the leap schedule, by ``position_at``'s rule."""
-    t = k * dt
-    t[k == last] = trajectory.duration
+    t = _sample_times(trajectory, dt, last, k)
     n_leaps = len(_leap_schedule(trajectory.params, trajectory.duration)) - 1
     return t, np.minimum((t / trajectory.params.leap_interval).astype(np.int64), n_leaps)
 

@@ -12,7 +12,7 @@ import numpy as np
 from .coding import SurfaceConfig, state_blocks
 from .errors import ValidationError
 from .gateway import NORMAL_INCIDENCE, ReconfigEvent, TrafficTrace, outside_surface
-from .geometry import MAX_SAMPLES, Angles
+from .geometry import MAX_STEPS, Angles
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,9 @@ def injection_rate(
         raise ValidationError("mode must be 'per_burst' or 'binned'", key="mode")
     duration = trace.meta.trajectory.duration
     # checked before the bins are allocated
-    if bin_width is None or not (0 < bin_width < math.inf and duration / bin_width <= MAX_SAMPLES):
+    if bin_width is None or not (0 < bin_width < math.inf and duration / bin_width <= MAX_STEPS):
         raise ValidationError(
-            f"bin_width must be finite, > 0 and give <= {MAX_SAMPLES} bins", key="bin_width"
+            f"bin_width must be finite, > 0 and give <= {MAX_STEPS} bins", key="bin_width"
         )
     n_bins = max(1, math.ceil(duration / bin_width))
     counts = [0] * n_bins

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from steertrace import geometry
 from steertrace.errors import ValidationError
 from steertrace.gateway import ANGLE_EPS_DEG
 from steertrace.geometry import (
@@ -79,7 +80,8 @@ class PairStream:
     """Explicit (t, Angles) pairs in the shape the library's ``detect_events`` reads.
 
     Each pair is a run of its own, and ``exact(k)`` returns pair k as given:
-    the pairs are taken as exact.
+    the pairs are taken as exact.  ``blocks()`` slices the arrays in blocks of
+    ``SAMPLE_BLOCK`` pairs, as the library's stream computes them.
     """
 
     def __init__(self, pairs):
@@ -95,6 +97,11 @@ class PairStream:
 
     def exact(self, k: int, r: int = 0) -> tuple[float, Angles]:
         return self.pairs[k]
+
+    def blocks(self):
+        size = geometry.SAMPLE_BLOCK
+        for k0 in range(0, len(self), size):
+            yield self.t[k0 : k0 + size], self.theta[k0 : k0 + size], self.phi[k0 : k0 + size]
 
 
 def detect_events(

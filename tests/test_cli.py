@@ -380,3 +380,24 @@ def test_aliasing_is_one_logged_warning_with_the_count(tmp_path, monkeypatch):
     quiet = tmp_path / "quiet.jsonl"
     assert run_cli("simulate", "--out", str(quiet), "surface.d_u=0.05") == 0
     assert out.read_bytes() == quiet.read_bytes()
+
+
+def test_fine_sampling_runs_under_a_400_mb_address_space(tmp_path, capsys):
+    # case B at 0.5 us is 8,649,626 samples, 66 MiB for each array over them; sampled a
+    # block at a time, the run fits in a child whose address space is capped at 400 MB
+    argv = ["simulate", "--out", str(tmp_path / "t.jsonl"), "scenario.case=B",
+            "gateway.sample_dt=5e-7"]
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from steertrace.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(steertrace.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert run_cli(*argv) == 0
+    unlimited = capsys.readouterr().out
+    assert done.stdout.split()[0] == unlimited.split()[0] == "events=23"

@@ -23,8 +23,16 @@ from steertrace import (
     state_matrix,
     write_trace,
 )
-from steertrace.gateway import ANGLE_EPS_DEG, TraceMeta, detect_events, diff_states, iter_events
-from steertrace.geometry import Case, Trajectory, angle_stream
+from steertrace import geometry
+from steertrace.gateway import (
+    ANGLE_EPS_DEG,
+    BAND,
+    TraceMeta,
+    detect_events,
+    diff_states,
+    iter_events,
+)
+from steertrace.geometry import Case, Trajectory, angle_stream, signed_circular_delta_deg
 
 INC = Angles(0.0, 0.0)
 
@@ -316,6 +324,71 @@ def test_case_c_simulation_memory_grows_with_the_events_not_the_samples():
     rows = sum(ev.updates.nbytes for ev in trace.events)
     # the events' rows, 1 KiB per event for the rest of it, and 1 MiB for one surface's work
     assert peak < rows + 1024 * len(trace.events) + 2**20
+
+
+@pytest.mark.parametrize(
+    "make_traj, dt", [(case_a_trajectory, 1e-4), (case_b_trajectory, 1e-5)], ids=["A", "B"]
+)
+def test_case_a_and_b_simulation_memory_grows_with_the_events_not_the_samples(make_traj, dt):
+    # 816,434 and 432,483 samples, 100 and 53 blocks; an array over the samples alone
+    # would take 6.5 and 3.5 MB
+    tracemalloc.start()
+    try:
+        surface, gateway = SurfaceConfig(n_cols=8, n_rows=8), GatewayConfig(sample_dt=dt)
+        trace = run_simulation(make_traj(), surface, gateway)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = sum(ev.updates.nbytes for ev in trace.events)
+    # the events' rows, 1 KiB per event, and 16 float64 arrays over a block for sampling
+    assert peak < rows + 1024 * len(trace.events) + 16 * 8 * geometry.SAMPLE_BLOCK
+
+
+def _block_scenarios():
+    """Streams of about 150 samples (case C: 86 runs) with their scalar samples and steps:
+    5 deg, a step that fires every few samples, and one that fires at every sample."""
+    a, b = case_a_trajectory(), case_b_trajectory()
+    c = case_c_trajectory(CaseParams(rng_seed=3, leap_interval=0.7), duration=60.0)
+    for traj, dt, steps in [
+        (a, a.duration / 150, (5.0, 0.5, 1e-12)),
+        (b, 0.03, (5.0, 1.0, 1e-12)),
+        (c, 0.05, (5.0, 1e-12)),
+    ]:
+        yield traj, dt, scalar_oracle.angle_stream(traj, dt), steps
+
+
+BLOCK_SCENARIOS = list(_block_scenarios())
+# theta climbs a degree after 1, 2, ..., 80 samples, so crossings fall at every offset
+# from a block boundary and searches run across blocks
+STAIRS = [(k / 1000, Angles(float(th), 0.0)) for k, th in enumerate(
+    np.repeat(np.arange(81), [1, *range(1, 81)]).tolist()
+)]
+
+
+@pytest.mark.parametrize("size", range(1, 71))
+def test_picks_and_angles_do_not_depend_on_the_sample_block(size, monkeypatch):
+    monkeypatch.setattr(geometry, "SAMPLE_BLOCK", size)
+    for traj, dt, scalar, steps in BLOCK_SCENARIOS:
+        stream = angle_stream(traj, dt)
+        runs = scalar_oracle.leap_runs(traj, [t for t, _ in scalar])
+        heads = [scalar[k] for k in runs[:-1]]
+        blocks = list(stream.blocks())
+        assert [len(t) for t, _, _ in blocks[:-1]] == [size] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1][0]) <= size
+        times, theta, phi = (np.concatenate(arrays) for arrays in zip(*blocks))
+        assert times.tolist() == [t for t, _ in heads]
+        assert np.abs(theta - [a.theta for _, a in heads]).max() <= BAND / 1000
+        d_phi = signed_circular_delta_deg(phi, np.array([a.phi for _, a in heads]))
+        assert np.abs(d_phi).max() <= BAND / 1000
+        for step in steps:
+            assert detect_events(stream, step) == scalar_oracle.detect_events(scalar, step)
+    assert detect_events(PairStream(STAIRS), 1.0) == scalar_oracle.detect_events(STAIRS, 1.0)
+    # a time that does not increase, on the first entry of the second block, is refused
+    repeated = list(STAIRS)
+    repeated[size] = (STAIRS[size - 1][0], STAIRS[size][1])
+    with pytest.raises(ValidationError) as err:
+        detect_events(PairStream(repeated), 1.0)
+    assert err.value.key == "stream"
 
 
 def test_iter_events_logs_the_aliasing_warning_once_before_it_returns(caplog):

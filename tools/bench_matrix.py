@@ -45,7 +45,15 @@ SCENARIOS = {
     "C_9990s_seed3_8x8": (
         ["scenario.case=C", "scenario.duration=9990", "surface.n_cols=8", "surface.n_rows=8",
          "--seed", "3"],
-        "9,990,001 samples at 1 ms, just under MAX_SAMPLES, and 4,995 leaps: 4,421 events",
+        "9,990,001 samples at 1 ms, just under MAX_STEPS, and 4,995 leaps: 4,421 events",
+    ),
+    "B_fine": (
+        ["scenario.case=B", "gateway.sample_dt=5e-7"],
+        "fine sampling: 8,649,626 samples, 23 events",
+    ),
+    "A_fine": (
+        ["gateway.sample_dt=1e-5"],
+        "fine sampling: 8,164,325 samples, 18 events",
     ),
     "C_leaps_outnumber_samples": (
         ["scenario.case=C", "scenario.leap_interval=0.01", "gateway.sample_dt=0.02",
