@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from random import Random
 from typing import Iterator
 
@@ -174,22 +174,23 @@ def angles_from_position(p: Point3D) -> Angles:
 
 @dataclass(frozen=True, eq=False)
 class AngleStream:
-    """A trajectory's angle samples, from ``angle_stream``, computed a block at a time.
+    """A trajectory's angle samples, from ``angle_stream``, read a block at a time.
 
     An entry stands for a run of samples at equal angles: one sample in cases A
     and B, the samples between two leaps in case C.  There ``runs`` holds each
     entry's sample index and then the sample count.  ``blocks()`` yields the
-    entries' times and angles as numpy arrays, ``SAMPLE_BLOCK`` entries at a
-    time; the angles may differ from the scalar path in the last bits, and
-    ``exact(k, r)`` gives sample r of entry k's run on that path, with entry
-    k's angles.  ``t``, ``theta`` and ``phi`` are the whole stream's arrays,
-    computed on first use; detection does not use them.
+    entries' times and angles as numpy arrays: in cases A and B computed
+    ``SAMPLE_BLOCK`` entries at a time, in case C the run heads that
+    ``angle_stream`` computed, as one block.  The angles may differ from the
+    scalar path in the last bits; ``exact(k, r)`` gives sample r of entry k's
+    run on that path, with entry k's angles.
     """
 
     trajectory: Trajectory
     dt: float
     last: int  # the endpoint's sample index
     runs: np.ndarray | None  # None in cases A and B, where entry k is sample k
+    heads: tuple[np.ndarray, np.ndarray, np.ndarray] | None  # case C: (t, theta, phi) per run
 
     def __len__(self) -> int:
         return self.last + 1 if self.runs is None else len(self.runs) - 1
@@ -203,37 +204,29 @@ class AngleStream:
         return t, angles_from_position(position_at(self.trajectory, t))
 
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(t, theta, phi) of entries [0, SAMPLE_BLOCK), [SAMPLE_BLOCK, 2 * SAMPLE_BLOCK), ..."""
+        """(t, theta, phi) of entries [0, SAMPLE_BLOCK), [SAMPLE_BLOCK, 2 * SAMPLE_BLOCK), ...
+
+        Case C yields its run heads as one block."""
+        if self.heads is not None:
+            yield self.heads
+            return
         for k0 in range(0, len(self), SAMPLE_BLOCK):
-            yield self._entries(k0, min(k0 + SAMPLE_BLOCK, len(self)))
-
-    @cached_property
-    def _whole(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._entries(0, len(self))
-
-    t = property(lambda self: self._whole[0])
-    theta = property(lambda self: self._whole[1])
-    phi = property(lambda self: self._whole[2])
-
-    def _entries(self, k0: int, k1: int):
-        s = np.arange(k0, k1) if self.runs is None else self.runs[k0:k1]
-        t, x, y = _positions(self.trajectory, self.dt, self.last, s)
-        theta = np.degrees(np.arctan2(np.hypot(x, y), self.trajectory.params.standoff_distance))
-        phi = np.degrees(np.arctan2(y, x)) % 360.0  # may round up to 360, which is 0 circularly
-        return t, theta, phi
+            k = np.arange(k0, min(k0 + SAMPLE_BLOCK, len(self)))
+            yield _angles(self.trajectory, *_positions(self.trajectory, self.dt, self.last, k))
 
 
 def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
     """Sample the trajectory every ``dt`` seconds, endpoint always included.
 
     Samples fall on t = 0, dt, 2*dt, ...; the final sample lands exactly on
-    ``duration`` (appended when the regular grid misses it).  The stream holds
-    no sample arrays: its blocks are computed in numpy when read, following the
-    operation order of ``position_at`` and ``angles_from_position``.  Case C
-    keeps only the first sample of each leap's run, so its cost grows with the
-    leaps and not with the samples.  A position beyond float range is refused
-    here.  In cases A and B, |x| and t*t are largest at the endpoints, so the
-    two endpoint samples decide it; in case C every run's first sample does.
+    ``duration`` (appended when the regular grid misses it).  Angles are
+    computed in numpy, following the operation order of ``position_at`` and
+    ``angles_from_position``.  Cases A and B hold no sample arrays: their
+    blocks are computed when read.  Case C keeps only the first sample of each
+    leap's run, computed here, so its cost grows with the leaps and not with
+    the samples.  A position beyond float range is refused here.  In cases A
+    and B, |x| and t*t are largest at the endpoints, so the two endpoint
+    samples decide it; in case C every run's first sample does.
     """
     duration = trajectory.duration
     if not (dt > 0 and duration / dt <= MAX_STEPS):
@@ -242,11 +235,18 @@ def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
     last = n + (duration - n * dt > 1e-9 * dt)  # the endpoint's sample index
     if trajectory.case_id is not Case.C:  # Point3D refuses a non-finite position
         position_at(trajectory, 0.0), position_at(trajectory, duration)
-        return AngleStream(trajectory, dt, last, None)
+        return AngleStream(trajectory, dt, last, None, None)
     runs = np.append(_run_heads(trajectory, dt, last), last + 1)
-    x = _positions(trajectory, dt, last, runs[:-1])[1]
+    t, x, y = _positions(trajectory, dt, last, runs[:-1])
     _require(bool(np.isfinite(x).all()), "x must be finite", key="x")
-    return AngleStream(trajectory, dt, last, runs)
+    return AngleStream(trajectory, dt, last, runs, _angles(trajectory, t, x, y))
+
+
+def _angles(trajectory: Trajectory, t: np.ndarray, x, y):
+    """(t, theta, phi) of positions (x, y), in ``angles_from_position``'s operation order."""
+    theta = np.degrees(np.arctan2(np.hypot(x, y), trajectory.params.standoff_distance))
+    phi = np.degrees(np.arctan2(y, x)) % 360.0  # may round up to 360, which is 0 circularly
+    return t, theta, phi
 
 
 def _positions(trajectory: Trajectory, dt: float, last: int, k: np.ndarray):

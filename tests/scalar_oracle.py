@@ -7,6 +7,7 @@ unchanged: every sample goes through ``position_at`` and
 picks must equal these exactly, in times and in ``Angles``.  ``leap_runs`` and
 ``check_runs`` add the contract of the library's stream: one entry per run of
 samples at equal angles, which in case C is the run between two leaps.
+``whole`` joins a stream's blocks for inspection.
 """
 
 from __future__ import annotations
@@ -69,11 +70,17 @@ def check_runs(stream, scalar: list[tuple[float, Angles]]) -> None:
     exact angles, with the angles of the run's first sample."""
     runs = leap_runs(stream.trajectory, [t for t, _ in scalar])
     assert [stream.run_length(k) for k in range(len(stream))] == np.diff(runs).tolist()
-    assert stream.t.tolist() == [scalar[k][0] for k in runs[:-1]]
+    assert whole(stream)[0].tolist() == [scalar[k][0] for k in runs[:-1]]
     for k, head in enumerate(runs[:-1]):
         for r in range(stream.run_length(k)):
             assert stream.exact(k, r) == scalar[head + r]
             assert scalar[head + r][1] == scalar[head][1]
+
+
+def whole(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, theta, phi) over every entry of ``stream``: its blocks, joined."""
+    t, theta, phi = (np.concatenate(arrays) for arrays in zip(*stream.blocks()))
+    return t, theta, phi
 
 
 class PairStream:

@@ -219,8 +219,9 @@ def test_event_spacing_at_least_step_minus_sampling_slack(make_traj):
     gw = GatewayConfig()
     stream = angle_stream(traj, gw.sample_dt)
     picked = detect_events(stream, gw.angular_step)
-    samples = [Angles(th, ph) for th, ph in zip(stream.theta.tolist(), stream.phi.tolist())]
-    by_time = {t: idx for idx, t in enumerate(stream.t.tolist())}
+    times, theta, phi = scalar_oracle.whole(stream)
+    samples = [Angles(th, ph) for th, ph in zip(theta.tolist(), phi.tolist())]
+    by_time = {t: idx for idx, t in enumerate(times.tolist())}
     for (t0, a0), (t1, a1) in zip(picked, picked[1:]):
         window = samples[by_time[t0] : by_time[t1] + 1]
         slack = max(
@@ -281,7 +282,7 @@ def test_several_leaps_between_two_samples(interval):
 
 def test_sample_period_equal_to_the_duration():
     stream, _ = leap_picks(5.0, 5.0, leap_interval=2.0)
-    assert stream.t.tolist() == [0.0, 5.0]
+    assert scalar_oracle.whole(stream)[0].tolist() == [0.0, 5.0]
 
 
 @pytest.mark.parametrize(
@@ -373,8 +374,11 @@ def test_picks_and_angles_do_not_depend_on_the_sample_block(size, monkeypatch):
         runs = scalar_oracle.leap_runs(traj, [t for t, _ in scalar])
         heads = [scalar[k] for k in runs[:-1]]
         blocks = list(stream.blocks())
-        assert [len(t) for t, _, _ in blocks[:-1]] == [size] * (len(blocks) - 1)
-        assert 0 < len(blocks[-1][0]) <= size
+        if traj.case_id is Case.C:  # the run heads that angle_stream computed, as one block
+            assert len(blocks) == 1
+        else:
+            assert [len(t) for t, _, _ in blocks[:-1]] == [size] * (len(blocks) - 1)
+            assert 0 < len(blocks[-1][0]) <= size
         times, theta, phi = (np.concatenate(arrays) for arrays in zip(*blocks))
         assert times.tolist() == [t for t, _ in heads]
         assert np.abs(theta - [a.theta for _, a in heads]).max() <= BAND / 1000

@@ -108,14 +108,13 @@ def test_angle_stream_with_dt_equal_to_duration_has_two_samples():
     traj = case_a_trajectory()
     stream = angle_stream(traj, traj.duration)
     assert len(stream) == 2
-    assert stream.t[0] == 0.0
-    assert stream.t[-1] == traj.duration
+    assert scalar_oracle.whole(stream)[0].tolist() == [0.0, traj.duration]
 
 
 def test_angle_stream_times_increase_and_end_on_duration():
     traj = case_b_trajectory()
     stream = angle_stream(traj, 0.01)
-    times = stream.t.tolist()
+    times = scalar_oracle.whole(stream)[0].tolist()
     assert all(b > a for a, b in zip(times, times[1:]))
     assert times[-1] == traj.duration
 
@@ -143,11 +142,12 @@ def test_case_c_is_seed_deterministic():
     traj = case_c_trajectory(CaseParams(rng_seed=7), duration=20.0)
     s1 = angle_stream(traj, 0.01)
     s2 = angle_stream(traj, 0.01)
-    assert all(np.array_equal(getattr(s1, k), getattr(s2, k)) for k in ("t", "theta", "phi"))
+    w1 = scalar_oracle.whole(s1)
+    assert all(np.array_equal(a, b) for a, b in zip(w1, scalar_oracle.whole(s2)))
 
     other = case_c_trajectory(CaseParams(rng_seed=8), duration=20.0)
     s3 = angle_stream(other, 0.01)
-    assert s3.theta.tolist() != s1.theta.tolist()
+    assert scalar_oracle.whole(s3)[1].tolist() != w1[1].tolist()
 
 
 def test_case_c_piecewise_constant_between_leaps():
@@ -162,14 +162,14 @@ def test_case_a_theta_near_ten_meters_is_45_degrees():
     # brute-force densest-sample oracle around x = 10 m
     traj = case_a_trajectory()
     stream = angle_stream(traj, 0.001)
-    best = min(range(len(stream)), key=lambda k: abs(position_at(traj, stream.t[k]).x - 10.0))
-    assert stream.theta[best] == pytest.approx(45.0, abs=0.05)
+    times, thetas, _ = scalar_oracle.whole(stream)
+    best = min(range(len(stream)), key=lambda k: abs(position_at(traj, times[k]).x - 10.0))
+    assert thetas[best] == pytest.approx(45.0, abs=0.05)
 
 
 def test_case_a_theta_monotone_and_accelerating():
     traj = case_a_trajectory()
-    stream = angle_stream(traj, 0.01)
-    thetas = stream.theta.tolist()
+    thetas = scalar_oracle.whole(angle_stream(traj, 0.01))[1].tolist()
     assert all(b <= a for a, b in zip(thetas, thetas[1:]))
 
     n = len(thetas) // 10
@@ -179,9 +179,8 @@ def test_case_a_theta_monotone_and_accelerating():
 
 
 def test_case_b_varies_both_angles():
-    stream = angle_stream(case_b_trajectory(), 0.001)
-    thetas = stream.theta.tolist()
-    phis = stream.phi.tolist()
+    _, theta, phi = scalar_oracle.whole(angle_stream(case_b_trajectory(), 0.001))
+    thetas, phis = theta.tolist(), phi.tolist()
     assert max(thetas) - min(thetas) > 5.0
     assert max(phis) - min(phis) > 5.0
 

@@ -60,6 +60,12 @@ SCENARIOS = {
          "gateway.angular_step=40"],
         "6,000 leaps over 3,001 samples, so every sample heads a leap's run",
     ),
+    "C_many_leap_runs": (
+        ["scenario.case=C", "scenario.duration=1200", "scenario.leap_interval=0.001",
+         "surface.n_cols=8", "surface.n_rows=8", "gateway.angular_step=60", "--seed", "3"],
+        "1,192,169 leap runs over 1,200,001 samples, 146 times SAMPLE_BLOCK: a long case-C "
+        "scan, 2 events",
+    ),
 }
 
 # The sweep workload of perfbench, and the same sweep and a 500x500 one off phi 0,
