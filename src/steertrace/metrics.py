@@ -67,7 +67,7 @@ def _checked_events(trace: TrafficTrace) -> tuple[ReconfigEvent, ...]:
             raise ValidationError(
                 f"event times must be strictly increasing ({ev.t!r} after {last!r})", "t"
             )
-        fault = len(ev.updates) and outside_surface(ev.updates, surface)[1]
+        fault = len(ev.updates) and outside_surface(ev.updates, surface)
         if fault:
             raise ValidationError(f"event at t={ev.t!r} outside the surface: {fault}", "updates")
         last = ev.t

@@ -15,11 +15,12 @@ as ``json.dumps`` does with ``separators=(",", ":")``; the reader accepts any
 JSON spelling under the same rules.  The writer codes each event's
 ``updates`` from digit tables built once per trace, one for each of col, row
 and state, and refuses an update outside the surface's grid or states, which
-the reader would refuse.  The reader decodes each line's ``updates`` on
-its own with digit arithmetic in numpy, and leaves a line that is not in the
-writer's spelling to ``json``.  It streams: it holds one line at a time,
-never the whole file, and checks each line when it reads it, so the first
-bad line is the one reported.
+the reader would refuse.  The reader checks each line's ``updates`` against
+the writer's spelling from where its values end, decodes them with digit
+arithmetic in numpy, and leaves a line that is not in that spelling to
+``json``.  It streams: it holds one line at a time, never the whole file,
+and checks each line when it reads it, so the first bad line is the one
+reported.
 
 ``meta`` snapshots the surface, gateway, incidence, and scenario in full, so
 a trace header alone suffices to regenerate the trace; :mod:`.scenario`, the
@@ -147,7 +148,7 @@ def write_events(
     n_events = n_packets = 0
     for ev in events:
         rows = ev.updates
-        fault = outside_surface(rows, surface)[1]
+        fault = outside_surface(rows, surface)
         if fault:
             raise ValidationError(f"event at t={ev.t!r}: {fault}")
         coded = np.empty(len(rows), record)
@@ -214,7 +215,7 @@ def _split_event(line: bytes) -> tuple[dict, bytes] | None:
     writer's, ends in ``,"updates":...}`` after an object of exactly the keys
     ``t``, ``theta_r`` and ``phi_r``; None for any other line."""
     end = len(line) - 1 - line.endswith(b"\n")  # where the closing brace must be
-    cut = line.rfind(_UPDATES_KEY, 0, end)
+    cut = line.find(_UPDATES_KEY, 0, end)  # the key has no other place in such a line
     if cut < 0 or line[end] != _RBRACE:
         return None
     try:
@@ -231,33 +232,55 @@ def _decode_updates(body: bytes) -> np.ndarray | None:
     unless it is ``[]`` or ``[[c,r,s],...]`` with no sign, no leading zero, at most
     _MAX_DIGITS digits a value and nothing else.  Its rows are those ``json`` parses.
 
-    The rule is one comparison: the body, with each run of digits cut to one "0", must
-    equal the layout ``[[0,0,0],...,[0,0,0]]`` of a third of its runs.  The body must
-    begin with "[" and end with "]" first: then no run of digits touches its ends, and
-    the edges between digits and other bytes pair up as each run's start and stop.
+    Read with its last "]" as ",[0", such a body is "[[" and then runs of digits, each
+    followed by "," "," or "],[" in turn.  So the rule is four checks on where a digit
+    precedes another byte, where each value ends: the byte after each end is that ",",
+    "," or "]"; the two after each "]" are ",["; the bytes that are not digits number
+    exactly these and the first "[["; and no run of two or more digits begins with "0".
+    The first two give each counted byte its place and the count leaves no other, so a
+    value begins at byte 2, 2 bytes after the one before ends, or 4 after a "]".
     """
     if body == b"[]":  # no numpy for an empty burst: most are empty at a fine angular step
         return np.empty((0, 3), np.int64)
-    if body[:1] != b"[" or body[-1:] != b"]":
+    if body[:2] != b"[[" or body[-1:] != b"]":
         return None
-    data = np.frombuffer(body, np.uint8)
-    digit = data - _ZERO  # wraps around for bytes below "0"
+    # NULs before the body, so that digits[_MAX_DIGITS - k:][ends] is each value's kth
+    # digit from the last, for k up to _MAX_DIGITS, with no index arithmetic
+    raw = np.frombuffer(bytes(_MAX_DIGITS) + body[:-1] + b",[0", np.uint8)
+    digits = raw - _ZERO  # wraps around for bytes below "0"
+    data, digit = raw[_MAX_DIGITS:], digits[_MAX_DIGITS:]
     is_digit = digit < 10
-    # the runs of digits: data[start[i]:stop[i]] is value i
-    edges = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
-    start, stop = edges[::2], edges[1::2]
-    keep = ~is_digit
-    keep[start] = True  # each run's first digit, which the skeleton holds as "0"
-    skeleton = (data - digit * is_digit)[keep]
-    if skeleton.tobytes() != b"[" + (b"[0,0,0]," * (len(start) // 3))[:-1] + b"]":
+    ends = np.flatnonzero(is_digit[:-1] > is_digit[1:])  # each value's last digit
+    rows, row_ends = len(ends) // 3, ends[2::3]
+    n_digits = np.count_nonzero(is_digit)  # the values' and the last "0"
+    if (
+        data[1:][ends].tobytes() != b",,]" * rows
+        or data[2:][row_ends].tobytes() != b"," * rows
+        or data[3:][row_ends].tobytes() != b"[" * rows
+        or len(data) - n_digits != 5 * rows + 2
+    ):
         return None
-    size = stop - start
-    if size.max(initial=0) > _MAX_DIGITS or ((size > 1) & (digit[start] == 0)).any():
+    if n_digits == len(ends) + 1:  # one digit a value, as on a surface of 10x10 or less
+        return digit[ends].astype(np.int64).reshape(-1, 3)
+    if ((digit[1:-1] == 0) & (is_digit[2:] > is_digit[:-2])).any():
         return None
-    values = digit[stop - 1].astype(np.int64)
-    for k in range(1, size.max(initial=0)):
-        values += (size > k) * (digit.take(stop - 1 - k, mode="clip") * np.int64(10**k))
-    return values.reshape(-1, 3)
+    # a value's digits: it begins at byte 2, 2 bytes after the previous value ends or 4
+    # after a "]"; out= saves a temporary the size of ends
+    size = np.empty_like(ends)
+    size[0] = ends[0] + 2
+    np.subtract(ends[1:], ends[:-1], out=size[1:])
+    size[::3] -= 2
+    size -= 1
+    width = int(size.max())
+    if width > _MAX_DIGITS:
+        return None
+    size = size.astype(np.uint8)
+    values = np.zeros(len(ends), np.min_scalar_type(10**width - 1))
+    for k in range(width - 1, 0, -1):  # Horner from the top place, 0 above a value's digits
+        values += digits[_MAX_DIGITS - k:][ends] * (size > k)
+        values *= 10
+    values += digit[ends]
+    return values.astype(np.int64).reshape(-1, 3)
 
 
 def _updates(raw, line_number: int) -> np.ndarray:
@@ -279,7 +302,7 @@ def _updates(raw, line_number: int) -> np.ndarray:
 def _cell_fault(rows: np.ndarray, surface) -> str:
     """What is wrong with one event's ``rows``: an update outside the surface, else
     two updates for one cell; "" if neither."""
-    fault = outside_surface(rows, surface)[1]
+    fault = outside_surface(rows, surface)
     if fault:
         return fault
     cells = rows[:, 1] * surface.n_cols + rows[:, 0]

@@ -42,6 +42,7 @@ from steertrace.cli import main
 from steertrace.coding import MAX_CELLS, MAX_PHASE_STEPS, MAX_STATES, TWO_PI, _nearest_state
 from steertrace.coding import phase_gradients, state_blocks
 from steertrace.gateway import BAND, NORMAL_INCIDENCE, detect_events, diff_states
+from steertrace.gateway import outside_surface
 from steertrace.geometry import angle_stream, signed_circular_delta_deg
 from steertrace.metrics import sweep_diff, sweep_grid
 from steertrace.scenario import FIELDS
@@ -314,6 +315,10 @@ odd_texts = [
     "[[]]", "[[1,2],[3,4,5,6]]", "[[1,2,3],]", "[[1,2,3]],", "[[1,2,3]] ", "[[1,2,3]]]",
     "[[1,2,3][4,5,6]]", "[[1,2,3],[4,5]]", "[1,2,3]", "[[01,2,3]]", "[[-0,2,3]]",
     "[[1.0,2,3]]", "[[true,2,3]]", "[[1,2,3,4]]", "[ ]", "[[1,2,3]][[4,5,6]]", "", "]", "[",
+    # each aimed at one of the decoder's checks
+    "[[1,2,3],[4,5,6]", "[[1,,3]]", "[[,1,2,3]]", "[[[1,2,3]]]", "[[1,2,3]],[[4,5,6]]",
+    "[[0,0,0],[01,2,3]]", "[[1,2,3]", "[[1,2,3],,[4,5,6]]", "[[1,2,3],[[4,5,6]]",
+    "[[1,2,3]],[4,5,6]]", "[[1,2,3],[ 4,5,6]]", "[[1,2,3]x,[4,5,6]]", "[[1,2],3]]",
 ]
 
 
@@ -368,6 +373,40 @@ def test_decoder_declines_or_gives_jsons_rows(texts):
         if decoded is not None:
             assert decoded.dtype == np.int64 and decoded.shape == (len(decoded), 3)
             assert decoded.tolist() == json_rows(text), text
+
+
+def writers_body(rows: np.ndarray, surface: SurfaceConfig) -> bytes:
+    """The ``updates`` body of the line that ``write_events`` writes for ``rows``."""
+    trajectory = Trajectory(Case.A, CaseParams(), 1.0)
+    meta = TraceMeta(surface, GatewayConfig(), NORMAL_INCIDENCE, trajectory)
+    buf = io.BytesIO()
+    trace_io.write_events(meta, [ReconfigEvent(0.0, Angles(80.0, 0.0), rows)], buf)
+    return trace_io._split_event(buf.getvalue().splitlines(keepends=True)[1])[1]
+
+
+def test_decoder_gives_jsons_rows_for_large_bodies():
+    """Bodies far longer than the few rows drawn above: a full 100x100 burst as the
+    writer codes it, and 10,000 rows with 18 digits in every value."""
+    cells = np.arange(10_000)
+    burst = np.column_stack([cells % 100, cells // 100, cells * 7 % 4])
+    body = writers_body(burst, SurfaceConfig(n_cols=100, n_rows=100))
+    assert _decode_updates(body).tolist() == json.loads(body) == burst.tolist()
+    wide = np.random.default_rng(19).integers(10**17, 10**18, (10_000, 3))
+    assert _decode_updates(canonical(wide.tolist()).encode()).tolist() == wide.tolist()
+
+
+@pytest.mark.parametrize("fault", faults)
+def test_decoder_declines_a_fault_in_a_large_body(fault):
+    """Each fault, spliced into the first, a middle and the last of 10,000 rows of
+    18-digit values, before a row's first and second values and before its "]": there a
+    digit makes a value of 19 digits, and any other fault leaves the writer's spelling."""
+    wide = np.random.default_rng(19).integers(10**17, 10**18, (10_000, 3))
+    rows = [canonical(row).encode() for row in wide.tolist()]
+    for k in (0, 5_000, 9_999):
+        row = rows[k]
+        for at in (1, row.index(b",") + 1, len(row) - 1):
+            spliced = rows[:k] + [row[:at] + fault.encode() + row[at:]] + rows[k + 1:]
+            assert _decode_updates(b"[" + b",".join(spliced) + b"]") is None, (k, at)
 
 
 @settings(max_examples=200)
@@ -881,6 +920,45 @@ def test_cell_fault_agrees_with_the_check_that_always_sorts(drawn):
     faults = [_cell_fault(rows[a:b], surface) for a, b in zip(bounds, bounds[1:])]
     first = next(((k, fault) for k, fault in enumerate(faults) if fault), (len(faults), ""))
     assert first == trace_io_oracle.cell_fault(rows, bounds, surface)
+
+
+@st.composite
+def surface_rows(draw):
+    """Rows on a small surface, short or repeated past a thousand, with up to three
+    values in any column replaced by one that may lie outside: its limit or above, a
+    negative, an int64 extreme or any int64."""
+    surface = SurfaceConfig(
+        n_cols=draw(st.integers(1, 6)), n_rows=draw(st.integers(1, 6)),
+        n_states=draw(st.integers(2, 6)),
+    )
+    limits = (surface.n_cols, surface.n_rows, surface.n_states)
+    inside = st.tuples(*(st.integers(0, n - 1) for n in limits))
+    rows = np.tile(draw(st.lists(inside, max_size=6)), (draw(st.sampled_from([1, 600])), 1))
+    rows = rows.reshape(-1, 3).astype(np.int64)
+    for _ in range(draw(st.integers(0, 3)) if len(rows) else 0):
+        row, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
+        outside = st.sampled_from([limits[column], limits[column] + 1, *OUT_OF_RANGE])
+        rows[row, column] = draw(outside | st.integers(-(2**63), 2**63 - 1))
+    return rows, surface
+
+
+def long_rows_with(column: int, value: int) -> tuple[np.ndarray, SurfaceConfig]:
+    """1,100 rows of zeros on a 3x4 surface of 5 states, ``value`` in ``column`` of row 700."""
+    rows = np.zeros((1_100, 3), np.int64)
+    rows[700, column] = value
+    return rows, SurfaceConfig(n_cols=3, n_rows=4, n_states=5)
+
+
+@settings(max_examples=400)
+@given(surface_rows())
+@example((np.empty((0, 3), np.int64), SurfaceConfig()))
+@example(long_rows_with(0, 3))  # each column's limit, in a burst long enough for its max
+@example(long_rows_with(1, 4))
+@example(long_rows_with(2, 5))
+@example(long_rows_with(2, -(2**63)))
+def test_outside_surface_gives_the_broadcast_compares_message(drawn):
+    rows, surface = drawn
+    assert outside_surface(rows, surface) == trace_io_oracle.outside_surface(rows, surface)[1]
 
 
 # Values a heat map holds: count / total shares, both zeros, subnormals, values around

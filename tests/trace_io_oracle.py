@@ -6,6 +6,9 @@ entry.  ``cell_fault`` is ``_cell_fault`` as it stood before the writer's
 row-major order skipped the sort and before the reader checked one event at
 a time: it sorts every event's cell keys, over a run of events at once.  The
 library must give the same bytes, and the same first faulty event and message.
+``outside_surface`` is the bounds test as it stood before it took each column's
+maximum first: one broadcast compare of every value against its limit, which
+also gives the first faulty row; the library's must give the same message.
 
 ``read_trace`` and the helpers above it are the trace reader as it stood
 before it streamed: it decodes the whole file, splits it with
@@ -71,6 +74,18 @@ def cell_fault(rows: np.ndarray, bounds, surface) -> tuple[int, str]:
             f"grid or the states [0, {surface.n_states})"
         )
     return len(bounds) - 1, ""
+
+
+def outside_surface(rows: np.ndarray, surface) -> tuple[int, str]:
+    limits = np.array([surface.n_cols, surface.n_rows, surface.n_states], np.uint64)
+    bad = rows.view(np.uint64) >= limits  # a negative value wraps above every limit
+    if not bad.any():
+        return len(rows), ""
+    k = int(bad.argmax()) // 3
+    return k, (
+        f"update {rows[k].tolist()} outside the {surface.n_cols}x{surface.n_rows} "
+        f"grid or the states [0, {surface.n_states})"
+    )
 
 
 def _groups(items, size):

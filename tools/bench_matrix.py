@@ -3,6 +3,10 @@ scenario matrix, and ``steertrace sweep --grid`` on a few sweeps, parent against
 change, and write the medians as ``BENCH_<pr>.json``.
 
     python3 tools/bench_matrix.py PARENT_TREE CHANGE_TREE --pr N --change "what changed"
+    python3 tools/bench_matrix.py ... --rows A_500x500,A_1000x1000 --rounds 21
+
+``--rows`` runs only the named rows, so a change can re-run the rows it claims with
+more rounds than the whole matrix allows.
 
 PARENT_TREE and CHANGE_TREE are source trees of steertrace (``git archive`` of
 each commit will do); each side imports the package from its tree's ``src``.
@@ -87,6 +91,11 @@ SWEEPS = {
     ),
 }
 
+ROWS = {
+    **{name: ("simulate", *row) for name, row in SCENARIOS.items()},
+    **{name: ("sweep", *row) for name, row in SWEEPS.items()},
+}
+
 # Runs one command and prints, as its last stdout line, the cli.main call's time and
 # page faults and the process's peak RSS.
 CHILD = """\
@@ -149,8 +158,8 @@ def hardware() -> str:
     return f"{os.cpu_count()} CPUs, {model}, Python {platform.python_version()}, numpy {numpy}"
 
 
-def bench(parent: Path, change: Path, rounds: int, work: Path) -> dict:
-    """Each scenario's row of BENCH_<pr>.json, traces and outputs written under ``work``."""
+def bench(parent: Path, change: Path, rounds: int, work: Path, names: list[str]) -> dict:
+    """The rows ``names`` of BENCH_<pr>.json, traces and outputs written under ``work``."""
     env = {
         **os.environ, "PYTHONDONTWRITEBYTECODE": "1", "SOURCE_DATE_EPOCH": "0",
         "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
@@ -159,10 +168,9 @@ def bench(parent: Path, change: Path, rounds: int, work: Path) -> dict:
     for tree in trees.values():
         if next((tree / "src").rglob("__pycache__"), None):  # a side that skips compiling
             raise SystemExit(f"{tree / 'src'} holds __pycache__; pass a tree without it")
-    rows = {name: ("simulate", *row) for name, row in SCENARIOS.items()}
-    rows.update({name: ("sweep", *row) for name, row in SWEEPS.items()})
     scenarios = {}
-    for name, (kind, args, why) in rows.items():
+    for name in names:
+        kind, args, why = ROWS[name]
         report, heat = work / "r.jsonl", work / "h.csv"
         traces = {side: work / f"{name}.{side}.jsonl" for side in trees}
         # per command and side: its argv and the named files that hold its output;
@@ -221,9 +229,16 @@ def main() -> None:
     parser.add_argument("--change", dest="what", required=True, help="what the change does")
     parser.add_argument("--rounds", type=int, default=11)
     parser.add_argument("--out-dir", type=Path, default=Path("."))
+    parser.add_argument("--rows", help="only these rows, NAME[,NAME...] (default: all)")
     args = parser.parse_args()
+    names = args.rows.split(",") if args.rows else list(ROWS)
+    for name in names:
+        if name not in ROWS:
+            parser.error(f"unknown row {name!r}; the rows are {', '.join(ROWS)}")
     with tempfile.TemporaryDirectory() as work:
-        scenarios = bench(args.parent.resolve(), args.change.resolve(), args.rounds, Path(work))
+        scenarios = bench(
+            args.parent.resolve(), args.change.resolve(), args.rounds, Path(work), names
+        )
     result = {
         "change": args.what,
         "commands": [
