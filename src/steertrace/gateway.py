@@ -228,8 +228,9 @@ def diff_states(
     """Packets turning ``old`` into ``new``: (col, row, state) rows in row-major cell order.
 
     Given the grid's ``shape``, either matrix may be compact as ``state_blocks``
-    codes it, a length-1 axis standing for the whole axis; only the
-    comparison's result is broadcast to the grid.
+    codes it, a length-1 axis standing for the whole axis.  A compact change
+    changes every cell of each changed line, so its rows are built from the
+    lines, with no mask of the grid; only a full change takes ``nonzero``.
     """
     old = np.asarray(old)
     new = np.asarray(new)
@@ -239,8 +240,17 @@ def diff_states(
     changed = old != new
     if not changed.any():
         return np.empty((0, 3), np.int64)
-    if (changed.shape, new.shape) != (shape, shape):  # nonzero is faster on a contiguous mask
-        changed, new = np.broadcast_to(changed, shape).copy(), np.broadcast_to(new, shape)
+    if changed.shape != shape:
+        # the changed rows and columns: all of an axis on which the comparison is compact
+        rows, cols = (np.flatnonzero(m) if m.size > 1 else np.arange(n)
+                      for m, n in zip((changed[:, 0], changed[0]), shape))
+        out = np.empty((len(rows), len(cols), 3), np.int64)  # row-major already
+        out[..., 0] = cols
+        out[..., 1] = rows[:, None]
+        # the changed lines' states: new is compact on the comparison's compact axis
+        out[..., 2] = new[:, cols] if new.shape[1] > 1 else new[rows] if len(new) > 1 else new
+        return out.reshape(-1, 3)
+    new = new if new.shape == shape else np.broadcast_to(new, shape)
     rows, cols = np.nonzero(changed)
     return np.column_stack((cols, rows, new[changed]))
 

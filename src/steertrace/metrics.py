@@ -42,9 +42,9 @@ def summarize(
     for ev in events:
         sizes.append(len(ev.updates))
         times.append(ev.t)
-        if not sizes[-1]:
-            continue  # no cell to count: many bursts are empty at a fine angular step
-        np.add.at(counts, ev.updates[:, 1] * surface.n_cols + ev.updates[:, 0], 1)
+        if sizes[-1]:  # an empty burst has no cell to count; many are, at a fine angular step
+            np.add.at(counts, ev.updates[:, 1] * surface.n_cols + ev.updates[:, 0], 1)
+        del ev  # so that the next event is read and decoded without this one's rows
     matrix = counts.reshape(surface.n_rows, surface.n_cols) / max(counts.sum(), 1)
     report = WorkloadReport(
         per_event_changed_fraction=tuple(s / surface.n_cells for s in sizes),

@@ -13,9 +13,10 @@ event, of exactly these keys::
 with ``t`` in ``[0, meta.scenario.duration]``.  The writer spells every line
 as ``json.dumps`` does with ``separators=(",", ":")``; the reader accepts any
 JSON spelling under the same rules.  The writer codes each event's
-``updates`` from digit tables built once per trace, one for each of col, row
-and state, and refuses an update outside the surface's grid or states, which
-the reader would refuse.  The reader checks each line's ``updates`` against
+``updates`` from word tables built once per trace, one for each of col, row
+and state, each entry a value's token in a NUL-padded machine word, and
+refuses an update outside the surface's grid or states, which the reader
+would refuse.  The reader checks each line's ``updates`` against
 the writer's spelling from where its values end, decodes them with digit
 arithmetic in numpy, and leaves a line that is not in that spelling to
 ``json``.  It streams: it holds one line at a time, never the whole file,
@@ -108,16 +109,17 @@ def _start(dest: BinaryIO, created: str | None, **header) -> _CountingSink:
     return sink
 
 
-def _token_table(n: int, before: bytes, after: bytes) -> np.ndarray:
-    """``before + str(v).encode() + after`` of each v in 0 .. n-1 as (n,) fixed-width
-    ``V`` records, the digits right-aligned in a NUL-padded field."""
-    end = len(before) + len(str(n - 1))  # one past the last digit
-    table = np.tile(np.frombuffer(before.ljust(end, b"\0") + after, np.uint8), (n, 1))
-    for k in range(end - len(before)):  # the 10**k digit, NUL in values below 10**k (k > 0)
+def _token_table(n: int, after: bytes) -> np.ndarray:
+    """``str(v).encode() + after`` of each v in 0 .. n-1 as (n,) unsigned words of 2, 4 or
+    8 bytes, right-aligned after NULs, with NULs in place of the digits above v's."""
+    digits = len(str(n - 1))
+    width = 1 << (digits + len(after) - 1).bit_length()  # the next power of 2
+    table = np.tile(np.frombuffer(after.rjust(width, b"\0"), np.uint8), (n, 1))
+    for k in range(digits):  # the 10**k digit, NUL in values below 10**k (k > 0)
         lead = 10**k if k else 0
         digit = np.repeat(np.frombuffer(b"0123456789", np.uint8), 10**k)
-        table[lead:, end - 1 - k] = np.resize(digit, n)[lead:]
-    return table.view(f"V{table.shape[1]}").ravel()
+        table[lead:, width - len(after) - 1 - k] = np.resize(digit, n)[lead:]
+    return table.view(f"u{width}").ravel()
 
 
 def write_trace(trace: TrafficTrace, dest: BinaryIO, created: str | None = None):
@@ -137,11 +139,12 @@ def write_events(
     one cell are written as they are; the reader refuses them.
     """
     surface = meta.surface
-    # a row codes as "[col," "row," "state]," from these tables, its NUL padding dropped
+    # a row codes as "col," "row," "state],[" from these tables, NULs dropped; under the
+    # schema's limits the largest tokens, "999999," and "65535],[", fit in 8 bytes
     tables = [
-        _token_table(surface.n_cols, b"[", b","),
-        _token_table(surface.n_rows, b"", b","),
-        _token_table(surface.n_states, b"", b"],"),
+        _token_table(surface.n_cols, b","),
+        _token_table(surface.n_rows, b","),
+        _token_table(surface.n_states, b"],["),
     ]
     record = np.dtype([("", table.dtype) for table in tables])  # fields f0, f1 and f2
     sink = _start(dest, created, meta=meta_to_dict(meta))
@@ -151,14 +154,15 @@ def write_events(
         fault = outside_surface(rows, surface)
         if fault:
             raise ValidationError(f"event at t={ev.t!r}: {fault}")
-        coded = np.empty(len(rows), record)
+        words = bytearray(len(rows) * record.itemsize)
+        coded = np.frombuffer(words, record)
         for name, table, column in zip(record.names, tables, rows.T):
-            coded[name] = table.take(column)
-        data = coded.view(np.uint8)
-        kept = data[data != 0]
+            coded[name] = table[column]
+        kept = memoryview(words.translate(None, b"\0"))
         head = _JSON.encode({"t": ev.t, "theta_r": ev.reflected.theta, "phi_r": ev.reflected.phi})
-        # "[" + the rows but the last one's "," + "]": "[]" for an event of no rows
-        sink.write(b"".join([head[:-1].encode(), _UPDATES_KEY, b"[", kept[:-1], b"]}\n"]))
+        # "[[" + the rows but the last one's ",[" + "]": "[]" for an event of no rows
+        opening = b"[[" if len(rows) else b"["
+        sink.write(b"".join([head[:-1].encode(), _UPDATES_KEY, opening, kept[:-2], b"]}\n"]))
         n_events += 1
         n_packets += len(rows)
     return n_events, n_packets

@@ -146,6 +146,22 @@ def test_diff_ordering_is_row_major():
     assert keys == sorted(keys)
 
 
+def test_a_compact_diff_allocates_its_rows_not_a_grid_mask():
+    # one of the 1,000 columns of a compact 1000x1000 surface changes: 1,000 rows of 24
+    # bytes, where a mask of the grid would take 1 MB
+    old = np.zeros((1, 1000), np.int64)
+    new = old.copy()
+    new[0, 500] = 3
+    tracemalloc.start()
+    try:
+        updates = diff_states(old, new, (1000, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert updates.tolist() == [[500, r, 3] for r in range(1000)]
+    assert peak < 2 * updates.nbytes, peak
+
+
 def test_diff_shape_mismatch():
     with pytest.raises(ValidationError):
         diff_states(np.zeros((2, 2)), np.zeros((3, 2)))

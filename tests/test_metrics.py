@@ -28,8 +28,8 @@ from steertrace import (
 )
 from steertrace.cli import main
 from steertrace.gateway import iter_events
-from steertrace.metrics import spatial_cv
-from steertrace.trace_io import write_events
+from steertrace.metrics import spatial_cv, summarize
+from steertrace.trace_io import iter_trace, write_events
 
 INC = Angles(0.0, 0.0)
 
@@ -226,15 +226,15 @@ def test_write_trace_memory_is_bounded_by_the_largest_event():
     """``write_trace`` on a trace of many large events peaks at a bound set by its largest
     event, not by the trace.
 
-    Each row of an event codes into one fixed-width record: "[", then the digits of the
-    surface's largest col, row and state, NUL-padded, each followed by "," or "],".  The
-    bound allows 8 records for each row of the largest event (the records, their NUL mask,
-    the kept bytes and the line), 8 bytes for each entry of the three digit tables,
-    and 64 KB for the header and everything else.  The coded lines of the whole trace
-    are far above it.
+    Each row of an event codes into at most ``record`` bytes: the digits of the surface's
+    largest col, row and state, followed by ",", "," and "],[", held in 2-, 4- or 8-byte
+    words with NULs (16 bytes here).  The bound allows 8 times ``record`` for each row of
+    the largest event (the words, the kept bytes and the line), 8 bytes for each entry of
+    the three token tables, and 64 KB for the header and everything else.
+    The coded lines of the whole trace are far above it.
     """
     surface = SurfaceConfig(n_cols=64, n_rows=64, n_states=1000)
-    record = sum(len(str(n - 1)) for n in (64, 64, 1000)) + len("[,,],")
+    record = sum(len(str(n - 1)) for n in (64, 64, 1000)) + len(",,],[")
     cells = np.arange(surface.n_cells)
     sizes = [surface.n_cells, 700, 1500] * 100
     events = tuple(
@@ -315,4 +315,40 @@ def test_metrics_memory_is_bounded_by_one_line(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+
+
+def test_reading_and_summarizing_holds_one_event_at_a_time():
+    """``iter_trace`` into ``summarize`` peaks at one event's rows and the decoder's
+    arrays for the next line, not at two events' rows.
+
+    Four bursts of a whole 300x300 surface in a row: 90,000 updates each.  The bound
+    allows 48 bytes per update for one event (the reader's decoded rows and the event's
+    copy of them), 92 for the decoder's arrays, the line's bytes and 1 MB for everything
+    else.  A ``summarize`` that held the previous event while the next line is decoded
+    would take 24 bytes per update more.
+    """
+    surface = SurfaceConfig(n_cols=300, n_rows=300)
+    cells = np.arange(surface.n_cells)
+    events = tuple(
+        ReconfigEvent(1.0 + k, Angles(10.0, 0.0), np.stack(
+            [cells % surface.n_cols, cells // surface.n_cols, (cells + k) % 4], 1
+        ))
+        for k in range(4)
+    )
+    meta = TraceMeta(surface, GatewayConfig(), INC, Trajectory(Case.A, CaseParams(), 400.0))
+    buf = io.BytesIO()
+    write_trace(TrafficTrace(meta, events), buf)
+    line = len(buf.getvalue().split(b"\n")[1])
+    del events
+    buf.seek(0)
+    tracemalloc.start()
+    try:
+        meta, read = iter_trace(buf)
+        report, _ = summarize(meta.surface, read)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.burst_sizes == (surface.n_cells,) * 4
+    bound = (48 + 92) * surface.n_cells + line + 2**20
     assert peak < bound, (peak, bound)

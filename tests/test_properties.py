@@ -110,10 +110,14 @@ angle = st.floats(min_value=0.0, max_value=90.0, exclude_min=True, exclude_max=T
 incidence = st.floats(min_value=0.0, max_value=90.0, exclude_max=True)
 
 
+# grid sides: small ones, and ones on each side of a col or row token's next digit
+sides = st.integers(1, 5) | st.sampled_from([10, 11, 100, 101])
+
+
 @st.composite
 def traces(draw):
     surface = SurfaceConfig(
-        draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(positive),
+        draw(sides), draw(sides), draw(positive),
         draw(st.integers(2, 2**16)), draw(positive), draw(positive),
     )
     params = CaseParams(
@@ -409,8 +413,24 @@ def test_decoder_declines_a_fault_in_a_large_body(fault):
             assert _decode_updates(b"[" + b",".join(spliced) + b"]") is None, (k, at)
 
 
+def digit_boundary_trace(n: int) -> TrafficTrace:
+    """A trace on an n x n surface of 2**16 states with one event whose cols, rows and
+    states sit on each side of their tokens' digit boundaries, up to n - 1."""
+    surface = SurfaceConfig(n_cols=n, n_rows=n, n_states=2**16)
+    meta = TraceMeta(surface, GatewayConfig(), Angles(0.0, 0.0), case_a_trajectory())
+    values = [v for v in (0, 1, 9, 10, 11, 99, 100, n - 1) if v < n]
+    cells = sorted({(r, c) for r in values for c in values})
+    states = [0, 9, 10, 99, 100, 999, 1000, 9999, 10_000, 65_535]
+    updates = [(c, r, states[k % len(states)]) for k, (r, c) in enumerate(cells)]
+    return TrafficTrace(meta, (ReconfigEvent(1.0, Angles(5.0, 0.0), updates),))
+
+
 @settings(max_examples=200)
 @given(traces())
+@example(digit_boundary_trace(10))
+@example(digit_boundary_trace(11))
+@example(digit_boundary_trace(100))
+@example(digit_boundary_trace(101))
 def test_traces_are_written_in_json_dumps_spelling_and_read_back(trace):
     first = io.BytesIO()
     write_trace(trace, first)
@@ -859,7 +879,7 @@ def test_every_sweep_grid_fraction_is_the_sweep_diff_of_its_pair(drawn):
 @st.composite
 def compact_pairs(draw):
     """Two state matrices of one grid, each with its rows, its columns or both compact."""
-    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
 
     def matrix():
         shape = (draw(st.sampled_from([1, n_rows])), draw(st.sampled_from([1, n_cols])))
@@ -877,6 +897,27 @@ def test_a_compact_diff_gives_the_full_diffs_rows(drawn):
     want = diff_states(np.broadcast_to(old, shape).copy(), np.broadcast_to(new, shape).copy())
     assert got.shape == want.shape and got.shape[1:] == (3,)
     assert np.array_equal(got, want)
+
+
+def argwhere_diff(old, new, shape):
+    """The (col, row, state) rows of the cells whose broadcast states differ, one cell at a
+    time in ``np.argwhere``'s row-major order."""
+    old, new = np.broadcast_to(old, shape), np.broadcast_to(new, shape)
+    rows = [(c, r, new[r, c]) for r, c in np.argwhere(old != new).tolist()]
+    return np.array(rows, np.int64).reshape(-1, 3)
+
+
+@settings(max_examples=300)
+@given(compact_pairs())
+@example((np.zeros((1, 1), np.int64), np.ones((1, 1), np.int64), (7, 5)))  # every cell changes
+@example((np.zeros((1, 1), np.int64), np.ones((1, 1), np.int64), (1, 1)))
+@example((np.zeros((1, 12), np.int64), np.eye(1, 12, 11, np.int64), (12, 12)))
+@example((np.zeros((12, 1), np.int64), np.eye(12, 1, -11, np.int64), (12, 12)))
+def test_a_compact_diff_gives_the_rows_of_the_cells_that_change(drawn):
+    old, new, shape = drawn
+    got = diff_states(old, new, shape)
+    assert got.dtype == np.int64 and got.flags.c_contiguous and got.shape[1:] == (3,)
+    assert np.array_equal(got, argwhere_diff(old, new, shape))
 
 
 OUT_OF_RANGE = (-1, -(2**63), -(2**63 - 1), 2**63 - 1)

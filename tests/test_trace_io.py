@@ -69,6 +69,39 @@ def test_streamed_events_write_the_bytes_of_the_built_trace(surface, gateway, tr
     assert counts == (len(trace.events), trace.total_packets)
 
 
+TOKENS = {"col": b",", "state": b"],["}  # what the writer puts after each: "col," "row," "state],["
+
+
+@pytest.mark.parametrize(
+    "n, kind",
+    [(n, kind) for n in (1, 9, 10, 11, 99, 100, 101, 1000) for kind in TOKENS]
+    + [(10**6, "col"), (2**16, "state")],  # n_cols on a 1-row grid, and n_states, at the limit
+)
+def test_a_token_table_holds_each_value_in_a_machine_word(n, kind):
+    after = TOKENS[kind]
+    table = trace_io._token_table(n, after)
+    assert table.shape == (n,) and table.dtype.kind == "u" and table.dtype.itemsize in (2, 4, 8)
+    words = table.view(np.uint8).reshape(n, table.dtype.itemsize)
+    values = np.arange(n)
+    digits = 1 + (values[:, None] >= 10 ** np.arange(1, 7)).sum(1)
+    # each word holds its token's bytes and NULs, and the words' bytes without their NULs
+    # are the tokens in turn: so each word without its NULs is its own token
+    assert np.array_equal(np.count_nonzero(words, 1), digits + len(after))
+    want = "".join(f"{v}{after.decode()}" for v in range(n)).encode()
+    assert words.tobytes().translate(None, b"\0") == want
+
+
+def test_the_writer_spells_the_largest_values_under_the_schemas_limits():
+    surface = SurfaceConfig(n_cols=10**6, n_rows=1, n_states=2**16)
+    meta = TraceMeta(surface, GatewayConfig(), Angles(0.0, 0.0), case_a_trajectory())
+    rows = [[0, 0, 0], [9, 0, 9], [10, 0, 10], [99_999, 0, 65_535], [999_999, 0, 65_535]]
+    buf = io.BytesIO()
+    write_events(meta, [ReconfigEvent(1.0, Angles(5.0, 0.0), rows)], buf, created="x")
+    line = json.dumps({"t": 1.0, "theta_r": 5.0, "phi_r": 0.0, "updates": rows},
+                      separators=(",", ":"))
+    assert buf.getvalue().split(b"\n")[1] == line.encode()
+
+
 def test_case_a_trace_has_one_line_per_event_plus_header(case_a_trace):
     buf = io.BytesIO()
     write_trace(case_a_trace, buf)

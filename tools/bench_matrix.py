@@ -42,6 +42,10 @@ SCENARIOS = {
         ["surface.n_cols=1000", "surface.n_rows=1000"],
         "MAX_CELLS: 18 events, 13,517,000 packets, a 159 MB trace",
     ),
+    "A_100x100_dt10ms": (
+        ["surface.n_cols=100", "surface.n_rows=100", "gateway.sample_dt=0.01"],
+        "perfbench bigwall's scenario: 18 events, 134,400 packets",
+    ),
     "A_8x8_step002": (
         ["surface.n_cols=8", "surface.n_rows=8", "gateway.angular_step=0.02"],
         "many tiny bursts: 4,251 events, 4,227 of them empty, 272 packets",
