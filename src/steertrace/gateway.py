@@ -18,7 +18,7 @@ import numpy as np
 from .coding import PhaseGradient, SurfaceConfig, aliasing_check, gradient_blocks, phase_gradients
 from .errors import ValidationError
 from .geometry import MAX_STEPS, Angles, AngleStream, Trajectory, angle_stream
-from .geometry import signed_circular_delta_deg
+from .geometry import signed_circular_delta_deg, wrap_360
 
 # Absorbs float round-off when a sample lands exactly on a threshold.
 ANGLE_EPS_DEG = 1e-9
@@ -161,11 +161,11 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
                 if (block := next(blocks, None)) is None:
                     return picked
                 k0, theta, phi = block
-                i = _next_near_crossing(theta, phi, 0, theta_ref, phi_ref, a)
+                i = _next_near_crossing(theta, phi, 0, theta_ref, phi_ref, a, len(theta))
             k = k0 + i
             r, end = 0, stream.run_length(k)
             t, ang = stream.exact(k)
-        d_theta, d_phi = _drift(ang.theta, ang.phi, theta_ref, phi_ref)
+        d_theta, d_phi = abs(ang.theta - theta_ref), signed_circular_delta_deg(ang.phi, phi_ref)
         hit_theta = d_theta >= a - ANGLE_EPS_DEG
         hit_phi = abs(d_phi) >= a - ANGLE_EPS_DEG
         if not (hit_theta or hit_phi):
@@ -197,23 +197,20 @@ def _checked_blocks(stream: AngleStream) -> Iterator:
         k0, t_prev = k0 + len(t), t[-1]
 
 
-def _drift(theta, phi, theta_ref, phi_ref):
-    """Distance of theta and signed circular distance of phi from the references."""
-    return abs(theta - theta_ref), signed_circular_delta_deg(phi, phi_ref)
-
-
-def _next_near_crossing(theta, phi, i: int, theta_ref, phi_ref, step) -> int:
+def _next_near_crossing(theta, phi, i: int, theta_ref, phi_ref, step, width=64) -> int:
     """First index from ``i`` of a block's arrays whose angles come within ``BAND`` of a
     step, else the block's length.
 
-    Windows double in size: a near crossing costs little, a far one a few passes.
+    Windows double in size from ``width``: a near crossing costs little, a far one a few
+    passes.  A new block's search takes the whole block in one pass: the last block's
+    search ended with no crossing near.
     """
     threshold = step - ANGLE_EPS_DEG - BAND
-    width = 64
     while i < len(theta):
         window = slice(i, i + width)
-        d_theta, d_phi = _drift(theta[window], phi[window], theta_ref, phi_ref)
-        near = (d_theta >= threshold) | (np.abs(d_phi) >= threshold)
+        # |theta - theta_ref| and |signed_circular_delta_deg(phi, phi_ref)|, with its bits
+        d_phi = wrap_360(phi[window] - phi_ref + 180.0) - 180.0
+        near = (np.abs(theta[window] - theta_ref) >= threshold) | (np.abs(d_phi) >= threshold)
         j = int(near.argmax())
         if near[j]:
             return i + j

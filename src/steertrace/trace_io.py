@@ -151,18 +151,19 @@ def write_events(
     n_events = n_packets = 0
     for ev in events:
         rows = ev.updates
-        fault = outside_surface(rows, surface)
-        if fault:
-            raise ValidationError(f"event at t={ev.t!r}: {fault}")
-        words = bytearray(len(rows) * record.itemsize)
-        coded = np.frombuffer(words, record)
-        for name, table, column in zip(record.names, tables, rows.T):
-            coded[name] = table[column]
-        kept = memoryview(words.translate(None, b"\0"))
+        opening, kept = b"[", b""  # "[]" for an event of no rows, which costs no numpy work
+        if len(rows):
+            fault = outside_surface(rows, surface)
+            if fault:
+                raise ValidationError(f"event at t={ev.t!r}: {fault}")
+            words = bytearray(len(rows) * record.itemsize)
+            coded = np.frombuffer(words, record)
+            for name, table, column in zip(record.names, tables, rows.T):
+                coded[name] = table[column]
+            # "[[" + the rows but the last one's ",[" + "]"
+            opening, kept = b"[[", memoryview(words.translate(None, b"\0"))[:-2]
         head = _JSON.encode({"t": ev.t, "theta_r": ev.reflected.theta, "phi_r": ev.reflected.phi})
-        # "[[" + the rows but the last one's ",[" + "]": "[]" for an event of no rows
-        opening = b"[[" if len(rows) else b"["
-        sink.write(b"".join([head[:-1].encode(), _UPDATES_KEY, opening, kept[:-2], b"]}\n"]))
+        sink.write(b"".join([head[:-1].encode(), _UPDATES_KEY, opening, kept, b"]}\n"]))
         n_events += 1
         n_packets += len(rows)
     return n_events, n_packets

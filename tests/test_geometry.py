@@ -15,7 +15,8 @@ from steertrace import (
     case_c_trajectory,
 )
 from steertrace.errors import BehindSurfaceError
-from steertrace.geometry import GRAVITY, Point3D, angle_stream, angles_from_position, position_at
+from steertrace.geometry import GRAVITY, Case, Point3D, Trajectory, _positions, angle_stream
+from steertrace.geometry import angles_from_position, position_at
 
 
 def test_case_a_start_position():
@@ -156,6 +157,48 @@ def test_case_c_piecewise_constant_between_leaps():
     stream = angle_stream(traj, 0.05)
     assert len(stream) == 6
     scalar_oracle.check_runs(stream, scalar_oracle.angle_stream(traj, 0.05))
+
+
+def seed_angles(trajectory, t, x, y):
+    """(t, theta, phi) of positions (x, y) by float ``%``, ``np.degrees``, ``np.hypot``
+    and ``np.arctan2``: the oracle for the exact compares and multiplies of blocks()."""
+    theta = np.degrees(np.arctan2(np.hypot(x, y), trajectory.params.standoff_distance))
+    phi = np.degrees(np.arctan2(y, x)) % 360.0
+    return t, theta, phi
+
+
+LANDING = case_b_trajectory().duration  # y is 1.4e-14 m there, and below 0 just after
+
+
+@pytest.mark.parametrize(
+    "trajectory, dt, end_phi",
+    [
+        (case_a_trajectory(), 1e-4, 0.0),  # 99 blocks
+        (case_a_trajectory(CaseParams(start_theta=89.0)), 0.03, 0.0),  # |x| from 572 m to 0
+        (Trajectory(Case.A, CaseParams(), 100.0), 1e-3, 180.0),  # past the on-axis point
+        (case_b_trajectory(duration=LANDING), 1e-3, 8.8750197831558e-15),
+        (case_b_trajectory(duration=LANDING + 1e-15), 1e-3, 360.0),  # rounds up to 360
+        (case_b_trajectory(duration=LANDING + 4e-15), 1e-3, 359.99999999999994),
+        (case_b_trajectory(duration=LANDING + 5e-3), 1e-3, 359.93375925655147),  # 5 below y = 0
+        (case_c_trajectory(CaseParams(rng_seed=3), duration=600.0), 1e-3, 0.0),  # 300 run heads
+        (case_c_trajectory(CaseParams(leap_interval=0.01, rng_seed=17), duration=60.0), 0.02, 0.0),
+    ],
+    ids=["A", "A_far", "A_past_axis", "B_landing", "B_past_landing_360", "B_past_landing",
+         "B_below", "C_runs", "C_leaps_outnumber_samples"],
+)
+def test_angle_blocks_have_the_bits_of_the_seed_formulas(trajectory, dt, end_phi):
+    stream = angle_stream(trajectory, dt)
+    k0 = 0
+    for block in stream.blocks():
+        k = np.arange(k0, k0 + len(block[0]))
+        heads = k if stream.runs is None else stream.runs[k]
+        expected = seed_angles(trajectory, *_positions(trajectory, dt, stream.last, heads))
+        for got, want in zip(block, expected):
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        k0 += len(block[0])
+    assert k0 == len(stream)
+    assert block[2][-1] == end_phi
 
 
 def test_case_a_theta_near_ten_meters_is_45_degrees():

@@ -3,6 +3,7 @@ of the quantizer, the state matrix and the block coder, and of the CSV heat map.
 
 import io
 import json
+import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -43,7 +44,7 @@ from steertrace.coding import MAX_CELLS, MAX_PHASE_STEPS, MAX_STATES, TWO_PI, _n
 from steertrace.coding import phase_gradients, state_blocks
 from steertrace.gateway import BAND, NORMAL_INCIDENCE, detect_events, diff_states
 from steertrace.gateway import outside_surface
-from steertrace.geometry import angle_stream, signed_circular_delta_deg
+from steertrace.geometry import RAD_TO_DEG, angle_stream, signed_circular_delta_deg, wrap_360
 from steertrace.metrics import sweep_diff, sweep_grid
 from steertrace.scenario import FIELDS
 from steertrace.trace_io import _cell_fault, _decode_updates
@@ -658,6 +659,47 @@ def test_numpy_angles_stay_far_inside_the_band():
         _, stream_theta, stream_phi = scalar_oracle.whole(stream)
         assert np.abs(stream_theta - theta).max() <= BAND / 1000
         assert np.abs(signed_circular_delta_deg(stream_phi, phi)).max() <= BAND / 1000
+
+
+def float_arrays(elements):
+    return st.lists(elements, min_size=1, max_size=64).map(np.array)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+SUBNORMALS = [5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308]
+
+
+@settings(max_examples=300)
+@given(float_arrays(st.floats(-360.0, 720.0, exclude_max=True)))
+@example(np.array([0.0, -0.0, 180.0, -180.0, 360.0, -360.0, *SUBNORMALS]))
+@example(np.nextafter([720.0, 360.0, -360.0, 540.0, 0.0], 0.0))  # just inside an edge
+@example(np.array([-1e-14, -2e-14, -2.9e-14]))  # v + 360.0 rounds to 360.0, or just under
+def test_wrap_360_has_the_bits_of_float_mod_on_its_domain(v):
+    # the domain holds _angles' phi, in [-180, 180], and the scan's phi - phi_ref + 180;
+    # from 256 elements, wrap_360 takes compares in place of %
+    for values in (v, np.resize(v, 256), np.resize(v, 8192)):
+        assert same_bits(wrap_360(values), values % 360.0)
+
+
+@settings(max_examples=300)
+@given(float_arrays(st.floats(-1e306, 1e306)))  # beyond, the product overflows
+@example(np.array([0.0, -0.0, math.pi, -math.pi, math.pi / 2, 1e306, -1e306, *SUBNORMALS]))
+def test_rad_to_deg_is_the_factor_of_np_and_math_degrees(v):
+    assert same_bits(v * RAD_TO_DEG, np.degrees(v))
+    assert same_bits(v * RAD_TO_DEG, [math.degrees(x) for x in v.tolist()])
+
+
+@settings(max_examples=300)
+@given(float_arrays(st.floats(allow_nan=False)))
+@example(np.array([0.0, -0.0, math.inf, -math.inf, 1e308, -1e308, *SUBNORMALS]))
+def test_a_position_off_the_x_axis_by_zero_needs_no_hypot_or_atan2(x):
+    assert same_bits(np.abs(x), np.hypot(x, 0.0))
+    phi = np.where(np.signbit(x), 180.0, 0.0)
+    assert same_bits(phi, np.degrees(np.arctan2(0.0, x)) % 360.0)
 
 
 def test_a_crossing_at_any_distance_from_the_last_pick_is_found():
