@@ -99,13 +99,11 @@ def cmd_sweep(args) -> int:
     if args.grid is not None:
         if not (0 < args.grid <= 85.0 and 85.0 / args.grid <= MAX_STEPS):  # two codings a step
             raise ValidationError(f"--grid must be in (0, 85] with <= {MAX_STEPS} steps", "grid")
-        for start, end, fraction in sweep_grid(
-            args.grid, args.from_phi, args.to_phi, meta.surface, meta.incident
-        ):
-            print(
-                f"from_theta={format_number(start)} to_theta={format_number(end)} "
-                f"fraction={format_number(fraction)}"
-            )
+        steps = sweep_grid(args.grid, args.from_phi, args.to_phi, meta.surface, meta.incident)
+        sys.stdout.writelines(  # one call, and no text of all the lines at once
+            f"from_theta={format_number(start)} to_theta={format_number(end)} "
+            f"fraction={format_number(fraction)}\n" for start, end, fraction in steps
+        )
         return 0
     if args.from_theta is None or args.to_theta is None:
         raise ValidationError("--from-theta and --to-theta are required without --grid")

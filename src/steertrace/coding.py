@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -90,22 +90,6 @@ class PhaseGradient:
     gy: float
 
 
-@dataclass(frozen=True)
-class AliasingReport:
-    """Per-cell phase steps and whether either exceeds half a cycle.
-
-    A step beyond pi means the cell grid undersamples the phase ramp and the
-    steered direction is no longer faithfully represented.  Diagnostic only.
-    """
-
-    step_x: float  # rad per cell
-    step_y: float
-
-    @property
-    def aliased(self) -> bool:
-        return abs(self.step_x) > math.pi or abs(self.step_y) > math.pi
-
-
 def _sin_deg(x: float) -> float:
     """sin of an angle in degrees, exact at quadrant angles."""
     r = x % 360.0
@@ -123,38 +107,44 @@ def _cos_deg(x: float) -> float:
     return _sin_deg(x + 90.0)
 
 
-def phase_gradients(incident: Angles, reflected: Angles, cfg: SurfaceConfig) -> PhaseGradient:
-    """Gradients that redirect ``incident`` into ``reflected``.
+def _check(name: str, theta: float, phi: float):
+    """Refuse the ``name`` direction (theta, phi) unless it is finite with theta in [0, 90)."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValidationError(f"{name} angles must be finite", key=name)
+    if not 0.0 <= theta < 90.0:
+        raise ValidationError(f"{name}.theta={theta!r} must lie in [0, 90)", key=name)
+
+
+def gradients(
+    incident: Angles, thetas: Sequence[float], phis: Sequence[float], cfg: SurfaceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (gx, gy) that redirect ``incident`` into each direction (thetas[k], phis[k]).
 
     Wave-vector matching in the surface plane gives, per axis,
     k_i*sin(theta_i)*cos(phi_i) + gx = k_r*sin(theta_r)*cos(phi_r) and the
-    sine counterpart for gy.
+    sine counterpart for gy.  The first bad direction raises, as if the
+    directions were checked one by one.  The sines and cosines are the scalar
+    ``_sin_deg``'s, whose bits do not depend on the CPU as numpy's SIMD
+    kernels' may; the products run in numpy in the scalar formula's order.
     """
-    for name, ang in (("incident", incident), ("reflected", reflected)):
-        if not (math.isfinite(ang.theta) and math.isfinite(ang.phi)):
-            raise ValidationError(f"{name} angles must be finite", key=name)
-        if not 0.0 <= ang.theta < 90.0:
-            raise ValidationError(
-                f"{name}.theta={ang.theta!r} must lie in [0, 90)", key=name
-            )
+    _check("incident", incident.theta, incident.phi)
+    theta, phi = np.array(thetas, dtype=float), np.array(phis, dtype=float)
+    ok = (theta >= 0.0) & (theta < 90.0) & np.isfinite(phi)  # False for a nan or inf theta
+    if not ok.all():
+        k = int(ok.argmin())
+        _check("reflected", thetas[k], phis[k])
     sin_i = _sin_deg(incident.theta)
-    sin_r = _sin_deg(reflected.theta)
-    gx = cfg.k_r * sin_r * _cos_deg(reflected.phi) - cfg.k_i * sin_i * _cos_deg(incident.phi)
-    gy = cfg.k_r * sin_r * _sin_deg(reflected.phi) - cfg.k_i * sin_i * _sin_deg(incident.phi)
-    return PhaseGradient(gx, gy)
+    k_sin_r = cfg.k_r * np.array(list(map(_sin_deg, theta.tolist())))
+    phi = phi.tolist()
+    gx = k_sin_r * np.array(list(map(_cos_deg, phi))) - cfg.k_i * sin_i * _cos_deg(incident.phi)
+    gy = k_sin_r * np.array(list(map(_sin_deg, phi))) - cfg.k_i * sin_i * _sin_deg(incident.phi)
+    return gx, gy
 
 
-def quantize_phase(phase: float, n_states: int) -> int:
-    """Index of the discrete state phase 2*pi*k/n nearest to ``phase``.
-
-    Distance is circular; an exact half-step tie rounds down to the lower
-    neighbour (so a tie straddling the wrap stays at n_states - 1).
-    """
-    if not 2 <= n_states <= MAX_STATES:
-        raise ValidationError(f"n_states must lie in [2, {MAX_STATES}]", key="n_states")
-    if not abs(phase) / (TWO_PI / n_states) < MAX_PHASE_STEPS:
-        raise ValidationError("phase must be below 2**52 state steps", key="phase")
-    return int(_nearest_state(np.asarray(phase, dtype=float), n_states))
+def phase_gradients(incident: Angles, reflected: Angles, cfg: SurfaceConfig) -> PhaseGradient:
+    """The :func:`gradients` that redirect ``incident`` into ``reflected``."""
+    gx, gy = gradients(incident, (reflected.theta,), (reflected.phi,), cfg)
+    return PhaseGradient(float(gx[0]), float(gy[0]))
 
 
 def _nearest_state(phases: np.ndarray, n_states: int) -> np.ndarray:
@@ -185,9 +175,16 @@ def _nearest_state(phases: np.ndarray, n_states: int) -> np.ndarray:
 
 
 def state_blocks(
-    incident: Angles, directions: Iterable[Angles], cfg: SurfaceConfig
+    incident: Angles, thetas: Sequence[float], phis: Sequence[float], cfg: SurfaceConfig
 ) -> Iterator[np.ndarray]:
-    """Quantized states of ``directions``, in order, as blocks of shape (n, r, c).
+    """Quantized states of the directions (thetas[k], phis[k]), in order, as blocks of
+    shape (n, r, c): ``gradient_blocks`` of their ``gradients``."""
+    return gradient_blocks(*gradients(incident, thetas, phis, cfg), cfg)
+
+
+def gradient_blocks(gx: np.ndarray, gy: np.ndarray, cfg: SurfaceConfig) -> Iterator[np.ndarray]:
+    """Quantized states of the directions whose gradients are ``gx`` and ``gy``, in order,
+    as blocks of shape (n, r, c).
 
     Entry [k, j, i] is the state of cell (i, j) for the block's direction k:
     its unwrapped phase (gx*i + gy*j) * d_u, quantized as the reduced phase
@@ -197,35 +194,27 @@ def state_blocks(
     every direction of the block: gy*j is then that same signed zero for every
     row j >= 0, so every row holds the bits of row 0 (r is 1); likewise the
     columns when every gx is zero (c is 1).  A direction with a zero component
-    in a block that codes the full axis gets the same bits on every line.  The
-    gradients stay scalar, one ``phase_gradients`` call per direction, and
-    each later step is elementwise, so stacking changes no bit.  A block holds
-    at most ``BLOCK_CELLS`` cells unless its one direction alone has more.
+    in a block that codes the full axis gets the same bits on every line.  Each
+    step is elementwise, so stacking changes no bit.  A block holds at most
+    ``BLOCK_CELLS`` cells unless its one direction alone has more.
     """
-    return gradient_blocks((phase_gradients(incident, d, cfg) for d in directions), cfg)
-
-
-def gradient_blocks(gradients: Iterable[PhaseGradient], cfg: SurfaceConfig) -> Iterator[np.ndarray]:
-    """``state_blocks`` of the directions whose ``phase_gradients`` are ``gradients``."""
-    block, rows, cols = [], False, False  # (gx, gy) pairs; whether all rows, all cols are coded
-    for g in gradients:
-        r, c = rows or g.gy != 0, cols or g.gx != 0
-        cells = (len(block) + 1) * (cfg.n_rows if r else 1) * (cfg.n_cols if c else 1)
-        if block and cells > BLOCK_CELLS:
-            yield _code_block(block, rows, cols, cfg)
-            block, r, c = [], g.gy != 0, g.gx != 0
-        block.append((g.gx, g.gy))
+    start, rows, cols = 0, False, False  # the block's first direction; whether all rows, cols
+    for k, (x, y) in enumerate(zip((gx != 0).tolist(), (gy != 0).tolist())):
+        r, c = rows or y, cols or x
+        cells = (k + 1 - start) * (cfg.n_rows if r else 1) * (cfg.n_cols if c else 1)
+        if k > start and cells > BLOCK_CELLS:
+            yield _code_block(gx[start:k], gy[start:k], rows, cols, cfg)
+            start, r, c = k, y, x
         rows, cols = r, c
-    if block:
-        yield _code_block(block, rows, cols, cfg)
+    if len(gx) > start:
+        yield _code_block(gx[start:], gy[start:], rows, cols, cfg)
 
 
-def _code_block(block: list, rows: bool, cols: bool, cfg: SurfaceConfig) -> np.ndarray:
-    """States of a block of (gx, gy) pairs, over all rows and all columns where asked."""
-    gx, gy = np.array(block).T[:, :, None, None]
+def _code_block(gx: np.ndarray, gy: np.ndarray, rows: bool, cols: bool, cfg: SurfaceConfig):
+    """States of a block's directions, over all rows and all columns where asked."""
     i = np.arange(cfg.n_cols if cols else 1, dtype=float)
     j = np.arange(cfg.n_rows if rows else 1, dtype=float)
-    ramp = gx * i + gy * j[:, None]
+    ramp = gx[:, None, None] * i + gy[:, None, None] * j[:, None]
     return _nearest_state(np.multiply(ramp, cfg.d_u, out=ramp), cfg.n_states)
 
 
@@ -237,10 +226,6 @@ def state_matrix(incident: Angles, reflected: Angles, cfg: SurfaceConfig) -> np.
     writable, C-contiguous matrix.
     """
     full = (cfg.n_rows, cfg.n_cols)
-    states = next(state_blocks(incident, (reflected,), cfg))[0]
+    states = next(state_blocks(incident, (reflected.theta,), (reflected.phi,), cfg))[0]
     return states if states.shape == full else np.broadcast_to(states, full).copy()
 
-
-def aliasing_check(g: PhaseGradient, cfg: SurfaceConfig) -> AliasingReport:
-    """Report whether the per-cell phase step exceeds half a cycle on either axis."""
-    return AliasingReport(g.gx * cfg.d_u, g.gy * cfg.d_u)

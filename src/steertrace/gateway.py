@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .coding import PhaseGradient, SurfaceConfig, aliasing_check, gradient_blocks, phase_gradients
+from .coding import SurfaceConfig, gradient_blocks, gradients
 from .errors import ValidationError
 from .geometry import MAX_STEPS, Angles, AngleStream, Trajectory, angle_stream
 from .geometry import signed_circular_delta_deg, wrap_360
@@ -96,6 +96,16 @@ def outside_surface(rows: np.ndarray, surface: SurfaceConfig) -> str:
         f"update {rows[k].tolist()} outside the {surface.n_cols}x{surface.n_rows} "
         f"grid or the states [0, {surface.n_states})"
     )
+
+
+def event_time_fault(t: float, last: float, duration: float) -> str:
+    """What is wrong with an event time ``t`` after one at ``last`` (-inf for the first
+    event) in a scenario of ``duration``; "" if nothing is."""
+    if not 0.0 <= t <= duration:
+        return f"event time {t!r} outside the scenario's [0, {duration!r}]"
+    if not t > last:
+        return f"event times must be strictly increasing ({t!r} after {last!r})"
+    return ""
 
 
 @dataclass(frozen=True)
@@ -255,41 +265,42 @@ def diff_states(
 def iter_events(meta: TraceMeta) -> Iterator[ReconfigEvent]:
     """The events of ``meta``'s scenario, each coded and diffed when the iterator reaches it.
 
-    Sampling, detection and every pick's ``phase_gradients`` run before this
+    Sampling, detection and the picks' ``gradients`` run before this
     returns, so a scenario that any of them refuses raises here, before a
     caller opens an output; the aliasing warning, if a pick is aliased, is
     logged here too.  The iterator holds the picks, their gradients, the
     surface's state and one event, not the samples.  The surface starts in
     the all-zero state, and every pick is an event, even one whose diff is
-    empty.  The picks are coded in ``state_blocks``'s blocks, and the
+    empty.  The picks are coded in ``gradient_blocks``'s blocks, and the
     surface's state is kept compact.
     """
     gw = meta.gateway
     picks = detect_events(angle_stream(meta.trajectory, gw.sample_dt), gw.angular_step)
-    grads = [phase_gradients(meta.incident, ang, meta.surface) for _, ang in picks]
-    _warn_on_aliasing(picks, grads, meta.surface)
-    return _diffed(picks, grads, meta.surface)
+    thetas, phis = zip(*((ang.theta, ang.phi) for _, ang in picks))
+    gx, gy = gradients(meta.incident, thetas, phis, meta.surface)
+    _warn_on_aliasing(picks, gx * meta.surface.d_u, gy * meta.surface.d_u)
+    return _diffed(picks, gradient_blocks(gx, gy, meta.surface), meta.surface)
 
 
-def _warn_on_aliasing(picks: list, grads: list[PhaseGradient], surface: SurfaceConfig):
-    reports = (aliasing_check(g, surface) for g in grads)
-    aliased = [(t, report) for (t, _), report in zip(picks, reports) if report.aliased]
-    if aliased:
+def _warn_on_aliasing(picks: list, step_x: np.ndarray, step_y: np.ndarray):
+    """Log one warning if a pick's per-cell phase step, ``step_x`` or ``step_y`` rad,
+    exceeds half a cycle: the cell grid then undersamples the phase ramp."""
+    aliased = (np.abs(step_x) > math.pi) | (np.abs(step_y) > math.pi)
+    if aliased.any():
         import logging  # here, not at the top: every command would pay its import
 
-        t, report = aliased[0]
+        k = int(aliased.argmax())
         logging.getLogger("steertrace").warning(
             "aliasing at %d of %d events, first at t=%s: the per-cell phase step "
             "(%.4f, %.4f rad) exceeds half a cycle, so the steered direction is undersampled",
-            len(aliased), len(picks), format_number(t), report.step_x, report.step_y,
+            aliased.sum(), len(picks), format_number(picks[k][0]), step_x[k], step_y[k],
         )
 
 
-def _diffed(picks: list, grads: list[PhaseGradient], surface: SurfaceConfig) -> Iterator:
+def _diffed(picks: list, blocks: Iterator[np.ndarray], surface: SurfaceConfig) -> Iterator:
     full = (surface.n_rows, surface.n_cols)
     current = np.zeros((1, 1), dtype=np.int64)
-    targets = itertools.chain.from_iterable(gradient_blocks(grads, surface))
-    for (t, ang), target in zip(picks, targets):
+    for (t, ang), target in zip(picks, itertools.chain.from_iterable(blocks)):
         yield ReconfigEvent(t, ang, diff_states(current, target, full))
         current = target
 

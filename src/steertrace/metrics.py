@@ -11,8 +11,9 @@ import numpy as np
 
 from .coding import SurfaceConfig, state_blocks
 from .errors import ValidationError
-from .gateway import NORMAL_INCIDENCE, ReconfigEvent, TrafficTrace, outside_surface
-from .geometry import MAX_STEPS, Angles
+from .gateway import NORMAL_INCIDENCE, ReconfigEvent, TrafficTrace, event_time_fault
+from .gateway import outside_surface
+from .geometry import MAX_STEPS, SAMPLE_BLOCK, Angles
 
 
 @dataclass(frozen=True)
@@ -59,14 +60,11 @@ def summarize(
 def _checked_events(trace: TrafficTrace) -> tuple[ReconfigEvent, ...]:
     """``trace``'s events, once each is checked as the reader checks it: its time in
     [0, duration] and after the previous one, its updates inside the surface."""
-    duration, surface, last = trace.meta.trajectory.duration, trace.meta.surface, None
+    duration, surface, last = trace.meta.trajectory.duration, trace.meta.surface, -math.inf
     for ev in trace.events:
-        if not 0.0 <= ev.t <= duration:
-            raise ValidationError(f"event t={ev.t!r} outside [0, {duration!r}]", key="t")
-        if last is not None and not ev.t > last:
-            raise ValidationError(
-                f"event times must be strictly increasing ({ev.t!r} after {last!r})", "t"
-            )
+        fault = event_time_fault(ev.t, last, duration)
+        if fault:
+            raise ValidationError(fault, key="t")
         fault = len(ev.updates) and outside_surface(ev.updates, surface)
         if fault:
             raise ValidationError(f"event at t={ev.t!r} outside the surface: {fault}", "updates")
@@ -126,7 +124,8 @@ def sweep_diff(
     incident: Angles = NORMAL_INCIDENCE,
 ) -> float:
     """Fraction of cells whose state differs between two steering directions."""
-    before, after = itertools.chain.from_iterable(state_blocks(incident, (start, end), surface))
+    blocks = state_blocks(incident, (start.theta, end.theta), (start.phi, end.phi), surface)
+    before, after = itertools.chain.from_iterable(blocks)
     return _changed_cells(before, after, surface.n_cells) / surface.n_cells
 
 
@@ -149,23 +148,26 @@ def sweep_grid(
 
     Each step is ``sweep_diff`` from (theta, ``from_phi``) to
     (max(theta - step, 0), ``to_phi``).  Each distinct direction is coded
-    once, in ``state_blocks``'s blocks, and a block's steps are counted at
-    once.  When the phis are equal, a step's end direction is the next step's
-    start (only the last end can be clamped), so the coded states form one
-    chain; otherwise they alternate start, end.
+    once, in ``state_blocks``'s blocks over ``SAMPLE_BLOCK`` directions at a
+    time, and a block's steps are counted at once.  When the phis are equal, a
+    step's end direction is the next step's start (only the last end can be
+    clamped), so the coded states form one chain; otherwise they alternate
+    start, end.
     """
-    steps = _grid_steps(step)
+    ahead, steps = itertools.tee(_grid_steps(step))
     if from_phi == to_phi:
-        stride = 1
-        ends = (Angles(end, to_phi) for _, end in _grid_steps(step))
-        directions = itertools.chain([Angles(85.0, from_phi)], ends)
+        stride, phis = 1, [from_phi]
+        thetas = itertools.chain([85.0], (end for _, end in ahead))
     else:
-        stride = 2
-        directions = itertools.chain.from_iterable(
-            (Angles(theta, from_phi), Angles(end, to_phi)) for theta, end in _grid_steps(step)
-        )
+        stride, phis = 2, [from_phi, to_phi]
+        thetas = itertools.chain.from_iterable(ahead)
+    # lists of SAMPLE_BLOCK thetas, which is even, so that each starts with a from_phi one
+    chunks = iter(lambda: list(itertools.islice(thetas, SAMPLE_BLOCK)), [])
+    blocks = itertools.chain.from_iterable(
+        state_blocks(incident, chunk, phis * (len(chunk) // stride), surface) for chunk in chunks
+    )
     coded, last = 0, None  # states coded so far, and the last of them
-    for block in state_blocks(incident, directions, surface):
+    for block in blocks:
         # a step starts at every stride-th state: the block's first such state is at a,
         # and the step before it may start at the previous block's last state
         a, changed = -coded % stride, []

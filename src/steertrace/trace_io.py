@@ -15,9 +15,10 @@ as ``json.dumps`` does with ``separators=(",", ":")``; the reader accepts any
 JSON spelling under the same rules.  The writer codes each event's
 ``updates`` from word tables built once per trace, one for each of col, row
 and state, each entry a value's token in a NUL-padded machine word, and
-refuses an update outside the surface's grid or states, which the reader
-would refuse.  The reader checks each line's ``updates`` against
-the writer's spelling from where its values end, decodes them with digit
+refuses an event time or an update that the reader would refuse: a time
+outside ``[0, duration]`` or not after the previous one, an update outside
+the surface's grid or states.  The reader checks each line's ``updates``
+against the writer's spelling from where its values end, decodes them with digit
 arithmetic in numpy, and leaves a line that is not in that spelling to
 ``json``.  It streams: it holds one line at a time, never the whole file,
 and checks each line when it reads it, so the first bad line is the one
@@ -37,6 +38,7 @@ PGM (P2, maxval 255, pixels scaled by the matrix maximum).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import fields
 from datetime import datetime, timezone
@@ -46,7 +48,8 @@ from typing import BinaryIO, Iterable, Iterator
 import numpy as np
 
 from .errors import TraceParseError, TraceWriteError, ValidationError
-from .gateway import ReconfigEvent, TraceMeta, TrafficTrace, format_number, outside_surface
+from .gateway import ReconfigEvent, TraceMeta, TrafficTrace, event_time_fault, format_number
+from .gateway import outside_surface
 from .geometry import Angles
 from .metrics import WorkloadReport
 from .scenario import is_finite_number, meta_from_dict, meta_to_dict
@@ -134,9 +137,11 @@ def write_events(
     it; see the module docstring for the format.  Returns the number of events and of
     packets written.
 
-    An event with an update outside the surface's grid or states raises
-    ValidationError before any byte of its line is written.  Two updates for
-    one cell are written as they are; the reader refuses them.
+    An event whose time lies outside [0, duration] or is not after the
+    previous event's, or that has an update outside the surface's grid or
+    states, raises ValidationError before any byte of its line is written, as
+    the reader would refuse it.  Two updates for one cell are written as they
+    are; the reader refuses them.
     """
     surface = meta.surface
     # a row codes as "col," "row," "state],[" from these tables, NULs dropped; under the
@@ -149,8 +154,12 @@ def write_events(
     record = np.dtype([("", table.dtype) for table in tables])  # fields f0, f1 and f2
     sink = _start(dest, created, meta=meta_to_dict(meta))
     n_events = n_packets = 0
+    duration, last = meta.trajectory.duration, -math.inf
     for ev in events:
-        rows = ev.updates
+        fault = event_time_fault(ev.t, last, duration)
+        if fault:
+            raise ValidationError(f"line {n_events + 2}: {fault}", key="t")
+        last, rows = ev.t, ev.updates
         opening, kept = b"[", b""  # "[]" for an event of no rows, which costs no numpy work
         if len(rows):
             fault = outside_surface(rows, surface)
@@ -340,7 +349,7 @@ def iter_trace(source: BinaryIO) -> tuple[TraceMeta, Iterator[ReconfigEvent]]:
 
 
 def _events(lines, meta: TraceMeta) -> Iterator[ReconfigEvent]:
-    duration, last = meta.trajectory.duration, None
+    duration, last = meta.trajectory.duration, -math.inf
     for line_number, line in lines:
         split = _split_event(line)
         updates = split and _decode_updates(split[1])
@@ -356,15 +365,9 @@ def _events(lines, meta: TraceMeta) -> Iterator[ReconfigEvent]:
                 line_number,
             )
         t = float(t)
-        if not 0.0 <= t <= duration:
-            raise ValidationError(
-                f"line {line_number}: event time {t!r} outside the scenario's [0, {duration!r}]"
-            )
-        if last is not None and t <= last:
-            raise ValidationError(
-                f"line {line_number}: event times must be strictly increasing "
-                f"({t!r} after {last!r})"
-            )
+        fault = event_time_fault(t, last, duration)
+        if fault:
+            raise ValidationError(f"line {line_number}: {fault}", key="t")
         if updates is None:
             updates = _updates(obj["updates"], line_number)
         if len(updates):  # an empty burst has no cell to check

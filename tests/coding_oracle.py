@@ -6,15 +6,21 @@ must give the same states for every phase below 2**52 state steps.
 ``full_grid_state_matrix`` is ``state_matrix`` as it stood before it coded one
 line for a zero gradient component and quantized in place: the full-grid
 ``raw_phase`` and the quantizer ``nearest_state_with_temporaries``, unchanged.
-``wrap_phase`` and ``ideal_phase`` are the wrapped per-cell phase, which only
-tests used.
+``wrap_phase`` and ``ideal_phase`` are the wrapped per-cell phase, and
+``quantize_phase`` the quantizer of one phase, which only tests used.
+``scalar_gradients`` is ``phase_gradients`` as it stood before the gradients
+of many directions were computed at once: one direction, in Python floats.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from steertrace.coding import TWO_PI, PhaseGradient, SurfaceConfig, phase_gradients
+from steertrace.coding import MAX_PHASE_STEPS, MAX_STATES, TWO_PI, PhaseGradient, SurfaceConfig
+from steertrace.coding import _cos_deg, _nearest_state, _sin_deg, phase_gradients
+from steertrace.errors import ValidationError
 from steertrace.geometry import Angles
 
 
@@ -62,3 +68,31 @@ def wrap_phase(x):
 def ideal_phase(g: PhaseGradient, cfg: SurfaceConfig) -> np.ndarray:
     """Ideal continuous phase per cell: (gx*i + gy*j) * d_u wrapped to [0, 2*pi)."""
     return wrap_phase(raw_phase(g, cfg))
+
+
+def quantize_phase(phase: float, n_states: int) -> int:
+    """Index of the discrete state phase 2*pi*k/n nearest to ``phase``.
+
+    Distance is circular; an exact half-step tie rounds down to the lower
+    neighbour (so a tie straddling the wrap stays at n_states - 1).
+    """
+    if not 2 <= n_states <= MAX_STATES:
+        raise ValidationError(f"n_states must lie in [2, {MAX_STATES}]", key="n_states")
+    if not abs(phase) / (TWO_PI / n_states) < MAX_PHASE_STEPS:
+        raise ValidationError("phase must be below 2**52 state steps", key="phase")
+    return int(_nearest_state(np.asarray(phase, dtype=float), n_states))
+
+
+def scalar_gradients(incident: Angles, reflected: Angles, cfg: SurfaceConfig) -> PhaseGradient:
+    for name, ang in (("incident", incident), ("reflected", reflected)):
+        if not (math.isfinite(ang.theta) and math.isfinite(ang.phi)):
+            raise ValidationError(f"{name} angles must be finite", key=name)
+        if not 0.0 <= ang.theta < 90.0:
+            raise ValidationError(
+                f"{name}.theta={ang.theta!r} must lie in [0, 90)", key=name
+            )
+    sin_i = _sin_deg(incident.theta)
+    sin_r = _sin_deg(reflected.theta)
+    gx = cfg.k_r * sin_r * _cos_deg(reflected.phi) - cfg.k_i * sin_i * _cos_deg(incident.phi)
+    gy = cfg.k_r * sin_r * _sin_deg(reflected.phi) - cfg.k_i * sin_i * _sin_deg(incident.phi)
+    return PhaseGradient(gx, gy)

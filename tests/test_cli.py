@@ -19,7 +19,7 @@ from steertrace import (
     read_trace,
 )
 from steertrace.cli import main
-from steertrace.coding import state_blocks
+from steertrace.coding import gradients
 from steertrace.gateway import NORMAL_INCIDENCE
 
 
@@ -57,21 +57,21 @@ def test_a_refused_simulation_leaves_an_existing_output_alone(tmp_path, capsys):
 
 def test_simulate_computes_each_picks_gradients_once(tmp_path, capsys):
     # a profile hook sees every call of the function, whatever name a module imported it by
-    code, calls = steertrace.coding.phase_gradients.__code__, []
+    code, directions = steertrace.coding.gradients.__code__, []
 
-    def count_calls(frame, event, arg):
+    def count_directions(frame, event, arg):
         if event == "call" and frame.f_code is code:
-            calls.append(event)
+            directions.append(len(frame.f_locals["thetas"]))
 
     argv = ["surface.n_cols=8", "surface.n_rows=8", "gateway.angular_step=0.02"]
-    sys.setprofile(count_calls)
+    sys.setprofile(count_directions)
     try:
         rc = run_cli("simulate", "--out", str(tmp_path / "t.jsonl"), *argv)
     finally:
         sys.setprofile(None)
     assert rc == 0
     assert "events=4251 " in capsys.readouterr().out
-    assert len(calls) == 4251
+    assert directions == [4251]
 
 
 def test_simulate_unknown_override_key(tmp_path, capsys):
@@ -350,10 +350,11 @@ def test_sweep_grid_shape_and_trend(capsys):
 def test_grid_sweep_codes_each_distinct_direction_once(capsys, monkeypatch, argv, steps, calls):
     coded = []
 
-    def counting_state_blocks(incident, directions, cfg):
-        return state_blocks(incident, (coded.append(d) or d for d in directions), cfg)
+    def counting_gradients(incident, thetas, phis, cfg):
+        coded.extend(zip(thetas, phis))
+        return gradients(incident, thetas, phis, cfg)
 
-    monkeypatch.setattr(steertrace.metrics, "state_blocks", counting_state_blocks)
+    monkeypatch.setattr(steertrace.coding, "gradients", counting_gradients)
     assert run_cli("sweep", *argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == steps
     assert len(coded) == len(set(coded)) == calls

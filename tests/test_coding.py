@@ -3,17 +3,11 @@ import random
 
 import numpy as np
 import pytest
-from coding_oracle import ideal_phase, nearest_state_with_temporaries, wrap_phase
+from coding_oracle import ideal_phase, nearest_state_with_temporaries, quantize_phase, wrap_phase
 
 from steertrace import Angles, SurfaceConfig, ValidationError, coding, state_matrix
-from steertrace.coding import (
-    TWO_PI,
-    PhaseGradient,
-    _nearest_state,
-    aliasing_check,
-    phase_gradients,
-    quantize_phase,
-)
+from steertrace.coding import TWO_PI, PhaseGradient, _nearest_state, phase_gradients
+from steertrace.gateway import _warn_on_aliasing
 from steertrace.metrics import sweep_grid
 
 INC = Angles(0.0, 0.0)
@@ -269,11 +263,20 @@ def test_state_matrix_entries_in_range():
     assert m.max() < 16
 
 
-def test_aliasing_check_thresholds():
+def test_aliasing_check_thresholds(caplog):
+    # per-cell steps of 0, pi/4 and 1.05*pi rad on x, and 0 on y: only the last is aliased
     cfg = SurfaceConfig()
-    assert not aliasing_check(PhaseGradient(0.0, 0.0), cfg).aliased
-    quarter = (math.pi / 4) / cfg.d_u
-    assert not aliasing_check(PhaseGradient(quarter, 0.0), cfg).aliased
-    over = (1.05 * math.pi) / cfg.d_u
-    report = aliasing_check(PhaseGradient(over, 0.0), cfg)
-    assert abs(report.step_x) > math.pi and abs(report.step_y) <= math.pi and report.aliased
+    quarter, over = (math.pi / 4) / cfg.d_u, (1.05 * math.pi) / cfg.d_u
+    gx, gy = np.array([0.0, quarter, over]), np.zeros(3)
+    picks = [(0.0, INC), (1.0, INC), (2.5, INC)]
+    for k in (1, 2, 3):
+        caplog.clear()
+        _warn_on_aliasing(picks[:k], gx[:k] * cfg.d_u, gy[:k] * cfg.d_u)
+        assert len(caplog.records) == (k == 3)
+    message = caplog.records[0].getMessage()
+    assert message.startswith("aliasing at 1 of 3 events, first at t=2.5: the per-cell phase "
+                              "step (3.2987, 0.0000 rad) exceeds half a cycle")
+    # on y too, and at exactly pi, which is not aliased
+    caplog.clear()
+    _warn_on_aliasing(picks[:2], np.array([math.pi, 0.0]), np.array([0.0, -1.05 * math.pi]))
+    assert "aliasing at 1 of 2 events, first at t=1:" in caplog.records[0].getMessage()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scalar_oracle
 import trace_io_oracle
-from coding_oracle import full_grid_state_matrix, nearest_state
+from coding_oracle import full_grid_state_matrix, nearest_state, scalar_gradients
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_trace_io import HEADER
@@ -38,13 +38,14 @@ from steertrace import (
     state_matrix,
     write_trace,
 )
-from steertrace import coding, trace_io
+from steertrace import coding, metrics, trace_io
 from steertrace.cli import main
 from steertrace.coding import MAX_CELLS, MAX_PHASE_STEPS, MAX_STATES, TWO_PI, _nearest_state
 from steertrace.coding import phase_gradients, state_blocks
 from steertrace.gateway import BAND, NORMAL_INCIDENCE, detect_events, diff_states
 from steertrace.gateway import outside_surface
-from steertrace.geometry import RAD_TO_DEG, angle_stream, signed_circular_delta_deg, wrap_360
+from steertrace.geometry import RAD_TO_DEG, SAMPLE_BLOCK, angle_stream, signed_circular_delta_deg
+from steertrace.geometry import wrap_360
 from steertrace.metrics import sweep_diff, sweep_grid
 from steertrace.scenario import FIELDS
 from steertrace.trace_io import _cell_fault, _decode_updates
@@ -226,16 +227,18 @@ def test_read_trace_accepts_exactly_the_update_lists_the_scalar_rules_accept(raw
         assert updates.tolist() == expected
 
 
-def hand_trace(n_cols, n_rows, n_states, *events) -> TrafficTrace:
-    """A trace on an ``n_cols`` x ``n_rows`` surface of ``n_states`` states, one event
-    (at t = 1, 2, ...) per list of ``[col, row, state]`` rows."""
+def hand_trace(n_cols, n_rows, n_states, *events, times=None) -> TrafficTrace:
+    """A trace of duration 10 on an ``n_cols`` x ``n_rows`` surface of ``n_states``
+    states, one event (at ``times``, else at t = 1, 2, ...) per list of
+    ``[col, row, state]`` rows."""
     meta = TraceMeta(
         SurfaceConfig(n_cols, n_rows, n_states=n_states), GatewayConfig(), Angles(0.0, 0.0),
         Trajectory(Case.A, CaseParams(), 10.0),
     )
+    times = times or [1.0 + k for k in range(len(events))]
     return TrafficTrace(meta, tuple(
-        ReconfigEvent(1.0 + k, Angles(10.0, 0.0), np.array(rows, np.int64).reshape(-1, 3))
-        for k, rows in enumerate(events)
+        ReconfigEvent(t, Angles(10.0, 0.0), np.array(rows, np.int64).reshape(-1, 3))
+        for t, rows in zip(times, events)
     ))
 
 
@@ -243,7 +246,8 @@ def hand_trace(n_cols, n_rows, n_states, *events) -> TrafficTrace:
 def hand_traces(draw, spill=0):
     """A hand-built trace on a 1xN, Nx1 or rectangular surface with at most one update a
     cell, each value within the surface or, given a ``spill``, up to ``spill`` past
-    either end of it or at an int64 extreme."""
+    either end of it or at an int64 extreme, and then its event times too may lie
+    outside [0, 10] or fail to increase."""
     n = draw(st.integers(1, MAX_CELLS))
     m = draw(st.integers(1, MAX_CELLS // n))
     n_cols, n_rows = draw(st.sampled_from([(1, n), (n, 1), (n, m), (m, n)]))
@@ -256,8 +260,12 @@ def hand_traces(draw, spill=0):
         return inside | st.integers(-spill, n - 1 + spill) | st.sampled_from([-(2**63), 2**63 - 1])
 
     row = st.tuples(values(n_cols), values(n_rows), values(n_states))
-    events = st.lists(st.lists(row, max_size=5, unique_by=lambda u: u[:2]), max_size=4)
-    return hand_trace(n_cols, n_rows, n_states, *draw(events))
+    events = draw(st.lists(st.lists(row, max_size=5, unique_by=lambda u: u[:2]), max_size=4))
+    times = None
+    if spill and draw(st.booleans()):
+        t = st.sampled_from([-1.0, -0.0, 0.0, 2.0, 2.0, 10.0, 10.5]) | st.floats(-1.0, 11.0)
+        times = draw(st.lists(t, min_size=len(events), max_size=len(events)))
+    return hand_trace(n_cols, n_rows, n_states, *events, times=times)
 
 
 @settings(max_examples=150)
@@ -282,13 +290,19 @@ def test_writer_codes_updates_as_json_dumps(trace):
         assert line == f'{head},"updates":{updates}}}'.encode()
 
 
-@settings(max_examples=150)
+@settings(max_examples=300)
 @given(hand_traces(spill=2))
 @example(hand_trace(4, 3, 2, [[0, 0, 1]], [[3, 2, 1], [-1, 0, 0], [4, 0, 0]]))
 @example(hand_trace(4, 3, 2, [[0, 0, -(2**63)]]))
+@example(hand_trace(4, 3, 2, [[0, 0, 1]], [], times=[0.0, 10.5]))
+@example(hand_trace(4, 3, 2, [], times=[-0.5]))
+@example(hand_trace(4, 3, 2, [[0, 0, 1]], [[1, 0, 1]], times=[2.0, 2.0]))
+@example(hand_trace(4, 3, 2, [], [[1, 0, 1]], [], times=[0.0, 3.0, 2.5]))
+@example(hand_trace(4, 3, 2, [[9, 0, 1]], times=[11.0]))
 def test_writer_refuses_exactly_the_updates_the_reader_refuses(trace):
-    """The writer raises on the event whose line the reader would refuse, naming the same
-    update, before writing a byte of that line; any other trace round-trips."""
+    """The writer raises on the event whose line the reader would refuse, for its time or
+    its updates, with the reader's words and before writing a byte of that line; any
+    other trace round-trips."""
     file = reference_bytes(trace)
     expected = outcome(read_trace, file)
     buf = io.BytesIO()
@@ -299,6 +313,8 @@ def test_writer_refuses_exactly_the_updates_the_reader_refuses(trace):
         written = buf.getvalue()
         assert file.startswith(written) and written.count(b"\n") == error_line(expected) - 1
         assert str(exc).split(": ", 1)[1] == str(expected).split(": ", 1)[1]
+        assert (exc.key == "t") == (expected.key == "t") == ("time" in str(expected))
+        assert exc.key != "t" or str(exc) == str(expected)  # the line number too
     else:
         assert expected == trace
         assert buf.getvalue() == file
@@ -815,6 +831,55 @@ def test_state_matrix_gives_the_full_grid_codings_states(drawn):
     assert not np.shares_memory(got, state_matrix(incident, reflected, surface))
 
 
+# quadrant angles and signed zeros, where _sin_deg is exact, and phis off [0, 360)
+gradient_thetas = st.sampled_from([0.0, -0.0, 30.0, 45.0]) | st.floats(0.0, 90.0, exclude_max=True)
+gradient_phis = st.sampled_from(
+    [0.0, -0.0, 90.0, 180.0, 270.0, 360.0, -90.0, -180.0, -270.0, -360.0, 450.0, 720.0, -720.0]
+) | st.floats(-1e4, 1e4)
+bad_directions = st.tuples(
+    st.sampled_from([90.0, 1e300, -1.0, -5e-324, math.nan, math.inf, -math.inf]), gradient_phis
+) | st.tuples(gradient_thetas, st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def gradient_cases(draw):
+    """An incidence, oblique or not, directions and wavelengths, equal or not; now and
+    then one or two bad directions anywhere among the good ones, or a bad incidence."""
+    lambda_i, lambda_r = draw(st.sampled_from([(0.03, 0.03), (0.03, 0.025), (0.02, 0.031)]))
+    incident = draw(st.just(NORMAL_INCIDENCE) | st.builds(Angles, gradient_thetas, gradient_phis))
+    directions = draw(st.lists(st.tuples(gradient_thetas, gradient_phis), max_size=12))
+    if draw(st.integers(0, 3)) == 0:
+        spoils = st.lists(st.tuples(st.integers(0, 12), bad_directions), min_size=1, max_size=2)
+        for k, bad in draw(spoils):
+            directions.insert(k, bad)
+    if draw(st.integers(0, 9)) == 0:
+        incident = Angles(*draw(bad_directions))
+    return incident, directions, SurfaceConfig(lambda_i=lambda_i, lambda_r=lambda_r)
+
+
+@settings(max_examples=400)
+@given(gradient_cases())
+@example((Angles(20.0, 180.0), [(0.0, 270.0), (30.0, -90.0), (89.5, 720.0), (0.0, -0.0)],
+          SurfaceConfig(lambda_r=0.025)))
+@example((NORMAL_INCIDENCE, [(10.0, 0.0), (90.0, 0.0), (-1.0, 0.0)], SurfaceConfig()))
+def test_gradients_have_the_bits_of_the_scalar_formula(drawn):
+    incident, directions, surface = drawn
+    thetas, phis = [d[0] for d in directions], [d[1] for d in directions]
+    try:
+        scalar_gradients(incident, NORMAL_INCIDENCE, surface)  # the incidence, checked first
+        want = [scalar_gradients(incident, Angles(*d), surface) for d in directions]
+    except ValidationError as exc:  # the first bad direction's refusal
+        with pytest.raises(ValidationError) as refused:
+            coding.gradients(incident, thetas, phis, surface)
+        assert (str(refused.value), refused.value.key) == (str(exc), exc.key)
+        return
+    gx, gy = coding.gradients(incident, thetas, phis, surface)
+    assert gx.dtype == gy.dtype == np.float64 and gx.shape == gy.shape == (len(directions),)
+    for got, component in ((gx, "gx"), (gy, "gy")):
+        bits = np.array([getattr(g, component) for g in want], dtype=float).view(np.int64)
+        assert got.view(np.int64).tolist() == bits.tolist()
+
+
 def block_lines(grads, surface):
     """The (rows, cols) that a block of these gradients codes."""
     return (
@@ -840,7 +905,8 @@ def check_blocks(incident, directions, surface, cap):
     """``state_blocks`` under ``cap`` against the full-grid coding, direction by direction,
     with each block as large as the cap allows and its axes compact where they can be."""
     with mock.patch.object(coding, "BLOCK_CELLS", cap):
-        blocks = list(state_blocks(incident, iter(directions), surface))
+        thetas, phis = [d.theta for d in directions], [d.phi for d in directions]
+        blocks = list(state_blocks(incident, thetas, phis, surface))
     assert sum(map(len, blocks)) == len(directions)
     grads = [phase_gradients(incident, d, surface) for d in directions]
     k = 0
@@ -898,17 +964,22 @@ def grid_sweeps(draw):
     incident = draw(st.just(NORMAL_INCIDENCE) | angles)
     # blocks of one to five full grids, so that a block can end on a step's start
     cap = max(1, draw(st.integers(1, 5)) * surface.n_cells + draw(st.sampled_from([-1, 0, 1])))
-    return step, from_phi, to_phi, surface, incident, cap
+    # directions taken at once: an even count, so that a chunk starts on a step's start
+    chunk = draw(st.sampled_from([2, 4, 6, SAMPLE_BLOCK]))
+    return step, from_phi, to_phi, surface, incident, cap, chunk
 
 
 @settings(max_examples=200)
 @given(grid_sweeps())
-@example((85.0 / 11, 0.0, 0.0, SurfaceConfig(n_cols=4, n_rows=3), NORMAL_INCIDENCE, 5))
-@example((85.0 / 11, 33.0, 10.0, SurfaceConfig(n_cols=4, n_rows=3), NORMAL_INCIDENCE, 36))
-@example((85.0 / 15, 33.0, 33.0, SurfaceConfig(n_cols=2, n_rows=5), Angles(20.0, 0.0), 25))
+@example((85.0 / 11, 0.0, 0.0, SurfaceConfig(n_cols=4, n_rows=3), NORMAL_INCIDENCE, 5, 4))
+@example((85.0 / 11, 33.0, 10.0, SurfaceConfig(n_cols=4, n_rows=3), NORMAL_INCIDENCE, 36, 6))
+@example((85.0 / 15, 33.0, 33.0, SurfaceConfig(n_cols=2, n_rows=5), Angles(20.0, 0.0), 25,
+          SAMPLE_BLOCK))
 def test_every_sweep_grid_fraction_is_the_sweep_diff_of_its_pair(drawn):
-    step, from_phi, to_phi, surface, incident, cap = drawn
-    with mock.patch.object(coding, "BLOCK_CELLS", cap):
+    step, from_phi, to_phi, surface, incident, cap, chunk = drawn
+    with mock.patch.object(coding, "BLOCK_CELLS", cap), mock.patch.object(
+        metrics, "SAMPLE_BLOCK", chunk
+    ):
         got = list(sweep_grid(step, from_phi, to_phi, surface, incident))
         assert [(a, b) for a, b, _ in got] == grid_steps(step)
         for theta, end, fraction in got:

@@ -77,7 +77,8 @@ SCENARIOS = {
 }
 
 # The sweep workload of perfbench, and the same sweep and a 500x500 one off phi 0,
-# where every direction codes the full grid.
+# where every direction codes the full grid; and a sweep from phi 0 to phi 10, whose
+# directions alternate between the two phis.
 SWEEPS = {
     "sweep_120x120": (
         ["--grid", "0.25", "surface.n_cols=120", "surface.n_rows=120"],
@@ -87,6 +88,11 @@ SWEEPS = {
         ["--grid", "0.25", "--from-phi", "33", "--to-phi", "33",
          "surface.n_cols=120", "surface.n_rows=120"],
         "340 steps over 341 directions that each code the full 120x120 grid but the last",
+    ),
+    "sweep_120x120_to_phi10": (
+        ["--grid", "0.25", "--to-phi", "10", "surface.n_cols=120", "surface.n_rows=120"],
+        "340 steps over 680 directions that alternate phi 0 and phi 10; the ends at phi 10 "
+        "make every block code the full grid",
     ),
     "sweep_500x500_phi33": (
         ["--grid", "5", "--from-phi", "33", "--to-phi", "33",
