@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from .errors import TraceParseError, ValidationError
 from .gateway import TraceMeta, format_number, iter_events
-from .geometry import MAX_STEPS, Angles
+from .geometry import Angles
 from .metrics import summarize, sweep_diff, sweep_grid
 from .scenario import defaults, meta_from_dict
 from .trace_io import default_created, export_heatmap, iter_trace, write_events, write_report
@@ -97,8 +97,6 @@ def cmd_metrics(args) -> int:
 def cmd_sweep(args) -> int:
     meta, _ = load_scenario(args)
     if args.grid is not None:
-        if not (0 < args.grid <= 85.0 and 85.0 / args.grid <= MAX_STEPS):  # two codings a step
-            raise ValidationError(f"--grid must be in (0, 85] with <= {MAX_STEPS} steps", "grid")
         steps = sweep_grid(args.grid, args.from_phi, args.to_phi, meta.surface, meta.incident)
         sys.stdout.writelines(  # one call, and no text of all the lines at once
             f"from_theta={format_number(start)} to_theta={format_number(end)} "

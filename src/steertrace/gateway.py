@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -55,21 +55,27 @@ class ReconfigEvent:
 
     t: float
     reflected: Angles
-    updates: np.ndarray  # (n, 3) int64, read-only; built from integers only, never cast
+    # (n, 3) int64, read-only; built from integers only, never cast; a copy of the given
+    # array unless that is already a read-only int64 (n, 3) array
+    updates: np.ndarray
 
     def __post_init__(self):
         for key, v in (("t", self.t), ("theta", self.reflected.theta), ("phi", self.reflected.phi)):
             if not math.isfinite(v):
                 raise ValidationError(f"{key}={v!r} must be finite", key)
+        u = self.updates
+        read_only = type(u) is np.ndarray and not u.flags.writeable
+        if read_only and u.dtype == np.int64 and u.shape[1:] == (3,):
+            return  # read-only rows, as the gateway and the reader build them: no copy
         try:
-            u = np.asarray(self.updates)
+            u = np.asarray(u)
             if u.shape == (0,):  # an empty sequence
                 u = u.astype(np.int64).reshape(0, 3)
             if not (u.dtype.kind in "iu" and np.can_cast(u.dtype, np.int64) and u.shape[1:] == (3,)):
                 raise ValueError(f"got {u.dtype} of shape {u.shape}")
         except ValueError as exc:  # a ragged sequence too
             raise ValidationError(f"updates must be (n, 3) integers: {exc}", "updates") from None
-        u = u.astype(np.int64)  # a copy, so that nothing else can write it
+        u = u.astype(np.int64)  # a copy, so that the caller cannot write the event's rows
         u.flags.writeable = False
         object.__setattr__(self, "updates", u)
 
@@ -132,6 +138,39 @@ class TrafficTrace:
     @property
     def total_packets(self) -> int:
         return sum(len(ev.updates) for ev in self.events)
+
+
+def checked_events(meta: TraceMeta, events: Iterable[ReconfigEvent]) -> Iterator[ReconfigEvent]:
+    """``events``, each yielded once it is checked: its time in [0, duration] and after
+    the previous event's, its updates inside the surface's grid and states, no cell twice.
+
+    The first bad event raises ValidationError, key ``t`` for its time and ``updates``
+    for its cells, naming the line that a trace file gives it (event k, from 0, on line
+    k + 2), so that the writer, the reader and the metrics refuse it in the same words.
+    """
+    surface, duration, last = meta.surface, meta.trajectory.duration, -math.inf
+    for line, ev in enumerate(events, start=2):
+        fault = event_time_fault(ev.t, last, duration)
+        if fault:
+            raise ValidationError(f"line {line}: {fault}", "t")
+        rows = ev.updates
+        fault = len(rows) and outside_surface(rows, surface)  # an empty burst has no cell
+        if not fault and len(rows) > 1:
+            cells = rows[:, 1] * surface.n_cols
+            cells += rows[:, 0]
+            # Row-major rows, as the gateway and the writer give them, have increasing
+            # cell keys and so no repeat; only another order needs the sort.
+            if not (cells[1:] > cells[:-1]).all():
+                cells.sort()
+                repeated = cells[1:][cells[1:] == cells[:-1]]
+                if repeated.size:
+                    r, c = divmod(int(repeated[0]), surface.n_cols)
+                    fault = f"duplicate update for cell ({c}, {r})"
+            del cells  # not held while the caller takes the event and the next one is built
+        if fault:
+            raise ValidationError(f"line {line}: {fault}", "updates")
+        last = ev.t
+        yield ev
 
 
 def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float, Angles]]:
@@ -301,7 +340,9 @@ def _diffed(picks: list, blocks: Iterator[np.ndarray], surface: SurfaceConfig) -
     full = (surface.n_rows, surface.n_cols)
     current = np.zeros((1, 1), dtype=np.int64)
     for (t, ang), target in zip(picks, itertools.chain.from_iterable(blocks)):
-        yield ReconfigEvent(t, ang, diff_states(current, target, full))
+        rows = diff_states(current, target, full)
+        rows.flags.writeable = False  # fresh rows, which the event then takes without a copy
+        yield ReconfigEvent(t, ang, rows)
         current = target
 
 

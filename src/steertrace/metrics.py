@@ -11,8 +11,7 @@ import numpy as np
 
 from .coding import SurfaceConfig, state_blocks
 from .errors import ValidationError
-from .gateway import NORMAL_INCIDENCE, ReconfigEvent, TrafficTrace, event_time_fault
-from .gateway import outside_surface
+from .gateway import NORMAL_INCIDENCE, ReconfigEvent, TrafficTrace, checked_events
 from .geometry import MAX_STEPS, SAMPLE_BLOCK, Angles
 
 
@@ -35,8 +34,8 @@ def summarize(
     One pass that keeps no event: per event, its size, its time and one
     ``np.add.at`` of its cells into the per-cell packet counts, so memory is
     one count per cell plus two numbers per event.  The events must be checked
-    already, as ``read_trace`` and ``_checked_events`` check them: an update outside
-    the surface would be counted in another cell.
+    already, as ``iter_trace`` checks them with ``gateway.checked_events``: an update
+    outside the surface would be counted in another cell.
     """
     sizes, times = [], []
     counts = np.zeros(surface.n_cells, np.int64)
@@ -57,24 +56,9 @@ def summarize(
     return report, matrix
 
 
-def _checked_events(trace: TrafficTrace) -> tuple[ReconfigEvent, ...]:
-    """``trace``'s events, once each is checked as the reader checks it: its time in
-    [0, duration] and after the previous one, its updates inside the surface."""
-    duration, surface, last = trace.meta.trajectory.duration, trace.meta.surface, -math.inf
-    for ev in trace.events:
-        fault = event_time_fault(ev.t, last, duration)
-        if fault:
-            raise ValidationError(fault, key="t")
-        fault = len(ev.updates) and outside_surface(ev.updates, surface)
-        if fault:
-            raise ValidationError(f"event at t={ev.t!r} outside the surface: {fault}", "updates")
-        last = ev.t
-    return trace.events
-
-
 def destination_matrix(trace: TrafficTrace) -> np.ndarray:
     """Per-cell share of all packets, shape (n_rows, n_cols); zero if no packets."""
-    return summarize(trace.meta.surface, _checked_events(trace))[1]
+    return summarize(trace.meta.surface, checked_events(trace.meta, trace.events))[1]
 
 
 def injection_rate(
@@ -89,7 +73,7 @@ def injection_rate(
     duration (partial final bin still divided by the full width) and reports
     bin midpoints.
     """
-    events = _checked_events(trace)
+    events = tuple(checked_events(trace.meta, trace.events))
     if mode == "per_burst":
         return [(ev.t, len(ev.updates) / (ev.t - prev.t)) for prev, ev in zip(events, events[1:])]
     if mode != "binned":
@@ -152,8 +136,11 @@ def sweep_grid(
     time, and a block's steps are counted at once.  When the phis are equal, a
     step's end direction is the next step's start (only the last end can be
     clamped), so the coded states form one chain; otherwise they alternate
-    start, end.
+    start, end.  A ``step`` outside (0, 85], or of more than MAX_STEPS steps, raises
+    ValidationError (key ``grid``) before any direction is coded.
     """
+    if not (0 < step <= 85.0 and 85.0 / step <= MAX_STEPS):  # two codings a step
+        raise ValidationError(f"grid step {step!r} must be in (0, 85], <={MAX_STEPS} steps", "grid")
     ahead, steps = itertools.tee(_grid_steps(step))
     if from_phi == to_phi:
         stride, phis = 1, [from_phi]
@@ -191,4 +178,4 @@ def spatial_cv(ratios: np.ndarray) -> float:
 
 def burst_stats(trace: TrafficTrace) -> WorkloadReport:
     """Per-event sizes and fractions, inter-event gaps, totals, spatial CV."""
-    return summarize(trace.meta.surface, _checked_events(trace))[0]
+    return summarize(trace.meta.surface, checked_events(trace.meta, trace.events))[0]

@@ -14,15 +14,15 @@ with ``t`` in ``[0, meta.scenario.duration]``.  The writer spells every line
 as ``json.dumps`` does with ``separators=(",", ":")``; the reader accepts any
 JSON spelling under the same rules.  The writer codes each event's
 ``updates`` from word tables built once per trace, one for each of col, row
-and state, each entry a value's token in a NUL-padded machine word, and
-refuses an event time or an update that the reader would refuse: a time
-outside ``[0, duration]`` or not after the previous one, an update outside
-the surface's grid or states.  The reader checks each line's ``updates``
-against the writer's spelling from where its values end, decodes them with digit
-arithmetic in numpy, and leaves a line that is not in that spelling to
-``json``.  It streams: it holds one line at a time, never the whole file,
-and checks each line when it reads it, so the first bad line is the one
-reported.
+and state, each entry a value's token in a NUL-padded machine word.  The
+reader checks each line's ``updates`` against the writer's spelling from
+where its values end, decodes them with digit arithmetic in numpy, and
+leaves a line that is not in that spelling to ``json``.  It streams: it
+holds one line at a time, never the whole file.  Both run every event
+through :func:`.gateway.checked_events` (time, bounds, no cell twice), the
+writer before it writes the event's line and the reader as it reads it, so
+the writer writes no event that the reader refuses, and the first bad line
+is the one reported.
 
 ``meta`` snapshots the surface, gateway, incidence, and scenario in full, so
 a trace header alone suffices to regenerate the trace; :mod:`.scenario`, the
@@ -38,7 +38,6 @@ PGM (P2, maxval 255, pixels scaled by the matrix maximum).
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import fields
 from datetime import datetime, timezone
@@ -48,8 +47,7 @@ from typing import BinaryIO, Iterable, Iterator
 import numpy as np
 
 from .errors import TraceParseError, TraceWriteError, ValidationError
-from .gateway import ReconfigEvent, TraceMeta, TrafficTrace, event_time_fault, format_number
-from .gateway import outside_surface
+from .gateway import ReconfigEvent, TraceMeta, TrafficTrace, checked_events, format_number
 from .geometry import Angles
 from .metrics import WorkloadReport
 from .scenario import is_finite_number, meta_from_dict, meta_to_dict
@@ -137,11 +135,8 @@ def write_events(
     it; see the module docstring for the format.  Returns the number of events and of
     packets written.
 
-    An event whose time lies outside [0, duration] or is not after the
-    previous event's, or that has an update outside the surface's grid or
-    states, raises ValidationError before any byte of its line is written, as
-    the reader would refuse it.  Two updates for one cell are written as they
-    are; the reader refuses them.
+    An event that :func:`.gateway.checked_events` refuses, as the reader
+    would, raises its ValidationError before any byte of its line is written.
     """
     surface = meta.surface
     # a row codes as "col," "row," "state],[" from these tables, NULs dropped; under the
@@ -154,17 +149,10 @@ def write_events(
     record = np.dtype([("", table.dtype) for table in tables])  # fields f0, f1 and f2
     sink = _start(dest, created, meta=meta_to_dict(meta))
     n_events = n_packets = 0
-    duration, last = meta.trajectory.duration, -math.inf
-    for ev in events:
-        fault = event_time_fault(ev.t, last, duration)
-        if fault:
-            raise ValidationError(f"line {n_events + 2}: {fault}", key="t")
-        last, rows = ev.t, ev.updates
+    for ev in checked_events(meta, events):
+        rows = ev.updates
         opening, kept = b"[", b""  # "[]" for an event of no rows, which costs no numpy work
         if len(rows):
-            fault = outside_surface(rows, surface)
-            if fault:
-                raise ValidationError(f"event at t={ev.t!r}: {fault}")
             words = bytearray(len(rows) * record.itemsize)
             coded = np.frombuffer(words, record)
             for name, table, column in zip(record.names, tables, rows.T):
@@ -313,24 +301,6 @@ def _updates(raw, line_number: int) -> np.ndarray:
         raise TraceParseError("an update integer exceeds 64 bits", line_number) from None
 
 
-def _cell_fault(rows: np.ndarray, surface) -> str:
-    """What is wrong with one event's ``rows``: an update outside the surface, else
-    two updates for one cell; "" if neither."""
-    fault = outside_surface(rows, surface)
-    if fault:
-        return fault
-    cells = rows[:, 1] * surface.n_cols + rows[:, 0]
-    # The writer lists an event's cells in row-major order, so its keys increase
-    # and hold no repeat; only another order needs the sort.
-    if not (cells[1:] > cells[:-1]).all():
-        cells.sort()
-        repeated = cells[1:][cells[1:] == cells[:-1]]
-        if repeated.size:
-            r, c = divmod(int(repeated[0]), surface.n_cols)
-            return f"duplicate update for cell ({c}, {r})"
-    return ""
-
-
 def iter_trace(source: BinaryIO) -> tuple[TraceMeta, Iterator[ReconfigEvent]]:
     """The scenario of a trace file and an iterator over its events.
 
@@ -345,11 +315,10 @@ def iter_trace(source: BinaryIO) -> tuple[TraceMeta, Iterator[ReconfigEvent]]:
         meta = meta_from_dict(header["meta"])
     except ValidationError as exc:
         raise TraceParseError(f"bad header meta: {exc}", 1) from None
-    return meta, _events(lines, meta)
+    return meta, checked_events(meta, _events(lines))
 
 
-def _events(lines, meta: TraceMeta) -> Iterator[ReconfigEvent]:
-    duration, last = meta.trajectory.duration, -math.inf
+def _events(lines) -> Iterator[ReconfigEvent]:
     for line_number, line in lines:
         split = _split_event(line)
         updates = split and _decode_updates(split[1])
@@ -364,18 +333,10 @@ def _events(lines, meta: TraceMeta) -> Iterator[ReconfigEvent]:
                 f"t, theta_r and phi_r must be finite numbers, got {t!r}, {theta!r}, {phi!r}",
                 line_number,
             )
-        t = float(t)
-        fault = event_time_fault(t, last, duration)
-        if fault:
-            raise ValidationError(f"line {line_number}: {fault}", key="t")
         if updates is None:
             updates = _updates(obj["updates"], line_number)
-        if len(updates):  # an empty burst has no cell to check
-            fault = _cell_fault(updates, meta.surface)
-            if fault:
-                raise ValidationError(f"line {line_number}: {fault}")
-        yield ReconfigEvent(t, Angles(float(theta), float(phi)), updates)
-        last = t
+        updates.flags.writeable = False  # fresh rows, which the event then takes without a copy
+        yield ReconfigEvent(float(t), Angles(float(theta), float(phi)), updates)
 
 
 def read_trace(source: BinaryIO) -> TrafficTrace:

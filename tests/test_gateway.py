@@ -196,6 +196,22 @@ def test_event_updates_are_read_only(case_a_trace):
         updates[0, 2] = 0
 
 
+def test_an_event_keeps_its_rows_when_the_callers_array_is_written():
+    rows = np.array([[1, 2, 1], [3, 4, 0]], np.int64)
+    ev = ReconfigEvent(0.0, INC, rows)
+    rows[0, 2] = 3
+    assert ev.updates.tolist() == [[1, 2, 1], [3, 4, 0]]
+    assert not ev.updates.flags.writeable
+
+
+def test_an_event_takes_read_only_int64_rows_without_a_copy():
+    rows = np.array([[1, 2, 1], [3, 4, 0]], np.int64)
+    rows.flags.writeable = False
+    assert ReconfigEvent(0.0, INC, rows).updates is rows
+    # rows of another dtype are copied to int64
+    assert ReconfigEvent(0.0, INC, rows.astype(np.int32)).updates.dtype == np.int64
+
+
 @pytest.mark.parametrize(
     "updates",
     [[[0.5, 0, 1]], [[1, 2]], [[1, 2, 3], [4, 5]], [[]], [[2**63, 0, 1]], np.zeros((2, 3)), "abc"],

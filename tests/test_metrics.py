@@ -1,6 +1,8 @@
 import io
+import itertools
 import math
 import random
+import re
 import tracemalloc
 from contextlib import redirect_stdout
 
@@ -28,7 +30,8 @@ from steertrace import (
 )
 from steertrace.cli import main
 from steertrace.gateway import iter_events
-from steertrace.metrics import spatial_cv, summarize
+from steertrace import metrics
+from steertrace.metrics import spatial_cv, summarize, sweep_grid
 from steertrace.trace_io import iter_trace, write_events
 
 INC = Angles(0.0, 0.0)
@@ -81,8 +84,9 @@ def test_destination_matrix_zero_packets_is_all_zero():
 def test_a_cell_outside_the_surface_is_refused_not_wrapped(cell):
     update = (*cell, 1)[:3]  # a third value in ``cell`` is the state, past the 4 states
     trace = make_trace([(0.0, [(1, 1, 1)]), (1.0, [(2, 2, 1), update])])
+    message = f"line 3: update {list(update)} outside the 50x50 grid or the states [0, 4)"
     for metric in (destination_matrix, burst_stats):
-        with pytest.raises(ValidationError, match="outside the surface") as err:
+        with pytest.raises(ValidationError, match=re.escape(message)) as err:
             metric(trace)
         assert err.value.key == "updates"
 
@@ -97,6 +101,16 @@ def test_event_times_out_of_order_or_outside_the_duration_are_refused(times, mat
         with pytest.raises(ValidationError, match=match) as err:
             metric(trace)
         assert err.value.key == "t"
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, 100.0, 1e-9])
+def test_sweep_grid_refuses_a_step_out_of_range_before_coding(monkeypatch, step):
+    """A step of zero would yield forever, one past 85 nothing and a tiny one 85 / step
+    steps; each raises before any direction is coded."""
+    monkeypatch.setattr(metrics, "state_blocks", None)  # a call would raise TypeError
+    with pytest.raises(ValidationError) as err:
+        list(itertools.islice(sweep_grid(step, 0.0, 0.0, SurfaceConfig()), 3))
+    assert err.value.key == "grid"
 
 
 def test_destination_matrix_normalizes(case_a_trace):
@@ -261,10 +275,10 @@ def test_streamed_simulation_memory_is_bounded_by_the_largest_event():
     by the trace.
 
     Case A on a 200x200 surface sampled every 10 ms bursts in 18 events of up to 33,400
-    rows.  The bound allows 6 times the largest event's rows (its diff's index arrays,
-    its rows and their copy, the previous event and the coded line) and 1 MB for the
-    picks, the surface's state and everything else.  The built trace's rows alone
-    exceed it.
+    rows.  The bound allows 4 times the largest event's rows (its diff's arrays, its
+    rows, which the event takes without a copy, the previous event and the coded line)
+    and 1 MB for the picks, the surface's state and everything else.  The built trace's
+    rows alone exceed it.
     """
     surface, gateway = SurfaceConfig(n_cols=200, n_rows=200), GatewayConfig(sample_dt=0.01)
     meta = TraceMeta(surface, gateway, INC, case_a_trajectory())
@@ -275,7 +289,7 @@ def test_streamed_simulation_memory_is_bounded_by_the_largest_event():
     finally:
         tracemalloc.stop()
     rows = [ev.updates.nbytes for ev in run_simulation(meta.trajectory, surface, gateway).events]
-    bound = 6 * max(rows) + 2**20
+    bound = 4 * max(rows) + 2**20
     assert sum(rows) > bound
     assert peak < bound, (peak, bound)
 
@@ -284,11 +298,11 @@ def test_metrics_memory_is_bounded_by_one_line(tmp_path):
     """``metrics`` on a trace of many large bursts peaks at a bound set by the largest
     line, which the reader decodes on its own, not by the trace.
 
-    The bound allows 512 bytes (64 int64 words) for each row of the largest event: its
-    text, the decoder's arrays, the event's copy and its cell indices.  It adds 64 bytes
-    for each cell (counts, matrix, CSV export) and for each event (sizes, times, report),
-    and 1 MB for everything else.  The events alone hold 24 bytes per update, so a reader
-    that kept them would pass the bound twice over.
+    The bound allows 256 bytes (32 int64 words) for each row of the largest event: its
+    text, the decoder's arrays, its rows, which the event takes without a copy, and its
+    cell indices.  It adds 64 bytes for each cell (counts, matrix, CSV export) and for
+    each event (sizes, times, report), and 1 MB for everything else.  The events alone
+    hold 24 bytes per update, so a reader that kept them would pass the bound twice over.
     """
     surface = SurfaceConfig(n_cols=64, n_rows=64)
     cells = np.arange(surface.n_cells)
@@ -303,7 +317,7 @@ def test_metrics_memory_is_bounded_by_one_line(tmp_path):
     path = tmp_path / "t.jsonl"
     with open(path, "wb") as fh:
         write_trace(TrafficTrace(meta, events), fh)
-    bound = 512 * max(sizes) + 64 * (surface.n_cells + len(sizes)) + 2**20
+    bound = 256 * max(sizes) + 64 * (surface.n_cells + len(sizes)) + 2**20
     assert 24 * sum(sizes) > 2 * bound
     del events
     argv = ["metrics", "--trace", str(path), "--report", str(tmp_path / "r"),
@@ -323,10 +337,10 @@ def test_reading_and_summarizing_holds_one_event_at_a_time():
     arrays for the next line, not at two events' rows.
 
     Four bursts of a whole 300x300 surface in a row: 90,000 updates each.  The bound
-    allows 48 bytes per update for one event (the reader's decoded rows and the event's
-    copy of them), 92 for the decoder's arrays, the line's bytes and 1 MB for everything
-    else.  A ``summarize`` that held the previous event while the next line is decoded
-    would take 24 bytes per update more.
+    allows 48 bytes per update for one event, whose rows, decoded by the reader and
+    taken by the event without a copy, hold 24; 92 for the decoder's arrays, the line's
+    bytes and 1 MB for everything else.  A ``summarize`` that held the previous event
+    while the next line is decoded would take 24 bytes per update more.
     """
     surface = SurfaceConfig(n_cols=300, n_rows=300)
     cells = np.arange(surface.n_cells)

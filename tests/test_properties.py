@@ -43,12 +43,12 @@ from steertrace.cli import main
 from steertrace.coding import MAX_CELLS, MAX_PHASE_STEPS, MAX_STATES, TWO_PI, _nearest_state
 from steertrace.coding import phase_gradients, state_blocks
 from steertrace.gateway import BAND, NORMAL_INCIDENCE, detect_events, diff_states
-from steertrace.gateway import outside_surface
+from steertrace.gateway import checked_events, outside_surface
 from steertrace.geometry import RAD_TO_DEG, SAMPLE_BLOCK, angle_stream, signed_circular_delta_deg
 from steertrace.geometry import wrap_360
 from steertrace.metrics import sweep_diff, sweep_grid
 from steertrace.scenario import FIELDS
-from steertrace.trace_io import _cell_fault, _decode_updates
+from steertrace.trace_io import _decode_updates
 
 CONFIG_KEYS = [f"{section}.{key}" for section, key, _ in FIELDS] + ["outputs.trace"]
 
@@ -1068,11 +1068,18 @@ def cell_groups(draw):
 @example((np.array([[0, 0, 1], [0, 0, 1]]), np.array([0, 2]), SurfaceConfig(n_cols=2, n_rows=2)))
 @example((np.array([[0, 0, 1], [1, 0, 1], [0, 0, 1]]), np.array([0, 3]), SurfaceConfig()))
 def test_cell_fault_agrees_with_the_check_that_always_sorts(drawn):
-    """The first event that ``_cell_fault``, checking one event at a time, faults, and its
-    message, are those of the oracle, which checks the run at once."""
+    """The first event that ``checked_events``, checking one event at a time, refuses for
+    its cells, and its message, are those of the oracle, which checks the run at once."""
     rows, bounds, surface = drawn
-    faults = [_cell_fault(rows[a:b], surface) for a, b in zip(bounds, bounds[1:])]
-    first = next(((k, fault) for k, fault in enumerate(faults) if fault), (len(faults), ""))
+    events = (rows[a:b] for a, b in zip(bounds, bounds[1:]))
+    trace = hand_trace(surface.n_cols, surface.n_rows, surface.n_states, *events)
+    passed = []
+    try:
+        passed.extend(checked_events(trace.meta, trace.events))
+        first = len(passed), ""
+    except ValidationError as exc:
+        assert exc.key == "updates"
+        first = len(passed), str(exc).removeprefix(f"line {len(passed) + 2}: ")
     assert first == trace_io_oracle.cell_fault(rows, bounds, surface)
 
 

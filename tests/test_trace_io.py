@@ -24,7 +24,9 @@ from steertrace import (
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
+    destination_matrix,
     export_heatmap,
+    injection_rate,
     read_report,
     read_trace,
     run_simulation,
@@ -279,6 +281,67 @@ def test_read_rejects_duplicate_cells():
     )
     with pytest.raises(ValidationError, match="duplicate"):
         read_trace(src)
+
+
+REFUSED = {  # events (t, rows) on HEADER's 50x50 surface of 4 states over 81 s
+    "a cell twice": (
+        [(1.0, [[0, 0, 1]]), (2.0, [[1, 2, 1], [3, 2, 0], [1, 2, 3]])],
+        "updates", "line 3: duplicate update for cell (1, 2)",
+    ),
+    "a time past the duration": (
+        [(1.0, [[1, 2, 1]]), (81.5, [])],
+        "t", "line 3: event time 81.5 outside the scenario's [0, 81.0]",
+    ),
+    "decreasing times": (
+        [(2.0, []), (1.0, [[0, 0, 1]])],
+        "t", "line 3: event times must be strictly increasing (1.0 after 2.0)",
+    ),
+    "a cell off the surface": (
+        [(1.0, []), (2.0, [[0, 0, 1], [50, 0, 1]])],
+        "updates", "line 3: update [50, 0, 1] outside the 50x50 grid or the states [0, 4)",
+    ),
+}
+
+
+@pytest.mark.parametrize("events, key, message", REFUSED.values(), ids=list(REFUSED))
+def test_writer_reader_and_metrics_refuse_a_bad_event_in_the_same_words(events, key, message):
+    """The writer, the reader of hand-written lines and the three library metrics refuse
+    the same event with the same ValidationError, and the writer writes no byte of its
+    line."""
+    meta = read_trace(write_lines(HEADER)).meta
+    trace = TrafficTrace(meta, tuple(
+        ReconfigEvent(t, Angles(80.0, 0.0), np.array(rows, np.int64).reshape(-1, 3))
+        for t, rows in events
+    ))
+    lines = [json.dumps({"t": t, "theta_r": 80.0, "phi_r": 0.0, "updates": rows},
+                        separators=(",", ":")) for t, rows in events]
+    written = io.BytesIO()
+    refusals = {
+        "write_trace": lambda: write_trace(trace, written),
+        "read_trace": lambda: read_trace(write_lines(HEADER, *lines)),
+        "burst_stats": lambda: burst_stats(trace),
+        "destination_matrix": lambda: destination_matrix(trace),
+        "injection_rate": lambda: injection_rate(trace),
+    }
+    for name, refuse in refusals.items():
+        with pytest.raises(ValidationError) as err:
+            refuse()
+        assert (str(err.value), err.value.key) == (message, key), name
+    assert written.getvalue().count(b"\n") == 2  # the header and line 2, not line 3
+
+
+def test_read_event_updates_are_read_only():
+    """Rows that ``iter_trace`` decodes, on the numpy path or through ``json``, are
+    read-only, as those of ``iter_events`` are."""
+    respelled = '{"t": 2.0, "theta_r": 80.0, "phi_r": 0.0, "updates": [[1, 2, 1]]}'
+    empty = '{"t":3.0,"theta_r":80.0,"phi_r":0.0,"updates":[]}'
+    _, events = trace_io.iter_trace(write_lines(HEADER, EVENT, respelled, empty))
+    events = list(events)
+    assert [len(ev.updates) for ev in events] == [1, 1, 0]
+    assert not any(ev.updates.flags.writeable for ev in events)
+    for ev in events[:2]:
+        with pytest.raises(ValueError, match="read-only"):
+            ev.updates[0, 2] = 0
 
 
 def test_read_accepts_bursts_in_any_cell_order(case_a_trace):

@@ -2,10 +2,11 @@
 
 ``export_heatmap_csv`` is the CSV branch of ``export_heatmap`` as it stood
 before each distinct value was formatted once: ``format_number`` on every
-entry.  ``cell_fault`` is ``_cell_fault`` as it stood before the writer's
-row-major order skipped the sort and before the reader checked one event at
-a time: it sorts every event's cell keys, over a run of events at once.  The
-library must give the same bytes, and the same first faulty event and message.
+entry.  ``cell_fault`` is the cell part of ``gateway.checked_events`` as it
+stood before row-major order skipped the sort and before the reader checked
+one event at a time: it sorts every event's cell keys, over a run of events
+at once.  The library must give the same bytes, and the same first faulty
+event and message.
 ``outside_surface`` is the bounds test as it stood before it took each column's
 maximum first: one broadcast compare of every value against its limit, which
 also gives the first faulty row; the library's must give the same message.
