@@ -17,15 +17,16 @@ import numpy as np
 
 from .coding import SurfaceConfig, gradient_blocks, gradients
 from .errors import ValidationError
-from .geometry import MAX_STEPS, Angles, AngleStream, Trajectory, angle_stream
-from .geometry import signed_circular_delta_deg, wrap_360
+from .geometry import MAX_STEPS, RAD_TO_DEG, Angles, AngleStream, Trajectory, angle_stream
+from .geometry import signed_circular_delta_deg
 
 # Absorbs float round-off when a sample lands exactly on a threshold.
 ANGLE_EPS_DEG = 1e-9
-# Degrees short of a threshold at which the search over numpy's angles
-# already stops, so that it passes no crossing of the scalar angles: numpy
-# and math.* differ on 4,186 of case A's 81,645 default theta samples, by at
-# most 1.4e-14 deg, so 1e-7 leaves a wide margin.
+# Degrees short of a threshold at which the search over a block's positions
+# already stops, so that it passes no crossing of the scalar angles: the
+# radius bounds by ``tan``, a squared radius against ``hypot``, case C's x by
+# numpy's ``tan`` and numpy's phi against ``math``'s each move an angle by
+# about 3e-14 deg at most, so 1e-7 leaves a wide margin.
 BAND = 1e-7
 
 NORMAL_INCIDENCE = Angles(0.0, 0.0)
@@ -185,10 +186,11 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
     angle re-anchors to the picked sample; the picked angles themselves are
     always the raw samples at each crossing.
 
-    The scan reads the stream's blocks in turn, skips over each block's arrays
-    to the next entry within ``BAND`` of a threshold and decides it on its
-    exact angles, so the picks are those of a sample-by-sample scan of the
-    scalar path.  The rest of an entry's run has its angles, so after a pick
+    The scan reads the stream's blocks of positions in turn.  Per reference it
+    turns the thresholds, ``BAND`` short, into bounds on the radius and phi,
+    skips over each block's arrays to the next entry near them and decides that
+    entry on its exact angles, so the picks are those of a sample-by-sample scan
+    of the scalar path.  The rest of an entry's run has its angles, so after a pick
     only the run's next sample can fire, and after a sample that does not fire
     none of the run can.
     """
@@ -198,19 +200,20 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
         raise ValidationError("stream must not be empty", key="stream")
     a = angular_step
     blocks = _checked_blocks(stream)
-    k0, theta, phi = next(blocks)  # entry k0 and on
+    k0, v, phi = next(blocks)  # entry k0 and on
     picked = [stream.exact(0)]
     ang = picked[0][1]
     theta_ref, phi_ref = ang.theta, ang.phi
     k, r, end = 0, 1, stream.run_length(0)  # decide sample r of entry k's run, of end samples
     while True:
         if r == end:
-            i = _next_near_crossing(theta, phi, k + 1 - k0, theta_ref, phi_ref, a)
-            while i == len(theta):  # none in this block: search the next
+            bounds = _near_bounds(theta_ref, phi_ref, a, stream.standoff, phi is None)
+            i = _next_near_crossing(v, phi, k + 1 - k0, bounds)
+            while i == len(v):  # none in this block: search the next
                 if (block := next(blocks, None)) is None:
                     return picked
-                k0, theta, phi = block
-                i = _next_near_crossing(theta, phi, 0, theta_ref, phi_ref, a, len(theta))
+                k0, v, phi = block
+                i = _next_near_crossing(v, phi, 0, bounds, len(v))
             k = k0 + i
             r, end = 0, stream.run_length(k)
             t, ang = stream.exact(k)
@@ -237,35 +240,70 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
 
 
 def _checked_blocks(stream: AngleStream) -> Iterator:
-    """Each of ``stream.blocks()`` as (first entry, theta, phi), once its times are checked."""
+    """Each of ``stream.blocks()`` as (first entry, x, None) where y is the scalar 0.0,
+    else as (first entry, x*x + y*y, phi), once its times are checked."""
     k0, t_prev = 0, -math.inf
-    for t, theta, phi in stream.blocks():
-        if not (t[0] > t_prev and (np.diff(t) > 0).all()):
+    for t, x, y in stream.blocks():
+        if not (t[0] > t_prev and (t[1:] > t[:-1]).all()):
             raise ValidationError("stream times must be strictly increasing", key="stream")
-        yield k0, theta, phi
+        if isinstance(y, np.ndarray):  # phi in [-180, 180], as arctan2 gives it
+            yield k0, x * x + y * y, np.arctan2(y, x) * RAD_TO_DEG
+        else:
+            yield k0, x, None
         k0, t_prev = k0 + len(t), t[-1]
 
 
-def _next_near_crossing(theta, phi, i: int, theta_ref, phi_ref, step, width=64) -> int:
-    """First index from ``i`` of a block's arrays whose angles come within ``BAND`` of a
-    step, else the block's length.
+def _near_bounds(theta_ref, phi_ref, step, standoff, on_x_axis: bool):
+    """(lo, hi, phi_lo, phi_hi) of ``_next_near_crossing`` for these references.
+
+    An entry is near when its theta may come within ``BAND`` of a step, which is when
+    its radius (at ``standoff``) reaches ``hi`` or falls to ``lo``, or when its phi
+    may.  Radius 0 is always near.  Where y is 0.0, phi is 0 or 180 by x's sign bit,
+    so which side fires is decided here, and the bounds are on x: near is x >= hi or
+    x <= lo.  Where y is an array, the bounds are on x*x + y*y, and phi, in
+    [-180, 180], is near at most ``phi_lo`` or at least ``phi_hi``, ``phi_ref`` less
+    or more the threshold with ``phi_ref`` taken in [-180, 180) too: |phi - phi_ref|
+    is at least phi's circular drift, so only an entry across 180 deg from
+    ``phi_ref`` can be near in vain.
+    """
+    threshold = step - ANGLE_EPS_DEG - BAND
+    up, down = theta_ref + threshold, theta_ref - threshold
+    hi = standoff * math.tan(math.radians(max(up, 0.0))) if up < 90.0 else math.inf
+    lo = standoff * math.tan(math.radians(max(down, 0.0))) if down < 90.0 else math.inf
+    if not on_x_axis:
+        phi_ref = phi_ref - 360.0 if phi_ref >= 180.0 else phi_ref
+        return lo * lo, hi * hi, phi_ref - threshold, phi_ref + threshold
+    fire_0, fire_180 = (abs(signed_circular_delta_deg(phi, phi_ref)) >= threshold
+                        for phi in (0.0, 180.0))
+    if fire_0 and fire_180:  # every x
+        lo = math.inf
+    elif fire_0:  # every x >= +0.0, and x <= -0.0 by |x|'s bounds: x <= -hi or x >= -lo
+        lo, hi = -hi, -lo
+    # else every x <= -0.0 is near, being at most lo: phi 180 fires, or neither does,
+    # which takes a step over 90 deg
+    return lo, hi, None, None
+
+
+def _next_near_crossing(v, phi, i: int, bounds, width=64) -> int:
+    """First index from ``i`` of a block's arrays that is near by ``_near_bounds``, else
+    the block's length.
 
     Windows double in size from ``width``: a near crossing costs little, a far one a few
     passes.  A new block's search takes the whole block in one pass: the last block's
     search ended with no crossing near.
     """
-    threshold = step - ANGLE_EPS_DEG - BAND
-    while i < len(theta):
+    lo, hi, phi_lo, phi_hi = bounds
+    while i < len(v):
         window = slice(i, i + width)
-        # |theta - theta_ref| and |signed_circular_delta_deg(phi, phi_ref)|, with its bits
-        d_phi = wrap_360(phi[window] - phi_ref + 180.0) - 180.0
-        near = (np.abs(theta[window] - theta_ref) >= threshold) | (np.abs(d_phi) >= threshold)
+        near = (v[window] >= hi) | (v[window] <= lo)
+        if phi is not None:
+            near |= (phi[window] <= phi_lo) | (phi[window] >= phi_hi)
         j = int(near.argmax())
         if near[j]:
             return i + j
         i += width
         width *= 2
-    return len(theta)
+    return len(v)
 
 
 def diff_states(

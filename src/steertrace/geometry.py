@@ -33,9 +33,9 @@ LEAP_THETA_MAX = 85.0  # degrees, upper bound of the case-C leap draw
 CASE_B_SPEED = 30.0  # m/s, launch speed typical of the projectile case
 # Steps per run: angle samples, case-C leaps, metrics bins or sweep steps, each checked
 # before the count is used.  Samples are computed a block at a time, so for them this
-# bounds run time (about 0.03 us a sample in case A, 0.05 us in case B), not memory.
+# bounds run time (about 0.005 us a sample in case A, 0.02 us in case B), not memory.
 MAX_STEPS = 10**7
-SAMPLE_BLOCK = 2**13  # angle samples computed at once, a cache-sized block; cf. coding.BLOCK_CELLS
+SAMPLE_BLOCK = 2**13  # samples computed at once, a cache-sized block; cf. coding.BLOCK_CELLS
 RAD_TO_DEG = 180.0 / math.pi  # the factor of np.degrees and math.degrees, so the same bits
 
 
@@ -61,8 +61,9 @@ class Point3D:
     z: float
 
     def __post_init__(self):
-        for name in ("x", "y", "z"):
-            _require(math.isfinite(getattr(self, name)), f"{name} must be finite", key=name)
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
+            for name in ("x", "y", "z"):
+                _require(math.isfinite(getattr(self, name)), f"{name} must be finite", key=name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,21 +181,27 @@ class AngleStream:
     An entry stands for a run of samples at equal angles: one sample in cases A
     and B, the samples between two leaps in case C.  There ``runs`` holds each
     entry's sample index and then the sample count.  ``blocks()`` yields the
-    entries' times and angles as numpy arrays: in cases A and B computed
-    ``SAMPLE_BLOCK`` entries at a time, in case C the run heads that
-    ``angle_stream`` computed, as one block.  The angles may differ from the
-    scalar path in the last bits; ``exact(k, r)`` gives sample r of entry k's
-    run on that path, with entry k's angles.
+    entries' times and positions (t, x, y) as numpy arrays, y the scalar 0.0 in
+    cases A and C: in cases A and B computed ``SAMPLE_BLOCK`` entries at a time,
+    with ``position_at``'s bits, in case C the run heads that ``angle_stream``
+    computed, as one block, x by numpy's ``tan``, which may differ from
+    ``math.tan`` in the last bits.  ``standoff`` is every position's z.
+    ``exact(k, r)`` gives sample r of entry k's run on the scalar path, with
+    entry k's angles.
     """
 
     trajectory: Trajectory
     dt: float
     last: int  # the endpoint's sample index
     runs: np.ndarray | None  # None in cases A and B, where entry k is sample k
-    heads: tuple[np.ndarray, np.ndarray, np.ndarray] | None  # case C: (t, theta, phi) per run
+    heads: tuple | None  # case C: (t, x, 0.0) per run
 
     def __len__(self) -> int:
         return self.last + 1 if self.runs is None else len(self.runs) - 1
+
+    @property
+    def standoff(self) -> float:
+        return self.trajectory.params.standoff_distance
 
     def run_length(self, k: int) -> int:
         return 1 if self.runs is None else int(self.runs[k + 1] - self.runs[k])
@@ -204,8 +211,8 @@ class AngleStream:
         t = self.trajectory.duration if s == self.last else s * self.dt
         return t, angles_from_position(position_at(self.trajectory, t))
 
-    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(t, theta, phi) of entries [0, SAMPLE_BLOCK), [SAMPLE_BLOCK, 2 * SAMPLE_BLOCK), ...
+    def blocks(self) -> Iterator[tuple]:
+        """(t, x, y) of entries [0, SAMPLE_BLOCK), [SAMPLE_BLOCK, 2 * SAMPLE_BLOCK), ...
 
         Case C yields its run heads as one block."""
         if self.heads is not None:
@@ -213,21 +220,22 @@ class AngleStream:
             return
         for k0 in range(0, len(self), SAMPLE_BLOCK):
             k = np.arange(k0, min(k0 + SAMPLE_BLOCK, len(self)))
-            yield _angles(self.trajectory, *_positions(self.trajectory, self.dt, self.last, k))
+            yield _positions(self.trajectory, self.dt, self.last, k)
 
 
 def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
     """Sample the trajectory every ``dt`` seconds, endpoint always included.
 
     Samples fall on t = 0, dt, 2*dt, ...; the final sample lands exactly on
-    ``duration`` (appended when the regular grid misses it).  Angles are
-    computed in numpy, following the operation order of ``position_at`` and
-    ``angles_from_position``.  Cases A and B hold no sample arrays: their
-    blocks are computed when read.  Case C keeps only the first sample of each
-    leap's run, computed here, so its cost grows with the leaps and not with
-    the samples.  A position beyond float range is refused here.  In cases A
-    and B, |x| and t*t are largest at the endpoints, so the two endpoint
-    samples decide it; in case C every run's first sample does.
+    ``duration`` (appended when the regular grid misses it).  Positions are
+    computed in numpy, following the operation order of ``position_at``; no
+    angle is computed until a scan asks ``exact`` for one.  Cases A and B hold
+    no sample arrays: their blocks are computed when read.  Case C keeps only
+    the first sample of each leap's run, computed here, so its cost grows with
+    the leaps and not with the samples.  A position beyond float range is
+    refused here.  In cases A and B, |x| and t*t are largest at the endpoints,
+    so the two endpoint samples decide it; in case C every run's first sample
+    does.
     """
     duration = trajectory.duration
     if not (dt > 0 and duration / dt <= MAX_STEPS):
@@ -240,28 +248,7 @@ def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
     runs = np.append(_run_heads(trajectory, dt, last), last + 1)
     t, x, y = _positions(trajectory, dt, last, runs[:-1])
     _require(bool(np.isfinite(x).all()), "x must be finite", key="x")
-    return AngleStream(trajectory, dt, last, runs, _angles(trajectory, t, x, y))
-
-
-def wrap_360(v: np.ndarray) -> np.ndarray:
-    """``v % 360.0`` with its bits, for ``v`` in [-360, 720).
-
-    From 256 elements it takes exact compares instead, at a fifth of float ``%``'s cost
-    an element but a few microseconds more a call: ``fmod`` is exact there, and
-    ``v + 360.0`` rounds as numpy's fix-up does."""
-    if v.size < 256:
-        return v % 360.0
-    return v + 360.0 * (v < 0.0) - 360.0 * (v >= 360.0)  # -0.0 + 0.0 is +0.0, as in %
-
-
-def _angles(trajectory: Trajectory, t: np.ndarray, x, y):
-    """(t, theta, phi) of positions (x, y), in ``angles_from_position``'s operation order."""
-    if isinstance(y, np.ndarray):  # phi may round up to 360, which is 0 circularly
-        r, phi = np.hypot(x, y), wrap_360(np.arctan2(y, x) * RAD_TO_DEG)
-    else:  # y is 0.0: hypot(x, 0.0) is |x|, atan2(0.0, x) is 0 or pi (180 deg) by x's sign
-        r, phi = np.abs(x), np.where(np.signbit(x), 180.0, 0.0)
-    theta = np.arctan2(r, trajectory.params.standoff_distance) * RAD_TO_DEG
-    return t, theta, phi
+    return AngleStream(trajectory, dt, last, runs, (t, x, y))
 
 
 def _positions(trajectory: Trajectory, dt: float, last: int, k: np.ndarray):

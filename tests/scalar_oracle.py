@@ -7,7 +7,8 @@ unchanged: every sample goes through ``position_at`` and
 picks must equal these exactly, in times and in ``Angles``.  ``leap_runs`` and
 ``check_runs`` add the contract of the library's stream: one entry per run of
 samples at equal angles, which in case C is the run between two leaps.
-``whole`` joins a stream's blocks for inspection.
+``positions`` and ``whole`` join a stream's blocks of positions for inspection,
+and ``check_positions`` checks them against ``position_at``.
 """
 
 from __future__ import annotations
@@ -70,31 +71,63 @@ def check_runs(stream, scalar: list[tuple[float, Angles]]) -> None:
     exact angles, with the angles of the run's first sample."""
     runs = leap_runs(stream.trajectory, [t for t, _ in scalar])
     assert [stream.run_length(k) for k in range(len(stream))] == np.diff(runs).tolist()
-    assert whole(stream)[0].tolist() == [scalar[k][0] for k in runs[:-1]]
+    check_positions(stream, [scalar[k][0] for k in runs[:-1]])
     for k, head in enumerate(runs[:-1]):
         for r in range(stream.run_length(k)):
             assert stream.exact(k, r) == scalar[head + r]
             assert scalar[head + r][1] == scalar[head][1]
 
 
+def positions(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, x, y) over every entry of ``stream``: its blocks, joined, a scalar y repeated."""
+    blocks = [(t, x, np.broadcast_to(y, x.shape)) for t, x, y in stream.blocks()]
+    t, x, y = (np.concatenate(arrays) for arrays in zip(*blocks))
+    return t, x, y
+
+
+def check_positions(stream, times: list[float]) -> None:
+    """``stream``'s entries fall on ``times``, at ``position_at``'s positions with its
+    bits; in case C, whose x comes from numpy's ``tan``, x within two ulps.  In cases A and
+    C every block's y is the scalar 0.0."""
+    trajectory = stream.trajectory
+    if trajectory.case_id is not Case.B:
+        assert all(type(y) is float and y == 0.0 for _, _, y in stream.blocks())
+    t, x, y = positions(stream)
+    assert t.tolist() == times
+    want = [position_at(trajectory, t) for t in times]
+    want_x, want_y = np.array([p.x for p in want]), np.array([p.y for p in want])
+    assert np.array_equal(y.view(np.int64), want_y.view(np.int64))
+    if trajectory.case_id is Case.C:
+        assert (np.abs(x - want_x) <= 2 * np.spacing(np.abs(want_x))).all()
+    else:
+        assert np.array_equal(x.view(np.int64), want_x.view(np.int64))
+
+
 def whole(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, theta, phi) over every entry of ``stream``: its blocks, joined."""
-    t, theta, phi = (np.concatenate(arrays) for arrays in zip(*stream.blocks()))
-    return t, theta, phi
+    """(t, theta, phi) over every entry of ``stream``: its blocks' positions, joined, and
+    their angles by numpy's ``hypot`` and ``arctan2``."""
+    t, x, y = positions(stream)
+    theta = np.degrees(np.arctan2(np.hypot(x, y), stream.standoff))
+    return t, theta, np.degrees(np.arctan2(y, x)) % 360.0
 
 
 class PairStream:
     """Explicit (t, Angles) pairs in the shape the library's ``detect_events`` reads.
 
     Each pair is a run of its own, and ``exact(k)`` returns pair k as given:
-    the pairs are taken as exact.  ``blocks()`` slices the arrays in blocks of
-    ``SAMPLE_BLOCK`` pairs, as the library's stream computes them.
+    the pairs are taken as exact.  ``blocks()`` gives the pairs' positions at unit
+    ``standoff``, y always an array, in blocks of ``SAMPLE_BLOCK`` pairs, as the
+    library's stream computes them.
     """
+
+    standoff = 1.0
 
     def __init__(self, pairs):
         self.pairs = list(pairs)
         rows = [(t, a.theta, a.phi) for t, a in self.pairs]
-        self.t, self.theta, self.phi = np.array(rows, float).reshape(-1, 3).T
+        self.t, theta, phi = np.array(rows, float).reshape(-1, 3).T
+        radius, phi = np.tan(np.radians(theta)), np.radians(phi)
+        self.x, self.y = radius * np.cos(phi), radius * np.sin(phi)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -108,7 +141,7 @@ class PairStream:
     def blocks(self):
         size = geometry.SAMPLE_BLOCK
         for k0 in range(0, len(self), size):
-            yield self.t[k0 : k0 + size], self.theta[k0 : k0 + size], self.phi[k0 : k0 + size]
+            yield self.t[k0 : k0 + size], self.x[k0 : k0 + size], self.y[k0 : k0 + size]
 
 
 def detect_events(

@@ -26,13 +26,12 @@ from steertrace import (
 from steertrace import geometry
 from steertrace.gateway import (
     ANGLE_EPS_DEG,
-    BAND,
     TraceMeta,
     detect_events,
     diff_states,
     iter_events,
 )
-from steertrace.geometry import Case, Trajectory, angle_stream, signed_circular_delta_deg
+from steertrace.geometry import Case, Trajectory, angle_stream
 
 INC = Angles(0.0, 0.0)
 
@@ -411,11 +410,7 @@ def test_picks_and_angles_do_not_depend_on_the_sample_block(size, monkeypatch):
         else:
             assert [len(t) for t, _, _ in blocks[:-1]] == [size] * (len(blocks) - 1)
             assert 0 < len(blocks[-1][0]) <= size
-        times, theta, phi = (np.concatenate(arrays) for arrays in zip(*blocks))
-        assert times.tolist() == [t for t, _ in heads]
-        assert np.abs(theta - [a.theta for _, a in heads]).max() <= BAND / 1000
-        d_phi = signed_circular_delta_deg(phi, np.array([a.phi for _, a in heads]))
-        assert np.abs(d_phi).max() <= BAND / 1000
+        scalar_oracle.check_positions(stream, [t for t, _ in heads])
         for step in steps:
             assert detect_events(stream, step) == scalar_oracle.detect_events(scalar, step)
     assert detect_events(PairStream(STAIRS), 1.0) == scalar_oracle.detect_events(STAIRS, 1.0)

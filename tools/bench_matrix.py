@@ -50,6 +50,10 @@ SCENARIOS = {
         ["surface.n_cols=8", "surface.n_rows=8", "gateway.angular_step=0.02"],
         "many tiny bursts: 4,251 events, 4,227 of them empty, 272 packets",
     ),
+    "B_8x8_step002": (
+        ["scenario.case=B", "surface.n_cols=8", "surface.n_rows=8", "gateway.angular_step=0.02"],
+        "many case-B picks, each found on a squared radius and phi: 2,942 events, 400 packets",
+    ),
     "C_9990s_seed3_8x8": (
         ["scenario.case=C", "scenario.duration=9990", "surface.n_cols=8", "surface.n_rows=8",
          "--seed", "3"],
@@ -107,17 +111,27 @@ ROWS = {
 }
 
 # Runs one command and prints, as its last stdout line, the cli.main call's time and
-# page faults and the process's peak RSS.
+# page faults, the time spent in gateway.detect_events, and the process's peak RSS.
 CHILD = """\
 import json, resource, sys, time
+from steertrace import gateway
 from steertrace.cli import main
+detect, detect_s = gateway.detect_events, 0.0
+def timed_detect(*args):
+    global detect_s
+    start = time.perf_counter()
+    try:
+        return detect(*args)
+    finally:
+        detect_s += time.perf_counter() - start
+gateway.detect_events = timed_detect
 before = resource.getrusage(resource.RUSAGE_SELF)
 start = time.perf_counter()
 rc = main(sys.argv[1:])
 elapsed = time.perf_counter() - start
 after = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({"rc": rc, "main_s": elapsed, "maxrss_kb": after.ru_maxrss,
-                  "minflt": after.ru_minflt - before.ru_minflt}))
+                  "minflt": after.ru_minflt - before.ru_minflt, "detect_s": detect_s}))
 """
 
 METHOD = (
@@ -133,7 +147,9 @@ METHOD = (
     "imports included. main_s: the cli.main call. peak_rss_mb: getrusage ru_maxrss of "
     "that process. minflt: getrusage ru_minflt during the cli.main call. change_lower: "
     "rounds in which the change's cli.main call was faster. rss_lower: rounds in which "
-    "the change's peak_rss_mb was lower."
+    "the change's peak_rss_mb was lower. detect_s (simulate only): the time inside "
+    "gateway.detect_events, the drift-detection layer, which in cases A and B also "
+    "computes the sample blocks as it reads them."
 )
 
 
@@ -205,6 +221,7 @@ def bench(parent: Path, change: Path, rounds: int, work: Path, names: list[str])
                     samples[command][side].append({
                         "command_s": command_s, "main_s": probe["main_s"],
                         "peak_rss_mb": probe["maxrss_kb"] / 1024, "minflt": probe["minflt"],
+                        **({"detect_s": probe["detect_s"]} if command == "simulate" else {}),
                     })
         row = scenarios[name] = {
             "rounds": rounds,
