@@ -82,14 +82,6 @@ class SurfaceConfig:
         return self.n_cols * self.n_rows
 
 
-@dataclass(frozen=True, slots=True)
-class PhaseGradient:
-    """In-plane phase gradients, rad/m."""
-
-    gx: float
-    gy: float
-
-
 def _sin_deg(x: float) -> float:
     """sin of an angle in degrees, exact at quadrant angles."""
     r = x % 360.0
@@ -139,12 +131,6 @@ def gradients(
     gx = k_sin_r * np.array(list(map(_cos_deg, phi))) - cfg.k_i * sin_i * _cos_deg(incident.phi)
     gy = k_sin_r * np.array(list(map(_sin_deg, phi))) - cfg.k_i * sin_i * _sin_deg(incident.phi)
     return gx, gy
-
-
-def phase_gradients(incident: Angles, reflected: Angles, cfg: SurfaceConfig) -> PhaseGradient:
-    """The :func:`gradients` that redirect ``incident`` into ``reflected``."""
-    gx, gy = gradients(incident, (reflected.theta,), (reflected.phi,), cfg)
-    return PhaseGradient(float(gx[0]), float(gy[0]))
 
 
 def _nearest_state(phases: np.ndarray, n_states: int) -> np.ndarray:

@@ -17,10 +17,10 @@ Three mobility cases are modelled:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from random import Random
 from typing import Iterator
 
@@ -140,7 +140,8 @@ def _case_a_arrival_time(p: CaseParams) -> float:
 
 
 def position_at(trajectory: Trajectory, t: float) -> Point3D:
-    """Target position at time ``t`` in [0, duration]."""
+    """Target position at time ``t`` in [0, duration], in case A or B; a case-C
+    position depends on its leap schedule, which ``angle_stream`` draws."""
     if not 0.0 <= t <= trajectory.duration:
         raise ValidationError(
             f"t={t!r} outside [0, {trajectory.duration!r}]", key="t"
@@ -155,8 +156,7 @@ def position_at(trajectory: Trajectory, t: float) -> Point3D:
         x = p.speed * math.cos(alpha) * t
         y = p.speed * math.sin(alpha) * t - 0.5 * GRAVITY * t * t
         return Point3D(x, y, d)
-    theta = _leap_angle(trajectory, t)
-    return Point3D(d * math.tan(math.radians(theta)), 0.0, d)
+    raise ValidationError("position_at covers cases A and B", key="case")
 
 
 def angles_from_position(p: Point3D) -> Angles:
@@ -180,12 +180,12 @@ class AngleStream:
 
     An entry stands for a run of samples at equal angles: one sample in cases A
     and B, the samples between two leaps in case C.  There ``runs`` holds each
-    entry's sample index and then the sample count.  ``blocks()`` yields the
-    entries' times and positions (t, x, y) as numpy arrays, y the scalar 0.0 in
-    cases A and C: in cases A and B computed ``SAMPLE_BLOCK`` entries at a time,
-    with ``position_at``'s bits, in case C the run heads that ``angle_stream``
-    computed, as one block, x by numpy's ``tan``, which may differ from
-    ``math.tan`` in the last bits.  ``standoff`` is every position's z.
+    entry's sample index and then the sample count, and ``leaps`` the leap
+    schedule, the angle of each leap interval.  ``blocks()`` yields the entries'
+    times and positions (t, x, y) as numpy arrays, ``SAMPLE_BLOCK`` entries at a
+    time, y the scalar 0.0 in cases A and C: in cases A and B with
+    ``position_at``'s bits, in case C with x by numpy's ``tan``, which may differ
+    from ``math.tan`` in the last bits.  ``standoff`` is every position's z.
     ``exact(k, r)`` gives sample r of entry k's run on the scalar path, with
     entry k's angles.
     """
@@ -194,7 +194,7 @@ class AngleStream:
     dt: float
     last: int  # the endpoint's sample index
     runs: np.ndarray | None  # None in cases A and B, where entry k is sample k
-    heads: tuple | None  # case C: (t, x, 0.0) per run
+    leaps: np.ndarray | None  # case C: the start angle, then one draw per leap
 
     def __len__(self) -> int:
         return self.last + 1 if self.runs is None else len(self.runs) - 1
@@ -209,18 +209,18 @@ class AngleStream:
     def exact(self, k: int, r: int = 0) -> tuple[float, Angles]:
         s = (k if self.runs is None else int(self.runs[k])) + r
         t = self.trajectory.duration if s == self.last else s * self.dt
-        return t, angles_from_position(position_at(self.trajectory, t))
+        if self.leaps is None:
+            return t, angles_from_position(position_at(self.trajectory, t))
+        theta = self.leaps[min(int(t / self.trajectory.params.leap_interval), len(self.leaps) - 1)]
+        d = self.standoff
+        return t, angles_from_position(Point3D(d * math.tan(math.radians(theta)), 0.0, d))
 
     def blocks(self) -> Iterator[tuple]:
-        """(t, x, y) of entries [0, SAMPLE_BLOCK), [SAMPLE_BLOCK, 2 * SAMPLE_BLOCK), ...
-
-        Case C yields its run heads as one block."""
-        if self.heads is not None:
-            yield self.heads
-            return
+        """(t, x, y) of entries [0, SAMPLE_BLOCK), [SAMPLE_BLOCK, 2 * SAMPLE_BLOCK), ..."""
         for k0 in range(0, len(self), SAMPLE_BLOCK):
-            k = np.arange(k0, min(k0 + SAMPLE_BLOCK, len(self)))
-            yield _positions(self.trajectory, self.dt, self.last, k)
+            k1 = min(k0 + SAMPLE_BLOCK, len(self))
+            k = np.arange(k0, k1) if self.runs is None else self.runs[k0:k1]
+            yield _positions(self.trajectory, self.dt, self.last, k, self.leaps)
 
 
 def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
@@ -228,14 +228,14 @@ def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
 
     Samples fall on t = 0, dt, 2*dt, ...; the final sample lands exactly on
     ``duration`` (appended when the regular grid misses it).  Positions are
-    computed in numpy, following the operation order of ``position_at``; no
-    angle is computed until a scan asks ``exact`` for one.  Cases A and B hold
-    no sample arrays: their blocks are computed when read.  Case C keeps only
-    the first sample of each leap's run, computed here, so its cost grows with
-    the leaps and not with the samples.  A position beyond float range is
-    refused here.  In cases A and B, |x| and t*t are largest at the endpoints,
-    so the two endpoint samples decide it; in case C every run's first sample
-    does.
+    computed in numpy, following the operation order of ``position_at``, a
+    block at a time when ``blocks()`` reads them; no angle is computed until a
+    scan asks ``exact`` for one.  Cases A and B hold no sample arrays.  Case C
+    holds its leap schedule and the first sample of each leap's run, so its
+    cost grows with the leaps and not with the samples.  A position beyond
+    float range is refused.  In cases A and B, |x| and t*t are largest at the
+    endpoints, so the two endpoint samples decide it, here; in case C every
+    run's first sample does, in the block that holds it.
     """
     duration = trajectory.duration
     if not (dt > 0 and duration / dt <= MAX_STEPS):
@@ -245,19 +245,21 @@ def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
     if trajectory.case_id is not Case.C:  # Point3D refuses a non-finite position
         position_at(trajectory, 0.0), position_at(trajectory, duration)
         return AngleStream(trajectory, dt, last, None, None)
-    runs = np.append(_run_heads(trajectory, dt, last), last + 1)
-    t, x, y = _positions(trajectory, dt, last, runs[:-1])
-    _require(bool(np.isfinite(x).all()), "x must be finite", key="x")
-    return AngleStream(trajectory, dt, last, runs, (t, x, y))
+    n_leaps = int(math.floor(duration / trajectory.params.leap_interval + 1e-9))
+    runs = _run_heads(trajectory, dt, last, n_leaps)
+    return AngleStream(trajectory, dt, last, runs, _leap_schedule(trajectory.params, n_leaps))
 
 
-def _positions(trajectory: Trajectory, dt: float, last: int, k: np.ndarray):
-    """Times and x, y of samples ``k``, in ``position_at``'s operation order."""
+def _positions(trajectory: Trajectory, dt: float, last: int, k: np.ndarray, leaps):
+    """Times and x, y of samples ``k``, in ``position_at``'s operation order; in case C
+    at the angles of ``leaps``, x refused unless finite."""
     p = trajectory.params
     if trajectory.case_id is Case.C:
-        t, leap = _leap_times(trajectory, dt, last, k)
-        schedule = np.array(_leap_schedule(p, trajectory.duration))
-        return t, p.standoff_distance * np.tan(np.radians(schedule[leap])), 0.0
+        t, leap = _leap_times(trajectory, dt, last, k, len(leaps) - 1)
+        with np.errstate(over="ignore"):  # refused below, not warned of
+            x = p.standoff_distance * np.tan(np.radians(leaps[leap]))
+        _require(bool(np.isfinite(x).all()), "x must be finite", key="x")
+        return t, x, 0.0
     t = _sample_times(trajectory, dt, last, k)
     if trajectory.case_id is Case.A:
         return t, p.speed * (_case_a_arrival_time(p) - t), 0.0
@@ -272,46 +274,51 @@ def _sample_times(trajectory: Trajectory, dt: float, last: int, k: np.ndarray) -
     return t
 
 
-def _leap_times(trajectory: Trajectory, dt: float, last: int, k: np.ndarray):
-    """Times of samples ``k`` and their indices into the leap schedule, by ``position_at``'s rule."""
+def _leap_times(trajectory: Trajectory, dt: float, last: int, k: np.ndarray, n_leaps: int):
+    """Times of samples ``k`` and their indices into the leap schedule of ``n_leaps``
+    leaps: the leap interval that holds the time, the last leap's past the final leap."""
     t = _sample_times(trajectory, dt, last, k)
-    n_leaps = len(_leap_schedule(trajectory.params, trajectory.duration)) - 1
     return t, np.minimum((t / trajectory.params.leap_interval).astype(np.int64), n_leaps)
 
 
-def _run_heads(trajectory: Trajectory, dt: float, last: int) -> np.ndarray:
-    """Sample 0 and, per leap j that a sample reaches, the first sample at leap j or later.
+def _run_heads(trajectory: Trajectory, dt: float, last: int, n_leaps: int) -> np.ndarray:
+    """Sample 0 and, per leap j that a sample reaches, the first sample at leap j or
+    later, then ``last + 1``: the ``runs`` of an ``AngleStream``.
 
-    ``ceil(j * leap_interval / dt)`` is off by at most a sample or two, so a
-    few passes of the rule that times the samples settle every leap.
+    The leaps are taken ``SAMPLE_BLOCK`` at a time.  ``ceil(j * leap_interval / dt)``
+    is off by at most a sample or two, so a few passes of the rule that times the
+    samples settle every leap.  The heads rise with the leaps, so a head equal to the
+    one before it is a leap that no sample starts.
     """
-    j = np.arange(1, len(_leap_schedule(trajectory.params, trajectory.duration)))
-    k = np.minimum(np.ceil(j * trajectory.params.leap_interval / dt), last).astype(np.int64)
-    while True:
-        late = (k > 0) & (_leap_times(trajectory, dt, last, k - 1)[1] >= j)
-        early = (k < last) & (_leap_times(trajectory, dt, last, k)[1] < j)
-        if not (late.any() or early.any()):
-            break
-        k += early.astype(np.int64) - late
-    heads = np.append(0, k[_leap_times(trajectory, dt, last, k)[1] >= j])  # leaps reached
-    # sorted already, as the leaps are; a plain np.unique imports numpy.ma, about 13 ms
-    return heads[np.append(True, heads[1:] != heads[:-1])]
+    runs = np.empty(min(n_leaps, last) + 2, np.int64)  # at most a run per leap and per sample
+    runs[0], m = 0, 1
+    for j0 in range(1, n_leaps + 1, SAMPLE_BLOCK):
+        j = np.arange(j0, min(j0 + SAMPLE_BLOCK, n_leaps + 1))
+        k = np.minimum(np.ceil(j * trajectory.params.leap_interval / dt), last).astype(np.int64)
+        while True:
+            late = (k > 0) & (_leap_times(trajectory, dt, last, k - 1, n_leaps)[1] >= j)
+            early = (k < last) & (_leap_times(trajectory, dt, last, k, n_leaps)[1] < j)
+            if not (late.any() or early.any()):
+                break
+            k += early.astype(np.int64) - late
+        k = k[_leap_times(trajectory, dt, last, k, n_leaps)[1] >= j]  # leaps reached
+        # a plain np.unique imports numpy.ma, about 13 ms
+        k = k[np.append(k[:1] != runs[m - 1], k[1:] != k[:-1])]
+        runs[m : m + len(k)] = k
+        m += len(k)
+    runs[m] = last + 1
+    return runs[: m + 1]
 
 
-@lru_cache(maxsize=64)
-def _leap_schedule(params: CaseParams, duration: float) -> tuple[float, ...]:
-    """Case-C angle per leap interval: start angle, then seeded uniform draws."""
-    rng = Random(params.rng_seed)
-    n_leaps = int(math.floor(duration / params.leap_interval + 1e-9))
-    return (params.start_theta,) + tuple(
-        rng.uniform(0.0, LEAP_THETA_MAX) for _ in range(n_leaps)
-    )
-
-
-def _leap_angle(trajectory: Trajectory, t: float) -> float:
-    schedule = _leap_schedule(trajectory.params, trajectory.duration)
-    idx = min(int(t / trajectory.params.leap_interval), len(schedule) - 1)
-    return schedule[idx]
+def _leap_schedule(params: CaseParams, n_leaps: int) -> np.ndarray:
+    """Case-C angle per leap interval: the start angle, then ``n_leaps`` seeded draws,
+    each with the bits of ``Random.uniform(0.0, LEAP_THETA_MAX)``, which is
+    ``0.0 + LEAP_THETA_MAX * random()``."""
+    draws = iter(Random(params.rng_seed).random, None)
+    leaps = np.fromiter(itertools.chain((0.0,), draws), float, n_leaps + 1)
+    leaps *= LEAP_THETA_MAX
+    leaps[0] = params.start_theta
+    return leaps
 
 
 def signed_circular_delta_deg(target: float, reference: float) -> float:

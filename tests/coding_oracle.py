@@ -8,20 +8,37 @@ line for a zero gradient component and quantized in place: the full-grid
 ``raw_phase`` and the quantizer ``nearest_state_with_temporaries``, unchanged.
 ``wrap_phase`` and ``ideal_phase`` are the wrapped per-cell phase, and
 ``quantize_phase`` the quantizer of one phase, which only tests used.
-``scalar_gradients`` is ``phase_gradients`` as it stood before the gradients
-of many directions were computed at once: one direction, in Python floats.
+``phase_gradients`` is ``coding.gradients`` of one direction, as a
+``PhaseGradient``, which only tests used.  ``scalar_gradients`` is
+``phase_gradients`` as it stood before the gradients of many directions were
+computed at once: one direction, in Python floats.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from steertrace.coding import MAX_PHASE_STEPS, MAX_STATES, TWO_PI, PhaseGradient, SurfaceConfig
-from steertrace.coding import _cos_deg, _nearest_state, _sin_deg, phase_gradients
+from steertrace.coding import MAX_PHASE_STEPS, MAX_STATES, TWO_PI, SurfaceConfig
+from steertrace.coding import _cos_deg, _nearest_state, _sin_deg, gradients
 from steertrace.errors import ValidationError
 from steertrace.geometry import Angles
+
+
+@dataclass(frozen=True, slots=True)
+class PhaseGradient:
+    """In-plane phase gradients, rad/m."""
+
+    gx: float
+    gy: float
+
+
+def phase_gradients(incident: Angles, reflected: Angles, cfg: SurfaceConfig) -> PhaseGradient:
+    """The ``coding.gradients`` that redirect ``incident`` into ``reflected``."""
+    gx, gy = gradients(incident, (reflected.theta,), (reflected.phi,), cfg)
+    return PhaseGradient(float(gx[0]), float(gy[0]))
 
 
 def nearest_state(phases: np.ndarray, n_states: int) -> np.ndarray:

@@ -2,18 +2,23 @@
 
 This is the list-of-tuples ``angle_stream`` and the per-sample
 ``detect_events`` scan that steertrace ran before sampling moved to numpy,
-unchanged: every sample goes through ``position_at`` and
-``angles_from_position``, every comparison through ``math``.  The library's
-picks must equal these exactly, in times and in ``Angles``.  ``leap_runs`` and
+unchanged: every sample goes through ``position`` and ``angles_from_position``,
+every comparison through ``math``.  ``position`` is ``position_at`` in cases A
+and B; in case C it is the target at the leap angle of the sample's interval,
+from ``leap_schedule``, the schedule as a tuple of ``Random.uniform`` draws, by
+``math.tan``.  The library's picks must equal these exactly, in times and in
+``Angles``.  ``leap_runs`` and
 ``check_runs`` add the contract of the library's stream: one entry per run of
 samples at equal angles, which in case C is the run between two leaps.
 ``positions`` and ``whole`` join a stream's blocks of positions for inspection,
-and ``check_positions`` checks them against ``position_at``.
+and ``check_positions`` checks them against ``position``.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from random import Random
 
 import numpy as np
 
@@ -21,8 +26,11 @@ from steertrace import geometry
 from steertrace.errors import ValidationError
 from steertrace.gateway import ANGLE_EPS_DEG
 from steertrace.geometry import (
+    LEAP_THETA_MAX,
     Angles,
     Case,
+    CaseParams,
+    Point3D,
     Trajectory,
     _require,
     angles_from_position,
@@ -39,9 +47,32 @@ def angle_stream(trajectory: Trajectory, dt: float) -> list[tuple[float, Angles]
     """
     _require(dt > 0, "dt must be > 0", "dt")
     return [
-        (t, angles_from_position(position_at(trajectory, t)))
+        (t, angles_from_position(position(trajectory, t)))
         for t in _sample_times(trajectory.duration, dt)
     ]
+
+
+@lru_cache(maxsize=8)
+def leap_schedule(params: CaseParams, count: int) -> tuple[float, ...]:
+    """Case-C angle per leap interval: start angle, then ``count`` seeded uniform draws."""
+    rng = Random(params.rng_seed)
+    return (params.start_theta,) + tuple(rng.uniform(0.0, LEAP_THETA_MAX) for _ in range(count))
+
+
+def n_leaps(trajectory: Trajectory) -> int:
+    """The leaps of a case-C trajectory: one per whole leap interval of its duration."""
+    return int(math.floor(trajectory.duration / trajectory.params.leap_interval + 1e-9))
+
+
+def position(trajectory: Trajectory, t: float) -> Point3D:
+    """``position_at``, and in case C the target at the angle of the leap interval
+    that holds ``t``, the last leap's past the final leap."""
+    if trajectory.case_id is not Case.C:
+        return position_at(trajectory, t)
+    schedule = leap_schedule(trajectory.params, n_leaps(trajectory))
+    theta = schedule[min(int(t / trajectory.params.leap_interval), len(schedule) - 1)]
+    d = trajectory.params.standoff_distance
+    return Point3D(d * math.tan(math.radians(theta)), 0.0, d)
 
 
 def _sample_times(duration: float, dt: float) -> list[float]:
@@ -59,9 +90,8 @@ def leap_runs(trajectory: Trajectory, times: list[float]) -> list[int]:
     the sample count; every sample is a run of its own outside case C."""
     if trajectory.case_id is not Case.C:
         return list(range(len(times) + 1))
-    interval = trajectory.params.leap_interval
-    n_leaps = int(math.floor(trajectory.duration / interval + 1e-9))
-    leap = [min(int(t / interval), n_leaps) for t in times]
+    interval, last = trajectory.params.leap_interval, n_leaps(trajectory)
+    leap = [min(int(t / interval), last) for t in times]
     return [k for k in range(len(times)) if k == 0 or leap[k] != leap[k - 1]] + [len(times)]
 
 
@@ -86,7 +116,7 @@ def positions(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def check_positions(stream, times: list[float]) -> None:
-    """``stream``'s entries fall on ``times``, at ``position_at``'s positions with its
+    """``stream``'s entries fall on ``times``, at ``position``'s positions with its
     bits; in case C, whose x comes from numpy's ``tan``, x within two ulps.  In cases A and
     C every block's y is the scalar 0.0."""
     trajectory = stream.trajectory
@@ -94,7 +124,7 @@ def check_positions(stream, times: list[float]) -> None:
         assert all(type(y) is float and y == 0.0 for _, _, y in stream.blocks())
     t, x, y = positions(stream)
     assert t.tolist() == times
-    want = [position_at(trajectory, t) for t in times]
+    want = [position(trajectory, t) for t in times]
     want_x, want_y = np.array([p.x for p in want]), np.array([p.y for p in want])
     assert np.array_equal(y.view(np.int64), want_y.view(np.int64))
     if trajectory.case_id is Case.C:

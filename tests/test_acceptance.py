@@ -10,7 +10,7 @@ import random
 import time
 
 import numpy as np
-from coding_oracle import quantize_phase
+from coding_oracle import phase_gradients, quantize_phase
 
 from steertrace import (
     Angles,
@@ -32,7 +32,7 @@ from steertrace import (
     sweep_diff,
     write_trace,
 )
-from steertrace.coding import TWO_PI, _nearest_state, phase_gradients
+from steertrace.coding import TWO_PI, _nearest_state
 from steertrace.geometry import Case, Trajectory
 from steertrace.metrics import spatial_cv
 

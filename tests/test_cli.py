@@ -383,11 +383,8 @@ def test_aliasing_is_one_logged_warning_with_the_count(tmp_path, monkeypatch):
     assert out.read_bytes() == quiet.read_bytes()
 
 
-def test_fine_sampling_runs_under_a_400_mb_address_space(tmp_path, capsys):
-    # case B at 0.5 us is 8,649,626 samples, 66 MiB for each array over them; sampled a
-    # block at a time, the run fits in a child whose address space is capped at 400 MB
-    argv = ["simulate", "--out", str(tmp_path / "t.jsonl"), "scenario.case=B",
-            "gateway.sample_dt=5e-7"]
+def run_in_400_mb(argv):
+    """``argv`` run by the CLI in a child whose address space is capped at 400 MB."""
     child = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
@@ -396,9 +393,32 @@ def test_fine_sampling_runs_under_a_400_mb_address_space(tmp_path, capsys):
     )
     env = {**os.environ, "PYTHONPATH": str(Path(steertrace.__file__).parents[1]),
            "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True,
                           text=True)
+
+
+def test_fine_sampling_runs_under_a_400_mb_address_space(tmp_path, capsys):
+    # case B at 0.5 us is 8,649,626 samples, 66 MiB for each array over them; sampled a
+    # block at a time, the run fits in a child whose address space is capped at 400 MB
+    argv = ["simulate", "--out", str(tmp_path / "t.jsonl"), "scenario.case=B",
+            "gateway.sample_dt=5e-7"]
+    done = run_in_400_mb(argv)
     assert done.returncode == 0, done.stderr
     assert run_cli(*argv) == 0
     unlimited = capsys.readouterr().out
     assert done.stdout.split()[0] == unlimited.split()[0] == "events=23"
+
+
+def test_ten_million_leap_runs_fit_in_a_400_mb_address_space(tmp_path, capsys):
+    # case C with 9,990,000 leaps and 9,926,332 runs of samples between them: the stream
+    # holds the schedule and the runs, about 80 MB each, and reads the runs a block at a time
+    out = tmp_path / "t.jsonl"
+    argv = ["simulate", "--out", str(out), "scenario.case=C", "scenario.duration=9990",
+            "scenario.leap_interval=0.001", "gateway.sample_dt=0.001", "surface.n_cols=8",
+            "surface.n_rows=8", "gateway.angular_step=60"]
+    done = run_in_400_mb(argv)
+    assert done.returncode == 0, done.stderr
+    capped = out.read_bytes()
+    assert run_cli(*argv) == 0
+    assert done.stdout == capsys.readouterr().out
+    assert out.read_bytes() == capped

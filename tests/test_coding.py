@@ -3,10 +3,11 @@ import random
 
 import numpy as np
 import pytest
-from coding_oracle import ideal_phase, nearest_state_with_temporaries, quantize_phase, wrap_phase
+from coding_oracle import PhaseGradient, ideal_phase, nearest_state_with_temporaries
+from coding_oracle import phase_gradients, quantize_phase, wrap_phase
 
 from steertrace import Angles, SurfaceConfig, ValidationError, coding, state_matrix
-from steertrace.coding import TWO_PI, PhaseGradient, _nearest_state, phase_gradients
+from steertrace.coding import TWO_PI, _nearest_state
 from steertrace.gateway import _warn_on_aliasing
 from steertrace.metrics import sweep_grid
 

@@ -405,11 +405,8 @@ def test_picks_and_angles_do_not_depend_on_the_sample_block(size, monkeypatch):
         runs = scalar_oracle.leap_runs(traj, [t for t, _ in scalar])
         heads = [scalar[k] for k in runs[:-1]]
         blocks = list(stream.blocks())
-        if traj.case_id is Case.C:  # the run heads that angle_stream computed, as one block
-            assert len(blocks) == 1
-        else:
-            assert [len(t) for t, _, _ in blocks[:-1]] == [size] * (len(blocks) - 1)
-            assert 0 < len(blocks[-1][0]) <= size
+        assert [len(t) for t, _, _ in blocks[:-1]] == [size] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1][0]) <= size
         scalar_oracle.check_positions(stream, [t for t, _ in heads])
         for step in steps:
             assert detect_events(stream, step) == scalar_oracle.detect_events(scalar, step)
@@ -420,6 +417,19 @@ def test_picks_and_angles_do_not_depend_on_the_sample_block(size, monkeypatch):
     with pytest.raises(ValidationError) as err:
         detect_events(PairStream(repeated), 1.0)
     assert err.value.key == "stream"
+
+
+def test_case_c_refuses_a_position_beyond_float_range_in_a_later_block(monkeypatch):
+    # x = 1e308 * tan(theta) is finite at the 1 deg start and past float range at a
+    # leap above about 61 deg; with one entry a block, that leap's run is a later block
+    monkeypatch.setattr(geometry, "SAMPLE_BLOCK", 1)
+    params = CaseParams(standoff_distance=1e308, start_theta=1.0, rng_seed=3)
+    trajectory = case_c_trajectory(params, duration=60.0)
+    assert next(angle_stream(trajectory, 0.01).blocks())[1][0] < math.inf
+    meta = TraceMeta(SurfaceConfig(), GatewayConfig(), INC, trajectory)
+    with pytest.raises(ValidationError) as err:
+        iter_events(meta)  # before any event is coded or written
+    assert err.value.key == "x" and str(err.value) == "x must be finite"
 
 
 def test_iter_events_logs_the_aliasing_warning_once_before_it_returns(caplog):

@@ -64,6 +64,13 @@ def test_position_at_rejects_out_of_range_time():
         position_at(traj, traj.duration + 1e-6)
 
 
+def test_position_at_refuses_case_c():
+    # a case-C position depends on the leap schedule, which angle_stream draws
+    with pytest.raises(ValidationError) as err:
+        position_at(case_c_trajectory(), 0.0)
+    assert err.value.key == "case"
+
+
 @pytest.mark.parametrize(
     "point, theta, phi",
     [

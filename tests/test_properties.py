@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 import scalar_oracle
 import trace_io_oracle
-from coding_oracle import full_grid_state_matrix, nearest_state, scalar_gradients
+from coding_oracle import full_grid_state_matrix, nearest_state, phase_gradients
+from coding_oracle import scalar_gradients
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_trace_io import HEADER
@@ -37,10 +38,10 @@ from steertrace import (
     state_matrix,
     write_trace,
 )
-from steertrace import coding, metrics, trace_io
+from steertrace import coding, geometry, metrics, trace_io
 from steertrace.cli import main
 from steertrace.coding import MAX_CELLS, MAX_PHASE_STEPS, MAX_STATES, TWO_PI, _nearest_state
-from steertrace.coding import phase_gradients, state_blocks
+from steertrace.coding import state_blocks
 from steertrace.gateway import ANGLE_EPS_DEG, BAND, NORMAL_INCIDENCE, detect_events, diff_states
 from steertrace.gateway import _checked_blocks, _near_bounds, _next_near_crossing
 from steertrace.gateway import checked_events, outside_surface
@@ -652,6 +653,20 @@ def test_detect_events_picks_exactly_what_the_scalar_scan_picks(scenario):
     assert detect_events(stream, step) == expected
     explicit = scalar_oracle.PairStream(scalar)  # explicit pairs are taken as exact
     assert detect_events(explicit, step) == expected
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(-(2**80), 2**80) | st.sampled_from([-1, 0, 2**32 - 1, 2**32, 2**64, 2**70]),
+    st.integers(0, 3000),
+    st.floats(0.5, 89.5),
+)
+def test_the_leap_schedule_has_the_bits_of_uniform_draws(seed, count, start_theta):
+    params = CaseParams(start_theta=start_theta, rng_seed=seed)
+    leaps = geometry._leap_schedule(params, count)
+    want = np.array(scalar_oracle.leap_schedule(params, count))
+    assert leaps.dtype == np.float64 and leaps.shape == (count + 1,)
+    assert np.array_equal(leaps.view(np.int64), want.view(np.int64))
 
 
 @st.composite

@@ -78,6 +78,13 @@ SCENARIOS = {
         "1,192,169 leap runs over 1,200,001 samples, 146 times SAMPLE_BLOCK: a long case-C "
         "scan, 2 events",
     ),
+    "C_10M_leap_runs": (
+        ["scenario.case=C", "scenario.duration=9990", "scenario.leap_interval=0.001",
+         "gateway.sample_dt=0.001", "surface.n_cols=8", "surface.n_rows=8",
+         "gateway.angular_step=60"],
+        "9,990,000 leaps and 9,926,332 leap runs over 9,990,001 samples, just under MAX_STEPS: "
+        "a case-C stream whose schedule and runs are about 80 MB each, 2 events",
+    ),
 }
 
 # The sweep workload of perfbench, and the same sweep and a 500x500 one off phi 0,
