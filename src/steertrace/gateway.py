@@ -192,31 +192,34 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
     entry on its exact angles, so the picks are those of a sample-by-sample scan
     of the scalar path.  The rest of an entry's run has its angles, so after a pick
     only the run's next sample can fire, and after a sample that does not fire
-    none of the run can.
+    none of the run can.  The stream's blocks and ``exact`` are as ``AngleStream``'s.
     """
     if not angular_step > 0:
         raise ValidationError("angular_step must be > 0", key="angular_step")
-    if len(stream) == 0:
-        raise ValidationError("stream must not be empty", key="stream")
     a = angular_step
     blocks = _checked_blocks(stream)
-    k0, v, phi = next(blocks)  # entry k0 and on
-    picked = [stream.exact(0)]
+    heads, v, phi, leaps = next(blocks, (None,) * 4)
+    if heads is None:
+        raise ValidationError("stream must not be empty", key="stream")
+    leap = None if leaps is None else leaps.item(0)
+    head = heads.item(0)
+    picked = [stream.exact(head, leap)]
     ang = picked[0][1]
     theta_ref, phi_ref = ang.theta, ang.phi
-    k, r, end = 0, 1, stream.run_length(0)  # decide sample r of entry k's run, of end samples
+    i, r, end = 0, 1, heads.item(1) - head  # decide sample r of entry i's run, of end
     while True:
         if r == end:
             bounds = _near_bounds(theta_ref, phi_ref, a, stream.standoff, phi is None)
-            i = _next_near_crossing(v, phi, k + 1 - k0, bounds)
+            i = _next_near_crossing(v, phi, i + 1, bounds)
             while i == len(v):  # none in this block: search the next
                 if (block := next(blocks, None)) is None:
                     return picked
-                k0, v, phi = block
+                heads, v, phi, leaps = block
                 i = _next_near_crossing(v, phi, 0, bounds, len(v))
-            k = k0 + i
-            r, end = 0, stream.run_length(k)
-            t, ang = stream.exact(k)
+            head = heads.item(i)
+            r, end = 0, heads.item(i + 1) - head
+            leap = None if leaps is None else leaps.item(i)
+            t, ang = stream.exact(head, leap)
         d_theta, d_phi = abs(ang.theta - theta_ref), signed_circular_delta_deg(ang.phi, phi_ref)
         hit_theta = d_theta >= a - ANGLE_EPS_DEG
         hit_phi = abs(d_phi) >= a - ANGLE_EPS_DEG
@@ -224,33 +227,36 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
             r = end
             continue
         if r:  # a later sample of the run: the same angles at its own time
-            t, ang = stream.exact(k, r)
+            t, ang = stream.exact(head + r, leap)
         picked.append((t, ang))
         r += 1
+        # Below ANGLE_EPS_DEG a step fires at every sample, whatever the references, so
+        # a step count past float range, which only such a step gives, stops at 1e308.
         if hit_theta:
-            steps = math.floor((d_theta + ANGLE_EPS_DEG) / a)
+            steps = math.floor(min((d_theta + ANGLE_EPS_DEG) / a, 1e308))
             theta_ref += math.copysign(steps * a, ang.theta - theta_ref)
         else:
             theta_ref = ang.theta
         if hit_phi:
-            steps = math.floor((abs(d_phi) + ANGLE_EPS_DEG) / a)
+            steps = math.floor(min((abs(d_phi) + ANGLE_EPS_DEG) / a, 1e308))
             phi_ref = (phi_ref + math.copysign(steps * a, d_phi)) % 360.0
         else:
             phi_ref = ang.phi
 
 
 def _checked_blocks(stream: AngleStream) -> Iterator:
-    """Each of ``stream.blocks()`` as (first entry, x, None) where y is the scalar 0.0,
-    else as (first entry, x*x + y*y, phi), once its times are checked."""
-    k0, t_prev = 0, -math.inf
-    for t, x, y in stream.blocks():
+    """Each of ``stream.blocks()`` as (heads, x, None, leaps) where y is the scalar 0.0,
+    else as (heads, x*x + y*y, phi, leaps), once its times are checked."""
+    t_prev = -math.inf
+    for heads, t, x, y, leaps in stream.blocks():
         if not (t[0] > t_prev and (t[1:] > t[:-1]).all()):
             raise ValidationError("stream times must be strictly increasing", key="stream")
         if isinstance(y, np.ndarray):  # phi in [-180, 180], as arctan2 gives it
-            yield k0, x * x + y * y, np.arctan2(y, x) * RAD_TO_DEG
+            with np.errstate(over="ignore"):  # a square past float range is inf: near
+                yield heads, x * x + y * y, np.arctan2(y, x) * RAD_TO_DEG, leaps
         else:
-            yield k0, x, None
-        k0, t_prev = k0 + len(t), t[-1]
+            yield heads, x, None, leaps
+        t_prev = t[-1]
 
 
 def _near_bounds(theta_ref, phi_ref, step, standoff, on_x_axis: bool):

@@ -32,10 +32,11 @@ GRAVITY = 9.81  # m/s^2
 LEAP_THETA_MAX = 85.0  # degrees, upper bound of the case-C leap draw
 CASE_B_SPEED = 30.0  # m/s, launch speed typical of the projectile case
 # Steps per run: angle samples, case-C leaps, metrics bins or sweep steps, each checked
-# before the count is used.  Samples are computed a block at a time, so for them this
-# bounds run time (about 0.005 us a sample in case A, 0.02 us in case B), not memory.
+# before the count is used.  Samples and leaps are computed a block at a time, so for
+# them this bounds run time (about 0.005 us a sample in case A, 0.02 us in case B, 0.1 us
+# a case-C leap), not memory.
 MAX_STEPS = 10**7
-SAMPLE_BLOCK = 2**13  # samples computed at once, a cache-sized block; cf. coding.BLOCK_CELLS
+SAMPLE_BLOCK = 2**13  # samples, or case-C leaps, computed at once; cf. coding.BLOCK_CELLS
 RAD_TO_DEG = 180.0 / math.pi  # the factor of np.degrees and math.degrees, so the same bits
 
 
@@ -141,7 +142,7 @@ def _case_a_arrival_time(p: CaseParams) -> float:
 
 def position_at(trajectory: Trajectory, t: float) -> Point3D:
     """Target position at time ``t`` in [0, duration], in case A or B; a case-C
-    position depends on its leap schedule, which ``angle_stream`` draws."""
+    position depends on its leaps, which an ``AngleStream``'s blocks draw."""
     if not 0.0 <= t <= trajectory.duration:
         raise ValidationError(
             f"t={t!r} outside [0, {trajectory.duration!r}]", key="t"
@@ -179,48 +180,45 @@ class AngleStream:
     """A trajectory's angle samples, from ``angle_stream``, read a block at a time.
 
     An entry stands for a run of samples at equal angles: one sample in cases A
-    and B, the samples between two leaps in case C.  There ``runs`` holds each
-    entry's sample index and then the sample count, and ``leaps`` the leap
-    schedule, the angle of each leap interval.  ``blocks()`` yields the entries'
-    times and positions (t, x, y) as numpy arrays, ``SAMPLE_BLOCK`` entries at a
-    time, y the scalar 0.0 in cases A and C: in cases A and B with
-    ``position_at``'s bits, in case C with x by numpy's ``tan``, which may differ
-    from ``math.tan`` in the last bits.  ``standoff`` is every position's z.
-    ``exact(k, r)`` gives sample r of entry k's run on the scalar path, with
-    entry k's angles.
+    and B, the samples between two leaps in case C.  ``blocks()`` yields blocks of
+    entries as (heads, t, x, y, leaps): each entry's first sample and then the
+    sample that ends the block's last run, the entries' times and positions as
+    numpy arrays, y the scalar 0.0 in cases A and C, and in case C each entry's
+    leap angle, else None.  Positions have ``position_at``'s bits in cases A and
+    B; in case C x is by numpy's ``tan``, which may differ from ``math.tan`` in the
+    last bits.  ``standoff`` is every position's z.  ``exact(s, leap)`` gives
+    sample s on the scalar path, in case C at its run's ``leap`` angle.  ``len()``
+    is the sample count.
     """
 
     trajectory: Trajectory
     dt: float
     last: int  # the endpoint's sample index
-    runs: np.ndarray | None  # None in cases A and B, where entry k is sample k
-    leaps: np.ndarray | None  # case C: the start angle, then one draw per leap
 
     def __len__(self) -> int:
-        return self.last + 1 if self.runs is None else len(self.runs) - 1
+        return self.last + 1
 
     @property
     def standoff(self) -> float:
         return self.trajectory.params.standoff_distance
 
-    def run_length(self, k: int) -> int:
-        return 1 if self.runs is None else int(self.runs[k + 1] - self.runs[k])
-
-    def exact(self, k: int, r: int = 0) -> tuple[float, Angles]:
-        s = (k if self.runs is None else int(self.runs[k])) + r
+    def exact(self, s: int, leap: float | None = None) -> tuple[float, Angles]:
         t = self.trajectory.duration if s == self.last else s * self.dt
-        if self.leaps is None:
+        if leap is None:
             return t, angles_from_position(position_at(self.trajectory, t))
-        theta = self.leaps[min(int(t / self.trajectory.params.leap_interval), len(self.leaps) - 1)]
         d = self.standoff
-        return t, angles_from_position(Point3D(d * math.tan(math.radians(theta)), 0.0, d))
+        return t, angles_from_position(Point3D(d * math.tan(math.radians(leap)), 0.0, d))
 
     def blocks(self) -> Iterator[tuple]:
-        """(t, x, y) of entries [0, SAMPLE_BLOCK), [SAMPLE_BLOCK, 2 * SAMPLE_BLOCK), ..."""
-        for k0 in range(0, len(self), SAMPLE_BLOCK):
-            k1 = min(k0 + SAMPLE_BLOCK, len(self))
-            k = np.arange(k0, k1) if self.runs is None else self.runs[k0:k1]
-            yield _positions(self.trajectory, self.dt, self.last, k, self.leaps)
+        """Samples [0, SAMPLE_BLOCK), [SAMPLE_BLOCK, 2 * SAMPLE_BLOCK), ..., in case C
+        the runs that leaps [0, SAMPLE_BLOCK), ... head; no block is empty."""
+        trajectory, dt, last = self.trajectory, self.dt, self.last
+        if trajectory.case_id is Case.C:
+            yield from _leap_blocks(trajectory, dt, last)
+            return
+        for k0 in range(0, last + 1, SAMPLE_BLOCK):
+            heads = np.arange(k0, min(k0 + SAMPLE_BLOCK, last + 1) + 1)
+            yield heads, *_positions(trajectory, dt, last, heads[:-1]), None
 
 
 def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
@@ -230,12 +228,12 @@ def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
     ``duration`` (appended when the regular grid misses it).  Positions are
     computed in numpy, following the operation order of ``position_at``, a
     block at a time when ``blocks()`` reads them; no angle is computed until a
-    scan asks ``exact`` for one.  Cases A and B hold no sample arrays.  Case C
-    holds its leap schedule and the first sample of each leap's run, so its
-    cost grows with the leaps and not with the samples.  A position beyond
-    float range is refused.  In cases A and B, |x| and t*t are largest at the
-    endpoints, so the two endpoint samples decide it, here; in case C every
-    run's first sample does, in the block that holds it.
+    scan asks ``exact`` for one.  The stream holds no array: case C draws its
+    leaps and settles their runs a block of leaps at a time too, so its memory
+    grows with neither the leaps nor the samples.  A position beyond float range
+    is refused.  In cases A and B, |x| and t*t are largest at the endpoints, so
+    the two endpoint samples decide it, here; in case C every run's first sample
+    does, in the block that holds it.
     """
     duration = trajectory.duration
     if not (dt > 0 and duration / dt <= MAX_STEPS):
@@ -244,22 +242,12 @@ def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
     last = n + (duration - n * dt > 1e-9 * dt)  # the endpoint's sample index
     if trajectory.case_id is not Case.C:  # Point3D refuses a non-finite position
         position_at(trajectory, 0.0), position_at(trajectory, duration)
-        return AngleStream(trajectory, dt, last, None, None)
-    n_leaps = int(math.floor(duration / trajectory.params.leap_interval + 1e-9))
-    runs = _run_heads(trajectory, dt, last, n_leaps)
-    return AngleStream(trajectory, dt, last, runs, _leap_schedule(trajectory.params, n_leaps))
+    return AngleStream(trajectory, dt, last)
 
 
-def _positions(trajectory: Trajectory, dt: float, last: int, k: np.ndarray, leaps):
-    """Times and x, y of samples ``k``, in ``position_at``'s operation order; in case C
-    at the angles of ``leaps``, x refused unless finite."""
+def _positions(trajectory: Trajectory, dt: float, last: int, k: np.ndarray):
+    """Times and x, y of case-A or B samples ``k``, in ``position_at``'s operation order."""
     p = trajectory.params
-    if trajectory.case_id is Case.C:
-        t, leap = _leap_times(trajectory, dt, last, k, len(leaps) - 1)
-        with np.errstate(over="ignore"):  # refused below, not warned of
-            x = p.standoff_distance * np.tan(np.radians(leaps[leap]))
-        _require(bool(np.isfinite(x).all()), "x must be finite", key="x")
-        return t, x, 0.0
     t = _sample_times(trajectory, dt, last, k)
     if trajectory.case_id is Case.A:
         return t, p.speed * (_case_a_arrival_time(p) - t), 0.0
@@ -268,57 +256,57 @@ def _positions(trajectory: Trajectory, dt: float, last: int, k: np.ndarray, leap
 
 
 def _sample_times(trajectory: Trajectory, dt: float, last: int, k: np.ndarray) -> np.ndarray:
-    """Times of samples ``k``: ``k * dt``, and the duration for the endpoint ``last``."""
+    """Times of samples ``k``, which do not fall: ``k * dt``, and the duration for the
+    endpoint ``last``, which can only be at their end."""
     t = k * dt
-    t[k == last] = trajectory.duration
+    if k[-1] == last:
+        t[k == last] = trajectory.duration
     return t
 
 
-def _leap_times(trajectory: Trajectory, dt: float, last: int, k: np.ndarray, n_leaps: int):
-    """Times of samples ``k`` and their indices into the leap schedule of ``n_leaps``
-    leaps: the leap interval that holds the time, the last leap's past the final leap."""
-    t = _sample_times(trajectory, dt, last, k)
-    return t, np.minimum((t / trajectory.params.leap_interval).astype(np.int64), n_leaps)
+def _leap_blocks(trajectory: Trajectory, dt: float, last: int) -> Iterator[tuple]:
+    """Case C's blocks, one per ``SAMPLE_BLOCK`` leaps that head a run.
 
-
-def _run_heads(trajectory: Trajectory, dt: float, last: int, n_leaps: int) -> np.ndarray:
-    """Sample 0 and, per leap j that a sample reaches, the first sample at leap j or
-    later, then ``last + 1``: the ``runs`` of an ``AngleStream``.
-
-    The leaps are taken ``SAMPLE_BLOCK`` at a time.  ``ceil(j * leap_interval / dt)``
-    is off by at most a sample or two, so a few passes of the rule that times the
-    samples settle every leap.  The heads rise with the leaps, so a head equal to the
-    one before it is a leap that no sample starts.
+    Leap 0 is the start angle and leap j > 0 the jth seeded draw, with the bits of
+    ``Random.uniform(0.0, LEAP_THETA_MAX)``, which is ``0.0 + LEAP_THETA_MAX *
+    random()``; a block takes its draws in turn.  Leap j heads a run when the first
+    sample at leap j or later is at leap j, and a block's last run ends at that first
+    sample for the next block's first leap, or after ``last``.  That first sample is
+    ``ceil(j * leap_interval / dt)`` give or take a sample or two, so a few passes of
+    the rule that times the samples settle it.
     """
-    runs = np.empty(min(n_leaps, last) + 2, np.int64)  # at most a run per leap and per sample
-    runs[0], m = 0, 1
-    for j0 in range(1, n_leaps + 1, SAMPLE_BLOCK):
-        j = np.arange(j0, min(j0 + SAMPLE_BLOCK, n_leaps + 1))
-        k = np.minimum(np.ceil(j * trajectory.params.leap_interval / dt), last).astype(np.int64)
+    p = trajectory.params
+    n_leaps = int(math.floor(trajectory.duration / p.leap_interval + 1e-9))
+
+    def leap_of(k):  # the leap interval that holds each sample's time, the last past the end
+        t = _sample_times(trajectory, dt, last, k)
+        return np.minimum((t / p.leap_interval).astype(np.int64), n_leaps)
+
+    draws = itertools.chain((0.0,), iter(Random(p.rng_seed).random, None))
+    for j0 in range(0, n_leaps + 1, SAMPLE_BLOCK):
+        j = np.arange(j0, min(j0 + SAMPLE_BLOCK, n_leaps + 1) + 1)  # and the next block's first
+        leaps = np.fromiter(draws, float, len(j) - 1)
+        leaps *= LEAP_THETA_MAX
+        if j0 == 0:
+            leaps[0] = p.start_theta
+        # a leap time past the duration is past the last sample: capped, it stays in range
+        k = np.ceil(np.minimum(j * p.leap_interval, trajectory.duration) / dt)
+        k = np.minimum(k, last).astype(np.int64)
         while True:
-            late = (k > 0) & (_leap_times(trajectory, dt, last, k - 1, n_leaps)[1] >= j)
-            early = (k < last) & (_leap_times(trajectory, dt, last, k, n_leaps)[1] < j)
+            leap = leap_of(k)
+            late = (k > 0) & (leap_of(k - (k > 0)) >= j)
+            early = (k < last) & (leap < j)
             if not (late.any() or early.any()):
                 break
             k += early.astype(np.int64) - late
-        k = k[_leap_times(trajectory, dt, last, k, n_leaps)[1] >= j]  # leaps reached
-        # a plain np.unique imports numpy.ma, about 13 ms
-        k = k[np.append(k[:1] != runs[m - 1], k[1:] != k[:-1])]
-        runs[m : m + len(k)] = k
-        m += len(k)
-    runs[m] = last + 1
-    return runs[: m + 1]
-
-
-def _leap_schedule(params: CaseParams, n_leaps: int) -> np.ndarray:
-    """Case-C angle per leap interval: the start angle, then ``n_leaps`` seeded draws,
-    each with the bits of ``Random.uniform(0.0, LEAP_THETA_MAX)``, which is
-    ``0.0 + LEAP_THETA_MAX * random()``."""
-    draws = iter(Random(params.rng_seed).random, None)
-    leaps = np.fromiter(itertools.chain((0.0,), draws), float, n_leaps + 1)
-    leaps *= LEAP_THETA_MAX
-    leaps[0] = params.start_theta
-    return leaps
+        head = leap[:-1] == j[:-1]  # the leaps that head a run
+        if head.any():
+            leaps = leaps[head]
+            with np.errstate(over="ignore"):  # refused below, not warned of
+                x = p.standoff_distance * np.tan(np.radians(leaps))
+            _require(bool(np.isfinite(x).all()), "x must be finite", key="x")
+            heads = np.append(k[:-1][head], k[-1] if leap[-1] >= j[-1] else last + 1)
+            yield heads, _sample_times(trajectory, dt, last, heads[:-1]), x, 0.0, leaps
 
 
 def signed_circular_delta_deg(target: float, reference: float) -> float:

@@ -10,8 +10,8 @@ from ``leap_schedule``, the schedule as a tuple of ``Random.uniform`` draws, by
 ``Angles``.  ``leap_runs`` and
 ``check_runs`` add the contract of the library's stream: one entry per run of
 samples at equal angles, which in case C is the run between two leaps.
-``positions`` and ``whole`` join a stream's blocks of positions for inspection,
-and ``check_positions`` checks them against ``position``.
+``entries``, ``positions`` and ``whole`` join a stream's blocks of runs and of
+positions for inspection, and ``check_positions`` checks them against ``position``.
 """
 
 from __future__ import annotations
@@ -95,22 +95,37 @@ def leap_runs(trajectory: Trajectory, times: list[float]) -> list[int]:
     return [k for k in range(len(times)) if k == 0 or leap[k] != leap[k - 1]] + [len(times)]
 
 
+def entries(stream) -> list[tuple[int, int, float | None]]:
+    """(first sample, sample after the last, leap) of the run of every entry of
+    ``stream``: its blocks, none empty, joined, each block's runs ending where the
+    next block's begin."""
+    runs: list = []
+    for heads, t, x, _, leaps in stream.blocks():
+        assert len(heads) == len(t) + 1 == len(x) + 1 > 1
+        assert not runs or runs[-1][1] == heads[0]
+        heads = heads.tolist()
+        runs += zip(heads, heads[1:], [None] * len(t) if leaps is None else leaps.tolist())
+    return runs
+
+
 def check_runs(stream, scalar: list[tuple[float, Angles]]) -> None:
     """``stream`` has one entry per run of ``leap_runs`` over the ``scalar`` samples,
-    and sample r of entry k's run is the scalar sample it stands for, in time and
-    exact angles, with the angles of the run's first sample."""
-    runs = leap_runs(stream.trajectory, [t for t, _ in scalar])
-    assert [stream.run_length(k) for k in range(len(stream))] == np.diff(runs).tolist()
-    check_positions(stream, [scalar[k][0] for k in runs[:-1]])
-    for k, head in enumerate(runs[:-1]):
-        for r in range(stream.run_length(k)):
-            assert stream.exact(k, r) == scalar[head + r]
-            assert scalar[head + r][1] == scalar[head][1]
+    and sample s of an entry's run is the scalar sample s, in time and exact angles,
+    with the angles of the run's first sample."""
+    runs = entries(stream)
+    assert [head for head, _, _ in runs] + [len(scalar)] == leap_runs(
+        stream.trajectory, [t for t, _ in scalar]
+    )
+    check_positions(stream, [scalar[head][0] for head, _, _ in runs])
+    for head, end, leap in runs:
+        for s in range(head, end):
+            assert stream.exact(s, leap) == scalar[s]
+            assert scalar[s][1] == scalar[head][1]
 
 
 def positions(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, x, y) over every entry of ``stream``: its blocks, joined, a scalar y repeated."""
-    blocks = [(t, x, np.broadcast_to(y, x.shape)) for t, x, y in stream.blocks()]
+    blocks = [(t, x, np.broadcast_to(y, x.shape)) for _, t, x, y, _ in stream.blocks()]
     t, x, y = (np.concatenate(arrays) for arrays in zip(*blocks))
     return t, x, y
 
@@ -121,7 +136,7 @@ def check_positions(stream, times: list[float]) -> None:
     C every block's y is the scalar 0.0."""
     trajectory = stream.trajectory
     if trajectory.case_id is not Case.B:
-        assert all(type(y) is float and y == 0.0 for _, _, y in stream.blocks())
+        assert all(type(y) is float and y == 0.0 for _, _, _, y, _ in stream.blocks())
     t, x, y = positions(stream)
     assert t.tolist() == times
     want = [position(trajectory, t) for t in times]
@@ -144,10 +159,10 @@ def whole(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class PairStream:
     """Explicit (t, Angles) pairs in the shape the library's ``detect_events`` reads.
 
-    Each pair is a run of its own, and ``exact(k)`` returns pair k as given:
-    the pairs are taken as exact.  ``blocks()`` gives the pairs' positions at unit
-    ``standoff``, y always an array, in blocks of ``SAMPLE_BLOCK`` pairs, as the
-    library's stream computes them.
+    Each pair is a run of its own, and ``exact(s)`` returns pair s as given:
+    the pairs are taken as exact.  ``blocks()`` gives the pairs' runs and positions
+    at unit ``standoff``, y always an array, in blocks of ``SAMPLE_BLOCK`` pairs, as
+    the library's stream computes them.
     """
 
     standoff = 1.0
@@ -159,19 +174,14 @@ class PairStream:
         radius, phi = np.tan(np.radians(theta)), np.radians(phi)
         self.x, self.y = radius * np.cos(phi), radius * np.sin(phi)
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def run_length(self, k: int) -> int:
-        return 1
-
-    def exact(self, k: int, r: int = 0) -> tuple[float, Angles]:
-        return self.pairs[k]
+    def exact(self, s: int, leap=None) -> tuple[float, Angles]:
+        return self.pairs[s]
 
     def blocks(self):
         size = geometry.SAMPLE_BLOCK
-        for k0 in range(0, len(self), size):
-            yield self.t[k0 : k0 + size], self.x[k0 : k0 + size], self.y[k0 : k0 + size]
+        for k0 in range(0, len(self.pairs), size):
+            k1 = min(k0 + size, len(self.pairs))
+            yield np.arange(k0, k1 + 1), self.t[k0:k1], self.x[k0:k1], self.y[k0:k1], None
 
 
 def detect_events(

@@ -87,6 +87,16 @@ def test_detect_events_validation():
         detect_events(ramp_stream(), 0.0)
 
 
+@pytest.mark.parametrize("step", [5e-324, 1e-310])
+def test_a_step_whose_count_passes_float_range_fires_at_every_sample(step):
+    # a 0.1 s drift over such a step is a count past float range; below ANGLE_EPS_DEG a
+    # step fires at every sample, as 1e-12 does on the scalar path
+    trajectory = case_a_trajectory()
+    picked = detect_events(angle_stream(trajectory, 0.1), step)
+    scalar = scalar_oracle.angle_stream(trajectory, 0.1)
+    assert picked == scalar_oracle.detect_events(scalar, 1e-12) == scalar
+
+
 def case_a_crossing_count(params: CaseParams, step: float) -> int:
     """Geometric oracle: grid values of atan(x/D) reached during the walk."""
     x0 = params.standoff_distance * math.tan(math.radians(params.start_theta))
@@ -302,13 +312,13 @@ def test_leaps_on_and_one_ulp_off_the_sample_grid(dt, m, ulps):
     for _ in range(abs(ulps)):
         interval = math.nextafter(interval, math.copysign(math.inf, ulps))
     stream, _ = leap_picks(4.5 * interval, dt, leap_interval=interval)
-    assert len(stream) in (4, 5)  # a run per leap that a sample reaches
+    assert len(scalar_oracle.entries(stream)) in (4, 5)  # a run per leap that a sample reaches
 
 
 @pytest.mark.parametrize("interval", [0.003, 0.005, 0.01 / 3])
 def test_several_leaps_between_two_samples(interval):
     stream, _ = leap_picks(1.0, 0.01, leap_interval=interval)
-    assert len(stream) == 101  # every sample heads a run
+    assert len(scalar_oracle.entries(stream)) == 101  # every sample heads a run
 
 
 def test_sample_period_equal_to_the_duration():
@@ -326,8 +336,9 @@ def test_sample_period_equal_to_the_duration():
 )
 def test_the_endpoint_appended_or_replacing_the_last_grid_time(duration, interval, runs):
     stream, _ = leap_picks(duration, 0.1, leap_interval=interval)
-    assert stream.runs.tolist() == runs
-    assert stream.exact(len(stream) - 1, stream.run_length(len(stream) - 1) - 1)[0] == duration
+    entries = scalar_oracle.entries(stream)
+    assert [head for head, _, _ in entries] + [entries[-1][1]] == runs
+    assert stream.exact(entries[-1][1] - 1, entries[-1][2])[0] == duration
 
 
 @pytest.mark.parametrize("start_theta", [85.0, 45.0, 2.5])  # 45 and 2.5 on multiples of 2.5
@@ -335,12 +346,12 @@ def test_the_endpoint_appended_or_replacing_the_last_grid_time(duration, interva
 def test_repeated_picks_inside_one_run(start_theta, step):
     stream, picked = leap_picks(3.0, 0.01, step, leap_interval=0.7, start_theta=start_theta)
     if step <= ANGLE_EPS_DEG:  # every sample fires, so each run is picked whole
-        assert len(picked) == 301 > len(stream)
+        assert len(picked) == 301 > len(scalar_oracle.entries(stream))
 
 
 def test_leaps_outnumbering_samples_at_a_large_step():
     stream, picked = leap_picks(60.0, 0.02, 40.0, leap_interval=0.01)
-    assert len(stream) == 3001 and 1 < len(picked) < len(stream)
+    assert len(scalar_oracle.entries(stream)) == 3001 and 1 < len(picked) < 3001
 
 
 def test_case_c_simulation_memory_grows_with_the_events_not_the_samples():
@@ -404,9 +415,10 @@ def test_picks_and_angles_do_not_depend_on_the_sample_block(size, monkeypatch):
         stream = angle_stream(traj, dt)
         runs = scalar_oracle.leap_runs(traj, [t for t, _ in scalar])
         heads = [scalar[k] for k in runs[:-1]]
-        blocks = list(stream.blocks())
-        assert [len(t) for t, _, _ in blocks[:-1]] == [size] * (len(blocks) - 1)
-        assert 0 < len(blocks[-1][0]) <= size
+        if traj.case_id is not Case.C:  # a case-C block has the runs of size leaps
+            blocks = list(stream.blocks())
+            assert [len(t) for _, t, _, _, _ in blocks[:-1]] == [size] * (len(blocks) - 1)
+            assert 0 < len(blocks[-1][1]) <= size
         scalar_oracle.check_positions(stream, [t for t, _ in heads])
         for step in steps:
             assert detect_events(stream, step) == scalar_oracle.detect_events(scalar, step)
@@ -425,7 +437,7 @@ def test_case_c_refuses_a_position_beyond_float_range_in_a_later_block(monkeypat
     monkeypatch.setattr(geometry, "SAMPLE_BLOCK", 1)
     params = CaseParams(standoff_distance=1e308, start_theta=1.0, rng_seed=3)
     trajectory = case_c_trajectory(params, duration=60.0)
-    assert next(angle_stream(trajectory, 0.01).blocks())[1][0] < math.inf
+    assert next(angle_stream(trajectory, 0.01).blocks())[2][0] < math.inf
     meta = TraceMeta(SurfaceConfig(), GatewayConfig(), INC, trajectory)
     with pytest.raises(ValidationError) as err:
         iter_events(meta)  # before any event is coded or written

@@ -162,7 +162,7 @@ def test_case_c_piecewise_constant_between_leaps():
     # one entry per leap's run of samples, and every sample of a run has its angles
     traj = case_c_trajectory(CaseParams(rng_seed=3, leap_interval=2.0), duration=10.0)
     stream = angle_stream(traj, 0.05)
-    assert len(stream) == 6
+    assert len(scalar_oracle.entries(stream)) == 6 and len(stream) == 201  # runs, samples
     scalar_oracle.check_runs(stream, scalar_oracle.angle_stream(traj, 0.05))
 
 
@@ -189,10 +189,10 @@ def test_angle_blocks_have_the_bits_of_the_seed_formulas(trajectory, dt, end_phi
     # the blocks' positions are position_at's, and give numpy's seed angles, which end
     # on end_phi
     stream = angle_stream(trajectory, dt)
-    heads = range(len(stream)) if stream.runs is None else stream.runs[:-1].tolist()
+    heads = [head for head, _, _ in scalar_oracle.entries(stream)]
     times = [trajectory.duration if s == stream.last else s * dt for s in heads]
     scalar_oracle.check_positions(stream, times)
-    assert all(v.dtype == np.float64 for block in stream.blocks() for v in block[:2])
+    assert all(v.dtype == np.float64 for block in stream.blocks() for v in block[1:3])
     assert scalar_oracle.whole(stream)[2][-1] == end_phi
 
 

@@ -4,6 +4,7 @@ of the quantizer, the state matrix and the block coder, and of the CSV heat map.
 import io
 import json
 import math
+import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
@@ -38,7 +39,7 @@ from steertrace import (
     state_matrix,
     write_trace,
 )
-from steertrace import coding, geometry, metrics, trace_io
+from steertrace import coding, gateway, geometry, metrics, trace_io
 from steertrace.cli import main
 from steertrace.coding import MAX_CELLS, MAX_PHASE_STEPS, MAX_STATES, TWO_PI, _nearest_state
 from steertrace.coding import state_blocks
@@ -79,6 +80,51 @@ def test_any_override_value_exits_0_or_2(key, raw):
     argv = ["sweep", "--from-theta", "30", "--to-theta", "0", f"{key}={raw}"]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 2)
+
+
+def _around(v):
+    """``v`` and its neighbours: one less and one more for an integer, one ulp either way
+    for a float."""
+    if type(v) is int:
+        return [v - 1, v, v + 1]
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+# A 2x2 surface and 5 samples.  The sample, leap and cell limits are cut to round values
+# that the defaults still pass (81,650 samples, 2,500 cells), so that a value on either
+# side of a limit makes a small run: sample_dt and leap_interval at 1 / SMALL_STEPS.
+SMALL_STEPS, SMALL_CELLS = 10**5, 2500
+SMALL = ["surface.n_cols=2", "surface.n_rows=2", "scenario.duration=1", "gateway.sample_dt=0.25"]
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308] + [
+    v for limit in (0, 1, 2, 90.0, 360.0, MAX_STATES, SMALL_CELLS // 2, 2**63, 1 / SMALL_STEPS)
+    for v in _around(limit)
+]
+# keys that two refusals name in place of the config key behind them: a position's x,
+# and the direction that the incidence reflects to
+DERIVED_KEYS = ["x", "reflected.theta"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(Case),
+    st.lists(st.tuples(st.sampled_from(CONFIG_KEYS[:-1]), st.sampled_from(EDGES)),
+             min_size=1, max_size=2),
+)
+@example(Case.A, [("gateway.angular_step", 5e-324)])  # a step count past float range
+@example(Case.C, [("gateway.angular_step", 1e-310), ("gateway.sample_dt", 0.1)])
+@example(Case.B, [("scenario.speed", 1e308)])  # a squared radius past float range
+def test_simulate_at_extreme_values_exits_0_or_2_naming_a_key(case, overrides):
+    argv = ["simulate", "--out", os.devnull, f"scenario.case={case.value}", *SMALL,
+            *(f"{key}={value!r}" for key, value in overrides)]
+    err = io.StringIO()
+    with mock.patch.object(geometry, "MAX_STEPS", SMALL_STEPS), \
+            mock.patch.object(gateway, "MAX_STEPS", SMALL_STEPS), \
+            mock.patch.object(coding, "MAX_CELLS", SMALL_CELLS), \
+            redirect_stdout(io.StringIO()), redirect_stderr(err):
+        done = main(argv)
+    assert done in (0, 2)
+    keys = "|".join(map(re.escape, CONFIG_KEYS + DERIVED_KEYS))
+    assert done == 0 or re.match(rf"error: ({keys})\b", err.getvalue()), err.getvalue()
 
 
 @given(st.binary(max_size=200) | st.binary(max_size=200).map(lambda b: HEADER.encode() + b"\n" + b))
@@ -655,18 +701,50 @@ def test_detect_events_picks_exactly_what_the_scalar_scan_picks(scenario):
     assert detect_events(explicit, step) == expected
 
 
-@settings(max_examples=200)
-@given(
-    st.integers(-(2**80), 2**80) | st.sampled_from([-1, 0, 2**32 - 1, 2**32, 2**64, 2**70]),
-    st.integers(0, 3000),
-    st.floats(0.5, 89.5),
-)
-def test_the_leap_schedule_has_the_bits_of_uniform_draws(seed, count, start_theta):
-    params = CaseParams(start_theta=start_theta, rng_seed=seed)
-    leaps = geometry._leap_schedule(params, count)
-    want = np.array(scalar_oracle.leap_schedule(params, count))
-    assert leaps.dtype == np.float64 and leaps.shape == (count + 1,)
-    assert np.array_equal(leaps.view(np.int64), want.view(np.int64))
+@st.composite
+def leap_grids(draw):
+    """A case-C trajectory of up to 24 leaps and a sampling period: leaps outnumbering
+    samples or samples outnumbering leaps, leap times on the sample grid or an ulp off."""
+    dt = draw(st.sampled_from([1e-3, 0.1, 0.3]) | st.floats(1e-3, 1.0))
+    m = draw(st.integers(1, 4))
+    interval = dt * m if draw(st.booleans()) else dt / m
+    interval = _ulp_neighbours(interval, draw(st.integers(-1, 1)))
+    params = CaseParams(
+        start_theta=draw(st.floats(0.5, 89.5)),
+        leap_interval=interval,
+        rng_seed=draw(st.integers(-(2**80), 2**80)
+                      | st.sampled_from([-1, 0, 2**32 - 1, 2**32, 2**64, 2**70])),
+    )
+    duration = interval * draw(st.integers(1, 24) | st.floats(0.5, 24.0))
+    return Trajectory(Case.C, params, duration), dt
+
+
+@settings(max_examples=150)
+@given(leap_grids())
+def test_case_c_blocks_settle_the_runs_of_a_few_leaps_each(scenario):
+    # with 1, 2 or 3 leaps a block, the blocks' runs are the scalar samples' leap runs,
+    # at the bits of the scalar schedule's draws, and give the scalar scan's picks
+    trajectory, dt = scenario
+    scalar = scalar_oracle.angle_stream(trajectory, dt)
+    times = [t for t, _ in scalar]
+    runs = scalar_oracle.leap_runs(trajectory, times)
+    n_leaps = scalar_oracle.n_leaps(trajectory)
+    schedule = scalar_oracle.leap_schedule(trajectory.params, n_leaps)
+    interval = trajectory.params.leap_interval
+    want = np.array([schedule[min(int(times[k] / interval), n_leaps)] for k in runs[:-1]])
+    picks = {step: scalar_oracle.detect_events(scalar, step) for step in (5.0, 1e-12)}
+    for size in (1, 2, 3):
+        with mock.patch.object(geometry, "SAMPLE_BLOCK", size):
+            stream = angle_stream(trajectory, dt)
+            entries = scalar_oracle.entries(stream)  # each block's runs end the next's
+            assert [head for head, _, _ in entries] + [entries[-1][1]] == runs
+            leaps = np.array([leap for _, _, leap in entries])
+            assert np.array_equal(leaps.view(np.int64), want.view(np.int64))
+            t = scalar_oracle.positions(stream)[0]
+            assert (t[1:] > t[:-1]).all()
+            assert all(len(block[1]) <= size for block in stream.blocks())
+            for step, want_picks in picks.items():
+                assert detect_events(stream, step) == want_picks
 
 
 @st.composite
@@ -721,8 +799,9 @@ def test_the_radius_bounds_flag_every_entry_whose_drift_reaches_the_step(drift):
     standoff, step, theta_ref, phi_ref, xs, ys = drift
     x = np.array(xs, float)
     y = 0.0 if ys is None else np.array(ys, float)
-    block = SimpleNamespace(blocks=lambda: iter([(np.arange(len(x), dtype=float), x, y)]))
-    _, v, phi = next(_checked_blocks(block))
+    t = np.arange(len(x), dtype=float)
+    block = SimpleNamespace(blocks=lambda: iter([(np.arange(len(x) + 1), t, x, y, None)]))
+    _, v, phi, _ = next(_checked_blocks(block))
     bounds = _near_bounds(theta_ref, phi_ref, step, standoff, ys is None)
     for j, x_j in enumerate(xs):
         ang = angles_from_position(Point3D(x_j, 0.0 if ys is None else ys[j], standoff))

@@ -83,7 +83,13 @@ SCENARIOS = {
          "gateway.sample_dt=0.001", "surface.n_cols=8", "surface.n_rows=8",
          "gateway.angular_step=60"],
         "9,990,000 leaps and 9,926,332 leap runs over 9,990,001 samples, just under MAX_STEPS: "
-        "a case-C stream whose schedule and runs are about 80 MB each, 2 events",
+        "a schedule and runs of about 80 MB each, were they held whole, 2 events",
+    ),
+    "C_10M_leaps_1s_samples": (
+        ["scenario.case=C", "scenario.duration=9990", "scenario.leap_interval=0.001",
+         "gateway.sample_dt=1", "surface.n_cols=8", "surface.n_rows=8"],
+        "9,990,000 leaps over 9,991 samples at 1 s: every draw taken, 9,991 leap runs, "
+        "8,814 events",
     ),
 }
 
