@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from typing import Iterator
 
 from .errors import TraceParseError, ValidationError
 from .gateway import TraceMeta, format_number, iter_events
@@ -94,14 +95,25 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _grid_lines(steps: Iterator[tuple[float, float, float]]) -> Iterator[str]:
+    """``sweep_grid``'s steps as lines, each distinct number formatted once: a step starts
+    where the last one ended, and a fraction, a count over n_cells, has few values.  A
+    zero is formatted anew, so that 0.0 and -0.0 never share a text."""
+    fractions: dict[float, str] = {}
+    last = last_text = None  # the previous step's end and its text
+    for start, end, fraction in steps:
+        start_text = last_text if start == last and start else format_number(start)
+        last, last_text = end, format_number(end)
+        if not fraction or fraction not in fractions:
+            fractions[fraction] = format_number(fraction)
+        yield f"from_theta={start_text} to_theta={last_text} fraction={fractions[fraction]}\n"
+
+
 def cmd_sweep(args) -> int:
     meta, _ = load_scenario(args)
     if args.grid is not None:
         steps = sweep_grid(args.grid, args.from_phi, args.to_phi, meta.surface, meta.incident)
-        sys.stdout.writelines(  # one call, and no text of all the lines at once
-            f"from_theta={format_number(start)} to_theta={format_number(end)} "
-            f"fraction={format_number(fraction)}\n" for start, end, fraction in steps
-        )
+        sys.stdout.writelines(_grid_lines(steps))  # one call, and no text of all the lines at once
         return 0
     if args.from_theta is None or args.to_theta is None:
         raise ValidationError("--from-theta and --to-theta are required without --grid")

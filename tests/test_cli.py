@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from steertrace import (
     read_report,
     read_trace,
 )
+from steertrace import cli
 from steertrace.cli import main
 from steertrace.coding import gradients
 from steertrace.gateway import NORMAL_INCIDENCE
@@ -114,6 +116,34 @@ def test_malformed_value_exits_2_naming_the_key(tmp_path, capsys, argv, key):
     assert run_cli(*argv) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # 1e308 m * tan(85 deg) is past float range, with the walk's own duration or a set one
+        (("scenario.standoff_distance=1e308",), "scenario.standoff_distance gives x=inf"),
+        (("scenario.standoff_distance=1e308", "scenario.duration=5"),
+         "scenario.standoff_distance gives x=inf"),
+        # 114 m at 1e-320 m/s: the walk would arrive after an infinite time
+        (("scenario.speed=1e-320",), "scenario.speed gives an arrival time"),
+        # any case-C leap may reach 85 deg, whatever the start
+        (("scenario.case=C", "scenario.standoff_distance=1e308", "scenario.start_theta=1"),
+         "scenario.standoff_distance gives x=inf"),
+    ],
+)
+def test_a_position_past_float_range_is_refused_naming_the_key_set(tmp_path, capsys, overrides,
+                                                                    message):
+    out = tmp_path / "t.jsonl"
+    assert run_cli("simulate", "--out", str(out), *overrides) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.endswith(" not finite\n"), err
+    assert not out.exists()
+
+
+def test_tan_below_90_degrees_stays_under_the_schemas_bound():
+    # the scenario schema computes no tan where d * 2**52 / speed is finite
+    assert math.tan(math.radians(math.nextafter(90.0, 0.0))) < 2.0**52
 
 
 @pytest.mark.parametrize("key", ["report", "heatmap", "heatmap_format"])
@@ -358,6 +388,15 @@ def test_grid_sweep_codes_each_distinct_direction_once(capsys, monkeypatch, argv
     assert run_cli("sweep", *argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == steps
     assert len(coded) == len(set(coded)) == calls
+
+
+def test_grid_lines_never_give_a_zero_the_text_of_the_other_signed_zero():
+    steps = [(1.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, 0.0, 0.0)]
+    assert list(cli._grid_lines(iter(steps))) == [
+        "from_theta=1 to_theta=0 fraction=0\n",
+        "from_theta=-0 to_theta=-0 fraction=-0\n",
+        "from_theta=0 to_theta=0 fraction=0\n",
+    ]
 
 
 def test_sweep_requires_angles_without_grid(capsys):

@@ -45,7 +45,7 @@ from steertrace.coding import MAX_CELLS, MAX_PHASE_STEPS, MAX_STATES, TWO_PI, _n
 from steertrace.coding import state_blocks
 from steertrace.gateway import ANGLE_EPS_DEG, BAND, NORMAL_INCIDENCE, detect_events, diff_states
 from steertrace.gateway import _checked_blocks, _near_bounds, _next_near_crossing
-from steertrace.gateway import checked_events, outside_surface
+from steertrace.gateway import checked_events, format_number, outside_surface
 from steertrace.geometry import RAD_TO_DEG, SAMPLE_BLOCK, angle_stream, signed_circular_delta_deg
 from steertrace.geometry import Point3D, angles_from_position
 from steertrace.metrics import sweep_diff, sweep_grid
@@ -99,9 +99,9 @@ EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308] + [
     v for limit in (0, 1, 2, 90.0, 360.0, MAX_STATES, SMALL_CELLS // 2, 2**63, 1 / SMALL_STEPS)
     for v in _around(limit)
 ]
-# keys that two refusals name in place of the config key behind them: a position's x,
-# and the direction that the incidence reflects to
-DERIVED_KEYS = ["x", "reflected.theta"]
+# the key that one refusal names in place of the config key behind it: the direction that
+# the incidence reflects to
+DERIVED_KEYS = ["reflected.theta"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1112,6 +1112,45 @@ def test_every_sweep_grid_fraction_is_the_sweep_diff_of_its_pair(drawn):
             assert fraction == sweep_diff(*pair, surface, incident)
             before, after = (full_grid_state_matrix(incident, d, surface) for d in pair)
             assert fraction == np.count_nonzero(before != after) / surface.n_cells
+
+
+# a step whose last end, a hair below 0, is clamped to 0.0
+CLAMPED_STEP = next(
+    step for step in (85.0 / k for k in range(1, 1000))
+    if list(metrics._grid_steps(step))[-1][0] - step < 0
+)
+
+
+@st.composite
+def grid_sweep_runs(draw):
+    """A surface of at most 6 cells a side, a step that gives at most about 2,000 steps,
+    and phis, equal or not."""
+    surface = small_surfaces(draw, size=6)
+    step = draw(st.integers(1, 2000).map(lambda k: 85.0 / k) | st.floats(85.0 / 2000, 85.0))
+    from_phi = draw(phis)
+    return surface, step, from_phi, draw(st.just(from_phi) | phis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_sweep_runs())
+@example((SurfaceConfig(n_cols=4, n_rows=3), 5.0, 0.0, 10.0))
+@example((SurfaceConfig(n_cols=5, n_rows=2, n_states=4), CLAMPED_STEP, 0.0, 0.0))
+@example((SurfaceConfig(n_cols=5, n_rows=2, n_states=4), CLAMPED_STEP, 20.0, -20.0))
+def test_grid_sweep_prints_format_number_of_every_value_sweep_grid_yields(drawn):
+    surface, step, from_phi, to_phi = drawn
+    argv = [
+        "sweep", f"--grid={step!r}", f"--from-phi={from_phi!r}", f"--to-phi={to_phi!r}",
+        f"surface.n_cols={surface.n_cols}", f"surface.n_rows={surface.n_rows}",
+        f"surface.n_states={surface.n_states}", f"wave.lambda_r={surface.lambda_r!r}",
+    ]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue() == "".join(
+        f"from_theta={format_number(a)} to_theta={format_number(b)} "
+        f"fraction={format_number(fraction)}\n"
+        for a, b, fraction in sweep_grid(step, from_phi, to_phi, surface)
+    )
 
 
 @st.composite
