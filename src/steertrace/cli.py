@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid configuration or malformed input file,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -131,7 +132,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built on the first call, not at import, and
+    shared after it: no caller may change it."""
     parser = argparse.ArgumentParser(
         prog="steertrace",
         description="Simulate beam-steering control traffic and analyze its traces.",
@@ -146,14 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
         "overrides", nargs="*", metavar="key=value",
         help="dotted config overrides, e.g. surface.n_states=8",
     )
-    sim.set_defaults(func=cmd_simulate)
 
     met = sub.add_parser("metrics", help="compute workload metrics from a trace")
     met.add_argument("--trace", required=True, help="input trace file")
     met.add_argument("--report", required=True, help="output report file")
     met.add_argument("--heatmap", help="optional destination heat-map file")
     met.add_argument("--format", choices=("csv", "pgm"), default="csv")
-    met.set_defaults(func=cmd_metrics)
 
     swp = sub.add_parser("sweep", help="changed-cell fraction between two directions")
     swp.add_argument("--from-theta", type=float, dest="from_theta")
@@ -169,14 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
         "overrides", nargs="*", metavar="key=value",
         help="dotted config overrides, e.g. surface.n_states=8",
     )
-    swp.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)  # looked up per call: a later wrapper runs
     except (ValidationError, TraceParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

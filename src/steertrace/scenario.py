@@ -20,6 +20,7 @@ from .coding import SurfaceConfig
 from .errors import ValidationError
 from .gateway import NORMAL_INCIDENCE, GatewayConfig, TraceMeta
 from .geometry import (
+    GRAVITY,
     LEAP_THETA_MAX,
     Angles,
     Case,
@@ -28,6 +29,7 @@ from .geometry import (
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
+    position_at,
 )
 
 INT = "an integer"
@@ -138,7 +140,30 @@ def _trajectory(case: Case, speed: float | None, duration: float | None, **param
             raise ValidationError(f"standoff_distance gives x={x}, not finite", "standoff_distance")
         if case is Case.A and not math.isfinite(x / speed):
             raise ValidationError("speed gives an arrival time that is not finite", "speed")
-    return make(p) if duration is None else Trajectory(case, p, duration)
+    try:
+        traj = make(p) if duration is None else Trajectory(case, p, duration)
+    except ValidationError as exc:
+        if not (case is Case.B and duration is None and exc.key == "duration"):
+            raise
+        raise ValidationError("speed gives a flight time that is 0 or not finite", "speed") from None
+    # Cases A and B stray at most speed*t + g*t*t/2 off axis: most scenarios take no sin or tan.
+    # theta rounds to 90, where the reflection grazes the surface, past about 2**52.4 standoffs.
+    t, bound = traj.duration, 2.0**52 * p.standoff_distance
+    if case is not Case.C and not speed * t + 0.5 * GRAVITY * t * t < bound:
+        apex = min(t, speed * math.sin(math.radians(p.launch_angle)) / GRAVITY)  # case B's
+        try:  # furthest in x at the end, in y at the apex or the end
+            end, top = position_at(traj, t), position_at(traj, apex)
+        except ValidationError:
+            key = "speed" if duration is None else "duration"
+            raise ValidationError(f"{key} gives a position that is not finite", key) from None
+        reach = math.hypot(end.x, max(top.y, -end.y))
+        if not reach < bound:
+            raise ValidationError(
+                f"standoff_distance={p.standoff_distance!r} is under 2**-52 of the {reach!r} m "
+                "the target strays off axis, where its reflection grazes the surface",
+                "standoff_distance",
+            )
+    return traj
 
 
 def meta_from_dict(d) -> TraceMeta:

@@ -48,12 +48,12 @@ def test_simulate_rejects_single_state_surface(tmp_path, capsys):
 
 
 def test_a_refused_simulation_leaves_an_existing_output_alone(tmp_path, capsys):
-    # the flight is so fast that the target passes overhead, where theta is 90
+    # the flight is so fast that the target passes far overhead, where theta rounds to 90
     out = tmp_path / "trace.jsonl"
     out.write_bytes(b"an earlier trace\n")
     argv = ["scenario.case=B", "scenario.speed=1e20", "scenario.duration=1"]
     assert run_cli("simulate", "--out", str(out), *argv) == 2
-    assert "reflected.theta=90.0 must lie in [0, 90)" in capsys.readouterr().err
+    assert "error: scenario.standoff_distance=10.0 is under 2**-52" in capsys.readouterr().err
     assert out.read_bytes() == b"an earlier trace\n"
 
 
@@ -130,6 +130,16 @@ def test_malformed_value_exits_2_naming_the_key(tmp_path, capsys, argv, key):
         # any case-C leap may reach 85 deg, whatever the start
         (("scenario.case=C", "scenario.standoff_distance=1e308", "scenario.start_theta=1"),
          "scenario.standoff_distance gives x=inf"),
+        # case A walks on past the axis for 2 s at 1e308 m/s
+        (("scenario.speed=1e308", "scenario.duration=2", "gateway.sample_dt=1"),
+         "scenario.duration gives a position"),
+        # case B falls 4.9e400 m in 1e200 s; its own flight at 1e160 m/s falls past float
+        # range too
+        (("scenario.case=B", "scenario.duration=1e200", "gateway.sample_dt=1e195"),
+         "scenario.duration gives a position"),
+        (("scenario.case=B", "scenario.speed=1e160"), "scenario.speed gives a position"),
+        # case B's own flight time at 1e308 m/s, 2 * speed * sin(45 deg) / g, overflows
+        (("scenario.case=B", "scenario.speed=1e308"), "scenario.speed gives a flight time"),
     ],
 )
 def test_a_position_past_float_range_is_refused_naming_the_key_set(tmp_path, capsys, overrides,
@@ -144,6 +154,33 @@ def test_a_position_past_float_range_is_refused_naming_the_key_set(tmp_path, cap
 def test_tan_below_90_degrees_stays_under_the_schemas_bound():
     # the scenario schema computes no tan where d * 2**52 / speed is finite
     assert math.tan(math.radians(math.nextafter(90.0, 0.0))) < 2.0**52
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ("scenario.case=B", "scenario.standoff_distance=1e-300"),
+        ("scenario.case=B", "scenario.standoff_distance=1e-14"),  # 94.5 m off axis at most
+        # case A walks 2e17 m past the axis
+        ("scenario.speed=1e17", "scenario.duration=2", "gateway.sample_dt=1"),
+    ],
+)
+def test_a_reflection_that_would_graze_the_surface_is_refused_naming_the_standoff(
+    tmp_path, capsys, overrides
+):
+    out = tmp_path / "t.jsonl"
+    assert run_cli("simulate", "--out", str(out), *overrides) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario.standoff_distance=") and "grazes the surface" in err
+    assert not out.exists()
+
+
+def test_the_schemas_grazing_bound_leaves_theta_below_90(tmp_path, capsys):
+    # 2**52 standoffs off axis still reflect below 90 degrees, and a flight 9.5e14 standoffs
+    # out is accepted
+    assert math.degrees(math.atan2(2.0**52, 1.0)) < 90.0
+    argv = ["simulate", "--out", str(tmp_path / "t.jsonl")]
+    assert run_cli(*argv, "scenario.case=B", "scenario.standoff_distance=1e-13") == 0
 
 
 @pytest.mark.parametrize("key", ["report", "heatmap", "heatmap_format"])
@@ -401,6 +438,50 @@ def test_grid_lines_never_give_a_zero_the_text_of_the_other_signed_zero():
 
 def test_sweep_requires_angles_without_grid(capsys):
     assert run_cli("sweep", "--from-theta", "30") == 2
+
+
+def test_the_parser_is_built_on_the_first_call_and_not_at_import():
+    probe = "import steertrace.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(steertrace.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.stdout == "0\n", done.stderr
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_default_left_out_after_a_set_value_is_the_default_again(capsys):
+    argv = ["sweep", "--from-theta", "10", "--to-theta", "20"]
+    assert run_cli(*argv, "--from-phi", "5") == 0
+    assert " from_phi=5 " in capsys.readouterr().out
+    assert run_cli(*argv) == 0
+    assert " from_phi=0 " in capsys.readouterr().out
+
+
+def test_a_seed_set_in_one_call_does_not_reach_the_next(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    argv = ["simulate", "scenario.case=C", "surface.n_cols=4", "surface.n_rows=4"]
+    fresh, seeded, unseeded = (tmp_path / f"{name}.jsonl" for name in ("f", "s", "u"))
+    cli.build_parser.cache_clear()
+    assert run_cli(*argv, "--out", str(fresh)) == 0
+    assert run_cli(*argv, "--out", str(seeded), "--seed", "7") == 0
+    assert run_cli(*argv, "--out", str(unseeded)) == 0
+    assert unseeded.read_bytes() == fresh.read_bytes() != seeded.read_bytes()
+
+
+def test_a_good_call_after_a_usage_error_succeeds(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("metrics", "--report", str(tmp_path / "r.jsonl"))
+    assert exc.value.code == 2
+    assert "the following arguments are required: --trace" in capsys.readouterr().err
+    assert run_cli("sweep", "--from-theta", "30", "--to-theta", "0") == 0
+    assert "fraction=0.72" in capsys.readouterr().out
+
+
+def test_main_runs_the_command_function_bound_to_its_name_at_call_time(capsys, monkeypatch):
+    assert run_cli("sweep", "--from-theta", "30", "--to-theta", "30") == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: calls.append(args.to_theta) or 5)
+    assert run_cli("sweep", "--from-theta", "30", "--to-theta", "0") == 5
+    assert calls == [0.0]
 
 
 def test_aliasing_is_one_logged_warning_with_the_count(tmp_path, monkeypatch):

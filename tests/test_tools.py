@@ -1,8 +1,12 @@
 """The repository's measuring tools, where they can be run without timing anything."""
 
+import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+from steertrace.cli import main
 
 BENCH_MATRIX = Path(__file__).resolve().parents[1] / "tools" / "bench_matrix.py"
 
@@ -15,3 +19,47 @@ def test_bench_matrix_refuses_an_unknown_row_by_name():
     )
     assert done.returncode == 2
     assert "unknown row 'A_9x9'" in done.stderr and "A_1000x1000" in done.stderr
+
+
+
+def load_bench_matrix():
+    spec = importlib.util.spec_from_file_location("bench_matrix", BENCH_MATRIX)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_matrix_hashes_a_sweeps_two_stdouts_apart(capsys):
+    bench_matrix = load_bench_matrix()
+    argv = ["sweep", "--grid", "40", "surface.n_cols=4", "surface.n_rows=4"]
+    assert main(argv) == 0
+    stdout = bench_matrix.sha256(capsys.readouterr().out)
+    probe, _, calls = bench_matrix.run(BENCH_MATRIX.parents[1], argv, {}, dict(os.environ))
+    assert calls == [(0, ("stdout", stdout))] * 2
+    assert probe["warm_main_s"] > 0
+
+
+def test_bench_matrix_hashes_each_calls_output_files(tmp_path):
+    bench_matrix = load_bench_matrix()
+    trace = tmp_path / "t.jsonl"
+    argv = ["simulate", "--out", str(trace), "surface.n_cols=4", "surface.n_rows=4"]
+    env = {**os.environ, "SOURCE_DATE_EPOCH": "0"}
+    probe, _, calls = bench_matrix.run(BENCH_MATRIX.parents[1], argv, {"trace": trace}, env)
+    assert calls == [(0, ("trace", bench_matrix.digest(trace)))] * 2
+    assert probe["detect_s"] > 0
+
+
+def test_bench_matrix_tells_a_warm_call_that_prints_other_bytes(tmp_path):
+    # a stand-in package whose main prints how often it has run
+    package = tmp_path / "src" / "steertrace"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "gateway.py").write_text("def detect_events(*args):\n    pass\n")
+    (package / "cli.py").write_text(
+        "import itertools\ncalls = itertools.count()\n"
+        "def main(argv):\n    print(next(calls))\n    return 0\n"
+    )
+    bench_matrix = load_bench_matrix()
+    _, _, (first, warm) = bench_matrix.run(tmp_path, ["sweep"], {}, dict(os.environ))
+    assert first == (0, ("stdout", bench_matrix.sha256("0\n")))
+    assert warm == (0, ("stdout", bench_matrix.sha256("1\n")))

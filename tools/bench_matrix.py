@@ -13,8 +13,10 @@ each commit will do); each side imports the package from its tree's ``src``.
 Each round runs ``simulate`` once per side and then ``metrics`` once per side on
 that side's trace (or, for a sweep, ``sweep`` once per side), alternating which
 side goes first, each command in a fresh interpreter started from /bin/sh, and
-hashes every trace, report, heat map and sweep output.  Runs go one at a time,
-so peak memory is that of one command.
+hashes every trace, report, heat map and sweep output.  Each interpreter then
+runs its command a second time, the warm call, whose time shows a per-call cost
+that the first call's imports and first uses hide; its outputs must be the first
+call's bytes.  Runs go one at a time, so peak memory is that of one command.
 """
 
 from __future__ import annotations
@@ -124,9 +126,12 @@ ROWS = {
 }
 
 # Runs one command and prints, as its last stdout line, the cli.main call's time and
-# page faults, the time spent in gateway.detect_events, and the process's peak RSS.
-CHILD = """\
-import json, resource, sys, time
+# page faults, the time spent in gateway.detect_events, the process's peak RSS and the
+# digests of the output files named in BENCH_FILES; then the same command again in the
+# same process, timed as warm_main_s, after a WARM line that splits the two calls' stdout.
+WARM = "--- warm call ---\n"
+CHILD = f"""\
+import hashlib, json, os, resource, sys, time
 from steertrace import gateway
 from steertrace.cli import main
 detect, detect_s = gateway.detect_events, 0.0
@@ -138,13 +143,21 @@ def timed_detect(*args):
     finally:
         detect_s += time.perf_counter() - start
 gateway.detect_events = timed_detect
+def digests():
+    files = json.loads(os.environ["BENCH_FILES"]).items()
+    return {{key: hashlib.sha256(open(path, "rb").read()).hexdigest() for key, path in files}}
 before = resource.getrusage(resource.RUSAGE_SELF)
 start = time.perf_counter()
 rc = main(sys.argv[1:])
 elapsed = time.perf_counter() - start
 after = resource.getrusage(resource.RUSAGE_SELF)
-print(json.dumps({"rc": rc, "main_s": elapsed, "maxrss_kb": after.ru_maxrss,
-                  "minflt": after.ru_minflt - before.ru_minflt, "detect_s": detect_s}))
+probe = {{"rc": rc, "main_s": elapsed, "maxrss_kb": after.ru_maxrss,
+         "minflt": after.ru_minflt - before.ru_minflt, "detect_s": detect_s, "sha": digests()}}
+print({WARM!r}, end="", flush=True)
+start = time.perf_counter()
+probe["warm_rc"] = main(sys.argv[1:])
+probe["warm_main_s"] = time.perf_counter() - start
+print(json.dumps(probe))
 """
 
 METHOD = (
@@ -153,33 +166,46 @@ METHOD = (
     "first, each in a fresh interpreter "
     "started from /bin/sh (PYTHONDONTWRITEBYTECODE=1 with no __pycache__ in either "
     "tree, so every run compiles the package; SOURCE_DATE_EPOCH=0, one BLAS thread). "
-    "Every run's trace, report and heat map, or sweep stdout, are hashed; "
-    "outputs_identical means every "
-    "run of both sides gave the same bytes and exit code 0. Values are medians over the "
-    "rounds, in host seconds, unscaled. command_s: spawn to exit, interpreter start and "
-    "imports included. main_s: the cli.main call. peak_rss_mb: getrusage ru_maxrss of "
-    "that process. minflt: getrusage ru_minflt during the cli.main call. change_lower: "
-    "rounds in which the change's cli.main call was faster. rss_lower: rounds in which "
-    "the change's peak_rss_mb was lower. detect_s (simulate only): the time inside "
-    "gateway.detect_events, the drift-detection layer, which in cases A and B also "
-    "computes the sample blocks as it reads them."
+    "Each process then runs the same command a second time, the warm call. "
+    "Every call's trace, report and heat map, or sweep stdout, are hashed, the warm "
+    "call's apart from the first's; outputs_identical means every call of both sides "
+    "gave the same bytes and exit code 0. Values are medians over the "
+    "rounds, in host seconds, unscaled. command_s: spawn to exit, interpreter start, "
+    "imports and both calls included. main_s: the first cli.main call. warm_main_s: the "
+    "warm call, which pays no import or first-use cost, so it shows a per-call cost "
+    "that main_s buries. peak_rss_mb: getrusage ru_maxrss of that process after the "
+    "first call. minflt: getrusage ru_minflt during the first call. change_lower and "
+    "warm_lower: rounds in which the change's first or warm call was faster. rss_lower: "
+    "rounds in which the change's peak_rss_mb was lower. detect_s (simulate only): the "
+    "time inside gateway.detect_events during the first call, the drift-detection layer, "
+    "which in cases A and B also computes the sample blocks as it reads them."
 )
 
 
-def run(tree: Path, argv: list[str], env: dict) -> tuple[dict, float, str]:
-    """One command in a fresh interpreter on ``tree``'s package: the child's probe, the
-    time from spawn to exit, and the digest of the command's own stdout."""
+def run(tree: Path, argv: list[str], files: dict, env: dict) -> tuple[dict, float, list[tuple]]:
+    """One command, run twice in a fresh interpreter on ``tree``'s package: the child's
+    probe, the time from spawn to exit, and each call's exit code and output digests,
+    those of ``files`` (key: path) or, when there are none, of the call's own stdout."""
     command = shlex.join([sys.executable, "-c", CHILD, *argv])
     start = time.perf_counter()
     done = subprocess.run(
-        ["/bin/sh", "-c", command], env={**env, "PYTHONPATH": str(tree / "src")},
-        capture_output=True, text=True,
+        ["/bin/sh", "-c", command], capture_output=True, text=True,
+        env={**env, "PYTHONPATH": str(tree / "src"), "BENCH_FILES": json.dumps(
+            {key: str(path) for key, path in files.items()})},
     )
     elapsed = time.perf_counter() - start
     if done.returncode != 0:
         raise SystemExit(f"{shlex.join(argv)} on {tree} failed:\n{done.stderr}")
-    *printed, probe = done.stdout.splitlines(keepends=True)
-    return json.loads(probe), elapsed, hashlib.sha256("".join(printed).encode()).hexdigest()
+    first, rest = done.stdout.split(WARM)
+    *warm, probe = rest.splitlines(keepends=True)
+    probe = json.loads(probe)
+    sha = probe["sha"] or {"stdout": sha256(first)}
+    last = {key: digest(path) for key, path in files.items()} or {"stdout": sha256("".join(warm))}
+    return probe, elapsed, [(probe["rc"], *sha.items()), (probe["warm_rc"], *last.items())]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def digest(path: Path) -> str:
@@ -227,12 +253,11 @@ def bench(parent: Path, change: Path, rounds: int, work: Path, names: list[str])
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for command, spec in commands.items():
                 for side in order:
-                    argv, files = spec(side)
-                    probe, command_s, printed = run(trees[side], argv, env)
-                    sha = {key: digest(path) for key, path in files.items()} or {"stdout": printed}
-                    outputs[command].add((probe["rc"], *sha.items()))
+                    probe, command_s, calls = run(trees[side], *spec(side), env)
+                    outputs[command].update(calls)
                     samples[command][side].append({
                         "command_s": command_s, "main_s": probe["main_s"],
+                        "warm_main_s": probe["warm_main_s"],
                         "peak_rss_mb": probe["maxrss_kb"] / 1024, "minflt": probe["minflt"],
                         **({"detect_s": probe["detect_s"]} if command == "simulate" else {}),
                     })
@@ -245,13 +270,14 @@ def bench(parent: Path, change: Path, rounds: int, work: Path, names: list[str])
             row.update(trace_bytes=traces["parent"].stat().st_size, format="csv")
         for command, by_side in samples.items():
             row[command] = {
-                side: {key: round(statistics.median(r[key] for r in runs), 4) for key in runs[0]}
+                side: {key: round(statistics.median(r[key] for r in runs), 6) for key in runs[0]}
                 for side, runs in by_side.items()
             }
             pairs = list(zip(*by_side.values()))
-            faster = sum(c["main_s"] < p["main_s"] for p, c in pairs)
-            leaner = sum(c["peak_rss_mb"] < p["peak_rss_mb"] for p, c in pairs)
-            row[command].update(change_lower=f"{faster}/{rounds}", rss_lower=f"{leaner}/{rounds}")
+            lower = {key: sum(c[k] < p[k] for p, c in pairs) for key, k in (
+                ("change_lower", "main_s"), ("warm_lower", "warm_main_s"),
+                ("rss_lower", "peak_rss_mb"))}
+            row[command].update({key: f"{n}/{rounds}" for key, n in lower.items()})
         row["args"] = args
         if why:
             row["why"] = why
