@@ -113,7 +113,10 @@ class Trajectory:
             "duration",
         )
         if self.case_id is Case.C and self.duration / self.params.leap_interval > MAX_STEPS:
-            raise ValidationError(f"leap_interval gives over {MAX_STEPS} leaps", key="leap_interval")
+            # the duration is behind the count if the default interval gives as many leaps
+            long = self.duration / CaseParams.leap_interval > MAX_STEPS
+            key = "duration" if long else "leap_interval"
+            raise ValidationError(f"{key} gives over {MAX_STEPS} leaps", key=key)
 
 
 def case_a_trajectory(params: CaseParams | None = None) -> Trajectory:

@@ -26,6 +26,7 @@ from .geometry import (
     Case,
     CaseParams,
     Trajectory,
+    angles_from_position,
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
@@ -143,27 +144,54 @@ def _trajectory(case: Case, speed: float | None, duration: float | None, **param
     try:
         traj = make(p) if duration is None else Trajectory(case, p, duration)
     except ValidationError as exc:
-        if not (case is Case.B and duration is None and exc.key == "duration"):
+        if duration is not None or exc.key != "duration":
             raise
-        raise ValidationError("speed gives a flight time that is 0 or not finite", "speed") from None
-    # Cases A and B stray at most speed*t + g*t*t/2 off axis: most scenarios take no sin or tan.
-    # theta rounds to 90, where the reflection grazes the surface, past about 2**52.4 standoffs.
-    t, bound = traj.duration, 2.0**52 * p.standoff_distance
-    if case is not Case.C and not speed * t + 0.5 * GRAVITY * t * t < bound:
-        apex = min(t, speed * math.sin(math.radians(p.launch_angle)) / GRAVITY)  # case B's
-        try:  # furthest in x at the end, in y at the apex or the end
-            end, top = position_at(traj, t), position_at(traj, apex)
-        except ValidationError:
-            key = "speed" if duration is None else "duration"
-            raise ValidationError(f"{key} gives a position that is not finite", key) from None
-        reach = math.hypot(end.x, max(top.y, -end.y))
-        if not reach < bound:
-            raise ValidationError(
-                f"standoff_distance={p.standoff_distance!r} is under 2**-52 of the {reach!r} m "
-                "the target strays off axis, where its reflection grazes the surface",
-                "standoff_distance",
-            )
+        # the case's own duration, d * tan(theta) / speed or 2 * speed * sin(launch) / g
+        if case is Case.B:
+            key = "speed" if math.sin(math.radians(p.launch_angle)) else "launch_angle"
+        elif not (tan := math.tan(math.radians(p.start_theta))):
+            key = "start_theta"
+        else:
+            key = "speed" if p.standoff_distance * tan else "standoff_distance"
+        what = "an arrival time" if case is Case.A else "a flight time"
+        raise ValidationError(f"{key} gives {what} that is 0 or not finite", key) from None
+    if case is not Case.C:
+        _refuse_grazing(traj, "speed" if duration is None else "duration")
     return traj
+
+
+def _refuse_grazing(traj: Trajectory, reach_key: str):
+    """Refuse a case-A or B target whose position is past float range, or whose furthest
+    point off axis reflects at a theta that rounds to 90, grazing the surface.  Under 2**52
+    standoffs off axis theta stays below 90, so most scenarios compute no position here."""
+    p, t = traj.params, traj.duration
+    bound = 2.0**52 * p.standoff_distance
+    if traj.case_id is Case.A:  # its start is under the bound, by the tan bound above
+        if p.speed * t < bound:
+            return
+        times = (t,)
+    else:
+        if p.speed * t + 0.5 * GRAVITY * t * t < bound:
+            return
+        # r*r = (v*t)**2 - v*s*g*t**3 + (g*t*t/2)**2 has a peak, at the first time, only
+        # where 9*s*s > 8; elsewhere it grows with t
+        s = math.sin(math.radians(p.launch_angle))
+        times = (min(t, p.speed * (3 * s - math.sqrt(max(9 * s * s - 8, 0))) / (2 * GRAVITY)), t)
+    try:
+        far = max((position_at(traj, u) for u in times), key=lambda q: math.hypot(q.x, q.y))
+    except ValidationError:
+        message = f"{reach_key} gives a position that is not finite"
+        raise ValidationError(message, reach_key) from None
+    if angles_from_position(far).theta < 90.0:
+        return
+    reach = math.hypot(far.x, far.y)
+    # a graze under 2**52 default standoffs off axis needs a standoff under its default
+    key = "standoff_distance" if reach < 2.0**52 * CaseParams.standoff_distance else reach_key
+    raise ValidationError(
+        f"{key} puts the target {reach!r} m off axis, over 2**52 standoffs of "
+        f"{p.standoff_distance!r} m, where its reflection grazes the surface",
+        key,
+    )
 
 
 def meta_from_dict(d) -> TraceMeta:

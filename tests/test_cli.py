@@ -19,7 +19,7 @@ from steertrace import (
     read_report,
     read_trace,
 )
-from steertrace import cli
+from steertrace import cli, gateway
 from steertrace.cli import main
 from steertrace.coding import gradients
 from steertrace.gateway import NORMAL_INCIDENCE
@@ -47,13 +47,27 @@ def test_simulate_rejects_single_state_surface(tmp_path, capsys):
     assert "n_states" in capsys.readouterr().err
 
 
-def test_a_refused_simulation_leaves_an_existing_output_alone(tmp_path, capsys):
+def test_a_refused_simulation_leaves_an_existing_output_alone(tmp_path, capsys, monkeypatch):
+    # the reflection check of iter_events, the last that it runs, refuses after sampling and
+    # detection, and still before cmd_simulate opens the output
+    def refuse(incident, thetas, phis, cfg):
+        gradients(incident, [90.0], [0.0], cfg)
+
+    monkeypatch.setattr(gateway, "gradients", refuse)
+    out = tmp_path / "trace.jsonl"
+    out.write_bytes(b"an earlier trace\n")
+    assert run_cli("simulate", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: reflected.theta=90.0 must lie in [0, 90)\n"
+    assert out.read_bytes() == b"an earlier trace\n"
+
+
+def test_a_scenario_that_the_schema_refuses_leaves_an_existing_output_alone(tmp_path, capsys):
     # the flight is so fast that the target passes far overhead, where theta rounds to 90
     out = tmp_path / "trace.jsonl"
     out.write_bytes(b"an earlier trace\n")
     argv = ["scenario.case=B", "scenario.speed=1e20", "scenario.duration=1"]
     assert run_cli("simulate", "--out", str(out), *argv) == 2
-    assert "error: scenario.standoff_distance=10.0 is under 2**-52" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: scenario.duration puts the target 1e+20 m")
     assert out.read_bytes() == b"an earlier trace\n"
 
 
@@ -157,30 +171,69 @@ def test_tan_below_90_degrees_stays_under_the_schemas_bound():
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, key",
     [
-        ("scenario.case=B", "scenario.standoff_distance=1e-300"),
-        ("scenario.case=B", "scenario.standoff_distance=1e-14"),  # 94.5 m off axis at most
-        # case A walks 2e17 m past the axis
-        ("scenario.speed=1e17", "scenario.duration=2", "gateway.sample_dt=1"),
+        # the own flight of case B is 91.7 m long, and of a steep launch 45.9 m high
+        (("scenario.case=B", "scenario.standoff_distance=1e-300"), "standoff_distance"),
+        (("scenario.case=B", "scenario.standoff_distance=1e-14"), "standoff_distance"),
+        (("scenario.case=B", "scenario.launch_angle=89.9", "scenario.standoff_distance=1e-15"),
+         "standoff_distance"),
+        # case A walks 2e17 m past the axis; case B flies 1e20 m, or 1e17 m on its own flight
+        (("scenario.speed=1e17", "scenario.duration=2", "gateway.sample_dt=1"), "duration"),
+        (("scenario.case=B", "scenario.speed=1e20", "scenario.duration=1"), "duration"),
+        (("scenario.case=B", "scenario.speed=1e9"), "speed"),
     ],
 )
-def test_a_reflection_that_would_graze_the_surface_is_refused_naming_the_standoff(
-    tmp_path, capsys, overrides
+def test_a_reflection_that_would_graze_the_surface_is_refused_naming_the_key_set(
+    tmp_path, capsys, overrides, key
 ):
     out = tmp_path / "t.jsonl"
     assert run_cli("simulate", "--out", str(out), *overrides) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: scenario.standoff_distance=") and "grazes the surface" in err
+    assert err.startswith(f"error: scenario.{key}") and "grazes the surface" in err, err
     assert not out.exists()
 
 
-def test_the_schemas_grazing_bound_leaves_theta_below_90(tmp_path, capsys):
-    # 2**52 standoffs off axis still reflect below 90 degrees, and a flight 9.5e14 standoffs
-    # out is accepted
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ("scenario.case=B", "scenario.standoff_distance=1e-13"),
+        ("scenario.case=B", "scenario.launch_angle=89.9", "scenario.standoff_distance=1e-14"),
+        # the walk ends 5.6e16 m past the axis, over 2**52 standoffs and still below 90
+        ("scenario.duration=4e16", "gateway.sample_dt=1e15"),
+    ],
+)
+def test_a_target_whose_furthest_reflection_stays_below_90_is_accepted(tmp_path, overrides):
+    out = tmp_path / "t.jsonl"
+    assert run_cli("simulate", "--out", str(out), *overrides) == 0
+    with open(out, "rb") as fh:
+        assert max(ev.reflected.theta for ev in read_trace(fh).events) < 90.0
+
+
+def test_under_2_52_standoffs_off_axis_the_reflection_stays_below_90():
+    # the scenario schema computes no position where the target stays under this bound
     assert math.degrees(math.atan2(2.0**52, 1.0)) < 90.0
-    argv = ["simulate", "--out", str(tmp_path / "t.jsonl")]
-    assert run_cli(*argv, "scenario.case=B", "scenario.standoff_distance=1e-13") == 0
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        # case A's own arrival time, d * tan(theta) / speed, rounds to 0
+        (("scenario.start_theta=5e-324",), "start_theta"),
+        (("scenario.standoff_distance=5e-324", "scenario.start_theta=1e-300"),
+         "standoff_distance"),
+        (("scenario.standoff_distance=5e-324", "scenario.speed=1e308"), "speed"),
+        # case B's own flight time, 2 * speed * sin(launch_angle) / g, rounds to 0
+        (("scenario.case=B", "scenario.launch_angle=5e-324"), "launch_angle"),
+        (("scenario.case=B", "scenario.speed=5e-324"), "speed"),
+    ],
+)
+def test_a_case_duration_of_0_is_refused_naming_the_key_set(tmp_path, capsys, overrides, key):
+    out = tmp_path / "t.jsonl"
+    assert run_cli("simulate", "--out", str(out), *overrides) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario.{key} gives a") and "time that is 0" in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["report", "heatmap", "heatmap_format"])

@@ -114,12 +114,19 @@ durations = st.just(1.0) | st.none() | st.floats(min_value=5e-324, max_value=1e3
 @example(Case.A, [("gateway.angular_step", 5e-324)], 1.0)  # a step count past float range
 @example(Case.C, [("gateway.angular_step", 1e-310), ("gateway.sample_dt", 0.1)], 1.0)
 @example(Case.B, [("scenario.speed", 1e308)], 1.0)  # a squared radius past float range
-@example(Case.B, [("scenario.standoff_distance", 1e-300)], None)  # a grazing reflection
+# grazing reflections, off a tiny standoff or far off axis on a set or the case's own flight
+@example(Case.B, [("scenario.standoff_distance", 1e-300)], None)
+@example(Case.A, [("scenario.speed", 1e17)], 2.0)
+@example(Case.B, [("scenario.speed", 1e9)], None)
 # positions past float range: case A's walk beyond the axis, case B's fall, and case B's
 # own flight time
 @example(Case.A, [("scenario.speed", 1e308), ("gateway.sample_dt", 1)], 2.0)
 @example(Case.B, [("gateway.sample_dt", 1e195)], 1e200)
 @example(Case.B, [("scenario.speed", 1e308)], None)
+# a case's own duration of 0
+@example(Case.A, [("scenario.start_theta", 5e-324)], None)
+@example(Case.A, [("scenario.standoff_distance", 5e-324), ("scenario.speed", 1e308)], None)
+@example(Case.B, [("scenario.launch_angle", 5e-324)], None)
 def test_simulate_at_extreme_values_exits_0_or_2_naming_a_key(case, overrides, duration):
     dt = 0.25 if duration is None else duration / 4
     argv = ["simulate", "--out", os.devnull, f"scenario.case={case.value}", *SMALL,
@@ -132,7 +139,9 @@ def test_simulate_at_extreme_values_exits_0_or_2_naming_a_key(case, overrides, d
             redirect_stdout(io.StringIO()), redirect_stderr(err):
         done = main(argv)
     assert done in (0, 2)
-    keys = "|".join(map(re.escape, CONFIG_KEYS))
+    # the keys that the run sets; a null duration asks for the case's own
+    set_keys = [arg.partition("=")[0] for arg in argv[3:] if arg != "scenario.duration=null"]
+    keys = "|".join(map(re.escape, set_keys))
     assert done == 0 or re.match(rf"error: ({keys})\b", err.getvalue()), err.getvalue()
 
 
