@@ -8,8 +8,10 @@ burst sequence is the traffic trace.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from .coding import SurfaceConfig, gradient_blocks, gradients
 from .errors import ValidationError
-from .geometry import MAX_STEPS, RAD_TO_DEG, Angles, AngleStream, Trajectory, angle_stream
+from .geometry import MAX_STEPS, RAD_TO_DEG, Angles, AngleStream, Case, Trajectory, angle_stream
 from .geometry import signed_circular_delta_deg
 
 # Absorbs float round-off when a sample lands exactly on a threshold.
@@ -127,8 +129,11 @@ class TraceMeta:
     def __post_init__(self):
         if not 0.0 <= self.incident.theta < 90.0:
             raise ValidationError(f"theta={self.incident.theta!r} must lie in [0, 90)", "theta")
-        if self.trajectory.duration / self.gateway.sample_dt > MAX_STEPS:
-            raise ValidationError(f"sample_dt gives over {MAX_STEPS} samples", key="sample_dt")
+        duration = self.trajectory.duration
+        if duration / self.gateway.sample_dt > MAX_STEPS:
+            # the duration is behind the count if the default period gives as many samples
+            key = "duration" if duration / GatewayConfig.sample_dt > MAX_STEPS else "sample_dt"
+            raise ValidationError(f"{key} gives over {MAX_STEPS} samples", key=key)
 
 
 @dataclass(frozen=True)
@@ -186,39 +191,37 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
     angle re-anchors to the picked sample; the picked angles themselves are
     always the raw samples at each crossing.
 
-    The scan reads the stream's blocks of positions in turn.  Per reference it
-    turns the thresholds, ``BAND`` short, into bounds on the radius and phi,
-    skips over each block's arrays to the next entry near them and decides that
-    entry on its exact angles, so the picks are those of a sample-by-sample scan
-    of the scalar path.  The rest of an entry's run has its angles, so after a pick
-    only the run's next sample can fire, and after a sample that does not fire
-    none of the run can.  The stream's blocks and ``exact`` are as ``AngleStream``'s.
+    Per reference the scan turns the thresholds, ``BAND`` short, into bounds on
+    the radius and phi, skips to the next entry near them and decides that entry
+    on its exact angles, so the picks are those of a sample-by-sample scan of the
+    scalar path.  A case-A ``AngleStream`` is searched along its walk: its x never
+    increases, so the entries near the bounds on x are a prefix and a suffix of
+    it, and the next near sample is the one at hand or the first at most the lower
+    bound, found by galloping and bisecting.  Every other stream is read a block
+    of positions at a time, each block's arrays scanned for the next near entry.
+    The rest of an entry's run has its angles, so after a pick only the run's next
+    sample can fire, and after a sample that does not fire none of the run can.
+    The stream's ``blocks``, ``walk_x`` and ``exact`` are as ``AngleStream``'s.
     """
     if not angular_step > 0:
         raise ValidationError("angular_step must be > 0", key="angular_step")
     a = angular_step
-    blocks = _checked_blocks(stream)
-    heads, v, phi, leaps = next(blocks, (None,) * 4)
-    if heads is None:
+    walk = isinstance(stream, AngleStream) and stream.trajectory.case_id is Case.A
+    entries = (_walk_entries if walk else _block_entries)(stream, a)
+    head, end, leap = next(entries, (None,) * 3)
+    if head is None:
         raise ValidationError("stream must not be empty", key="stream")
-    leap = None if leaps is None else leaps.item(0)
-    head = heads.item(0)
     picked = [stream.exact(head, leap)]
     ang = picked[0][1]
     theta_ref, phi_ref = ang.theta, ang.phi
-    i, r, end = 0, 1, heads.item(1) - head  # decide sample r of entry i's run, of end
+    r = 1  # decide sample r of the run of ``end`` samples from ``head``
     while True:
         if r == end:
-            bounds = _near_bounds(theta_ref, phi_ref, a, stream.standoff, phi is None)
-            i = _next_near_crossing(v, phi, i + 1, bounds)
-            while i == len(v):  # none in this block: search the next
-                if (block := next(blocks, None)) is None:
-                    return picked
-                heads, v, phi, leaps = block
-                i = _next_near_crossing(v, phi, 0, bounds, len(v))
-            head = heads.item(i)
-            r, end = 0, heads.item(i + 1) - head
-            leap = None if leaps is None else leaps.item(i)
+            try:
+                head, end, leap = entries.send((theta_ref, phi_ref))
+            except StopIteration:
+                return picked
+            r = 0
             t, ang = stream.exact(head, leap)
         d_theta, d_phi = abs(ang.theta - theta_ref), signed_circular_delta_deg(ang.phi, phi_ref)
         hit_theta = d_theta >= a - ANGLE_EPS_DEG
@@ -244,6 +247,45 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
             phi_ref = ang.phi
 
 
+def _walk_entries(stream: AngleStream, step: float) -> Iterator[tuple]:
+    """Case A's entries for ``detect_events``, one sample each, as (sample, 1, None): the
+    first, then for each (theta_ref, phi_ref) sent the next that is near by ``_near_bounds``."""
+    x = stream.walk_x
+    n, i = len(x), 0
+    while True:
+        refs = yield i, 1, None
+        lo, hi, _, _ = _near_bounds(*refs, step, stream.standoff, True)
+        i += 1
+        if i < n and lo < x[i] < hi:  # far: the first x <= lo is at i + 1 or later
+            width = 1
+            while i + width < n and x[i + width] > lo:
+                width *= 2
+            i = bisect.bisect_left(x, -lo, i + width // 2 + 1, min(i + width, n), key=operator.neg)
+        if i == n:
+            return
+
+
+def _block_entries(stream, step: float) -> Iterator[tuple]:
+    """The entries of ``stream.blocks()`` for ``detect_events``, as (first sample, samples in
+    the run, leap): the first, then for each (theta_ref, phi_ref) sent the next that is
+    near by ``_near_bounds``."""
+    blocks = _checked_blocks(stream)
+    heads, v, phi, leaps = next(blocks, (None,) * 4)
+    if heads is None:
+        return
+    i = 0
+    while True:
+        head = heads.item(i)
+        refs = yield head, heads.item(i + 1) - head, None if leaps is None else leaps.item(i)
+        bounds = _near_bounds(*refs, step, stream.standoff, phi is None)
+        i = _next_near_crossing(v, phi, i + 1, bounds)
+        while i == len(v):  # none in this block: search the next
+            if (block := next(blocks, None)) is None:
+                return
+            heads, v, phi, leaps = block
+            i = _next_near_crossing(v, phi, 0, bounds, len(v))
+
+
 def _checked_blocks(stream: AngleStream) -> Iterator:
     """Each of ``stream.blocks()`` as (heads, x, None, leaps) where y is the scalar 0.0,
     else as (heads, x*x + y*y, phi, leaps), once its times are checked."""
@@ -260,7 +302,7 @@ def _checked_blocks(stream: AngleStream) -> Iterator:
 
 
 def _near_bounds(theta_ref, phi_ref, step, standoff, on_x_axis: bool):
-    """(lo, hi, phi_lo, phi_hi) of ``_next_near_crossing`` for these references.
+    """(lo, hi, phi_lo, phi_hi) of the search for the next near entry, for these references.
 
     An entry is near when its theta may come within ``BAND`` of a step, which is when
     its radius (at ``standoff``) reaches ``hi`` or falls to ``lo``, or when its phi

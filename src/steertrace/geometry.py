@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
@@ -32,9 +33,9 @@ GRAVITY = 9.81  # m/s^2
 LEAP_THETA_MAX = 85.0  # degrees, upper bound of the case-C leap draw
 CASE_B_SPEED = 30.0  # m/s, launch speed typical of the projectile case
 # Steps per run: angle samples, case-C leaps, metrics bins or sweep steps, each checked
-# before the count is used.  Samples and leaps are computed a block at a time, so for
-# them this bounds run time (about 0.005 us a sample in case A, 0.02 us in case B, 0.1 us
-# a case-C leap), not memory.
+# before the count is used.  Case-B samples and case-C leaps are computed a block at a
+# time, so for them this bounds run time (about 0.02 us a sample in case B, 0.1 us a
+# case-C leap), not memory; a case-A walk is searched, not sampled.
 MAX_STEPS = 10**7
 SAMPLE_BLOCK = 2**13  # samples, or case-C leaps, computed at once; cf. coding.BLOCK_CELLS
 RAD_TO_DEG = 180.0 / math.pi  # the factor of np.degrees and math.degrees, so the same bits
@@ -180,18 +181,20 @@ def angles_from_position(p: Point3D) -> Angles:
 
 @dataclass(frozen=True, eq=False)
 class AngleStream:
-    """A trajectory's angle samples, from ``angle_stream``, read a block at a time.
+    """A trajectory's angle samples, from ``angle_stream``, read a block at a time,
+    or in case A one position at a time.
 
     An entry stands for a run of samples at equal angles: one sample in cases A
-    and B, the samples between two leaps in case C.  ``blocks()`` yields blocks of
-    entries as (heads, t, x, y, leaps): each entry's first sample and then the
-    sample that ends the block's last run, the entries' times and positions as
-    numpy arrays, y the scalar 0.0 in cases A and C, and in case C each entry's
-    leap angle, else None.  Positions have ``position_at``'s bits in cases A and
-    B; in case C x is by numpy's ``tan``, which may differ from ``math.tan`` in the
-    last bits.  ``standoff`` is every position's z.  ``exact(s, leap)`` gives
-    sample s on the scalar path, in case C at its run's ``leap`` angle.  ``len()``
-    is the sample count.
+    and B, the samples between two leaps in case C.  In cases B and C ``blocks()``
+    yields blocks of entries as (heads, t, x, y, leaps): each entry's first sample and
+    then the sample that ends the block's last run, the entries' times and positions
+    as numpy arrays, y the scalar 0.0 in case C, and in case C each entry's leap angle,
+    else None.  Case A's positions are all on the x axis, and ``walk_x`` gives their x
+    one sample at a time.  Positions have ``position_at``'s bits in cases A and B; in
+    case C x is by numpy's ``tan``, which may differ from ``math.tan`` in the last
+    bits.  ``standoff`` is every position's z.  ``exact(s, leap)`` gives sample s on
+    the scalar path, in case C at its run's ``leap`` angle.  ``len()`` is the sample
+    count.
     """
 
     trajectory: Trajectory
@@ -204,6 +207,12 @@ class AngleStream:
     @property
     def standoff(self) -> float:
         return self.trajectory.params.standoff_distance
+
+    @property
+    def walk_x(self) -> Walk:
+        """Case A's x at each sample, as a ``Walk``."""
+        _require(self.trajectory.case_id is Case.A, "walk_x is case A's", key="case")
+        return Walk(self)
 
     def exact(self, s: int, leap: float | None = None) -> tuple[float, Angles]:
         t = self.trajectory.duration if s == self.last else s * self.dt
@@ -219,21 +228,51 @@ class AngleStream:
         if trajectory.case_id is Case.C:
             yield from _leap_blocks(trajectory, dt, last)
             return
+        _require(trajectory.case_id is Case.B, "case A is read from walk_x", key="case")
         for k0 in range(0, last + 1, SAMPLE_BLOCK):
             heads = np.arange(k0, min(k0 + SAMPLE_BLOCK, last + 1) + 1)
             yield heads, *_positions(trajectory, dt, last, heads[:-1]), None
+
+
+class Walk(Sequence):
+    """A case-A stream's x at each sample, read-only, computed when read.
+
+    Item k is ``position_at(trajectory, t).x`` with its bits, t being ``k * dt`` or, at
+    the endpoint, the duration.  The items never increase: ``k * dt`` is monotone under
+    rounding and the duration is the latest time, and ``arrival - t`` and ``speed * (...)``
+    with ``speed > 0`` are monotone under rounding too.
+    """
+
+    __slots__ = ("_speed", "_arrival", "_dt", "_last", "_duration")
+
+    def __init__(self, stream: AngleStream):
+        p = stream.trajectory.params
+        self._speed, self._arrival = p.speed, _case_a_arrival_time(p)
+        self._dt, self._last, self._duration = stream.dt, stream.last, stream.trajectory.duration
+
+    def __len__(self) -> int:
+        return self._last + 1
+
+    def __getitem__(self, k: int) -> float:
+        n = self._last + 1
+        if not -n <= k < n:
+            raise IndexError(f"sample {k} outside the walk's {n}")
+        k %= n
+        t = self._duration if k == self._last else k * self._dt
+        return self._speed * (self._arrival - t)
 
 
 def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
     """Sample the trajectory every ``dt`` seconds, endpoint always included.
 
     Samples fall on t = 0, dt, 2*dt, ...; the final sample lands exactly on
-    ``duration`` (appended when the regular grid misses it).  Positions are
-    computed in numpy, following the operation order of ``position_at``, a
-    block at a time when ``blocks()`` reads them; no angle is computed until a
-    scan asks ``exact`` for one.  The stream holds no array: case C draws its
-    leaps and settles their runs a block of leaps at a time too, so its memory
-    grows with neither the leaps nor the samples.  A position beyond float range
+    ``duration`` (appended when the regular grid misses it).  Positions follow
+    the operation order of ``position_at``: case B's are computed in numpy, a
+    block at a time when ``blocks()`` reads them, and case A's x one at a time
+    when ``walk_x`` is read; no angle is computed until a scan asks ``exact``
+    for one.  The stream holds no array: case C draws its leaps and settles
+    their runs a block of leaps at a time too, so its memory grows with neither
+    the leaps nor the samples.  A position beyond float range
     is refused.  In cases A and B, |x| and t*t are largest at the endpoints, so
     the two endpoint samples decide it, here; in case C every run's first sample
     does, in the block that holds it.
@@ -249,11 +288,9 @@ def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
 
 
 def _positions(trajectory: Trajectory, dt: float, last: int, k: np.ndarray):
-    """Times and x, y of case-A or B samples ``k``, in ``position_at``'s operation order."""
+    """Times and x, y of case-B samples ``k``, in ``position_at``'s operation order."""
     p = trajectory.params
     t = _sample_times(trajectory, dt, last, k)
-    if trajectory.case_id is Case.A:
-        return t, p.speed * (_case_a_arrival_time(p) - t), 0.0
     alpha = math.radians(p.launch_angle)
     return t, p.speed * math.cos(alpha) * t, p.speed * math.sin(alpha) * t - 0.5 * GRAVITY * t * t
 

@@ -12,10 +12,12 @@ default; unknown and missing keys are errors.  Every error is a
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
+from . import gateway
 from .coding import SurfaceConfig
 from .errors import ValidationError
 from .gateway import NORMAL_INCIDENCE, GatewayConfig, TraceMeta
@@ -26,6 +28,7 @@ from .geometry import (
     Case,
     CaseParams,
     Trajectory,
+    _case_a_arrival_time,
     angles_from_position,
     case_a_trajectory,
     case_b_trajectory,
@@ -84,7 +87,14 @@ def meta_to_dict(meta: TraceMeta) -> dict:
 
 
 def defaults() -> dict:
-    """The scenario when nothing is set: the dataclass defaults, per-case keys null."""
+    """The scenario when nothing is set: the dataclass defaults, per-case keys null.  Each
+    call gets its own copy, which the caller may change."""
+    return {section: dict(values) for section, values in _default_layout().items()}
+
+
+@functools.cache
+def _default_layout() -> dict:
+    """``defaults()``'s layout, built on the first call, not at import, and shared after it."""
     d = meta_to_dict(
         TraceMeta(SurfaceConfig(), GatewayConfig(), NORMAL_INCIDENCE, case_a_trajectory())
     )
@@ -205,8 +215,28 @@ def meta_from_dict(d) -> TraceMeta:
             _trajectory(**s["scenario"]),
         )
     except ValidationError as exc:
-        section = _SECTION_OF.get(exc.key)
+        key, message = exc.key, str(exc)
+        if key == "duration" and s["scenario"]["duration"] is None:  # too many samples
+            key = _own_duration_key(s["scenario"])
+            message = key + message.removeprefix("duration")
+        section = _SECTION_OF.get(key)
         if section is None:
             raise
         # the dataclasses' messages begin with their bare key
-        raise ValidationError(f"{section}.{exc}", key=f"{section}.{exc.key}") from None
+        raise ValidationError(f"{section}.{message}", key=f"{section}.{key}") from None
+
+
+def _own_duration_key(scenario: dict) -> str:
+    """The key behind a case's own duration that the default sampling period samples
+    over MAX_STEPS times: speed, unless case A's arrival time at the default speed is as
+    long; then start_theta, unless it is as long at the default angle too; then
+    standoff_distance.  Case B's own flight at its default speed lasts 6.1 s, case C's
+    60 s."""
+    if scenario["case"] is not Case.A:
+        return "speed"
+    p = _trajectory(**scenario).params
+    for key in ("speed", "start_theta"):
+        p = replace(p, **{key: getattr(CaseParams, key)})
+        if _case_a_arrival_time(p) / GatewayConfig.sample_dt <= gateway.MAX_STEPS:
+            return key
+    return "standoff_distance"

@@ -11,7 +11,8 @@ from ``leap_schedule``, the schedule as a tuple of ``Random.uniform`` draws, by
 ``check_runs`` add the contract of the library's stream: one entry per run of
 samples at equal angles, which in case C is the run between two leaps.
 ``entries``, ``positions`` and ``whole`` join a stream's blocks of runs and of
-positions for inspection, and ``check_positions`` checks them against ``position``.
+positions, or a case-A stream's walk, for inspection, and ``check_positions`` checks
+them against ``position``.
 """
 
 from __future__ import annotations
@@ -98,7 +99,9 @@ def leap_runs(trajectory: Trajectory, times: list[float]) -> list[int]:
 def entries(stream) -> list[tuple[int, int, float | None]]:
     """(first sample, sample after the last, leap) of the run of every entry of
     ``stream``: its blocks, none empty, joined, each block's runs ending where the
-    next block's begin."""
+    next block's begin; in case A, read along the walk, one sample each."""
+    if stream.trajectory.case_id is Case.A:
+        return [(s, s + 1, None) for s in range(len(stream))]
     runs: list = []
     for heads, t, x, _, leaps in stream.blocks():
         assert len(heads) == len(t) + 1 == len(x) + 1 > 1
@@ -124,7 +127,13 @@ def check_runs(stream, scalar: list[tuple[float, Angles]]) -> None:
 
 
 def positions(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, x, y) over every entry of ``stream``: its blocks, joined, a scalar y repeated."""
+    """(t, x, y) over every entry of ``stream``: its blocks, joined, a scalar y repeated;
+    in case A the walk's x at ``exact``'s times, and y 0.0."""
+    if stream.trajectory.case_id is Case.A:
+        x = np.array(list(stream.walk_x))
+        t = np.arange(len(x)) * stream.dt
+        t[-1] = stream.trajectory.duration
+        return t, x, np.zeros_like(x)
     blocks = [(t, x, np.broadcast_to(y, x.shape)) for _, t, x, y, _ in stream.blocks()]
     t, x, y = (np.concatenate(arrays) for arrays in zip(*blocks))
     return t, x, y
@@ -132,10 +141,10 @@ def positions(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def check_positions(stream, times: list[float]) -> None:
     """``stream``'s entries fall on ``times``, at ``position``'s positions with its
-    bits; in case C, whose x comes from numpy's ``tan``, x within two ulps.  In cases A and
-    C every block's y is the scalar 0.0."""
+    bits; in case C, whose x comes from numpy's ``tan``, x within two ulps.  In case C
+    every block's y is the scalar 0.0."""
     trajectory = stream.trajectory
-    if trajectory.case_id is not Case.B:
+    if trajectory.case_id is Case.C:
         assert all(type(y) is float and y == 0.0 for _, _, _, y, _ in stream.blocks())
     t, x, y = positions(stream)
     assert t.tolist() == times

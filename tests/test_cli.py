@@ -15,11 +15,12 @@ from steertrace import (
     GatewayConfig,
     SurfaceConfig,
     TraceMeta,
+    case_a_trajectory,
     case_c_trajectory,
     read_report,
     read_trace,
 )
-from steertrace import cli, gateway
+from steertrace import cli, gateway, scenario
 from steertrace.cli import main
 from steertrace.coding import gradients
 from steertrace.gateway import NORMAL_INCIDENCE
@@ -248,7 +249,7 @@ def test_removed_outputs_keys_are_rejected(tmp_path, capsys, key):
     "overrides, key",
     [
         # 10000.001 s at the default 1 ms: 10,000,001 samples
-        (("scenario.case=C", "scenario.duration=10000.001"), "gateway.sample_dt"),
+        (("scenario.case=C", "scenario.duration=10000.001"), "scenario.duration"),
         # 5,000,000.5 s in 0.5 s leaps: 10,000,001 leaps, with 1 s sampling
         (
             ("scenario.case=C", "gateway.sample_dt=1", "scenario.leap_interval=0.5",
@@ -268,6 +269,31 @@ def test_value_just_over_a_resource_limit_exits_2_at_once(tmp_path, capsys, over
     assert run_cli(*overrides) == 2
     assert time.perf_counter() - start < 1.0
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        # 1e6 s at the default 1 ms, set alone or with a finer period
+        (("scenario.duration=1e6",), "scenario.duration"),
+        (("scenario.duration=1e6", "gateway.sample_dt=1e-4"), "scenario.duration"),
+        # case B's own flight at 1e6 m/s lasts 144,160 s
+        (("scenario.case=B", "scenario.speed=1e6"), "scenario.speed"),
+        # case A's own arrival time: 81,650 s from 10 km, 57,296 days from 89.9999 deg
+        (("scenario.standoff_distance=1e4",), "scenario.standoff_distance"),
+        (("scenario.start_theta=89.9999",), "scenario.start_theta"),
+        (("scenario.start_theta=89.9999", "scenario.speed=1e-3"), "scenario.start_theta"),
+        (("scenario.speed=1e-3",), "scenario.speed"),
+        # the default 81.6 s walk at 1 us
+        (("gateway.sample_dt=1e-6",), "gateway.sample_dt"),
+    ],
+)
+def test_the_sample_count_refusal_names_the_key_behind_it(tmp_path, capsys, overrides, key):
+    # the period is named only when the default period would give few enough samples
+    out = tmp_path / "t.jsonl"
+    assert run_cli("simulate", "--out", str(out), *overrides) == 2
+    assert capsys.readouterr().err == f"error: {key} gives over 10000000 samples\n"
+    assert not out.exists()
 
 
 def test_resource_limits_admit_their_own_value():
@@ -499,6 +525,23 @@ def test_the_parser_is_built_on_the_first_call_and_not_at_import():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.stdout == "0\n", done.stderr
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_the_default_scenario_is_laid_out_once_and_each_call_gets_its_own_copy():
+    probe = ("import steertrace.cli, steertrace.scenario as s; "
+             "print(s._default_layout.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(steertrace.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.stdout == "0\n", done.stderr  # not at import
+    first = scenario.defaults()
+    first["scenario"]["case"] = "B"  # as load_scenario changes its copy
+    first["outputs"] = {"trace": "t.jsonl"}
+    want = scenario.meta_to_dict(
+        TraceMeta(SurfaceConfig(), GatewayConfig(), NORMAL_INCIDENCE, case_a_trajectory())
+    )
+    want["scenario"].update(speed=None, duration=None)
+    assert scenario.defaults() == want
+    assert scenario._default_layout.cache_info().currsize == 1
 
 
 def test_a_default_left_out_after_a_set_value_is_the_default_again(capsys):

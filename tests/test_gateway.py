@@ -415,7 +415,7 @@ def test_picks_and_angles_do_not_depend_on_the_sample_block(size, monkeypatch):
         stream = angle_stream(traj, dt)
         runs = scalar_oracle.leap_runs(traj, [t for t, _ in scalar])
         heads = [scalar[k] for k in runs[:-1]]
-        if traj.case_id is not Case.C:  # a case-C block has the runs of size leaps
+        if traj.case_id is Case.B:  # a case-C block has the runs of size leaps
             blocks = list(stream.blocks())
             assert [len(t) for _, t, _, _, _ in blocks[:-1]] == [size] * (len(blocks) - 1)
             assert 0 < len(blocks[-1][1]) <= size
@@ -429,6 +429,22 @@ def test_picks_and_angles_do_not_depend_on_the_sample_block(size, monkeypatch):
     with pytest.raises(ValidationError) as err:
         detect_events(PairStream(repeated), 1.0)
     assert err.value.key == "stream"
+
+
+def test_case_a_detection_searches_the_walk_and_reads_no_block(monkeypatch):
+    # case A's x never increases, so the search gallops and bisects along the walk: no
+    # block of positions is computed, and the picks are still the scalar scan's
+    def no_block(*args):
+        raise AssertionError("a case-A block was read")
+
+    monkeypatch.setattr(geometry.AngleStream, "blocks", no_block)
+    monkeypatch.setattr(geometry, "_positions", no_block)
+    surface = SurfaceConfig(n_cols=8, n_rows=8)
+    past_axis = Trajectory(Case.A, CaseParams(), 200.0)  # phi 0 -> 180 at 81.6 s
+    for traj, dt, step in [(case_a_trajectory(), 0.01, 5.0), (past_axis, 0.05, 0.5)]:
+        meta = TraceMeta(surface, GatewayConfig(angular_step=step, sample_dt=dt), INC, traj)
+        want = scalar_oracle.detect_events(scalar_oracle.angle_stream(traj, dt), step)
+        assert [(ev.t, ev.reflected) for ev in iter_events(meta)] == want
 
 
 def test_case_c_refuses_a_position_beyond_float_range_in_a_later_block(monkeypatch):

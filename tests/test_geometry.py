@@ -172,7 +172,7 @@ LANDING = case_b_trajectory().duration  # y is 1.4e-14 m there, and below 0 just
 @pytest.mark.parametrize(
     "trajectory, dt, end_phi",
     [
-        (case_a_trajectory(), 1e-4, 0.0),  # 99 blocks
+        (case_a_trajectory(), 1e-4, 0.0),  # 816,434 samples along the walk
         (case_a_trajectory(CaseParams(start_theta=89.0)), 0.03, 0.0),  # |x| from 572 m to 0
         (Trajectory(Case.A, CaseParams(), 100.0), 1e-3, 180.0),  # past the on-axis point
         (case_b_trajectory(duration=LANDING), 1e-3, 8.8750197831558e-15),
@@ -186,14 +186,28 @@ LANDING = case_b_trajectory().duration  # y is 1.4e-14 m there, and below 0 just
          "B_below", "C_runs", "C_leaps_outnumber_samples"],
 )
 def test_angle_blocks_have_the_bits_of_the_seed_formulas(trajectory, dt, end_phi):
-    # the blocks' positions are position_at's, and give numpy's seed angles, which end
-    # on end_phi
+    # the blocks' positions, and case A's walk, are position_at's, and give numpy's seed
+    # angles, which end on end_phi
     stream = angle_stream(trajectory, dt)
     heads = [head for head, _, _ in scalar_oracle.entries(stream)]
     times = [trajectory.duration if s == stream.last else s * dt for s in heads]
     scalar_oracle.check_positions(stream, times)
-    assert all(v.dtype == np.float64 for block in stream.blocks() for v in block[1:3])
+    if trajectory.case_id is not Case.A:
+        assert all(v.dtype == np.float64 for block in stream.blocks() for v in block[1:3])
     assert scalar_oracle.whole(stream)[2][-1] == end_phi
+
+
+def test_case_a_is_read_from_its_walk_and_only_case_a_has_one():
+    walk = angle_stream(case_a_trajectory(), 0.5).walk_x
+    assert len(walk) == 165 and walk[-1] == walk[164] == 0.0
+    with pytest.raises(IndexError):
+        walk[165]
+    with pytest.raises(ValidationError) as err:
+        next(angle_stream(case_a_trajectory(), 0.5).blocks())
+    assert err.value.key == "case"
+    with pytest.raises(ValidationError) as err:
+        angle_stream(case_b_trajectory(), 0.5).walk_x
+    assert err.value.key == "case"
 
 
 def test_case_a_theta_near_ten_meters_is_45_degrees():

@@ -47,7 +47,7 @@ from steertrace.gateway import ANGLE_EPS_DEG, BAND, NORMAL_INCIDENCE, detect_eve
 from steertrace.gateway import _checked_blocks, _near_bounds, _next_near_crossing
 from steertrace.gateway import checked_events, format_number, outside_surface
 from steertrace.geometry import RAD_TO_DEG, SAMPLE_BLOCK, angle_stream, signed_circular_delta_deg
-from steertrace.geometry import Point3D, angles_from_position
+from steertrace.geometry import Point3D, angles_from_position, position_at
 from steertrace.metrics import sweep_diff, sweep_grid
 from steertrace.scenario import FIELDS
 from steertrace.trace_io import _decode_updates
@@ -94,7 +94,8 @@ def _around(v):
 # that the defaults still pass (81,650 samples, 2,500 cells), so that a value on either
 # side of a limit makes a small run: sample_dt and leap_interval at 1 / SMALL_STEPS.  The
 # duration is drawn too, sampled every quarter of it; null is the per-case default, sampled
-# every 0.25 s (at most 327 samples).
+# every 0.25 s (at most 327 samples).  Or sample_dt is left unset, so that a long duration
+# meets the sample limit at the default period (at most SMALL_STEPS samples are run).
 SMALL_STEPS, SMALL_CELLS = 10**5, 2500
 SMALL = ["surface.n_cols=2", "surface.n_rows=2"]
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308] + [
@@ -110,27 +111,37 @@ durations = st.just(1.0) | st.none() | st.floats(min_value=5e-324, max_value=1e3
     st.lists(st.tuples(st.sampled_from(CONFIG_KEYS[:-1]), st.sampled_from(EDGES)),
              min_size=1, max_size=2),
     durations,
+    st.booleans(),
 )
-@example(Case.A, [("gateway.angular_step", 5e-324)], 1.0)  # a step count past float range
-@example(Case.C, [("gateway.angular_step", 1e-310), ("gateway.sample_dt", 0.1)], 1.0)
-@example(Case.B, [("scenario.speed", 1e308)], 1.0)  # a squared radius past float range
+@example(Case.A, [("gateway.angular_step", 5e-324)], 1.0, True)  # a step count past float range
+@example(Case.C, [("gateway.angular_step", 1e-310), ("gateway.sample_dt", 0.1)], 1.0, True)
+@example(Case.B, [("scenario.speed", 1e308)], 1.0, True)  # a squared radius past float range
 # grazing reflections, off a tiny standoff or far off axis on a set or the case's own flight
-@example(Case.B, [("scenario.standoff_distance", 1e-300)], None)
-@example(Case.A, [("scenario.speed", 1e17)], 2.0)
-@example(Case.B, [("scenario.speed", 1e9)], None)
+@example(Case.B, [("scenario.standoff_distance", 1e-300)], None, True)
+@example(Case.A, [("scenario.speed", 1e17)], 2.0, True)
+@example(Case.B, [("scenario.speed", 1e9)], None, True)
 # positions past float range: case A's walk beyond the axis, case B's fall, and case B's
 # own flight time
-@example(Case.A, [("scenario.speed", 1e308), ("gateway.sample_dt", 1)], 2.0)
-@example(Case.B, [("gateway.sample_dt", 1e195)], 1e200)
-@example(Case.B, [("scenario.speed", 1e308)], None)
+@example(Case.A, [("scenario.speed", 1e308), ("gateway.sample_dt", 1)], 2.0, True)
+@example(Case.B, [("gateway.sample_dt", 1e195)], 1e200, True)
+@example(Case.B, [("scenario.speed", 1e308)], None, True)
 # a case's own duration of 0
-@example(Case.A, [("scenario.start_theta", 5e-324)], None)
-@example(Case.A, [("scenario.standoff_distance", 5e-324), ("scenario.speed", 1e308)], None)
-@example(Case.B, [("scenario.launch_angle", 5e-324)], None)
-def test_simulate_at_extreme_values_exits_0_or_2_naming_a_key(case, overrides, duration):
+@example(Case.A, [("scenario.start_theta", 5e-324)], None, True)
+@example(Case.A, [("scenario.standoff_distance", 5e-324), ("scenario.speed", 1e308)], None, True)
+@example(Case.B, [("scenario.launch_angle", 5e-324)], None, True)
+# too many samples at the default period: over a set duration, or a case's own from its
+# speed, its standoff or its start angle
+@example(Case.A, [("gateway.angular_step", 90.0)], 200.0, False)
+@example(Case.B, [("scenario.speed", 1250)], None, False)
+@example(Case.A, [("scenario.standoff_distance", 360.0)], None, False)
+@example(Case.A, [("scenario.start_theta", math.nextafter(90.0, 0.0))], None, False)
+@example(Case.A, [("scenario.speed", 1 / SMALL_STEPS)], None, False)
+def test_simulate_at_extreme_values_exits_0_or_2_naming_a_key(case, overrides, duration,
+                                                              set_dt):
     dt = 0.25 if duration is None else duration / 4
     argv = ["simulate", "--out", os.devnull, f"scenario.case={case.value}", *SMALL,
-            f"scenario.duration={json.dumps(duration)}", f"gateway.sample_dt={dt!r}",
+            f"scenario.duration={json.dumps(duration)}",
+            *([f"gateway.sample_dt={dt!r}"] if set_dt else []),
             *(f"{key}={value!r}" for key, value in overrides)]
     err = io.StringIO()
     with mock.patch.object(geometry, "MAX_STEPS", SMALL_STEPS), \
@@ -706,8 +717,14 @@ def sampled_scenarios(draw):
     return trajectory, dt, step
 
 
+WALK = case_a_trajectory()  # 81.6 s to the on-axis point
+
+
 @settings(max_examples=300)
 @given(sampled_scenarios())
+@example((WALK, WALK.duration / 150, 1e-12))  # a step that fires at every sample
+@example((Trajectory(Case.A, CaseParams(), 2 * WALK.duration), 1.0, 5.0))  # phi 0 -> 180
+@example((Trajectory(Case.A, CaseParams(), 10.05), 0.1, 0.5))  # an appended endpoint
 def test_detect_events_picks_exactly_what_the_scalar_scan_picks(scenario):
     trajectory, dt, step = scenario
     stream = angle_stream(trajectory, dt)
@@ -717,6 +734,41 @@ def test_detect_events_picks_exactly_what_the_scalar_scan_picks(scenario):
     assert detect_events(stream, step) == expected
     explicit = scalar_oracle.PairStream(scalar)  # explicit pairs are taken as exact
     assert detect_events(explicit, step) == expected
+
+
+@st.composite
+def walks(draw):
+    """A case-A stream of at most 1,001 samples, and whether its walk is slow: a walk
+    that ends on the axis, one that passes it, or one so slow that ``arrival - t`` takes
+    at most two values, so that neighbouring x are equal."""
+    params = CaseParams(
+        standoff_distance=draw(st.floats(0.5, 50.0)),
+        speed=draw(st.floats(1e-250, 60.0)),
+        start_theta=draw(st.floats(1.0, 89.0)),
+    )
+    arrival = case_a_trajectory(params).duration
+    kind = draw(st.sampled_from(["axis", "past", "slow"]))
+    # a time under 2**-54 arrivals is at most half the spacing of floats near arrival
+    scale = {"axis": st.just(1.0), "past": st.floats(1.0, 3.0), "slow": st.floats(2**-56, 2**-54)}
+    trajectory = Trajectory(Case.A, params, arrival * draw(scale[kind]))
+    dt = draw(st.floats(trajectory.duration / 1000, trajectory.duration))
+    return angle_stream(trajectory, dt), kind == "slow"
+
+
+@settings(max_examples=200)
+@given(walks())
+def test_a_walks_x_is_position_ats_at_every_sample_and_never_increases(drawn):
+    # the bits that the scalar path's exact angles come from, endpoint included, in the
+    # order that lets the case-A search gallop and bisect
+    stream, slow = drawn
+    x = list(stream.walk_x)
+    times = [stream.exact(s)[0] for s in range(len(stream))]
+    assert times[-1] == stream.trajectory.duration
+    assert same_bits(x, [position_at(stream.trajectory, t).x for t in times])
+    assert all(b <= a for a, b in zip(x, x[1:]))
+    assert len(stream.walk_x) == len(x) and stream.walk_x[-1] == x[-1]
+    if slow and len(x) > 2:
+        assert len(set(x)) < len(x)
 
 
 @st.composite

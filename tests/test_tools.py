@@ -63,3 +63,12 @@ def test_bench_matrix_tells_a_warm_call_that_prints_other_bytes(tmp_path):
     _, _, (first, warm) = bench_matrix.run(tmp_path, ["sweep"], {}, dict(os.environ))
     assert first == (0, ("stdout", bench_matrix.sha256("0\n")))
     assert warm == (0, ("stdout", bench_matrix.sha256("1\n")))
+
+
+def test_bench_matrix_records_the_quartiles_beside_each_median():
+    bench_matrix = load_bench_matrix()
+    runs = [{"main_s": v, "minflt": 60} for v in (5.0, 1.0, 4.0, 2.0, 3.0)]
+    assert bench_matrix.medians_and_quartiles(runs) == {
+        "main_s": 3.0, "main_s_quartiles": [1.5, 4.5], "minflt": 60, "minflt_quartiles": [60, 60],
+    }
+    assert bench_matrix.medians_and_quartiles(runs[:1])["main_s_quartiles"] == [5.0, 5.0]

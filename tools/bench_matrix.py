@@ -1,6 +1,6 @@
 """Time ``steertrace simulate`` and ``steertrace metrics --heatmap`` on the north-star
 scenario matrix, and ``steertrace sweep --grid`` on a few sweeps, parent against
-change, and write the medians as ``BENCH_<pr>.json``.
+change, and write the medians and quartiles as ``BENCH_<pr>.json``.
 
     python3 tools/bench_matrix.py PARENT_TREE CHANGE_TREE --pr N --change "what changed"
     python3 tools/bench_matrix.py ... --rows A_500x500,A_1000x1000 --rounds 21
@@ -170,7 +170,9 @@ METHOD = (
     "Every call's trace, report and heat map, or sweep stdout, are hashed, the warm "
     "call's apart from the first's; outputs_identical means every call of both sides "
     "gave the same bytes and exit code 0. Values are medians over the "
-    "rounds, in host seconds, unscaled. command_s: spawn to exit, interpreter start, "
+    "rounds, in host seconds, unscaled, each with its first and third quartiles beside it as "
+    "<key>_quartiles (statistics.quantiles, exclusive method). "
+    "command_s: spawn to exit, interpreter start, "
     "imports and both calls included. main_s: the first cli.main call. warm_main_s: the "
     "warm call, which pays no import or first-use cost, so it shows a per-call cost "
     "that main_s buries. peak_rss_mb: getrusage ru_maxrss of that process after the "
@@ -178,7 +180,8 @@ METHOD = (
     "warm_lower: rounds in which the change's first or warm call was faster. rss_lower: "
     "rounds in which the change's peak_rss_mb was lower. detect_s (simulate only): the "
     "time inside gateway.detect_events during the first call, the drift-detection layer, "
-    "which in cases A and B also computes the sample blocks as it reads them."
+    "which in case B also computes the sample blocks as it reads them, and in case A the "
+    "x of each sample its search reads."
 )
 
 
@@ -269,10 +272,7 @@ def bench(parent: Path, change: Path, rounds: int, work: Path, names: list[str])
         if kind == "simulate":
             row.update(trace_bytes=traces["parent"].stat().st_size, format="csv")
         for command, by_side in samples.items():
-            row[command] = {
-                side: {key: round(statistics.median(r[key] for r in runs), 6) for key in runs[0]}
-                for side, runs in by_side.items()
-            }
+            row[command] = {side: medians_and_quartiles(runs) for side, runs in by_side.items()}
             pairs = list(zip(*by_side.values()))
             lower = {key: sum(c[k] < p[k] for p, c in pairs) for key, k in (
                 ("change_lower", "main_s"), ("warm_lower", "warm_main_s"),
@@ -285,6 +285,18 @@ def bench(parent: Path, change: Path, rounds: int, work: Path, names: list[str])
             trace.unlink(missing_ok=True)  # a sweep row writes none
         print(name, json.dumps(row), file=sys.stderr)
     return scenarios
+
+
+def medians_and_quartiles(runs: list[dict]) -> dict:
+    """Each key's median over ``runs`` and, beside it as ``<key>_quartiles``, its first and
+    third quartiles by ``statistics.quantiles``' default method; one run is its own."""
+    out = {}
+    for key in runs[0]:
+        values = [r[key] for r in runs]
+        q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        out[key] = round(statistics.median(values), 6)
+        out[f"{key}_quartiles"] = [round(q1, 6), round(q3, 6)]
+    return out
 
 
 def main() -> None:
