@@ -250,34 +250,42 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
 def _walk_entries(stream: AngleStream, step: float) -> Iterator[tuple]:
     """Case A's entries for ``detect_events``, one sample each, as (sample, 1, None): the
     first, then for each (theta_ref, phi_ref) sent the next that is near by ``_near_bounds``."""
-    x = stream.walk_x
+    x, standoff = stream.walk_x, stream.standoff
     n, i = len(x), 0
     while True:
-        refs = yield i, 1, None
-        lo, hi, _, _ = _near_bounds(*refs, step, stream.standoff, True)
-        i += 1
-        if i < n and lo < x[i] < hi:  # far: the first x <= lo is at i + 1 or later
-            width = 1
-            while i + width < n and x[i + width] > lo:
-                width *= 2
-            i = bisect.bisect_left(x, -lo, i + width // 2 + 1, min(i + width, n), key=operator.neg)
+        theta_ref, phi_ref = yield i, 1, None
+        lo, hi, _, _ = _near_bounds(theta_ref, phi_ref, step, standoff, True)
+        i = _next_near_sample(x, n, i + 1, lo, hi)
         if i == n:
             return
+
+
+def _next_near_sample(x, n: int, i: int, lo: float, hi: float) -> int:
+    """First index from ``i`` of a sequence ``x`` of length ``n`` that never increases
+    whose x >= hi or x <= lo, else ``n``: ``i`` itself, or the first x <= lo after it,
+    found by galloping and bisecting."""
+    if i < n and lo < x[i] < hi:  # far: the first x <= lo is at i + 1 or later
+        width = 1
+        while i + width < n and x[i + width] > lo:
+            width *= 2
+        i = bisect.bisect_left(x, -lo, i + width // 2 + 1, min(i + width, n), key=operator.neg)
+    return i
 
 
 def _block_entries(stream, step: float) -> Iterator[tuple]:
     """The entries of ``stream.blocks()`` for ``detect_events``, as (first sample, samples in
     the run, leap): the first, then for each (theta_ref, phi_ref) sent the next that is
     near by ``_near_bounds``."""
-    blocks = _checked_blocks(stream)
+    blocks, standoff = _checked_blocks(stream), stream.standoff
     heads, v, phi, leaps = next(blocks, (None,) * 4)
     if heads is None:
         return
     i = 0
     while True:
         head = heads.item(i)
-        refs = yield head, heads.item(i + 1) - head, None if leaps is None else leaps.item(i)
-        bounds = _near_bounds(*refs, step, stream.standoff, phi is None)
+        leap = None if leaps is None else leaps.item(i)
+        theta_ref, phi_ref = yield head, heads.item(i + 1) - head, leap
+        bounds = _near_bounds(theta_ref, phi_ref, step, standoff, phi is None)
         i = _next_near_crossing(v, phi, i + 1, bounds)
         while i == len(v):  # none in this block: search the next
             if (block := next(blocks, None)) is None:

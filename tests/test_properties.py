@@ -45,6 +45,7 @@ from steertrace.coding import MAX_CELLS, MAX_PHASE_STEPS, MAX_STATES, TWO_PI, _n
 from steertrace.coding import state_blocks
 from steertrace.gateway import ANGLE_EPS_DEG, BAND, NORMAL_INCIDENCE, detect_events, diff_states
 from steertrace.gateway import _checked_blocks, _near_bounds, _next_near_crossing
+from steertrace.gateway import _next_near_sample
 from steertrace.gateway import checked_events, format_number, outside_surface
 from steertrace.geometry import RAD_TO_DEG, SAMPLE_BLOCK, angle_stream, signed_circular_delta_deg
 from steertrace.geometry import Point3D, angles_from_position, position_at
@@ -769,6 +770,28 @@ def test_a_walks_x_is_position_ats_at_every_sample_and_never_increases(drawn):
     assert len(stream.walk_x) == len(x) and stream.walk_x[-1] == x[-1]
     if slow and len(x) > 2:
         assert len(set(x)) < len(x)
+
+
+@st.composite
+def walk_searches(draw):
+    """A sequence that never increases, with runs of equal values, a start index and
+    bounds (lo, hi) drawn from its values, their neighbouring floats, or anywhere."""
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]) | st.floats(-1e6, 1e6)
+    xs = sorted(draw(st.lists(values, min_size=1, max_size=40)), reverse=True)
+    near_a_value = st.sampled_from(xs).flatmap(lambda v: st.sampled_from(_around(v)))
+    bound = near_a_value | st.floats(allow_nan=False)  # _near_bounds gives no NaN
+    return xs, draw(st.integers(0, len(xs))), draw(bound), draw(bound)
+
+
+@settings(max_examples=500)
+@given(walk_searches())
+@example(([3.0, 2.0, 2.0, 2.0, 1.0], 0, 2.0, 4.0))  # lo on a run: its first sample
+@example(([3.0, 2.0, 2.0, 1.0], 1, 1.5, 2.0))  # hi on the sample at hand
+@example(([5.0, 4.0, 3.0, 2.0, 1.0, 0.0], 0, -1.0, 9.0))  # none near: the length
+def test_the_walk_search_finds_the_first_sample_a_scan_finds(search):
+    xs, i, lo, hi = search
+    want = next((j for j in range(i, len(xs)) if xs[j] >= hi or xs[j] <= lo), len(xs))
+    assert _next_near_sample(xs, len(xs), i, lo, hi) == want
 
 
 @st.composite
