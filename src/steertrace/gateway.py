@@ -8,10 +8,8 @@ burst sequence is the traffic trace.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -19,8 +17,10 @@ import numpy as np
 
 from .coding import SurfaceConfig, gradient_blocks, gradients
 from .errors import ValidationError
-from .geometry import MAX_STEPS, RAD_TO_DEG, Angles, AngleStream, Case, Trajectory, angle_stream
-from .geometry import signed_circular_delta_deg
+from .geometry import (
+    MAX_STEPS, RAD_TO_DEG, Angles, AngleStream, Case, Trajectory, angle_stream,
+    signed_circular_delta_deg
+)
 
 # Absorbs float round-off when a sample lands exactly on a threshold.
 ANGLE_EPS_DEG = 1e-9
@@ -201,7 +201,7 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
     of positions at a time, each block's arrays scanned for the next near entry.
     The rest of an entry's run has its angles, so after a pick only the run's next
     sample can fire, and after a sample that does not fire none of the run can.
-    The stream's ``blocks``, ``walk_x`` and ``exact`` are as ``AngleStream``'s.
+    The stream's ``blocks``, ``time``, ``motion`` and ``exact`` are as ``AngleStream``'s.
     """
     if not angular_step > 0:
         raise ValidationError("angular_step must be > 0", key="angular_step")
@@ -247,28 +247,31 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
             phi_ref = ang.phi
 
 
-def _walk_entries(stream: AngleStream, step: float) -> Iterator[tuple]:
+def _walk_entries(stream, step: float) -> Iterator[tuple]:
     """Case A's entries for ``detect_events``, one sample each, as (sample, 1, None): the
-    first, then for each (theta_ref, phi_ref) sent the next that is near by ``_near_bounds``."""
-    x, standoff = stream.walk_x, stream.standoff
-    n, i = len(x), 0
-    while True:
+    first, then for each (theta_ref, phi_ref) sent the next that is near by ``_near_bounds``,
+    each x read as ``motion(time(sample))`` gives it."""
+    time, motion, standoff = stream.time, stream.motion, stream.standoff
+    n, i = len(stream), 0
+    while i < n:
         theta_ref, phi_ref = yield i, 1, None
         lo, hi, _, _ = _near_bounds(theta_ref, phi_ref, step, standoff, True)
-        i = _next_near_sample(x, n, i + 1, lo, hi)
-        if i == n:
-            return
+        i = _next_near_sample(lambda k: motion(time(k))[0], n, i + 1, lo, hi)
 
 
-def _next_near_sample(x, n: int, i: int, lo: float, hi: float) -> int:
-    """First index from ``i`` of a sequence ``x`` of length ``n`` that never increases
-    whose x >= hi or x <= lo, else ``n``: ``i`` itself, or the first x <= lo after it,
-    found by galloping and bisecting."""
-    if i < n and lo < x[i] < hi:  # far: the first x <= lo is at i + 1 or later
+def _next_near_sample(x, n, i, lo, hi) -> int:
+    """First sample from ``i`` below ``n`` whose ``x(sample)``, which never increases,
+    is >= hi or <= lo, else ``n``: ``i`` itself, or the first x <= lo after it, found by
+    galloping and bisecting."""
+    if i < n and lo < x(i) < hi:  # far: the first x <= lo is at i + 1 or later
         width = 1
-        while i + width < n and x[i + width] > lo:
+        while i + width < n and x(i + width) > lo:
+            i += width
             width *= 2
-        i = bisect.bisect_left(x, -lo, i + width // 2 + 1, min(i + width, n), key=operator.neg)
+        while width := width // 2:  # x(i) > lo, and the first x <= lo is by i + 2 * width
+            if i + width < n and x(i + width) > lo:
+                i += width
+        i += 1
     return i
 
 
@@ -329,8 +332,8 @@ def _near_bounds(theta_ref, phi_ref, step, standoff, on_x_axis: bool):
     if not on_x_axis:
         phi_ref = phi_ref - 360.0 if phi_ref >= 180.0 else phi_ref
         return lo * lo, hi * hi, phi_ref - threshold, phi_ref + threshold
-    fire_0, fire_180 = (abs(signed_circular_delta_deg(phi, phi_ref)) >= threshold
-                        for phi in (0.0, 180.0))
+    fire_0 = abs(signed_circular_delta_deg(0.0, phi_ref)) >= threshold
+    fire_180 = abs(signed_circular_delta_deg(180.0, phi_ref)) >= threshold
     if fire_0 and fire_180:  # every x
         lo = math.inf
     elif fire_0:  # every x >= +0.0, and x <= -0.0 by |x|'s bounds: x <= -hi or x >= -lo

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -144,6 +143,26 @@ def _case_a_arrival_time(p: CaseParams) -> float:
     return p.standoff_distance * math.tan(math.radians(p.start_theta)) / p.speed
 
 
+def _motion(trajectory: Trajectory) -> Callable:
+    """Case A's or B's (x, y) as a function of time, y the scalar 0.0 in case A.
+
+    The time may be a float or a numpy array of times; one order of operations serves
+    both, so a time gives the same bits either way.  Case A's x never increases with
+    the time: ``arrival - t`` and ``speed * (...)`` with ``speed > 0`` are monotone
+    under rounding.
+    """
+    p = trajectory.params
+    if trajectory.case_id is Case.A:
+        # x expressed relative to the arrival instant so the walk ends on x = 0 exactly
+        speed, arrival = p.speed, _case_a_arrival_time(p)
+        return lambda t: (speed * (arrival - t), 0.0)
+    if trajectory.case_id is Case.B:
+        alpha = math.radians(p.launch_angle)
+        vx, vy = p.speed * math.cos(alpha), p.speed * math.sin(alpha)
+        return lambda t: (vx * t, vy * t - 0.5 * GRAVITY * t * t)
+    raise ValidationError("position_at covers cases A and B", key="case")
+
+
 def position_at(trajectory: Trajectory, t: float) -> Point3D:
     """Target position at time ``t`` in [0, duration], in case A or B; a case-C
     position depends on its leaps, which an ``AngleStream``'s blocks draw."""
@@ -151,17 +170,7 @@ def position_at(trajectory: Trajectory, t: float) -> Point3D:
         raise ValidationError(
             f"t={t!r} outside [0, {trajectory.duration!r}]", key="t"
         )
-    p = trajectory.params
-    d = p.standoff_distance
-    if trajectory.case_id is Case.A:
-        # x expressed relative to the arrival instant so the walk ends on x = 0 exactly
-        return Point3D(p.speed * (_case_a_arrival_time(p) - t), 0.0, d)
-    if trajectory.case_id is Case.B:
-        alpha = math.radians(p.launch_angle)
-        x = p.speed * math.cos(alpha) * t
-        y = p.speed * math.sin(alpha) * t - 0.5 * GRAVITY * t * t
-        return Point3D(x, y, d)
-    raise ValidationError("position_at covers cases A and B", key="case")
+    return Point3D(*_motion(trajectory)(t), trajectory.params.standoff_distance)
 
 
 def angles_from_position(p: Point3D) -> Angles:
@@ -189,17 +198,20 @@ class AngleStream:
     yields blocks of entries as (heads, t, x, y, leaps): each entry's first sample and
     then the sample that ends the block's last run, the entries' times and positions
     as numpy arrays, y the scalar 0.0 in case C, and in case C each entry's leap angle,
-    else None.  Case A's positions are all on the x axis, and ``walk_x`` gives their x
-    one sample at a time.  Positions have ``position_at``'s bits in cases A and B; in
-    case C x is by numpy's ``tan``, which may differ from ``math.tan`` in the last
-    bits.  ``standoff`` is every position's z.  ``exact(s, leap)`` gives sample s on
-    the scalar path, in case C at its run's ``leap`` angle.  ``len()`` is the sample
-    count.
+    else None.  Case A has no blocks: ``motion(time(s))`` gives any sample's position,
+    on the x axis, one sample at a time.  ``time(s)`` is sample s's time and, in cases
+    A and B, ``motion`` the trajectory's (x, y) at a time, a float or an array of times,
+    which ``position_at`` and the blocks read too, so positions have its bits; in case C
+    ``motion`` is None and x is by numpy's ``tan``, which may differ from ``math.tan``
+    in the last bits.  ``standoff`` is every position's z.  ``exact(s, leap)`` gives
+    sample s on the scalar path, in case C at its run's ``leap`` angle.  ``len()`` is
+    the sample count.
     """
 
     trajectory: Trajectory
     dt: float
     last: int  # the endpoint's sample index
+    motion: Callable | None  # _motion(trajectory), None in case C
 
     def __len__(self) -> int:
         return self.last + 1
@@ -208,18 +220,15 @@ class AngleStream:
     def standoff(self) -> float:
         return self.trajectory.params.standoff_distance
 
-    @property
-    def walk_x(self) -> Walk:
-        """Case A's x at each sample, as a ``Walk``."""
-        _require(self.trajectory.case_id is Case.A, "walk_x is case A's", key="case")
-        return Walk(self)
+    def time(self, s: int) -> float:
+        """Sample s's time, which does not fall as s grows: ``s * dt``, or the duration
+        at the endpoint."""
+        return self.trajectory.duration if s == self.last else s * self.dt
 
     def exact(self, s: int, leap: float | None = None) -> tuple[float, Angles]:
-        t = self.trajectory.duration if s == self.last else s * self.dt
-        if leap is None:
-            return t, angles_from_position(position_at(self.trajectory, t))
-        d = self.standoff
-        return t, angles_from_position(Point3D(d * math.tan(math.radians(leap)), 0.0, d))
+        t, d = self.time(s), self.standoff
+        x, y = self.motion(t) if leap is None else (d * math.tan(math.radians(leap)), 0.0)
+        return t, angles_from_position(Point3D(x, y, d))
 
     def blocks(self) -> Iterator[tuple]:
         """Samples [0, SAMPLE_BLOCK), [SAMPLE_BLOCK, 2 * SAMPLE_BLOCK), ..., in case C
@@ -228,51 +237,24 @@ class AngleStream:
         if trajectory.case_id is Case.C:
             yield from _leap_blocks(trajectory, dt, last)
             return
-        _require(trajectory.case_id is Case.B, "case A is read from walk_x", key="case")
+        _require(trajectory.case_id is Case.B, "case A is read by motion(time(s))", key="case")
         for k0 in range(0, last + 1, SAMPLE_BLOCK):
             heads = np.arange(k0, min(k0 + SAMPLE_BLOCK, last + 1) + 1)
-            yield heads, *_positions(trajectory, dt, last, heads[:-1]), None
-
-
-class Walk(Sequence):
-    """A case-A stream's x at each sample, read-only, computed when read.
-
-    Item k is ``position_at(trajectory, t).x`` with its bits, t being ``k * dt`` or, at
-    the endpoint, the duration.  The items never increase: ``k * dt`` is monotone under
-    rounding and the duration is the latest time, and ``arrival - t`` and ``speed * (...)``
-    with ``speed > 0`` are monotone under rounding too.
-    """
-
-    __slots__ = ("_speed", "_arrival", "_dt", "_last", "_duration")
-
-    def __init__(self, stream: AngleStream):
-        p = stream.trajectory.params
-        self._speed, self._arrival = p.speed, _case_a_arrival_time(p)
-        self._dt, self._last, self._duration = stream.dt, stream.last, stream.trajectory.duration
-
-    def __len__(self) -> int:
-        return self._last + 1
-
-    def __getitem__(self, k: int) -> float:
-        n = self._last + 1
-        if not -n <= k < n:
-            raise IndexError(f"sample {k} outside the walk's {n}")
-        k %= n
-        t = self._duration if k == self._last else k * self._dt
-        return self._speed * (self._arrival - t)
+            t = _sample_times(trajectory, dt, last, heads[:-1])
+            yield heads, t, *self.motion(t), None
 
 
 def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
     """Sample the trajectory every ``dt`` seconds, endpoint always included.
 
     Samples fall on t = 0, dt, 2*dt, ...; the final sample lands exactly on
-    ``duration`` (appended when the regular grid misses it).  Positions follow
-    the operation order of ``position_at``: case B's are computed in numpy, a
-    block at a time when ``blocks()`` reads them, and case A's x one at a time
-    when ``walk_x`` is read; no angle is computed until a scan asks ``exact``
-    for one.  The stream holds no array: case C draws its leaps and settles
-    their runs a block of leaps at a time too, so its memory grows with neither
-    the leaps nor the samples.  A position beyond float range
+    ``duration`` (appended when the regular grid misses it).  Positions are
+    ``position_at``'s, from the stream's ``motion``: case B's are computed in
+    numpy, a block at a time when ``blocks()`` reads them, and case A's one at a
+    time when a search reads ``motion(time(s))``; no angle is computed until a
+    scan asks ``exact`` for one.  The stream holds no array: case C draws its
+    leaps and settles their runs a block of leaps at a time too, so its memory
+    grows with neither the leaps nor the samples.  A position beyond float range
     is refused.  In cases A and B, |x| and t*t are largest at the endpoints, so
     the two endpoint samples decide it, here; in case C every run's first sample
     does, in the block that holds it.
@@ -282,17 +264,12 @@ def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
         raise ValidationError(f"dt must be > 0 and give <= {MAX_STEPS} samples", key="dt")
     n = int(math.floor(duration / dt + 1e-9))
     last = n + (duration - n * dt > 1e-9 * dt)  # the endpoint's sample index
-    if trajectory.case_id is not Case.C:  # Point3D refuses a non-finite position
-        position_at(trajectory, 0.0), position_at(trajectory, duration)
-    return AngleStream(trajectory, dt, last)
-
-
-def _positions(trajectory: Trajectory, dt: float, last: int, k: np.ndarray):
-    """Times and x, y of case-B samples ``k``, in ``position_at``'s operation order."""
-    p = trajectory.params
-    t = _sample_times(trajectory, dt, last, k)
-    alpha = math.radians(p.launch_angle)
-    return t, p.speed * math.cos(alpha) * t, p.speed * math.sin(alpha) * t - 0.5 * GRAVITY * t * t
+    if trajectory.case_id is Case.C:
+        return AngleStream(trajectory, dt, last, None)
+    motion = _motion(trajectory)
+    for t in (0.0, duration):  # Point3D refuses a non-finite position
+        Point3D(*motion(t), trajectory.params.standoff_distance)
+    return AngleStream(trajectory, dt, last, motion)
 
 
 def _sample_times(trajectory: Trajectory, dt: float, last: int, k: np.ndarray) -> np.ndarray:

@@ -3,16 +3,17 @@
 This is the list-of-tuples ``angle_stream`` and the per-sample
 ``detect_events`` scan that steertrace ran before sampling moved to numpy,
 unchanged: every sample goes through ``position`` and ``angles_from_position``,
-every comparison through ``math``.  ``position`` is ``position_at`` in cases A
-and B; in case C it is the target at the leap angle of the sample's interval,
-from ``leap_schedule``, the schedule as a tuple of ``Random.uniform`` draws, by
-``math.tan``.  The library's picks must equal these exactly, in times and in
-``Angles``.  ``leap_runs`` and
-``check_runs`` add the contract of the library's stream: one entry per run of
-samples at equal angles, which in case C is the run between two leaps.
-``entries``, ``positions`` and ``whole`` join a stream's blocks of runs and of
-positions, or a case-A stream's walk, for inspection, and ``check_positions`` checks
-them against ``position``.
+every comparison through ``math``.  ``position`` is the seed's position
+formulas, written here apart from the library's, so that they check its bits: in
+cases A and B the walk and the flight, in case C the target at the leap angle of
+the sample's interval, from ``leap_schedule``, the schedule as a tuple of
+``Random.uniform`` draws, by ``math.tan``.  The library's picks must equal these
+exactly, in times and in ``Angles``.  ``leap_runs`` and ``check_runs`` add the
+contract of the library's stream: one entry per run of samples at equal angles,
+which in case C is the run between two leaps.  ``entries``, ``positions`` and
+``whole`` join a stream's blocks of runs and of positions, or a case-A stream's x
+sample by sample, for inspection, and ``check_positions`` checks them against
+``position``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from steertrace import geometry
 from steertrace.errors import ValidationError
 from steertrace.gateway import ANGLE_EPS_DEG
 from steertrace.geometry import (
+    GRAVITY,
     LEAP_THETA_MAX,
     Angles,
     Case,
@@ -35,7 +37,6 @@ from steertrace.geometry import (
     Trajectory,
     _require,
     angles_from_position,
-    position_at,
     signed_circular_delta_deg,
 )
 
@@ -66,13 +67,19 @@ def n_leaps(trajectory: Trajectory) -> int:
 
 
 def position(trajectory: Trajectory, t: float) -> Point3D:
-    """``position_at``, and in case C the target at the angle of the leap interval
-    that holds ``t``, the last leap's past the final leap."""
-    if trajectory.case_id is not Case.C:
-        return position_at(trajectory, t)
-    schedule = leap_schedule(trajectory.params, n_leaps(trajectory))
-    theta = schedule[min(int(t / trajectory.params.leap_interval), len(schedule) - 1)]
-    d = trajectory.params.standoff_distance
+    """The target at time ``t``: in case A walking at ``speed`` to arrive in front of
+    the surface, in case B in flight from the on-axis point, in case C at the angle of
+    the leap interval that holds ``t``, the last leap's past the final leap."""
+    p = trajectory.params
+    d, v = p.standoff_distance, p.speed
+    if trajectory.case_id is Case.A:
+        arrival = d * math.tan(math.radians(p.start_theta)) / v
+        return Point3D(v * (arrival - t), 0.0, d)
+    if trajectory.case_id is Case.B:
+        a = math.radians(p.launch_angle)
+        return Point3D(v * math.cos(a) * t, v * math.sin(a) * t - 0.5 * GRAVITY * t * t, d)
+    schedule = leap_schedule(p, n_leaps(trajectory))
+    theta = schedule[min(int(t / p.leap_interval), len(schedule) - 1)]
     return Point3D(d * math.tan(math.radians(theta)), 0.0, d)
 
 
@@ -128,9 +135,9 @@ def check_runs(stream, scalar: list[tuple[float, Angles]]) -> None:
 
 def positions(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, x, y) over every entry of ``stream``: its blocks, joined, a scalar y repeated;
-    in case A the walk's x at ``exact``'s times, and y 0.0."""
+    in case A each sample's x as the walk's search reads it, and y 0.0."""
     if stream.trajectory.case_id is Case.A:
-        x = np.array(list(stream.walk_x))
+        x = np.array([stream.motion(stream.time(s))[0] for s in range(len(stream))])
         t = np.arange(len(x)) * stream.dt
         t[-1] = stream.trajectory.duration
         return t, x, np.zeros_like(x)

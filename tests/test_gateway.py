@@ -433,12 +433,12 @@ def test_picks_and_angles_do_not_depend_on_the_sample_block(size, monkeypatch):
 
 def test_case_a_detection_searches_the_walk_and_reads_no_block(monkeypatch):
     # case A's x never increases, so the search gallops and bisects along the walk: no
-    # block of positions is computed, and the picks are still the scalar scan's
+    # block of positions or of times is computed, and the picks are still the scalar scan's
     def no_block(*args):
         raise AssertionError("a case-A block was read")
 
     monkeypatch.setattr(geometry.AngleStream, "blocks", no_block)
-    monkeypatch.setattr(geometry, "_positions", no_block)
+    monkeypatch.setattr(geometry, "_sample_times", no_block)
     surface = SurfaceConfig(n_cols=8, n_rows=8)
     past_axis = Trajectory(Case.A, CaseParams(), 200.0)  # phi 0 -> 180 at 81.6 s
     for traj, dt, step in [(case_a_trajectory(), 0.01, 5.0), (past_axis, 0.05, 0.5)]:

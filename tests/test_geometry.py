@@ -186,8 +186,8 @@ LANDING = case_b_trajectory().duration  # y is 1.4e-14 m there, and below 0 just
          "B_below", "C_runs", "C_leaps_outnumber_samples"],
 )
 def test_angle_blocks_have_the_bits_of_the_seed_formulas(trajectory, dt, end_phi):
-    # the blocks' positions, and case A's walk, are position_at's, and give numpy's seed
-    # angles, which end on end_phi
+    # the blocks' positions, and case A's x at each sample, are the seed formulas', and
+    # give numpy's seed angles, which end on end_phi
     stream = angle_stream(trajectory, dt)
     heads = [head for head, _, _ in scalar_oracle.entries(stream)]
     times = [trajectory.duration if s == stream.last else s * dt for s in heads]
@@ -197,17 +197,16 @@ def test_angle_blocks_have_the_bits_of_the_seed_formulas(trajectory, dt, end_phi
     assert scalar_oracle.whole(stream)[2][-1] == end_phi
 
 
-def test_case_a_is_read_from_its_walk_and_only_case_a_has_one():
-    walk = angle_stream(case_a_trajectory(), 0.5).walk_x
-    assert len(walk) == 165 and walk[-1] == walk[164] == 0.0
-    with pytest.raises(IndexError):
-        walk[165]
+def test_case_a_is_read_by_its_motion_and_only_case_c_has_none():
+    stream = angle_stream(case_a_trajectory(), 0.5)
+    assert len(stream) == 165 and stream.time(163) == 81.5
+    assert stream.time(164) == stream.trajectory.duration == 81.64323073400963
+    assert stream.motion(stream.time(164)) == (0.0, 0.0)
     with pytest.raises(ValidationError) as err:
-        next(angle_stream(case_a_trajectory(), 0.5).blocks())
+        next(stream.blocks())
     assert err.value.key == "case"
-    with pytest.raises(ValidationError) as err:
-        angle_stream(case_b_trajectory(), 0.5).walk_x
-    assert err.value.key == "case"
+    assert angle_stream(case_b_trajectory(), 0.5).motion is not None
+    assert angle_stream(case_c_trajectory(), 0.5).motion is None
 
 
 def test_case_a_theta_near_ten_meters_is_45_degrees():

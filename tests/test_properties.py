@@ -33,6 +33,7 @@ from steertrace import (
     Trajectory,
     ValidationError,
     case_a_trajectory,
+    case_b_trajectory,
     export_heatmap,
     read_report,
     read_trace,
@@ -738,38 +739,61 @@ def test_detect_events_picks_exactly_what_the_scalar_scan_picks(scenario):
 
 
 @st.composite
-def walks(draw):
-    """A case-A stream of at most 1,001 samples, and whether its walk is slow: a walk
-    that ends on the axis, one that passes it, or one so slow that ``arrival - t`` takes
-    at most two values, so that neighbouring x are equal."""
-    params = CaseParams(
-        standoff_distance=draw(st.floats(0.5, 50.0)),
-        speed=draw(st.floats(1e-250, 60.0)),
-        start_theta=draw(st.floats(1.0, 89.0)),
-    )
-    arrival = case_a_trajectory(params).duration
-    kind = draw(st.sampled_from(["axis", "past", "slow"]))
-    # a time under 2**-54 arrivals is at most half the spacing of floats near arrival
-    scale = {"axis": st.just(1.0), "past": st.floats(1.0, 3.0), "slow": st.floats(2**-56, 2**-54)}
-    trajectory = Trajectory(Case.A, params, arrival * draw(scale[kind]))
+def motions(draw):
+    """A case-A or case-B stream of at most 1,001 samples, and whether it is a slow walk:
+    a walk that ends on the axis, one that passes it, or one so slow that ``arrival - t``
+    takes at most two values, so that neighbouring x are equal; or a flight cut short,
+    landing or past its landing."""
+    kind = draw(st.sampled_from(["axis", "past", "slow", "flight"]))
+    if kind == "flight":
+        params = CaseParams(
+            standoff_distance=draw(st.floats(0.5, 50.0)),
+            speed=draw(st.floats(0.1, 300.0)),
+            launch_angle=draw(st.floats(1.0, 89.0)),
+        )
+        landing = case_b_trajectory(params).duration
+        trajectory = case_b_trajectory(params, landing * draw(st.floats(0.01, 2.0)))
+    else:
+        params = CaseParams(
+            standoff_distance=draw(st.floats(0.5, 50.0)),
+            speed=draw(st.floats(1e-250, 60.0)),
+            start_theta=draw(st.floats(1.0, 89.0)),
+        )
+        arrival = case_a_trajectory(params).duration
+        # a time under 2**-54 arrivals is at most half the spacing of floats near arrival
+        scale = {"axis": st.just(1.0), "past": st.floats(1.0, 3.0),
+                 "slow": st.floats(2**-56, 2**-54)}
+        trajectory = Trajectory(Case.A, params, arrival * draw(scale[kind]))
     dt = draw(st.floats(trajectory.duration / 1000, trajectory.duration))
     return angle_stream(trajectory, dt), kind == "slow"
 
 
 @settings(max_examples=200)
-@given(walks())
-def test_a_walks_x_is_position_ats_at_every_sample_and_never_increases(drawn):
-    # the bits that the scalar path's exact angles come from, endpoint included, in the
-    # order that lets the case-A search gallop and bisect
+@given(motions())
+def test_motion_has_the_seed_formulas_bits_on_arrays_and_a_walks_x_never_increases(drawn):
+    # one motion gives the blocks' positions from an array of times, and each sample's
+    # from its time alone: the same bits either way, endpoint included, and the seed
+    # formulas', as position_at's are; along a walk, x never increases, the order that
+    # lets the case-A search gallop and bisect
     stream, slow = drawn
-    x = list(stream.walk_x)
-    times = [stream.exact(s)[0] for s in range(len(stream))]
-    assert times[-1] == stream.trajectory.duration
-    assert same_bits(x, [position_at(stream.trajectory, t).x for t in times])
-    assert all(b <= a for a, b in zip(x, x[1:]))
-    assert len(stream.walk_x) == len(x) and stream.walk_x[-1] == x[-1]
-    if slow and len(x) > 2:
-        assert len(set(x)) < len(x)
+    trajectory, n = stream.trajectory, len(stream)
+    times = [stream.time(s) for s in range(n)]
+    assert times == [stream.exact(s)[0] for s in range(n)]
+    assert times[-1] == trajectory.duration
+    array = geometry._sample_times(trajectory, stream.dt, stream.last, np.arange(n))
+    assert same_bits(array, times)
+    seed = [scalar_oracle.position(trajectory, t) for t in times]
+    seed_x, seed_y = [p.x for p in seed], [p.y for p in seed]
+    x, y = stream.motion(array)
+    assert same_bits(x, seed_x) and same_bits(np.broadcast_to(y, n), seed_y)
+    assert same_bits([stream.motion(t)[0] for t in times], seed_x)
+    assert same_bits([stream.motion(t)[1] for t in times], seed_y)
+    at = [position_at(trajectory, t) for t in times]
+    assert same_bits([p.x for p in at], seed_x) and same_bits([p.y for p in at], seed_y)
+    if trajectory.case_id is Case.A:
+        assert all(b <= a for a, b in zip(seed_x, seed_x[1:]))
+        if slow and n > 2:
+            assert len(set(seed_x)) < n
 
 
 @st.composite
@@ -791,7 +815,7 @@ def walk_searches(draw):
 def test_the_walk_search_finds_the_first_sample_a_scan_finds(search):
     xs, i, lo, hi = search
     want = next((j for j in range(i, len(xs)) if xs[j] >= hi or xs[j] <= lo), len(xs))
-    assert _next_near_sample(xs, len(xs), i, lo, hi) == want
+    assert _next_near_sample(xs.__getitem__, len(xs), i, lo, hi) == want
 
 
 @st.composite
