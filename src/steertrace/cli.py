@@ -2,16 +2,23 @@
 
 Exit codes: 0 success, 2 invalid configuration or malformed input file,
 3 I/O failure.  Summaries go to stdout as one line of key=value pairs.
+
+An existing output file is written over from its start and cut at its last byte
+written, not truncated when opened.  A command that fails once an output is open leaves
+that file empty; one refused before leaves it alone.  Pipes and devices are streams.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
+import stat
 import sys
 from dataclasses import replace
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 from .errors import TraceParseError, ValidationError
 from .gateway import TraceMeta, format_number, iter_events
@@ -59,6 +66,27 @@ def load_scenario(args) -> tuple[TraceMeta, str]:
     return meta_from_dict(cfg), trace_path
 
 
+@contextlib.contextmanager
+def _output(path: str) -> Iterator[BinaryIO]:
+    """``open(path, "wb")``, but a regular file is written over in place and cut at the
+    end: truncating one whose old pages are dirty writes them back first.  A new file
+    gets mode 0o666 less the umask, as ``open`` gives it."""
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe or device: a stream
+            yield fh
+            return
+        try:
+            yield fh
+            fh.truncate()  # flushes, then cuts what is left of the old bytes
+        except BaseException:  # cut to empty, so that no reader takes a part for the whole
+            with contextlib.suppress(OSError):  # the error raised stays the one raised
+                try:
+                    os.ftruncate(fh.fileno(), 0)
+                finally:
+                    fh.raw.close()  # drops the buffer's unwritten bytes; close writes none
+            raise
+
+
 def cmd_simulate(args) -> int:
     created = default_created()  # a bad SOURCE_DATE_EPOCH stops the run before any output
     meta, out_path = load_scenario(args)
@@ -68,7 +96,7 @@ def cmd_simulate(args) -> int:
     if args.out is not None:
         out_path = args.out
     events = iter_events(meta)  # a refused scenario raises here, before the file is opened
-    with open(out_path, "wb") as fh:
+    with _output(out_path) as fh:
         n_events, n_packets = write_events(meta, events, fh, created)
     print(
         f"events={n_events} packets={n_packets} "
@@ -82,14 +110,14 @@ def cmd_metrics(args) -> int:
     with open(args.trace, "rb", buffering=1 << 17) as fh:  # a 100x100 burst is a 73 KB line
         meta, events = iter_trace(fh)
         report, matrix = summarize(meta.surface, events)
-    with open(args.report, "wb") as fh:
+    with _output(args.report) as fh:
         write_report(report, fh, created)
     summary = (
         f"events={len(report.burst_sizes)} packets={report.total_packets} "
         f"spatial_cv={format_number(report.spatial_cv)} report={args.report}"
     )
     if args.heatmap is not None:
-        with open(args.heatmap, "wb") as fh:
+        with _output(args.heatmap) as fh:
             export_heatmap(matrix, args.format, fh)
         summary += f" heatmap={args.heatmap}"
     print(summary)

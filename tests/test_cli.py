@@ -2,8 +2,10 @@ import json
 import logging
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -23,7 +25,8 @@ from steertrace import (
 from steertrace import cli, gateway, scenario
 from steertrace.cli import main
 from steertrace.coding import gradients
-from steertrace.gateway import NORMAL_INCIDENCE
+from steertrace.errors import ValidationError
+from steertrace.gateway import NORMAL_INCIDENCE, iter_events
 
 
 def run_cli(*argv):
@@ -70,6 +73,133 @@ def test_a_scenario_that_the_schema_refuses_leaves_an_existing_output_alone(tmp_
     assert run_cli("simulate", "--out", str(out), *argv) == 2
     assert capsys.readouterr().err.startswith("error: scenario.duration puts the target 1e+20 m")
     assert out.read_bytes() == b"an earlier trace\n"
+
+
+def outputs(tmp_path, name, *extra):
+    """The paths of ``name``'s trace, report and heat map, written by one ``simulate`` on
+    the 8x8 surface, with the ``extra`` overrides, and one ``metrics --heatmap``."""
+    paths = [tmp_path / f"{name}.{ext}" for ext in ("jsonl", "report.jsonl", "csv")]
+    scenario = ["surface.n_cols=8", "surface.n_rows=8", *extra]
+    assert run_cli("simulate", "--out", str(paths[0]), *scenario) == 0
+    assert run_cli("metrics", "--trace", str(paths[0]), "--report", str(paths[1]),
+                   "--heatmap", str(paths[2])) == 0
+    return paths
+
+
+def test_shorter_outputs_written_over_longer_old_ones_equal_a_fresh_paths_bytes(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    old = outputs(tmp_path, "old", "surface.n_cols=12", "surface.n_rows=12")
+    fresh = [path.read_bytes() for path in outputs(tmp_path, "fresh")]
+    assert all(len(new) < path.stat().st_size for new, path in zip(fresh, old))
+    assert [path.read_bytes() for path in outputs(tmp_path, "old")] == fresh
+
+
+def test_a_symlinked_output_is_written_through_and_stays_a_link(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    fresh = tmp_path / "fresh.jsonl"
+    assert run_cli("simulate", "--out", str(fresh)) == 0
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    target.write_bytes(fresh.read_bytes() * 2)
+    link.symlink_to(target)
+    assert run_cli("simulate", "--out", str(link)) == 0
+    assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+
+
+def test_a_fifo_and_dev_null_are_written_as_streams(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    fresh = tmp_path / "fresh.jsonl"
+    assert run_cli("simulate", "--out", str(fresh)) == 0
+    fifo, got = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli("simulate", "--out", str(fifo)) == 0
+    reader.join(timeout=60)
+    assert got == [fresh.read_bytes()]
+    assert run_cli("simulate", "--out", os.devnull) == 0
+    assert run_cli("metrics", "--trace", str(fresh), "--report", os.devnull,
+                   "--heatmap", os.devnull) == 0
+
+
+def test_a_new_output_gets_mode_666_less_the_umask_and_an_old_one_keeps_its_inode_and_mode(
+    tmp_path, capsys
+):
+    new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    old.write_bytes(b"an earlier trace\n")
+    old.chmod(0o640)
+    inode = old.stat().st_ino
+    umask = os.umask(0o027)
+    try:
+        assert run_cli("simulate", "--out", str(new)) == 0
+        assert run_cli("simulate", "--out", str(old)) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~0o027
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640 and old.stat().st_ino == inode
+    assert old.read_bytes().startswith(b'{"format_version":1')
+
+
+def test_no_output_is_truncated_when_opened(tmp_path, capsys, monkeypatch):
+    # truncating a file whose old pages are still dirty writes them back first; each
+    # output is written over in place and cut at its end instead
+    paths = outputs(tmp_path, "t")  # every output exists, as in a loop of runs
+    flags, os_open = {}, os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags[str(path)] = flag
+        return os_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    outputs(tmp_path, "t")
+    assert {str(path) for path in paths} <= flags.keys()
+    assert not any(flags[str(path)] & os.O_TRUNC for path in paths)
+
+
+def test_a_write_that_fails_leaves_an_empty_trace_that_metrics_refuses(tmp_path, capsys):
+    # the file size limit admits the header and two event lines, so the third line fails
+    fresh = tmp_path / "fresh.jsonl"
+    assert run_cli("simulate", "--out", str(fresh)) == 0
+    lines = fresh.read_bytes().splitlines(keepends=True)
+    limit = sum(map(len, lines[:3]))
+    out = tmp_path / "t.jsonl"
+    for old in (None, fresh.read_bytes()):  # a new path, and a longer old trace
+        if old is not None:
+            out.write_bytes(old)
+        done = run_limited(["simulate", "--out", str(out)], "RLIMIT_FSIZE", limit)
+        assert done.returncode == 3
+        assert done.stderr == (
+            f"i/o error: write failed at byte offset {limit}: [Errno 27] File too large\n"
+        )
+        assert out.read_bytes() == b""
+        capsys.readouterr()
+        assert run_cli("metrics", "--trace", str(out), "--report", str(tmp_path / "r")) == 2
+        assert capsys.readouterr().err == "error: line 1: empty file, header missing\n"
+
+
+@pytest.mark.parametrize("cut_fails", [False, True])
+def test_a_refusal_mid_write_leaves_an_empty_output_and_its_own_error(
+    tmp_path, capsys, monkeypatch, cut_fails
+):
+    # the header and the first event line are still in the writer's buffer when the
+    # second event is refused; none of them may reach the file once it is cut
+    def refuse_the_second(meta):
+        events = iter_events(meta)
+        yield next(events)
+        raise ValidationError("the second event is refused", key="scenario.case")
+
+    def fail(*args):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(cli, "iter_events", refuse_the_second)
+    if cut_fails:
+        monkeypatch.setattr(os, "ftruncate", fail)
+    out = tmp_path / "t.jsonl"
+    out.write_bytes(b"an earlier trace\n")
+    assert run_cli("simulate", "--out", str(out), "surface.n_cols=4", "surface.n_rows=4") == 2
+    assert capsys.readouterr().err == "error: the second event is refused\n"
+    assert out.read_bytes() == (b"an earlier trace\n" if cut_fails else b"")
 
 
 def test_simulate_computes_each_picks_gradients_once(tmp_path, capsys):
@@ -601,9 +731,14 @@ def test_aliasing_is_one_logged_warning_with_the_count(tmp_path, monkeypatch):
 
 def run_capped(argv, mb):
     """``argv`` run by the CLI in a child whose address space is capped at ``mb`` MB."""
+    return run_limited(argv, "RLIMIT_AS", mb << 20)
+
+
+def run_limited(argv, limit, value):
+    """``argv`` run by the CLI in a child whose resource ``limit`` is set to ``value``."""
     child = (
         "import resource, sys\n"
-        f"resource.setrlimit(resource.RLIMIT_AS, ({mb} << 20, {mb} << 20))\n"
+        f"resource.setrlimit(resource.{limit}, ({value}, {value}))\n"
         "from steertrace.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )

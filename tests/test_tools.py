@@ -72,3 +72,17 @@ def test_bench_matrix_records_the_quartiles_beside_each_median():
         "main_s": 3.0, "main_s_quartiles": [1.5, 4.5], "minflt": 60, "minflt_quartiles": [60, 60],
     }
     assert bench_matrix.medians_and_quartiles(runs[:1])["main_s_quartiles"] == [5.0, 5.0]
+
+
+def test_bench_matrix_takes_the_probes_peak_rss_before_it_loads_hashlib(tmp_path):
+    # a stand-in package whose main prints whether hashlib is loaded while it runs
+    package = tmp_path / "src" / "steertrace"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "gateway.py").write_text("def detect_events(*args):\n    pass\n")
+    (package / "cli.py").write_text(
+        "import sys\ndef main(argv):\n    print('hashlib' in sys.modules)\n    return 0\n"
+    )
+    bench_matrix = load_bench_matrix()
+    _, _, (first, _) = bench_matrix.run(tmp_path, ["sweep"], {}, dict(os.environ))
+    assert first == (0, ("stdout", bench_matrix.sha256("False\n")))

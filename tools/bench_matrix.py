@@ -131,7 +131,7 @@ ROWS = {
 # same process, timed as warm_main_s, after a WARM line that splits the two calls' stdout.
 WARM = "--- warm call ---\n"
 CHILD = f"""\
-import hashlib, json, os, resource, sys, time
+import json, os, resource, sys, time
 from steertrace import gateway
 from steertrace.cli import main
 detect, detect_s = gateway.detect_events, 0.0
@@ -144,6 +144,7 @@ def timed_detect(*args):
         detect_s += time.perf_counter() - start
 gateway.detect_events = timed_detect
 def digests():
+    import hashlib  # after the first call's getrusage: loading it adds about 3.8 MB of RSS
     files = json.loads(os.environ["BENCH_FILES"]).items()
     return {{key: hashlib.sha256(open(path, "rb").read()).hexdigest() for key, path in files}}
 before = resource.getrusage(resource.RUSAGE_SELF)
@@ -167,6 +168,9 @@ METHOD = (
     "started from /bin/sh (PYTHONDONTWRITEBYTECODE=1 with no __pycache__ in either "
     "tree, so every run compiles the package; SOURCE_DATE_EPOCH=0, one BLAS thread). "
     "Each process then runs the same command a second time, the warm call. "
+    "Each side's trace path, and the report and heat-map paths that both sides share, are "
+    "reused across rounds, so every call after the first, and every warm call, writes over "
+    "an existing file. "
     "Every call's trace, report and heat map, or sweep stdout, are hashed, the warm "
     "call's apart from the first's; outputs_identical means every call of both sides "
     "gave the same bytes and exit code 0. Values are medians over the "
