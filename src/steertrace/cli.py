@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 invalid configuration or malformed input file,
 An existing output file is written over from its start and cut at its last byte
 written, not truncated when opened.  A command that fails once an output is open leaves
 that file empty; one refused before leaves it alone.  Pipes and devices are streams.
+An output that names the regular file stdout writes to is refused before any is opened.
 """
 
 from __future__ import annotations
@@ -87,6 +88,23 @@ def _output(path: str) -> Iterator[BinaryIO]:
             raise
 
 
+def _refuse_stdout(outputs: list[tuple[str, str | None]]):
+    """Refuse the first of ``outputs``, (option, path), whose path names the regular file
+    that stdout writes to: the summary line, printed there after, would overwrite the
+    start of that output.  A pipe or a device, /dev/null too, is a stream: left alone."""
+    try:
+        out = os.fstat(sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):  # no stdout, or one with no file
+        return
+    if not stat.S_ISREG(out.st_mode):
+        return
+    for option, path in outputs:
+        with contextlib.suppress(OSError):  # none there yet, or none can be: opening will tell
+            if path is not None and os.path.samestat(os.stat(path), out):
+                message = f"{option} {path!r} is the file that stdout writes to"
+                raise ValidationError(message, option)
+
+
 def cmd_simulate(args) -> int:
     created = default_created()  # a bad SOURCE_DATE_EPOCH stops the run before any output
     meta, out_path = load_scenario(args)
@@ -95,6 +113,7 @@ def cmd_simulate(args) -> int:
         meta = replace(meta, trajectory=replace(meta.trajectory, params=params))
     if args.out is not None:
         out_path = args.out
+    _refuse_stdout([("--out" if args.out is not None else "outputs.trace", out_path)])
     events = iter_events(meta)  # a refused scenario raises here, before the file is opened
     with _output(out_path) as fh:
         n_events, n_packets = write_events(meta, events, fh, created)
@@ -107,6 +126,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_metrics(args) -> int:
     created = default_created()
+    _refuse_stdout([("--report", args.report), ("--heatmap", args.heatmap)])
     with open(args.trace, "rb", buffering=1 << 17) as fh:  # a 100x100 burst is a 73 KB line
         meta, events = iter_trace(fh)
         report, matrix = summarize(meta.surface, events)

@@ -24,11 +24,12 @@ from .geometry import (
 
 # Absorbs float round-off when a sample lands exactly on a threshold.
 ANGLE_EPS_DEG = 1e-9
-# Degrees short of a threshold at which the search over a block's positions
-# already stops, so that it passes no crossing of the scalar angles: the
-# radius bounds by ``tan``, a squared radius against ``hypot``, case C's x by
-# numpy's ``tan`` and numpy's phi against ``math``'s each move an angle by
-# about 3e-14 deg at most, so 1e-7 leaves a wide margin.
+# Degrees short of a threshold at which a search already stops, so that it passes
+# no crossing of the scalar angles: the radius bounds by ``tan``, a squared radius
+# against ``hypot`` and case C's x by numpy's ``tan`` each move an angle by about
+# 3e-14 deg at most, and a case-B search passes only over samples within about
+# 1e-8 deg of the far ones it read (``_searched_entries``; a launch steeper than
+# about 89.9994 deg widens the band), so 1e-7 leaves a margin.
 BAND = 1e-7
 
 NORMAL_INCIDENCE = Angles(0.0, 0.0)
@@ -107,6 +108,12 @@ def outside_surface(rows: np.ndarray, surface: SurfaceConfig) -> str:
     )
 
 
+def over_full(surface: SurfaceConfig) -> str:
+    """The fault of an event of more updates than ``surface`` has cells."""
+    grid = f"{surface.n_cols}x{surface.n_rows}"
+    return f"more updates than the {surface.n_cells} cells of the {grid} grid"
+
+
 def event_time_fault(t: float, last: float, duration: float) -> str:
     """What is wrong with an event time ``t`` after one at ``last`` (-inf for the first
     event) in a scenario of ``duration``; "" if nothing is."""
@@ -147,15 +154,20 @@ class TrafficTrace:
 
 
 def checked_events(meta: TraceMeta, events: Iterable[ReconfigEvent]) -> Iterator[ReconfigEvent]:
-    """``events``, each yielded once it is checked: its time in [0, duration] and after
-    the previous event's, its updates inside the surface's grid and states, no cell twice.
+    """``events``, each yielded once it is checked: no more updates than the surface's
+    cells, before anything else, as the reader refuses a long line of more; its time in
+    [0, duration] and after the previous event's; its updates inside the surface's grid
+    and states, no cell twice.
 
     The first bad event raises ValidationError, key ``t`` for its time and ``updates``
     for its cells, naming the line that a trace file gives it (event k, from 0, on line
     k + 2), so that the writer, the reader and the metrics refuse it in the same words.
     """
     surface, duration, last = meta.surface, meta.trajectory.duration, -math.inf
+    n_cells = surface.n_cells
     for line, ev in enumerate(events, start=2):
+        if len(ev.updates) > n_cells:
+            raise ValidationError(f"line {line}: {over_full(surface)}", "updates")
         fault = event_time_fault(ev.t, last, duration)
         if fault:
             raise ValidationError(f"line {line}: {fault}", "t")
@@ -194,25 +206,27 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
     Per reference the scan turns the thresholds, ``BAND`` short, into bounds on
     the radius and phi, skips to the next entry near them and decides that entry
     on its exact angles, so the picks are those of a sample-by-sample scan of the
-    scalar path.  A case-A ``AngleStream`` is searched along its walk: its x never
-    increases, so the entries near the bounds on x are a prefix and a suffix of
-    it, and the next near sample is the one at hand or the first at most the lower
-    bound, found by galloping and bisecting.  Every other stream is read a block
-    of positions at a time, each block's arrays scanned for the next near entry.
-    The rest of an entry's run has its angles, so after a pick only the run's next
-    sample can fire, and after a sample that does not fire none of the run can.
-    The stream's ``blocks``, ``time``, ``motion`` and ``exact`` are as ``AngleStream``'s.
+    scalar path.  Cases A and B are searched along their path, one of its
+    ``pieces()`` at a time: the samples of a piece that are far from the bounds
+    are one interval, up to rounding that ``_searched_entries`` shows harmless, so
+    the next near sample is the one at hand or the first after that interval, found
+    by galloping and bisecting.
+    Case C is read a block of leap runs at a time, each block's x scanned for the
+    next near entry.  The rest of an entry's run has its angles, so after a pick
+    only the run's next sample can fire, and after a sample that does not fire none
+    of the run can.  The stream's ``pieces``, ``time``, ``motion``, ``blocks`` and
+    ``exact`` are as ``AngleStream``'s; each entry's time must exceed the last's.
     """
     if not angular_step > 0:
         raise ValidationError("angular_step must be > 0", key="angular_step")
     a = angular_step
-    walk = isinstance(stream, AngleStream) and stream.trajectory.case_id is Case.A
-    entries = (_walk_entries if walk else _block_entries)(stream, a)
+    leaps = isinstance(stream, AngleStream) and stream.trajectory.case_id is Case.C
+    entries = (_block_entries if leaps else _searched_entries)(stream, a)
     head, end, leap = next(entries, (None,) * 3)
     if head is None:
         raise ValidationError("stream must not be empty", key="stream")
     picked = [stream.exact(head, leap)]
-    ang = picked[0][1]
+    t, ang = picked[0]
     theta_ref, phi_ref = ang.theta, ang.phi
     r = 1  # decide sample r of the run of ``end`` samples from ``head``
     while True:
@@ -222,7 +236,9 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
             except StopIteration:
                 return picked
             r = 0
-            t, ang = stream.exact(head, leap)
+            t_last, (t, ang) = t, stream.exact(head, leap)
+            if not t > t_last:
+                raise ValidationError("stream times must be strictly increasing", key="stream")
         d_theta, d_phi = abs(ang.theta - theta_ref), signed_circular_delta_deg(ang.phi, phi_ref)
         hit_theta = d_theta >= a - ANGLE_EPS_DEG
         hit_phi = abs(d_phi) >= a - ANGLE_EPS_DEG
@@ -247,85 +263,91 @@ def detect_events(stream: AngleStream, angular_step: float) -> list[tuple[float,
             phi_ref = ang.phi
 
 
-def _walk_entries(stream, step: float) -> Iterator[tuple]:
-    """Case A's entries for ``detect_events``, one sample each, as (sample, 1, None): the
-    first, then for each (theta_ref, phi_ref) sent the next that is near by ``_near_bounds``,
-    each x read as ``motion(time(sample))`` gives it."""
+def _searched_entries(stream, step: float) -> Iterator[tuple]:
+    """The entries of a case-A or B stream for ``detect_events``, one sample each, as
+    (sample, 1, None): the first of each of ``stream.pieces()``, then for each
+    (theta_ref, phi_ref) sent the next of the piece that ``_far`` does not call far.
+
+    A search passes over samples only between two it found far, inside the bounds.
+    Positions lie within w = ``stream.wobble`` of their radius off a monotone path, so
+    one passed over lies within 2w (rad, or of the radius) of the inside.  One that
+    fires lies ``band`` past a phi bound, or twice that of its radius past a radius
+    bound (dr/r = dtheta / (sin * cos)), and band >= 20w, in radians: ``BAND`` up to a
+    launch of about 89.9994 deg.  x*x + y*y, ``atan2`` and ``tan`` round within a few
+    ulps, so none passed over fires."""
     time, motion, standoff = stream.time, stream.motion, stream.standoff
-    n, i = len(stream), 0
-    while i < n:
-        theta_ref, phi_ref = yield i, 1, None
-        lo, hi, _, _ = _near_bounds(theta_ref, phi_ref, step, standoff, True)
-        i = _next_near_sample(lambda k: motion(time(k))[0], n, i + 1, lo, hi)
+    on_x_axis = isinstance(stream, AngleStream) and stream.trajectory.case_id is Case.A
+    band = max(BAND, 20 * RAD_TO_DEG * stream.wobble)
+    i = 0
+    for end in stream.pieces():
+        while i < end:
+            theta_ref, phi_ref = yield i, 1, None
+            bounds = _near_bounds(theta_ref, phi_ref, step, standoff, on_x_axis, band)
+            i = _next_near_sample(_far(motion, time, bounds), end, i + 1)
 
 
-def _next_near_sample(x, n, i, lo, hi) -> int:
-    """First sample from ``i`` below ``n`` whose ``x(sample)``, which never increases,
-    is >= hi or <= lo, else ``n``: ``i`` itself, or the first x <= lo after it, found by
+def _far(motion, time, bounds):
+    """Whether sample k, at ``motion(time(k))``, is far from ``_near_bounds``' ``bounds``:
+    inside those on x, or on x*x + y*y and phi by ``math.atan2``."""
+    lo, hi, phi_lo, phi_hi = bounds
+    if phi_lo is None:
+        return lambda k: lo < motion(time(k))[0] < hi
+
+    def far(k):
+        x, y = motion(time(k))
+        return lo < x * x + y * y < hi and phi_lo < math.atan2(y, x) * RAD_TO_DEG < phi_hi
+    return far
+
+
+def _next_near_sample(far, n, i) -> int:
+    """First sample from ``i`` below ``n`` that is not ``far``, else ``n``: ``i`` itself,
+    or, where the far samples from ``i`` are one interval, the first after it, found by
     galloping and bisecting."""
-    if i < n and lo < x(i) < hi:  # far: the first x <= lo is at i + 1 or later
+    if i < n and far(i):  # the first near sample is at i + 1 or later
         width = 1
-        while i + width < n and x(i + width) > lo:
+        while i + width < n and far(i + width):
             i += width
             width *= 2
-        while width := width // 2:  # x(i) > lo, and the first x <= lo is by i + 2 * width
-            if i + width < n and x(i + width) > lo:
+        while width := width // 2:  # far(i), and the first near sample is by i + 2 * width
+            if i + width < n and far(i + width):
                 i += width
         i += 1
     return i
 
 
 def _block_entries(stream, step: float) -> Iterator[tuple]:
-    """The entries of ``stream.blocks()`` for ``detect_events``, as (first sample, samples in
-    the run, leap): the first, then for each (theta_ref, phi_ref) sent the next that is
-    near by ``_near_bounds``."""
-    blocks, standoff = _checked_blocks(stream), stream.standoff
-    heads, v, phi, leaps = next(blocks, (None,) * 4)
-    if heads is None:
-        return
+    """Case C's entries for ``detect_events``, from ``stream.blocks()``, as (first sample,
+    samples in the run, leap): the first, then for each (theta_ref, phi_ref) sent the
+    next that is near by ``_near_bounds``."""
+    blocks, standoff = stream.blocks(), stream.standoff
+    heads, _, x, _, leaps = next(blocks)
     i = 0
     while True:
         head = heads.item(i)
-        leap = None if leaps is None else leaps.item(i)
-        theta_ref, phi_ref = yield head, heads.item(i + 1) - head, leap
-        bounds = _near_bounds(theta_ref, phi_ref, step, standoff, phi is None)
-        i = _next_near_crossing(v, phi, i + 1, bounds)
-        while i == len(v):  # none in this block: search the next
+        theta_ref, phi_ref = yield head, heads.item(i + 1) - head, leaps.item(i)
+        bounds = _near_bounds(theta_ref, phi_ref, step, standoff, True)
+        i = _next_near_crossing(x, i + 1, bounds)
+        while i == len(x):  # none in this block: search the next
             if (block := next(blocks, None)) is None:
                 return
-            heads, v, phi, leaps = block
-            i = _next_near_crossing(v, phi, 0, bounds, len(v))
+            heads, _, x, _, leaps = block
+            i = _next_near_crossing(x, 0, bounds, len(x))
 
 
-def _checked_blocks(stream: AngleStream) -> Iterator:
-    """Each of ``stream.blocks()`` as (heads, x, None, leaps) where y is the scalar 0.0,
-    else as (heads, x*x + y*y, phi, leaps), once its times are checked."""
-    t_prev = -math.inf
-    for heads, t, x, y, leaps in stream.blocks():
-        if not (t[0] > t_prev and (t[1:] > t[:-1]).all()):
-            raise ValidationError("stream times must be strictly increasing", key="stream")
-        if isinstance(y, np.ndarray):  # phi in [-180, 180], as arctan2 gives it
-            with np.errstate(over="ignore"):  # a square past float range is inf: near
-                yield heads, x * x + y * y, np.arctan2(y, x) * RAD_TO_DEG, leaps
-        else:
-            yield heads, x, None, leaps
-        t_prev = t[-1]
-
-
-def _near_bounds(theta_ref, phi_ref, step, standoff, on_x_axis: bool):
+def _near_bounds(theta_ref, phi_ref, step, standoff, on_x_axis: bool, band=BAND):
     """(lo, hi, phi_lo, phi_hi) of the search for the next near entry, for these references.
 
-    An entry is near when its theta may come within ``BAND`` of a step, which is when
+    An entry is near when its theta may come within ``band`` of a step, which is when
     its radius (at ``standoff``) reaches ``hi`` or falls to ``lo``, or when its phi
-    may.  Radius 0 is always near.  Where y is 0.0, phi is 0 or 180 by x's sign bit,
-    so which side fires is decided here, and the bounds are on x: near is x >= hi or
-    x <= lo.  Where y is an array, the bounds are on x*x + y*y, and phi, in
-    [-180, 180], is near at most ``phi_lo`` or at least ``phi_hi``, ``phi_ref`` less
-    or more the threshold with ``phi_ref`` taken in [-180, 180) too: |phi - phi_ref|
-    is at least phi's circular drift, so only an entry across 180 deg from
-    ``phi_ref`` can be near in vain.
+    may.  Radius 0 is always near.  ``on_x_axis``, where y is 0.0, phi is 0 or 180 by
+    x's sign bit, so which side fires is decided here, and the bounds are on x: near
+    is x >= hi or x <= lo, and the phi bounds are None.  Elsewhere the bounds are on
+    x*x + y*y, and phi, in [-180, 180], is near at most ``phi_lo`` or at least
+    ``phi_hi``, ``phi_ref`` less or more the threshold with ``phi_ref`` taken in
+    [-180, 180) too: |phi - phi_ref| is at least phi's circular drift, so only an
+    entry across 180 deg from ``phi_ref`` can be near in vain.
     """
-    threshold = step - ANGLE_EPS_DEG - BAND
+    threshold = step - ANGLE_EPS_DEG - band
     up, down = theta_ref + threshold, theta_ref - threshold
     hi = standoff * math.tan(math.radians(max(up, 0.0))) if up < 90.0 else math.inf
     lo = standoff * math.tan(math.radians(max(down, 0.0))) if down < 90.0 else math.inf
@@ -343,26 +365,24 @@ def _near_bounds(theta_ref, phi_ref, step, standoff, on_x_axis: bool):
     return lo, hi, None, None
 
 
-def _next_near_crossing(v, phi, i: int, bounds, width=64) -> int:
-    """First index from ``i`` of a block's arrays that is near by ``_near_bounds``, else
-    the block's length.
+def _next_near_crossing(x, i: int, bounds, width=64) -> int:
+    """First index from ``i`` of a block's x that is near by ``_near_bounds``' bounds on
+    x, else the block's length.
 
     Windows double in size from ``width``: a near crossing costs little, a far one a few
     passes.  A new block's search takes the whole block in one pass: the last block's
     search ended with no crossing near.
     """
-    lo, hi, phi_lo, phi_hi = bounds
-    while i < len(v):
-        window = slice(i, i + width)
-        near = (v[window] >= hi) | (v[window] <= lo)
-        if phi is not None:
-            near |= (phi[window] <= phi_lo) | (phi[window] >= phi_hi)
+    lo, hi, _, _ = bounds
+    while i < len(x):
+        window = x[i:i + width]
+        near = (window >= hi) | (window <= lo)
         j = int(near.argmax())
         if near[j]:
             return i + j
         i += width
         width *= 2
-    return len(v)
+    return len(x)
 
 
 def diff_states(
@@ -373,7 +393,8 @@ def diff_states(
     Given the grid's ``shape``, either matrix may be compact as ``state_blocks``
     codes it, a length-1 axis standing for the whole axis.  A compact change
     changes every cell of each changed line, so its rows are built from the
-    lines, with no mask of the grid; only a full change takes ``nonzero``.
+    lines, with no mask of the grid.  A full change writes its rows in one pass
+    from the changed cells' flat indexes.
     """
     old = np.asarray(old)
     new = np.asarray(new)
@@ -393,9 +414,11 @@ def diff_states(
         # the changed lines' states: new is compact on the comparison's compact axis
         out[..., 2] = new[:, cols] if new.shape[1] > 1 else new[rows] if len(new) > 1 else new
         return out.reshape(-1, 3)
-    new = new if new.shape == shape else np.broadcast_to(new, shape)
-    rows, cols = np.nonzero(changed)
-    return np.column_stack((cols, rows, new[changed]))
+    cells = np.flatnonzero(changed)
+    out = np.empty((len(cells), 3), np.result_type(cells, new))
+    np.divmod(cells, shape[1], out=(out[:, 1], out[:, 0]))
+    out[:, 2] = new.take(cells) if new.shape == shape else np.broadcast_to(new, shape)[changed]
+    return out
 
 
 def iter_events(meta: TraceMeta) -> Iterator[ReconfigEvent]:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,11 +32,11 @@ GRAVITY = 9.81  # m/s^2
 LEAP_THETA_MAX = 85.0  # degrees, upper bound of the case-C leap draw
 CASE_B_SPEED = 30.0  # m/s, launch speed typical of the projectile case
 # Steps per run: angle samples, case-C leaps, metrics bins or sweep steps, each checked
-# before the count is used.  Case-B samples and case-C leaps are computed a block at a
-# time, so for them this bounds run time (about 0.02 us a sample in case B, 0.1 us a
-# case-C leap), not memory; a case-A walk is searched, not sampled.
+# before the count is used.  Case-C leaps are computed a block at a time, so for them
+# this bounds run time (about 0.1 us a leap), not memory; a case-A walk and a case-B
+# flight are searched, not sampled.
 MAX_STEPS = 10**7
-SAMPLE_BLOCK = 2**13  # samples, or case-C leaps, computed at once; cf. coding.BLOCK_CELLS
+SAMPLE_BLOCK = 2**13  # case-C leaps computed at once; cf. coding.BLOCK_CELLS
 RAD_TO_DEG = 180.0 / math.pi  # the factor of np.degrees and math.degrees, so the same bits
 
 
@@ -190,22 +190,21 @@ def angles_from_position(p: Point3D) -> Angles:
 
 @dataclass(frozen=True, eq=False)
 class AngleStream:
-    """A trajectory's angle samples, from ``angle_stream``, read a block at a time,
-    or in case A one position at a time.
+    """A trajectory's angle samples, from ``angle_stream``: in cases A and B read one
+    position at a time, in case C a block of leap runs at a time.
 
     An entry stands for a run of samples at equal angles: one sample in cases A
-    and B, the samples between two leaps in case C.  In cases B and C ``blocks()``
-    yields blocks of entries as (heads, t, x, y, leaps): each entry's first sample and
-    then the sample that ends the block's last run, the entries' times and positions
-    as numpy arrays, y the scalar 0.0 in case C, and in case C each entry's leap angle,
-    else None.  Case A has no blocks: ``motion(time(s))`` gives any sample's position,
-    on the x axis, one sample at a time.  ``time(s)`` is sample s's time and, in cases
-    A and B, ``motion`` the trajectory's (x, y) at a time, a float or an array of times,
-    which ``position_at`` and the blocks read too, so positions have its bits; in case C
-    ``motion`` is None and x is by numpy's ``tan``, which may differ from ``math.tan``
-    in the last bits.  ``standoff`` is every position's z.  ``exact(s, leap)`` gives
-    sample s on the scalar path, in case C at its run's ``leap`` angle.  ``len()`` is
-    the sample count.
+    and B, the samples between two leaps in case C.  In cases A and B
+    ``motion(time(s))`` gives any sample's position, and ``pieces()`` splits the
+    samples where the path turns.  ``motion`` is the trajectory's (x, y) at a time, a
+    float or an array of times, which ``position_at`` reads too, so positions have its
+    bits.  In case C ``motion`` is None, and ``blocks()`` yields blocks of entries as
+    (heads, t, x, y, leaps): each entry's first sample and then the sample that ends
+    the block's last run, the entries' times, x and leap angles as numpy arrays, and y
+    the scalar 0.0; x is by numpy's ``tan``, which may differ from ``math.tan`` in the
+    last bits.  ``time(s)`` is sample s's time and ``standoff`` every position's z.
+    ``exact(s, leap)`` gives sample s on the scalar path, in case C at its run's
+    ``leap`` angle.  ``len()`` is the sample count.
     """
 
     trajectory: Trajectory
@@ -231,17 +230,37 @@ class AngleStream:
         return t, angles_from_position(Point3D(x, y, d))
 
     def blocks(self) -> Iterator[tuple]:
-        """Samples [0, SAMPLE_BLOCK), [SAMPLE_BLOCK, 2 * SAMPLE_BLOCK), ..., in case C
-        the runs that leaps [0, SAMPLE_BLOCK), ... head; no block is empty."""
-        trajectory, dt, last = self.trajectory, self.dt, self.last
-        if trajectory.case_id is Case.C:
-            yield from _leap_blocks(trajectory, dt, last)
-            return
-        _require(trajectory.case_id is Case.B, "case A is read by motion(time(s))", key="case")
-        for k0 in range(0, last + 1, SAMPLE_BLOCK):
-            heads = np.arange(k0, min(k0 + SAMPLE_BLOCK, last + 1) + 1)
-            t = _sample_times(trajectory, dt, last, heads[:-1])
-            yield heads, t, *self.motion(t), None
+        """Case C's runs that leaps [0, SAMPLE_BLOCK), [SAMPLE_BLOCK, 2 * SAMPLE_BLOCK),
+        ... head; no block is empty."""
+        _require(self.motion is None, "cases A and B are read by motion(time(s))", key="case")
+        return _leap_blocks(self.trajectory, self.dt, self.last)
+
+    @property
+    def wobble(self) -> float:
+        """The most by which a case-A or B position, from a piece's second sample on, lies
+        off a path whose x, squared radius and phi are monotone along the piece, relative to
+        its radius: 0 in case A, whose x never increases as rounded, and in case B
+        8 * 2**-53 * max(tan(launch), 1), as x = vx*t and y = vy*t - g*t*t/2 round."""
+        if self.trajectory.case_id is Case.A:
+            return 0.0
+        return 8 * 2.0**-53 * max(math.tan(math.radians(self.trajectory.params.launch_angle)), 1)
+
+    def pieces(self) -> Sequence[int]:
+        """The end of each piece of samples, the last ``len(self)``, in cases A and B, along
+        which the path of ``wobble`` is monotone.  Case A's is one piece.  Case B's r*r =
+        t*t * (vx*vx + (vy - g*t/2)**2) turns at g*t/2 = (3*vy -/+ sqrt(vy*vy - 8*vx*vx))/4
+        where tan(launch)**2 > 8; a piece ends at the first sample at or after each turn,
+        where r*r is flat.  A first x under 2**-500, where floats lose bits, gets pieces of
+        one sample."""
+        n, p = len(self), self.trajectory.params
+        if self.trajectory.case_id is Case.A:
+            return (n,)
+        if not self.motion(self.time(min(1, self.last)))[0] >= 2.0**-500:
+            return range(1, n + 1)
+        s = math.sin(math.radians(p.launch_angle))
+        turns = [p.speed * (3 * s + sign * math.sqrt(9 * s * s - 8)) / (2 * GRAVITY)
+                 for sign in (-1, 1) if 9 * s * s > 8]
+        return [math.ceil(min(t / self.dt, n)) for t in turns] + [n]
 
 
 def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
@@ -249,12 +268,11 @@ def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:
 
     Samples fall on t = 0, dt, 2*dt, ...; the final sample lands exactly on
     ``duration`` (appended when the regular grid misses it).  Positions are
-    ``position_at``'s, from the stream's ``motion``: case B's are computed in
-    numpy, a block at a time when ``blocks()`` reads them, and case A's one at a
-    time when a search reads ``motion(time(s))``; no angle is computed until a
-    scan asks ``exact`` for one.  The stream holds no array: case C draws its
-    leaps and settles their runs a block of leaps at a time too, so its memory
-    grows with neither the leaps nor the samples.  A position beyond float range
+    ``position_at``'s, from the stream's ``motion``: in cases A and B one at a time,
+    when a search reads ``motion(time(s))``; no angle is computed until detection
+    asks ``exact`` for one.  The stream holds no array: case C draws its leaps and
+    settles their runs a block of leaps at a time, so its memory grows with neither
+    the leaps nor the samples.  A position beyond float range
     is refused.  In cases A and B, |x| and t*t are largest at the endpoints, so
     the two endpoint samples decide it, here; in case C every run's first sample
     does, in the block that holds it.

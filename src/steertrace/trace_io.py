@@ -41,13 +41,14 @@ import json
 import os
 from dataclasses import fields
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, count
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
 from .errors import TraceParseError, TraceWriteError, ValidationError
 from .gateway import ReconfigEvent, TraceMeta, TrafficTrace, checked_events, format_number
+from .gateway import over_full
 from .geometry import Angles
 from .metrics import WorkloadReport
 from .scenario import is_finite_number, meta_from_dict, meta_to_dict
@@ -61,6 +62,9 @@ _UPDATES_KEY = b',"updates":'
 _JSON = json.JSONEncoder(separators=(",", ":"))  # json.dumps's text with these separators
 _EVENT_KEYS = ("t", "theta_r", "phi_r", "updates")
 _RBRACE, _ZERO = b"}0"
+# the longest head of an event line in the writer's spelling, and its "}\n": three floats
+# of at most 24 characters, as "-2.2250738585072014e-308" is
+_HEAD_BYTES = len(b'{"t":,"theta_r":,"phi_r":,"updates":}\n') + 3 * 24
 
 
 def default_created() -> str:
@@ -315,11 +319,37 @@ def iter_trace(source: BinaryIO) -> tuple[TraceMeta, Iterator[ReconfigEvent]]:
         meta = meta_from_dict(header["meta"])
     except ValidationError as exc:
         raise TraceParseError(f"bad header meta: {exc}", 1) from None
-    return meta, checked_events(meta, _events(lines))
+    return meta, checked_events(meta, _events(source, meta.surface))
 
 
-def _events(lines) -> Iterator[ReconfigEvent]:
-    for line_number, line in lines:
+def _long_line(source: BinaryIO, line: bytes, limit: int, surface, line_number: int) -> bytes:
+    """``line``, the first ``limit`` bytes of a longer line, and the rest of that line, read
+    ``limit`` bytes at a time; refused as soon as its pieces hold more "[" than a list of
+    one row a cell: more rows than cells, or "[" where a legal line has none."""
+    pieces, brackets = [], 0
+    while True:
+        pieces.append(line)
+        brackets += line.count(b"[")
+        if brackets > surface.n_cells + 1:
+            raise ValidationError(f"line {line_number}: {over_full(surface)}", "updates")
+        if len(line) < limit or line.endswith(b"\n"):
+            return b"".join(pieces)
+        line = source.readline(limit)
+
+
+def _events(source: BinaryIO, surface) -> Iterator[ReconfigEvent]:
+    """The events of the lines after the header, each line read at once up to the length
+    of the longest event line in the writer's spelling: a head and a row for every cell,
+    each row at most the grid's longest "[c,r,s],", and "[]"; a longer one by
+    ``_long_line``."""
+    token = len(f"[{surface.n_cols - 1},{surface.n_rows - 1},{surface.n_states - 1}],")
+    limit = _HEAD_BYTES + surface.n_cells * token + 2
+    for line_number in count(2):
+        line = source.readline(limit)
+        if len(line) == limit and not line.endswith(b"\n"):
+            line = _long_line(source, line, limit, surface, line_number)
+        if not line:
+            return
         split = _split_event(line)
         updates = split and _decode_updates(split[1])
         if updates is None:  # the json path; the writer's spelling has the keys

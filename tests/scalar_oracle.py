@@ -11,9 +11,9 @@ the sample's interval, from ``leap_schedule``, the schedule as a tuple of
 exactly, in times and in ``Angles``.  ``leap_runs`` and ``check_runs`` add the
 contract of the library's stream: one entry per run of samples at equal angles,
 which in case C is the run between two leaps.  ``entries``, ``positions`` and
-``whole`` join a stream's blocks of runs and of positions, or a case-A stream's x
-sample by sample, for inspection, and ``check_positions`` checks them against
-``position``.
+``whole`` join a case-C stream's blocks of runs and of positions, or read a case-A
+or B stream's positions sample by sample, for inspection, and ``check_positions``
+checks them against ``position``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from random import Random
 
 import numpy as np
 
-from steertrace import geometry
 from steertrace.errors import ValidationError
 from steertrace.gateway import ANGLE_EPS_DEG
 from steertrace.geometry import (
@@ -106,8 +105,8 @@ def leap_runs(trajectory: Trajectory, times: list[float]) -> list[int]:
 def entries(stream) -> list[tuple[int, int, float | None]]:
     """(first sample, sample after the last, leap) of the run of every entry of
     ``stream``: its blocks, none empty, joined, each block's runs ending where the
-    next block's begin; in case A, read along the walk, one sample each."""
-    if stream.trajectory.case_id is Case.A:
+    next block's begin; in cases A and B, read along the path, one sample each."""
+    if stream.trajectory.case_id is not Case.C:
         return [(s, s + 1, None) for s in range(len(stream))]
     runs: list = []
     for heads, t, x, _, leaps in stream.blocks():
@@ -135,12 +134,11 @@ def check_runs(stream, scalar: list[tuple[float, Angles]]) -> None:
 
 def positions(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, x, y) over every entry of ``stream``: its blocks, joined, a scalar y repeated;
-    in case A each sample's x as the walk's search reads it, and y 0.0."""
-    if stream.trajectory.case_id is Case.A:
-        x = np.array([stream.motion(stream.time(s))[0] for s in range(len(stream))])
-        t = np.arange(len(x)) * stream.dt
-        t[-1] = stream.trajectory.duration
-        return t, x, np.zeros_like(x)
+    in cases A and B each sample's position as the search reads it."""
+    if stream.trajectory.case_id is not Case.C:
+        t = np.array([stream.time(s) for s in range(len(stream))])
+        x, y = np.array([stream.motion(u) for u in t.tolist()]).T
+        return t, x, y
     blocks = [(t, x, np.broadcast_to(y, x.shape)) for _, t, x, y, _ in stream.blocks()]
     t, x, y = (np.concatenate(arrays) for arrays in zip(*blocks))
     return t, x, y
@@ -173,31 +171,27 @@ def whole(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class PairStream:
-    """Explicit (t, Angles) pairs in the shape the library's ``detect_events`` reads.
+    """Explicit (t, Angles) pairs in the shape the library's ``detect_events`` searches.
 
-    Each pair is a run of its own, and ``exact(s)`` returns pair s as given:
-    the pairs are taken as exact.  ``blocks()`` gives the pairs' runs and positions
-    at unit ``standoff``, y always an array, in blocks of ``SAMPLE_BLOCK`` pairs, as
-    the library's stream computes them.
+    Each pair is a run and a piece of its own, so the search reads no position (``time``
+    and ``motion`` are None) and decides every pair on ``exact(s)``, which returns pair
+    s as given: the pairs are taken as exact, and the search is a scan.
     """
 
-    standoff = 1.0
+    standoff, wobble = 1.0, 0.0
+    time = motion = None
 
     def __init__(self, pairs):
         self.pairs = list(pairs)
-        rows = [(t, a.theta, a.phi) for t, a in self.pairs]
-        self.t, theta, phi = np.array(rows, float).reshape(-1, 3).T
-        radius, phi = np.tan(np.radians(theta)), np.radians(phi)
-        self.x, self.y = radius * np.cos(phi), radius * np.sin(phi)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
 
     def exact(self, s: int, leap=None) -> tuple[float, Angles]:
         return self.pairs[s]
 
-    def blocks(self):
-        size = geometry.SAMPLE_BLOCK
-        for k0 in range(0, len(self.pairs), size):
-            k1 = min(k0 + size, len(self.pairs))
-            yield np.arange(k0, k1 + 1), self.t[k0:k1], self.x[k0:k1], self.y[k0:k1], None
+    def pieces(self) -> range:
+        return range(1, len(self.pairs) + 1)
 
 
 def detect_events(

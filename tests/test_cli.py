@@ -749,8 +749,8 @@ def run_limited(argv, limit, value):
 
 
 def test_fine_sampling_runs_under_a_400_mb_address_space(tmp_path, capsys):
-    # case B at 0.5 us is 8,649,626 samples, 66 MiB for each array over them; sampled a
-    # block at a time, the run fits in a child whose address space is capped at 400 MB
+    # case B at 0.5 us is 8,649,626 samples, 66 MiB for each array over them; searched,
+    # not sampled, the run fits in a child whose address space is capped at 400 MB
     argv = ["simulate", "--out", str(tmp_path / "t.jsonl"), "scenario.case=B",
             "gateway.sample_dt=5e-7"]
     done = run_capped(argv, 400)
@@ -776,3 +776,65 @@ def test_ten_million_leap_runs_fit_in_a_200_mb_address_space(tmp_path, capsys):
     assert run_cli(*argv) == 0
     assert done.stdout == capsys.readouterr().out
     assert out.read_bytes() == capped
+
+
+@pytest.mark.parametrize("row", [b"[1,1,1]", b"[1, 1, 1]"], ids=["numpy_path", "json_path"])
+def test_a_100_mb_line_of_too_many_rows_is_refused_in_a_200_mb_address_space(tmp_path, row):
+    # 12.5 or 10 million rows for the 2,500 cells of the default surface: read whole, the
+    # line alone would take twice its 100 MB; read 25 KB at a time, the longest event
+    # line in the writer's spelling, it is refused once its pieces hold 2,502 "["
+    trace = tmp_path / "t.jsonl"
+    assert run_cli("simulate", "--out", str(trace)) == 0
+    header = trace.read_bytes().split(b"\n")[0]
+    rows = b",".join([row] * 100_000) + b","
+    with trace.open("wb") as fh:
+        fh.write(header + b'\n{"t":0.0,"theta_r":1.0,"phi_r":0.0,"updates":[')
+        for _ in range(100_000_000 // len(rows)):
+            fh.write(rows)
+        fh.write(row + b"]}\n")
+    try:
+        done = run_capped(["metrics", "--trace", str(trace), "--report", str(tmp_path / "r")],
+                          200)
+    finally:
+        trace.unlink()
+    assert done.returncode == 2
+    assert done.stderr == "error: line 2: more updates than the 2500 cells of the 50x50 grid\n"
+
+
+def run_with_stdout(argv, stdout):
+    """``argv`` run by the CLI in a child whose stdout is ``stdout``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(steertrace.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "steertrace.cli", *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("option", ["--out", "--report", "--heatmap"])
+def test_an_output_on_the_file_stdout_writes_to_is_refused_before_it_is_opened(tmp_path,
+                                                                             option):
+    # the summary line goes to stdout after the output is written, so an output on the
+    # same file would have its start overwritten; the file is left as it was
+    trace, log = tmp_path / "t.jsonl", tmp_path / "stdout.txt"
+    assert run_cli("simulate", "--out", str(trace), "surface.n_cols=4", "surface.n_rows=4") == 0
+    for path in ("/dev/stdout", str(log)):
+        outputs = {"--report": str(tmp_path / "r"), "--heatmap": str(tmp_path / "h"),
+                   option: path}
+        argv = (["simulate", "--out", path, "surface.n_cols=4", "surface.n_rows=4"]
+                if option == "--out" else
+                ["metrics", "--trace", str(trace), *(x for kv in outputs.items() for x in kv)])
+        log.write_bytes(b"earlier output\n")
+        with log.open("r+b") as stdout:
+            done = run_with_stdout(argv, stdout)
+        assert done.returncode == 2
+        assert done.stderr == f"error: {option} {path!r} is the file that stdout writes to\n"
+        assert log.read_bytes() == b"earlier output\n"
+        assert not (tmp_path / "r").exists()
+
+
+def test_an_output_on_stdouts_pipe_or_dev_null_is_a_stream(tmp_path):
+    argv = ["simulate", "--out", "/dev/stdout", "surface.n_cols=4", "surface.n_rows=4"]
+    piped = run_with_stdout(argv, subprocess.PIPE)
+    assert piped.returncode == 0, piped.stderr
+    assert piped.stdout.startswith('{"format_version":1,')
+    assert piped.stdout.endswith(" trace=/dev/stdout\n")
+    with open(os.devnull, "wb") as devnull:
+        assert run_with_stdout(["simulate", "--out", os.devnull], devnull).returncode == 0

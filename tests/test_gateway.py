@@ -415,15 +415,11 @@ def test_picks_and_angles_do_not_depend_on_the_sample_block(size, monkeypatch):
         stream = angle_stream(traj, dt)
         runs = scalar_oracle.leap_runs(traj, [t for t, _ in scalar])
         heads = [scalar[k] for k in runs[:-1]]
-        if traj.case_id is Case.B:  # a case-C block has the runs of size leaps
-            blocks = list(stream.blocks())
-            assert [len(t) for _, t, _, _, _ in blocks[:-1]] == [size] * (len(blocks) - 1)
-            assert 0 < len(blocks[-1][1]) <= size
         scalar_oracle.check_positions(stream, [t for t, _ in heads])
         for step in steps:
             assert detect_events(stream, step) == scalar_oracle.detect_events(scalar, step)
     assert detect_events(PairStream(STAIRS), 1.0) == scalar_oracle.detect_events(STAIRS, 1.0)
-    # a time that does not increase, on the first entry of the second block, is refused
+    # a time that does not increase, at any pair, is refused
     repeated = list(STAIRS)
     repeated[size] = (STAIRS[size - 1][0], STAIRS[size][1])
     with pytest.raises(ValidationError) as err:
@@ -442,6 +438,24 @@ def test_case_a_detection_searches_the_walk_and_reads_no_block(monkeypatch):
     surface = SurfaceConfig(n_cols=8, n_rows=8)
     past_axis = Trajectory(Case.A, CaseParams(), 200.0)  # phi 0 -> 180 at 81.6 s
     for traj, dt, step in [(case_a_trajectory(), 0.01, 5.0), (past_axis, 0.05, 0.5)]:
+        meta = TraceMeta(surface, GatewayConfig(angular_step=step, sample_dt=dt), INC, traj)
+        want = scalar_oracle.detect_events(scalar_oracle.angle_stream(traj, dt), step)
+        assert [(ev.t, ev.reflected) for ev in iter_events(meta)] == want
+
+
+def test_case_b_detection_searches_the_flight_and_reads_no_block(monkeypatch):
+    # case B is searched one monotone piece of its flight at a time, as case A is along
+    # its walk: no block of positions or of times is computed.  A steep launch's squared
+    # radius peaks and troughs, so its flight has three pieces
+    def no_block(*args):
+        raise AssertionError("a case-B block was read")
+
+    monkeypatch.setattr(geometry.AngleStream, "blocks", no_block)
+    monkeypatch.setattr(geometry, "_sample_times", no_block)
+    surface = SurfaceConfig(n_cols=8, n_rows=8)
+    steep = case_b_trajectory(CaseParams(speed=30.0, launch_angle=80.0), duration=9.0)
+    assert len(angle_stream(steep, 0.01).pieces()) == 3
+    for traj, dt, step in [(case_b_trajectory(), 1e-3, 5.0), (steep, 0.01, 0.5)]:
         meta = TraceMeta(surface, GatewayConfig(angular_step=step, sample_dt=dt), INC, traj)
         want = scalar_oracle.detect_events(scalar_oracle.angle_stream(traj, dt), step)
         assert [(ev.t, ev.reflected) for ev in iter_events(meta)] == want

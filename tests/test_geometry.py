@@ -186,13 +186,13 @@ LANDING = case_b_trajectory().duration  # y is 1.4e-14 m there, and below 0 just
          "B_below", "C_runs", "C_leaps_outnumber_samples"],
 )
 def test_angle_blocks_have_the_bits_of_the_seed_formulas(trajectory, dt, end_phi):
-    # the blocks' positions, and case A's x at each sample, are the seed formulas', and
-    # give numpy's seed angles, which end on end_phi
+    # case C's blocks' positions, and case A's and B's at each sample, are the seed
+    # formulas', and give numpy's seed angles, which end on end_phi
     stream = angle_stream(trajectory, dt)
     heads = [head for head, _, _ in scalar_oracle.entries(stream)]
     times = [trajectory.duration if s == stream.last else s * dt for s in heads]
     scalar_oracle.check_positions(stream, times)
-    if trajectory.case_id is not Case.A:
+    if trajectory.case_id is Case.C:
         assert all(v.dtype == np.float64 for block in stream.blocks() for v in block[1:3])
     assert scalar_oracle.whole(stream)[2][-1] == end_phi
 
@@ -202,9 +202,10 @@ def test_case_a_is_read_by_its_motion_and_only_case_c_has_none():
     assert len(stream) == 165 and stream.time(163) == 81.5
     assert stream.time(164) == stream.trajectory.duration == 81.64323073400963
     assert stream.motion(stream.time(164)) == (0.0, 0.0)
-    with pytest.raises(ValidationError) as err:
-        next(stream.blocks())
-    assert err.value.key == "case"
+    for stream in (stream, angle_stream(case_b_trajectory(), 0.5)):  # no blocks in A or B
+        with pytest.raises(ValidationError) as err:
+            next(stream.blocks())
+        assert err.value.key == "case"
     assert angle_stream(case_b_trajectory(), 0.5).motion is not None
     assert angle_stream(case_c_trajectory(), 0.5).motion is None
 

@@ -7,7 +7,6 @@ import math
 import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -45,8 +44,7 @@ from steertrace.cli import main
 from steertrace.coding import MAX_CELLS, MAX_PHASE_STEPS, MAX_STATES, TWO_PI, _nearest_state
 from steertrace.coding import state_blocks
 from steertrace.gateway import ANGLE_EPS_DEG, BAND, NORMAL_INCIDENCE, detect_events, diff_states
-from steertrace.gateway import _checked_blocks, _near_bounds, _next_near_crossing
-from steertrace.gateway import _next_near_sample
+from steertrace.gateway import _far, _near_bounds, _next_near_crossing, _next_near_sample
 from steertrace.gateway import checked_events, format_number, outside_surface
 from steertrace.geometry import RAD_TO_DEG, SAMPLE_BLOCK, angle_stream, signed_circular_delta_deg
 from steertrace.geometry import Point3D, angles_from_position, position_at
@@ -815,7 +813,80 @@ def walk_searches(draw):
 def test_the_walk_search_finds_the_first_sample_a_scan_finds(search):
     xs, i, lo, hi = search
     want = next((j for j in range(i, len(xs)) if xs[j] >= hi or xs[j] <= lo), len(xs))
-    assert _next_near_sample(xs.__getitem__, len(xs), i, lo, hi) == want
+    assert _next_near_sample(lambda k: lo < xs[k] < hi, len(xs), i) == want
+
+
+def _turns(params: CaseParams) -> list[float]:
+    """The times at which a case-B flight's squared radius peaks and troughs, if it does."""
+    s = math.sin(math.radians(params.launch_angle))
+    root = math.sqrt(max(9 * s * s - 8, 0.0))
+    return [params.speed * (3 * s + sign * root) / (2 * geometry.GRAVITY) for sign in (-1, 1)]
+
+
+@st.composite
+def flights(draw):
+    """A case-B flight of at most 2,000 samples and a step.  The launch is shallow, steep
+    (past tan**2 = 8, about 70.53 deg) or so steep that positions wobble past 1e-10 of
+    their radius, about 89.9994 deg, and the search widens its band.  The
+    flight is cut short, lands, or runs past its landing; samples fall on a regular grid,
+    one with a sample on a turn of the squared radius, or at a tiny period."""
+    launch = draw(st.floats(1.0, 70.5) | st.floats(70.53, 89.9)
+                  | st.sampled_from([70.528779, 70.5287794, 70.53, 89.9994, 89.99999]))
+    params = CaseParams(standoff_distance=draw(st.floats(0.5, 50.0)),
+                        speed=draw(st.floats(0.1, 300.0)), launch_angle=launch)
+    landing = case_b_trajectory(params).duration
+    trajectory = case_b_trajectory(params, landing * draw(st.floats(1e-6, 3.0)))
+    duration, samples = trajectory.duration, draw(st.integers(1, 1000))
+    kind = draw(st.sampled_from(["grid", "turn", "tiny"]))
+    if kind == "turn":  # a sample on a turn, or an ulp off it
+        turn = draw(st.sampled_from(_turns(params)))
+        samples = max(1, min(samples, int(1000 * turn / duration)))  # 2,000 samples at most
+        dt = _ulp_neighbours(turn / samples, draw(st.integers(-1, 1)))
+    elif kind == "tiny":
+        trajectory = case_b_trajectory(params, duration * 1e-6)
+        dt = trajectory.duration / samples
+    else:
+        dt = duration / (samples + draw(st.sampled_from([0.0, 0.5, 1e-3])))
+    step = draw(st.sampled_from([5.0, 1.0, 0.1, 0.01, 1e-12]) | st.floats(1e-3, 20.0))
+    return trajectory, dt, step
+
+
+def _wobble(v: np.ndarray) -> float:
+    """How far ``v`` falls back from its running extreme, the less of its two ways."""
+    if len(v) < 2:
+        return 0.0
+    rise = (np.maximum.accumulate(v) - v).max()
+    return min(rise, (v - np.minimum.accumulate(v)).max())
+
+
+@settings(max_examples=300, deadline=None)
+@given(flights())
+@example((case_b_trajectory(), 1e-3, 5.0))
+@example((case_b_trajectory(CaseParams(speed=30.0, launch_angle=80.0)), 1e-3, 0.5))
+# a turn of r*r on a sample, and a step that fires at every sample
+@example((case_b_trajectory(CaseParams(speed=30.0, launch_angle=80.0)),
+          _turns(CaseParams(speed=30.0, launch_angle=80.0))[0] / 100, 1e-12))
+# positions among the floats that lose bits, each sample a piece of its own
+@example((case_b_trajectory(CaseParams(standoff_distance=1e-310, speed=1e-155)), 1e-158, 1.0))
+def test_the_flight_search_picks_what_a_scan_of_every_sample_picks(scenario):
+    # the search reads a few positions a pick and passes over the rest; along each
+    # piece the squared radius and phi wobble by no more than the stream says, and the
+    # picks are the scalar scan's, and the library's own scan's, with every sample a piece
+    trajectory, dt, step = scenario
+    stream = angle_stream(trajectory, dt)
+    _, x, y = scalar_oracle.positions(stream)
+    r2, phi = x * x + y * y, np.arctan2(y, x)
+    ends = list(stream.pieces())
+    assert ends[-1] == len(stream) and ends == sorted(ends)
+    for start, end in zip([0, *ends], ends):
+        piece = slice(start + 1, end)  # the first sample of a piece is an entry
+        # and x*x + y*y and arctan2 round within a few ulps of their own
+        assert _wobble(r2[piece]) <= (4 * stream.wobble + 2**-50) * r2[piece].max(initial=0.0)
+        assert _wobble(phi[piece]) <= 2 * stream.wobble + 2**-50
+    want = scalar_oracle.detect_events(scalar_oracle.angle_stream(trajectory, dt), step)
+    assert detect_events(stream, step) == want
+    with mock.patch.object(geometry.AngleStream, "pieces", lambda self: range(1, len(self) + 1)):
+        assert detect_events(stream, step) == want
 
 
 @st.composite
@@ -911,20 +982,20 @@ def drifts(draw):
 # a drift a few ulps past a threshold of 1e-7 deg, which only BAND's margin flags
 @example((1.0, 1.0099999999999999e-07, 1.0, 236.0, [-0.009760749388497], [-0.014470906121300245]))
 def test_the_radius_bounds_flag_every_entry_whose_drift_reaches_the_step(drift):
-    """The search stops at every position whose scalar drift from the references
-    reaches ``step - ANGLE_EPS_DEG``, the test that decides a pick."""
+    """The searches stop at every position whose scalar drift from the references
+    reaches ``step - ANGLE_EPS_DEG``, the test that decides a pick: ``_far`` of case A's
+    and B's search calls it near, and so does case C's scan of a block."""
     standoff, step, theta_ref, phi_ref, xs, ys = drift
-    x = np.array(xs, float)
-    y = 0.0 if ys is None else np.array(ys, float)
-    t = np.arange(len(x), dtype=float)
-    block = SimpleNamespace(blocks=lambda: iter([(np.arange(len(x) + 1), t, x, y, None)]))
-    _, v, phi, _ = next(_checked_blocks(block))
+    positions = [(x, 0.0) for x in xs] if ys is None else list(zip(xs, ys))
     bounds = _near_bounds(theta_ref, phi_ref, step, standoff, ys is None)
-    for j, x_j in enumerate(xs):
-        ang = angles_from_position(Point3D(x_j, 0.0 if ys is None else ys[j], standoff))
+    far = _far(positions.__getitem__, lambda k: k, bounds)
+    for j, (x_j, y_j) in enumerate(positions):
+        ang = angles_from_position(Point3D(x_j, y_j, standoff))
         d_phi = signed_circular_delta_deg(ang.phi, phi_ref)
         if max(abs(ang.theta - theta_ref), abs(d_phi)) >= step - ANGLE_EPS_DEG:
-            assert _next_near_crossing(v, phi, j, bounds, 1) == j
+            assert not far(j)
+            if ys is None:  # and case C's scan of a block's x
+                assert _next_near_crossing(np.array(xs, float), j, bounds, 1) == j
 
 
 def float_arrays(elements):
@@ -1312,6 +1383,36 @@ def test_a_compact_diff_gives_the_rows_of_the_cells_that_change(drawn):
     got = diff_states(old, new, shape)
     assert got.dtype == np.int64 and got.flags.c_contiguous and got.shape[1:] == (3,)
     assert np.array_equal(got, argwhere_diff(old, new, shape))
+
+
+def nonzero_diff(old, new, shape):
+    """The rows of a full diff as ``diff_states`` built them with ``np.nonzero``, a
+    boolean gather and ``np.column_stack``, over both matrices broadcast to ``shape``."""
+    old, new = np.broadcast_to(old, shape), np.broadcast_to(new, shape)
+    changed = old != new
+    rows, cols = np.nonzero(changed)
+    return np.column_stack((cols, rows, new[changed]))
+
+
+GRID = np.arange(12, dtype=np.int64).reshape(3, 4) % 3
+
+
+@settings(max_examples=300)
+@given(compact_pairs())
+@example((GRID, GRID.copy(), (3, 4)))  # no change
+@example((GRID, np.arange(4, dtype=np.int64).reshape(1, 4), (3, 4)))  # compact new, full old
+@example((GRID[:1], GRID[1:2] + 1, (1, 4)))  # a 1xn grid
+@example((GRID[:, :1], GRID[:, 1:2], (3, 1)))  # an nx1 grid
+def test_a_diff_gives_the_rows_of_nonzero_and_column_stack(drawn):
+    # the full path writes rows, cols and states straight into one array; every pair of
+    # full or compact matrices gives the rows, dtype and order of the reference
+    old, new, shape = drawn
+    want = nonzero_diff(old, new, shape)
+    for got in [diff_states(old, new, shape)] + (
+        [diff_states(old, new)] if old.shape == new.shape == shape else []
+    ):
+        assert got.dtype == want.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 OUT_OF_RANGE = (-1, -(2**63), -(2**63 - 1), 2**63 - 1)

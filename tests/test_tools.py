@@ -86,3 +86,24 @@ def test_bench_matrix_takes_the_probes_peak_rss_before_it_loads_hashlib(tmp_path
     bench_matrix = load_bench_matrix()
     _, _, (first, _) = bench_matrix.run(tmp_path, ["sweep"], {}, dict(os.environ))
     assert first == (0, ("stdout", bench_matrix.sha256("False\n")))
+
+
+def test_bench_matrix_counts_the_warm_calls_page_faults_apart(tmp_path):
+    # a stand-in package whose main touches 4,096 fresh pages, on its second call only
+    package = tmp_path / "src" / "steertrace"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "gateway.py").write_text("def detect_events(*args):\n    pass\n")
+    (package / "cli.py").write_text(
+        "import itertools, mmap\ncalls = itertools.count()\n"
+        "def main(argv):\n"
+        "    if next(calls):\n"
+        "        pages = mmap.mmap(-1, 4096 * mmap.PAGESIZE)\n"
+        "        pages.madvise(mmap.MADV_NOHUGEPAGE)  # a fault a page\n"
+        "        for k in range(0, len(pages), mmap.PAGESIZE):\n"
+        "            pages[k] = 1\n"
+        "    return 0\n"
+    )
+    bench_matrix = load_bench_matrix()
+    probe, _, _ = bench_matrix.run(tmp_path, ["sweep"], {}, dict(os.environ))
+    assert probe["minflt"] < 1024 <= 4096 <= probe["warm_minflt"]

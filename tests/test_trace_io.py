@@ -300,6 +300,10 @@ REFUSED = {  # events (t, rows) on HEADER's 50x50 surface of 4 states over 81 s
         [(1.0, []), (2.0, [[0, 0, 1], [50, 0, 1]])],
         "updates", "line 3: update [50, 0, 1] outside the 50x50 grid or the states [0, 4)",
     ),
+    "more rows than cells, before the time": (
+        [(1.0, []), (90.0, [[1, 1, 1]] * 2501)],
+        "updates", "line 3: more updates than the 2500 cells of the 50x50 grid",
+    ),
 }
 
 
@@ -328,6 +332,27 @@ def test_writer_reader_and_metrics_refuse_a_bad_event_in_the_same_words(events, 
             refuse()
         assert (str(err.value), err.value.key) == (message, key), name
     assert written.getvalue().count(b"\n") == 2  # the header and line 2, not line 3
+
+
+def test_a_long_line_is_refused_for_its_rows_before_it_is_read_whole():
+    # HEADER's longest event line in the writer's spelling is 25,112 bytes: a head and
+    # 2,500 rows of "[49,49,3],".  A longer line is read that much at a time, and refused
+    # once its pieces hold more "[" than 2,500 rows do, whatever else is wrong with it
+    def line(t, rows):
+        return f'{{"t":{t},"theta_r":80.0,"phi_r":0.0,"updates":[{rows}]}}'
+
+    spaced = ", ".join(["[1, 1, 1]"] * 2501)  # 27,509 bytes: the json path
+    with pytest.raises(ValidationError) as err:
+        read_trace(write_lines(HEADER, line(-1.0, spaced)))
+    assert (str(err.value), err.value.key) == (
+        "line 2: more updates than the 2500 cells of the 50x50 grid", "updates")
+    # a long line of 2,500 rows at most is read whole, and keeps its outcome and message
+    with pytest.raises(TraceParseError) as err:
+        read_trace(write_lines(HEADER, EVENT, line(2.0, "[1, 2," + " " * 30_000 + "1e99]")))
+    assert str(err.value) == "line 3: update [1, 2, 1e+99] is not 3 integers"
+    every_cell = ", ".join(f"[{c}, {r}, 3]" for r in range(50) for c in range(50))
+    trace = read_trace(write_lines(HEADER, line(2.0, every_cell)))
+    assert len(every_cell) > 25_112 and len(trace.events[0].updates) == 2500
 
 
 def test_read_event_updates_are_read_only():

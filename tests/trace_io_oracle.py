@@ -5,8 +5,9 @@ before each distinct value was formatted once: ``format_number`` on every
 entry.  ``cell_fault`` is the cell part of ``gateway.checked_events`` as it
 stood before row-major order skipped the sort and before the reader checked
 one event at a time: it sorts every event's cell keys, over a run of events
-at once.  The library must give the same bytes, and the same first faulty
-event and message.
+at once.  It refuses first an event of more updates than cells, as the library
+does before reading such an event's long line whole.  The library must give the
+same bytes, and the same first faulty event and message.
 ``outside_surface`` is the bounds test as it stood before it took each column's
 maximum first: one broadcast compare of every value against its limit, which
 also gives the first faulty row; the library's must give the same message.
@@ -27,7 +28,7 @@ from typing import BinaryIO
 import numpy as np
 
 from steertrace.errors import TraceParseError, ValidationError
-from steertrace.gateway import ReconfigEvent, TrafficTrace
+from steertrace.gateway import ReconfigEvent, TrafficTrace, over_full
 from steertrace.geometry import Angles
 from steertrace.scenario import is_finite_number, meta_from_dict
 from steertrace.trace_io import (
@@ -56,6 +57,12 @@ def export_heatmap_csv(matrix: np.ndarray, dest: BinaryIO):
 
 
 def cell_fault(rows: np.ndarray, bounds, surface) -> tuple[int, str]:
+    k, fault = _cell_fault(rows, bounds, surface)
+    over = np.flatnonzero(np.diff(bounds) > surface.n_cells)  # refused before anything else
+    return (int(over[0]), over_full(surface)) if over.size and over[0] <= k else (k, fault)
+
+
+def _cell_fault(rows: np.ndarray, bounds, surface) -> tuple[int, str]:
     limits = (surface.n_cols, surface.n_rows, surface.n_states)
     inside = ((rows >= 0) & (rows < limits)).all(axis=1)
     outside = len(rows) if inside.all() else int(inside.argmin())

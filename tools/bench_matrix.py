@@ -128,7 +128,8 @@ ROWS = {
 # Runs one command and prints, as its last stdout line, the cli.main call's time and
 # page faults, the time spent in gateway.detect_events, the process's peak RSS and the
 # digests of the output files named in BENCH_FILES; then the same command again in the
-# same process, timed as warm_main_s, after a WARM line that splits the two calls' stdout.
+# same process, its time and page faults as warm_main_s and warm_minflt, after a WARM
+# line that splits the two calls' stdout.
 WARM = "--- warm call ---\n"
 CHILD = f"""\
 import json, os, resource, sys, time
@@ -155,9 +156,11 @@ after = resource.getrusage(resource.RUSAGE_SELF)
 probe = {{"rc": rc, "main_s": elapsed, "maxrss_kb": after.ru_maxrss,
          "minflt": after.ru_minflt - before.ru_minflt, "detect_s": detect_s, "sha": digests()}}
 print({WARM!r}, end="", flush=True)
+before = resource.getrusage(resource.RUSAGE_SELF)
 start = time.perf_counter()
 probe["warm_rc"] = main(sys.argv[1:])
 probe["warm_main_s"] = time.perf_counter() - start
+probe["warm_minflt"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before.ru_minflt
 print(json.dumps(probe))
 """
 
@@ -180,12 +183,15 @@ METHOD = (
     "imports and both calls included. main_s: the first cli.main call. warm_main_s: the "
     "warm call, which pays no import or first-use cost, so it shows a per-call cost "
     "that main_s buries. peak_rss_mb: getrusage ru_maxrss of that process after the "
-    "first call. minflt: getrusage ru_minflt during the first call. change_lower and "
+    "first call. minflt: getrusage ru_minflt during the first call. warm_minflt: the same "
+    "during the warm call; an in-process time moves with the page faults that the heap "
+    "left by earlier calls costs, so this shows how much of a warm_main_s change is "
+    "faults. change_lower and "
     "warm_lower: rounds in which the change's first or warm call was faster. rss_lower: "
     "rounds in which the change's peak_rss_mb was lower. detect_s (simulate only): the "
     "time inside gateway.detect_events during the first call, the drift-detection layer, "
-    "which in case B also computes the sample blocks as it reads them, and in case A the "
-    "x of each sample its search reads."
+    "which also computes the positions it reads: each sample's that a case-A or B search "
+    "reads, and case C's blocks."
 )
 
 
@@ -264,7 +270,7 @@ def bench(parent: Path, change: Path, rounds: int, work: Path, names: list[str])
                     outputs[command].update(calls)
                     samples[command][side].append({
                         "command_s": command_s, "main_s": probe["main_s"],
-                        "warm_main_s": probe["warm_main_s"],
+                        "warm_main_s": probe["warm_main_s"], "warm_minflt": probe["warm_minflt"],
                         "peak_rss_mb": probe["maxrss_kb"] / 1024, "minflt": probe["minflt"],
                         **({"detect_s": probe["detect_s"]} if command == "simulate" else {}),
                     })
