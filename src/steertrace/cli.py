@@ -18,7 +18,6 @@ import json
 import os
 import stat
 import sys
-from dataclasses import replace
 from typing import BinaryIO, Iterator
 
 from .errors import TraceParseError, ValidationError
@@ -109,8 +108,8 @@ def cmd_simulate(args) -> int:
     created = default_created()  # a bad SOURCE_DATE_EPOCH stops the run before any output
     meta, out_path = load_scenario(args)
     if args.seed is not None:
-        params = replace(meta.trajectory.params, rng_seed=args.seed)
-        meta = replace(meta, trajectory=replace(meta.trajectory, params=params))
+        params = meta.trajectory.params.replace(rng_seed=args.seed)
+        meta = meta.replace(trajectory=meta.trajectory.replace(params=params))
     if args.out is not None:
         out_path = args.out
     _refuse_stdout([("--out" if args.out is not None else "outputs.trace", out_path)])

@@ -14,13 +14,12 @@ state k stands for the phase 2*pi*k/n_states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Angles
+from .geometry import Angles, Record, _require
 
 TWO_PI = 2.0 * math.pi
 MAX_CELLS = 10**6  # n_cols * n_rows, checked before any matrix is allocated
@@ -29,31 +28,23 @@ MAX_PHASE_STEPS = 2**52  # |phase| / (2*pi/n_states) of any cell; see _nearest_s
 BLOCK_CELLS = 2**14  # cells coded at once by state_blocks, unless one direction alone has more
 
 
-@dataclass(frozen=True)
-class SurfaceConfig:
-    """Grid dimensions, cell pitch, state count, and working wavelengths."""
+class SurfaceConfig(Record):
+    """Grid dimensions, cell pitch ``d_u`` (m, by default a quarter wavelength at 10 GHz),
+    state count, and the incident and reflected wavelengths (m)."""
 
-    n_cols: int = 50
-    n_rows: int = 50
-    d_u: float = 0.0075  # m, unit-cell side (quarter wavelength at 10 GHz)
-    n_states: int = 4
-    lambda_i: float = 0.03  # m, incident wavelength
-    lambda_r: float = 0.03  # m, reflected wavelength
+    __slots__ = ("n_cols", "n_rows", "d_u", "n_states", "lambda_i", "lambda_r")
 
-    def __post_init__(self):
-        checks = (
-            (self.n_cols >= 1, "n_cols must be >= 1", "n_cols"),
-            (self.n_rows >= 1, "n_rows must be >= 1", "n_rows"),
-            (self.d_u > 0, "d_u must be > 0", "d_u"),
-            (self.n_cells <= MAX_CELLS, f"n_cols * n_rows must be <= {MAX_CELLS}", "n_cols"),
-            (self.n_states >= 2, "n_states must be >= 2", "n_states"),
-            (self.n_states <= MAX_STATES, f"n_states must be <= {MAX_STATES}", "n_states"),
-            (self.lambda_i > 0, "lambda_i must be > 0", "lambda_i"),
-            (self.lambda_r > 0, "lambda_r must be > 0", "lambda_r"),
-        )
-        for ok, message, key in checks:
-            if not ok:
-                raise ValidationError(message, key=key)
+    def __init__(self, n_cols: int = 50, n_rows: int = 50, d_u: float = 0.0075,
+                 n_states: int = 4, lambda_i: float = 0.03, lambda_r: float = 0.03):
+        self._fill(n_cols, n_rows, d_u, n_states, lambda_i, lambda_r)
+        _require(n_cols >= 1, "n_cols must be >= 1", "n_cols")
+        _require(n_rows >= 1, "n_rows must be >= 1", "n_rows")
+        _require(d_u > 0, "d_u must be > 0", "d_u")
+        _require(self.n_cells <= MAX_CELLS, f"n_cols * n_rows must be <= {MAX_CELLS}", "n_cols")
+        _require(n_states >= 2, "n_states must be >= 2", "n_states")
+        _require(n_states <= MAX_STATES, f"n_states must be <= {MAX_STATES}", "n_states")
+        _require(lambda_i > 0, "lambda_i must be > 0", "lambda_i")
+        _require(lambda_r > 0, "lambda_r must be > 0", "lambda_r")
         # A bound on |_raw_phase| / step, the quantizer's ratio, in the same order of
         # operations.  It counts n_cols + n_rows cells where the indices reach only
         # n_cols - 1 and n_rows - 1: a margin far above the roundings of any cell's

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -18,8 +17,8 @@ import numpy as np
 from .coding import SurfaceConfig, gradient_blocks, gradients
 from .errors import ValidationError
 from .geometry import (
-    MAX_STEPS, RAD_TO_DEG, Angles, AngleStream, Case, Trajectory, angle_stream,
-    signed_circular_delta_deg
+    MAX_STEPS, RAD_TO_DEG, Angles, AngleStream, Case, Record, Trajectory, _require, _set,
+    angle_stream, signed_circular_delta_deg
 )
 
 # Absorbs float round-off when a sample lands exactly on a threshold.
@@ -41,38 +40,38 @@ def format_number(value: float) -> str:
     return s[:-2] if s.endswith(".0") else s
 
 
-@dataclass(frozen=True)
-class GatewayConfig:
-    angular_step: float = 5.0  # degrees of drift that trigger a reconfiguration
-    sample_dt: float = 1e-3  # s, angle sampling period
+class GatewayConfig(Record):
+    """The drift (degrees) that triggers a reconfiguration, and the sampling period (s)."""
 
-    def __post_init__(self):
-        if not self.angular_step > 0:
-            raise ValidationError("angular_step must be > 0", key="angular_step")
-        if not self.sample_dt > 0:
-            raise ValidationError("sample_dt must be > 0", key="sample_dt")
+    __slots__ = ("angular_step", "sample_dt")
+
+    def __init__(self, angular_step: float = 5.0, sample_dt: float = 1e-3):
+        _require(angular_step > 0, "angular_step must be > 0", "angular_step")
+        _require(sample_dt > 0, "sample_dt must be > 0", "sample_dt")
+        self._fill(angular_step, sample_dt)
 
 
-@dataclass(frozen=True)
-class ReconfigEvent:
-    """One gateway burst: trigger time, target direction, a (col, row, new state) row per packet."""
+class ReconfigEvent(Record):
+    """One gateway burst: trigger time, target direction, a (col, row, new state) row per packet.
 
-    t: float
-    reflected: Angles
-    # (n, 3) int64, read-only; built from integers only, never cast; a copy of the given
-    # array unless that is already a read-only int64 (n, 3) array
-    updates: np.ndarray
+    ``updates`` is (n, 3) int64, read-only; built from integers only, never cast; a copy
+    of the given array unless that is already a read-only int64 (n, 3) array.
+    """
 
-    def __post_init__(self):
-        for key, v in (("t", self.t), ("theta", self.reflected.theta), ("phi", self.reflected.phi)):
+    __slots__ = ("t", "reflected", "updates")
+
+    def __init__(self, t: float, reflected: Angles, updates: np.ndarray):
+        for key, v in (("t", t), ("theta", reflected.theta), ("phi", reflected.phi)):
             if not math.isfinite(v):
                 raise ValidationError(f"{key}={v!r} must be finite", key)
-        u = self.updates
-        read_only = type(u) is np.ndarray and not u.flags.writeable
-        if read_only and u.dtype == np.int64 and u.shape[1:] == (3,):
+        _set(self, "t", t)
+        _set(self, "reflected", reflected)
+        _set(self, "updates", updates)
+        read_only = type(updates) is np.ndarray and not updates.flags.writeable
+        if read_only and updates.dtype == np.int64 and updates.shape[1:] == (3,):
             return  # read-only rows, as the gateway and the reader build them: no copy
         try:
-            u = np.asarray(u)
+            u = np.asarray(updates)
             if u.shape == (0,):  # an empty sequence
                 u = u.astype(np.int64).reshape(0, 3)
             if not (u.dtype.kind in "iu" and np.can_cast(u.dtype, np.int64) and u.shape[1:] == (3,)):
@@ -81,7 +80,7 @@ class ReconfigEvent:
             raise ValidationError(f"updates must be (n, 3) integers: {exc}", "updates") from None
         u = u.astype(np.int64)  # a copy, so that the caller cannot write the event's rows
         u.flags.writeable = False
-        object.__setattr__(self, "updates", u)
+        _set(self, "updates", u)
 
     def __eq__(self, other):
         if not isinstance(other, ReconfigEvent):
@@ -124,29 +123,28 @@ def event_time_fault(t: float, last: float, duration: float) -> str:
     return ""
 
 
-@dataclass(frozen=True)
-class TraceMeta:
+class TraceMeta(Record):
     """Everything needed to re-run the scenario that produced a trace."""
 
-    surface: SurfaceConfig
-    gateway: GatewayConfig
-    incident: Angles
-    trajectory: Trajectory
+    __slots__ = ("surface", "gateway", "incident", "trajectory")
 
-    def __post_init__(self):
-        if not 0.0 <= self.incident.theta < 90.0:
-            raise ValidationError(f"theta={self.incident.theta!r} must lie in [0, 90)", "theta")
-        duration = self.trajectory.duration
-        if duration / self.gateway.sample_dt > MAX_STEPS:
+    def __init__(self, surface: SurfaceConfig, gateway: GatewayConfig, incident: Angles,
+                 trajectory: Trajectory):
+        if not 0.0 <= incident.theta < 90.0:
+            raise ValidationError(f"theta={incident.theta!r} must lie in [0, 90)", "theta")
+        duration = trajectory.duration
+        if duration / gateway.sample_dt > MAX_STEPS:
             # the duration is behind the count if the default period gives as many samples
-            key = "duration" if duration / GatewayConfig.sample_dt > MAX_STEPS else "sample_dt"
+            key = "duration" if duration / GatewayConfig().sample_dt > MAX_STEPS else "sample_dt"
             raise ValidationError(f"{key} gives over {MAX_STEPS} samples", key=key)
+        self._fill(surface, gateway, incident, trajectory)
 
 
-@dataclass(frozen=True)
-class TrafficTrace:
-    meta: TraceMeta
-    events: tuple[ReconfigEvent, ...]
+class TrafficTrace(Record):
+    __slots__ = ("meta", "events")
+
+    def __init__(self, meta: TraceMeta, events: tuple[ReconfigEvent, ...]):
+        self._fill(meta, events)
 
     @property
     def total_packets(self) -> int:

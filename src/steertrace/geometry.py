@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import Callable, Iterator, Sequence
@@ -53,70 +52,107 @@ def _require(condition: bool, message: str, key: str | None = None):
         raise ValidationError(message, key=key)
 
 
-@dataclass(frozen=True, slots=True)
-class Point3D:
+_set = object.__setattr__  # sets a record's field past its __setattr__
+
+
+class Record:
+    """Base of the package's records: immutable values whose fields are the class's
+    ``__slots__``, in order, each set once by ``__init__``.  Records of one class with
+    equal fields are equal and hash alike; ``repr`` shows each field, and a pickle holds
+    the fields, rebuilt through ``__init__``.  ``replace(**changes)`` is a changed copy,
+    checked as a new record is."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def _fill(self, *values):
+        """Set the fields, in ``__slots__`` order; a record's ``__init__`` does, once its
+        checks pass, unless it is built too often for a loop, as ``Angles`` and
+        ``ReconfigEvent`` are."""
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def replace(self, **changes):
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+
+    def __setattr__(self, name, value=None):  # and, with no value, __delattr__
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Point3D(Record):
     """Position in meters; z > 0 is in front of the surface."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            for name in ("x", "y", "z"):
-                _require(math.isfinite(getattr(self, name)), f"{name} must be finite", key=name)
+    def __init__(self, x: float, y: float, z: float):
+        for name, value in (("x", x), ("y", y), ("z", z)):
+            _require(math.isfinite(value), f"{name} must be finite", key=name)
+        self._fill(x, y, z)
 
 
-@dataclass(frozen=True, slots=True)
-class Angles:
+class Angles(Record):
     """A (theta, phi) direction pair in degrees."""
 
-    theta: float
-    phi: float
+    __slots__ = ("theta", "phi")
+
+    def __init__(self, theta: float, phi: float):
+        _set(self, "theta", theta)
+        _set(self, "phi", phi)
 
 
-@dataclass(frozen=True)
-class CaseParams:
+class CaseParams(Record):
     """Scenario knobs shared by the three mobility cases.
 
-    ``standoff_distance`` is the z-offset of the motion line or plane,
-    ``start_theta`` the initial polar angle (cases A and C), ``launch_angle``
-    the elevation of the case-B launch, and ``leap_interval``/``rng_seed``
-    drive the case-C leap schedule.
+    ``standoff_distance`` (m) is the z-offset of the motion line or plane,
+    ``start_theta`` (degrees) the initial polar angle (cases A and C),
+    ``launch_angle`` (degrees) the elevation of the case-B launch, and
+    ``leap_interval`` (s) and ``rng_seed`` drive the case-C leap schedule.  The
+    default ``speed``, 1.4 m/s, is an average walking speed; case B's is 30.
     """
 
-    standoff_distance: float = 10.0  # m
-    speed: float = 1.4  # m/s (average walking speed; case B typically uses 30)
-    start_theta: float = 85.0  # degrees
-    launch_angle: float = 45.0  # degrees
-    leap_interval: float = 2.0  # s
-    rng_seed: int = 1
+    __slots__ = (
+        "standoff_distance", "speed", "start_theta", "launch_angle", "leap_interval", "rng_seed"
+    )
 
-    def __post_init__(self):
-        _require(self.standoff_distance > 0, "standoff_distance must be > 0", "standoff_distance")
-        _require(self.speed > 0, "speed must be > 0", "speed")
-        _require(0 < self.start_theta < 90, "start_theta must lie in (0, 90)", "start_theta")
-        _require(0 < self.launch_angle < 90, "launch_angle must lie in (0, 90)", "launch_angle")
-        _require(self.leap_interval > 0, "leap_interval must be > 0", "leap_interval")
+    def __init__(self, standoff_distance: float = 10.0, speed: float = 1.4,
+                 start_theta: float = 85.0, launch_angle: float = 45.0,
+                 leap_interval: float = 2.0, rng_seed: int = 1):
+        _require(standoff_distance > 0, "standoff_distance must be > 0", "standoff_distance")
+        _require(speed > 0, "speed must be > 0", "speed")
+        _require(0 < start_theta < 90, "start_theta must lie in (0, 90)", "start_theta")
+        _require(0 < launch_angle < 90, "launch_angle must lie in (0, 90)", "launch_angle")
+        _require(leap_interval > 0, "leap_interval must be > 0", "leap_interval")
+        self._fill(standoff_distance, speed, start_theta, launch_angle, leap_interval, rng_seed)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    case_id: Case
-    params: CaseParams
-    duration: float  # s
+class Trajectory(Record):
+    __slots__ = ("case_id", "params", "duration")
 
-    def __post_init__(self):
-        _require(
-            math.isfinite(self.duration) and self.duration > 0,
-            "duration must be > 0",
-            "duration",
-        )
-        if self.case_id is Case.C and self.duration / self.params.leap_interval > MAX_STEPS:
+    def __init__(self, case_id: Case, params: CaseParams, duration: float):  # duration in s
+        _require(math.isfinite(duration) and duration > 0, "duration must be > 0", "duration")
+        if case_id is Case.C and duration / params.leap_interval > MAX_STEPS:
             # the duration is behind the count if the default interval gives as many leaps
-            long = self.duration / CaseParams.leap_interval > MAX_STEPS
+            long = duration / CaseParams().leap_interval > MAX_STEPS
             key = "duration" if long else "leap_interval"
             raise ValidationError(f"{key} gives over {MAX_STEPS} leaps", key=key)
+        self._fill(case_id, params, duration)
 
 
 def case_a_trajectory(params: CaseParams | None = None) -> Trajectory:
@@ -181,17 +217,22 @@ def angles_from_position(p: Point3D) -> Angles:
     """
     if p.z <= 0:
         raise BehindSurfaceError(f"z={p.z!r} is not in front of the surface (z > 0 required)")
-    theta = math.degrees(math.atan2(math.hypot(p.x, p.y), p.z))
-    phi = math.degrees(math.atan2(p.y, p.x)) % 360.0
+    return _direction(p.x, p.y, p.z)
+
+
+def _direction(x: float, y: float, z: float) -> Angles:
+    """``angles_from_position`` of the finite point (x, y, z), z > 0, unchecked."""
+    theta = math.degrees(math.atan2(math.hypot(x, y), z))
+    phi = math.degrees(math.atan2(y, x)) % 360.0
     if phi >= 360.0:  # the modulo can round up for tiny negative inputs
         phi = 0.0
     return Angles(theta, phi)
 
 
-@dataclass(frozen=True, eq=False)
-class AngleStream:
+class AngleStream(Record):
     """A trajectory's angle samples, from ``angle_stream``: in cases A and B read one
-    position at a time, in case C a block of leap runs at a time.
+    position at a time, in case C a block of leap runs at a time.  A stream equals
+    only itself.
 
     An entry stands for a run of samples at equal angles: one sample in cases A
     and B, the samples between two leaps in case C.  In cases A and B
@@ -204,13 +245,14 @@ class AngleStream:
     the scalar 0.0; x is by numpy's ``tan``, which may differ from ``math.tan`` in the
     last bits.  ``time(s)`` is sample s's time and ``standoff`` every position's z.
     ``exact(s, leap)`` gives sample s on the scalar path, in case C at its run's
-    ``leap`` angle.  ``len()`` is the sample count.
+    ``leap`` angle.  ``len()`` is the sample count; ``last`` is the endpoint's index.
     """
 
-    trajectory: Trajectory
-    dt: float
-    last: int  # the endpoint's sample index
-    motion: Callable | None  # _motion(trajectory), None in case C
+    __slots__ = ("trajectory", "dt", "last", "motion")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, trajectory: Trajectory, dt: float, last: int, motion: Callable | None):
+        self._fill(trajectory, dt, last, motion)
 
     def __len__(self) -> int:
         return self.last + 1
@@ -227,7 +269,7 @@ class AngleStream:
     def exact(self, s: int, leap: float | None = None) -> tuple[float, Angles]:
         t, d = self.time(s), self.standoff
         x, y = self.motion(t) if leap is None else (d * math.tan(math.radians(leap)), 0.0)
-        return t, angles_from_position(Point3D(x, y, d))
+        return t, _direction(x, y, d)  # finite, as the stream was checked, and d > 0
 
     def blocks(self) -> Iterator[tuple]:
         """Case C's runs that leaps [0, SAMPLE_BLOCK), [SAMPLE_BLOCK, 2 * SAMPLE_BLOCK),

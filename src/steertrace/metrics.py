@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
 import numpy as np
@@ -12,18 +11,20 @@ import numpy as np
 from .coding import SurfaceConfig, state_blocks
 from .errors import ValidationError
 from .gateway import NORMAL_INCIDENCE, ReconfigEvent, TrafficTrace, checked_events
-from .geometry import MAX_STEPS, SAMPLE_BLOCK, Angles
+from .geometry import MAX_STEPS, SAMPLE_BLOCK, Angles, Record
 
 
-@dataclass(frozen=True)
-class WorkloadReport:
+class WorkloadReport(Record):
     """Aggregate burst statistics for one trace."""
 
-    per_event_changed_fraction: tuple[float, ...]
-    total_packets: int
-    burst_sizes: tuple[int, ...]
-    inter_event_times: tuple[float, ...]
-    spatial_cv: float
+    __slots__ = ("per_event_changed_fraction", "total_packets", "burst_sizes",
+                 "inter_event_times", "spatial_cv")
+
+    def __init__(self, per_event_changed_fraction: tuple[float, ...], total_packets: int,
+                 burst_sizes: tuple[int, ...], inter_event_times: tuple[float, ...],
+                 spatial_cv: float):
+        self._fill(per_event_changed_fraction, total_packets, burst_sizes, inter_event_times,
+                   spatial_cv)
 
 
 def summarize(

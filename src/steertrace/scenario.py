@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import astuple, replace
 
 from . import gateway
 from .coding import SurfaceConfig
@@ -75,10 +74,10 @@ def is_finite_number(value) -> bool:
 def meta_to_dict(meta: TraceMeta) -> dict:
     """``meta`` laid out as FIELDS, the same dict :func:`meta_from_dict` parses."""
     traj = meta.trajectory
-    # the dataclasses' fields, in FIELDS order
+    # the records' fields, in FIELDS order
     values = iter((
-        *astuple(meta.surface), *astuple(meta.incident), *astuple(meta.gateway),
-        traj.case_id.value, *astuple(traj.params), traj.duration,
+        *meta.surface._values(), *meta.incident._values(), *meta.gateway._values(),
+        traj.case_id.value, *traj.params._values(), traj.duration,
     ))
     d: dict = {}
     for section, key, _ in FIELDS:
@@ -87,7 +86,7 @@ def meta_to_dict(meta: TraceMeta) -> dict:
 
 
 def defaults() -> dict:
-    """The scenario when nothing is set: the dataclass defaults, per-case keys null.  Each
+    """The scenario when nothing is set: the records' defaults, per-case keys null.  Each
     call gets its own copy, which the caller may change."""
     return {section: dict(values) for section, values in _default_layout().items()}
 
@@ -196,7 +195,7 @@ def _refuse_grazing(traj: Trajectory, reach_key: str):
         return
     reach = math.hypot(far.x, far.y)
     # a graze under 2**52 default standoffs off axis needs a standoff under its default
-    key = "standoff_distance" if reach < 2.0**52 * CaseParams.standoff_distance else reach_key
+    key = "standoff_distance" if reach < 2.0**52 * CaseParams().standoff_distance else reach_key
     raise ValidationError(
         f"{key} puts the target {reach!r} m off axis, over 2**52 standoffs of "
         f"{p.standoff_distance!r} m, where its reflection grazes the surface",
@@ -222,7 +221,7 @@ def meta_from_dict(d) -> TraceMeta:
         section = _SECTION_OF.get(key)
         if section is None:
             raise
-        # the dataclasses' messages begin with their bare key
+        # the records' messages begin with their bare key
         raise ValidationError(f"{section}.{message}", key=f"{section}.{key}") from None
 
 
@@ -236,7 +235,7 @@ def _own_duration_key(scenario: dict) -> str:
         return "speed"
     p = _trajectory(**scenario).params
     for key in ("speed", "start_theta"):
-        p = replace(p, **{key: getattr(CaseParams, key)})
-        if _case_a_arrival_time(p) / GatewayConfig.sample_dt <= gateway.MAX_STEPS:
+        p = p.replace(**{key: getattr(CaseParams(), key)})
+        if _case_a_arrival_time(p) / GatewayConfig().sample_dt <= gateway.MAX_STEPS:
             return key
     return "standoff_distance"

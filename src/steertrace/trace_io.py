@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import fields
 from datetime import datetime, timezone
 from itertools import chain, count
 from typing import BinaryIO, Iterable, Iterator
@@ -65,6 +64,7 @@ _RBRACE, _ZERO = b"}0"
 # the longest head of an event line in the writer's spelling, and its "}\n": three floats
 # of at most 24 characters, as "-2.2250738585072014e-308" is
 _HEAD_BYTES = len(b'{"t":,"theta_r":,"phi_r":,"updates":}\n') + 3 * 24
+_TOO_LONG = "too long a line to hold in memory"  # a MemoryError while a line is read or parsed
 
 
 def default_created() -> str:
@@ -174,14 +174,15 @@ def _parse_line(line: bytes, line_number: int) -> dict:
     """The JSON object on ``line``, decoded as strict UTF-8 and parsed without its LF."""
     try:
         text = line.decode("utf-8")
+        obj = json.loads(text[:-1] if text.endswith("\n") else text)
     except UnicodeDecodeError as exc:
         raise TraceParseError(f"not UTF-8: {exc}", line_number) from None
-    try:
-        obj = json.loads(text[:-1] if text.endswith("\n") else text)
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"invalid JSON: {exc.msg}", line_number) from exc
     except (ValueError, RecursionError) as exc:  # an over-long integer, or nesting too deep
         raise TraceParseError(f"invalid JSON: {exc}", line_number) from None
+    except MemoryError:
+        raise TraceParseError(_TOO_LONG, line_number) from None
     if not isinstance(obj, dict):
         raise TraceParseError("expected a JSON object", line_number)
     return obj
@@ -197,11 +198,14 @@ def _exact_keys(obj: dict, keys: tuple[str, ...], what: str, line_number: int):
             raise TraceParseError(f"{what} has unknown key {key!r}", line_number)
 
 
-def _header(lines, key: str) -> dict:
-    """The version-checked header on the first of ``lines``: exactly ``format_version``,
-    a string ``created`` and ``key``."""
-    _, line = next(lines, (1, None))
-    if line is None:
+def _header(source: BinaryIO, key: str) -> dict:
+    """The version-checked header on the first line of ``source``: exactly
+    ``format_version``, a string ``created`` and ``key``."""
+    try:
+        line = source.readline()
+    except MemoryError:
+        raise TraceParseError(_TOO_LONG, 1) from None
+    if not line:
         raise TraceParseError("empty file, header missing", 1)
     header = _parse_line(line, 1)
     version = header.get("format_version")
@@ -216,9 +220,9 @@ def _header(lines, key: str) -> dict:
     return header
 
 
-def _split_event(line: bytes) -> tuple[dict, bytes] | None:
-    """The head object and the ``updates`` bytes of an event line that, like the
-    writer's, ends in ``,"updates":...}`` after an object of exactly the keys
+def _split_event(line: bytes) -> tuple[dict, memoryview] | None:
+    """The head object and a view of the ``updates`` bytes of an event line that, like
+    the writer's, ends in ``,"updates":...}`` after an object of exactly the keys
     ``t``, ``theta_r`` and ``phi_r``; None for any other line."""
     end = len(line) - 1 - line.endswith(b"\n")  # where the closing brace must be
     cut = line.find(_UPDATES_KEY, 0, end)  # the key has no other place in such a line
@@ -230,10 +234,10 @@ def _split_event(line: bytes) -> tuple[dict, bytes] | None:
         return None
     if type(head) is not dict or head.keys() != {"t", "theta_r", "phi_r"}:
         return None
-    return head, line[cut + len(_UPDATES_KEY):end]
+    return head, memoryview(line)[cut + len(_UPDATES_KEY):end]
 
 
-def _decode_updates(body: bytes) -> np.ndarray | None:
+def _decode_updates(body: bytes | memoryview) -> np.ndarray | None:
     """The rows of an ``updates`` body in the writer's spelling, as (n, 3) int64; None
     unless it is ``[]`` or ``[[c,r,s],...]`` with no sign, no leading zero, at most
     _MAX_DIGITS digits a value and nothing else.  Its rows are those ``json`` parses.
@@ -251,8 +255,8 @@ def _decode_updates(body: bytes) -> np.ndarray | None:
     if body[:2] != b"[[" or body[-1:] != b"]":
         return None
     # NULs before the body, so that digits[_MAX_DIGITS - k:][ends] is each value's kth
-    # digit from the last, for k up to _MAX_DIGITS, with no index arithmetic
-    raw = np.frombuffer(bytes(_MAX_DIGITS) + body[:-1] + b",[0", np.uint8)
+    # digit from the last, for k up to _MAX_DIGITS, with no index arithmetic; the one copy
+    raw = np.frombuffer(b"".join([bytes(_MAX_DIGITS), body[:-1], b",[0"]), np.uint8)
     digits = raw - _ZERO  # wraps around for bytes below "0"
     data, digit = raw[_MAX_DIGITS:], digits[_MAX_DIGITS:]
     is_digit = digit < 10
@@ -313,8 +317,7 @@ def iter_trace(source: BinaryIO) -> tuple[TraceMeta, Iterator[ReconfigEvent]]:
     by one line, not by the file; every rule of :func:`read_trace` holds, and
     the first bad line raises when reached.
     """
-    lines = enumerate(source, start=1)  # a binary file splits at LF only
-    header = _header(lines, "meta")
+    header = _header(source, "meta")  # a binary file's lines end at LF only
     try:
         meta = meta_from_dict(header["meta"])
     except ValidationError as exc:
@@ -345,13 +348,16 @@ def _events(source: BinaryIO, surface) -> Iterator[ReconfigEvent]:
     token = len(f"[{surface.n_cols - 1},{surface.n_rows - 1},{surface.n_states - 1}],")
     limit = _HEAD_BYTES + surface.n_cells * token + 2
     for line_number in count(2):
-        line = source.readline(limit)
-        if len(line) == limit and not line.endswith(b"\n"):
-            line = _long_line(source, line, limit, surface, line_number)
-        if not line:
-            return
-        split = _split_event(line)
-        updates = split and _decode_updates(split[1])
+        try:  # the numpy path's arrays are several times the line
+            line = source.readline(limit)
+            if len(line) == limit and not line.endswith(b"\n"):
+                line = _long_line(source, line, limit, surface, line_number)
+            if not line:
+                return
+            split = _split_event(line)
+            updates = split and _decode_updates(split[1])
+        except MemoryError:
+            raise TraceParseError(_TOO_LONG, line_number) from None
         if updates is None:  # the json path; the writer's spelling has the keys
             obj = _parse_line(line, line_number)
             _exact_keys(obj, _EVENT_KEYS, "event record", line_number)
@@ -387,36 +393,34 @@ def write_report(report: WorkloadReport, dest: BinaryIO, created: str | None = N
     sink.write_line(_JSON.encode({
         "total_packets": report.total_packets,
         "spatial_cv": report.spatial_cv,
-        "per_event_changed_fraction": list(report.per_event_changed_fraction),
-        "burst_sizes": list(report.burst_sizes),
-        "inter_event_times": list(report.inter_event_times),
+        "per_event_changed_fraction": report.per_event_changed_fraction,  # tuples: arrays
+        "burst_sizes": report.burst_sizes,
+        "inter_event_times": report.inter_event_times,
     }))
 
 
 def read_report(source: BinaryIO) -> WorkloadReport:
     """Inverse of :func:`write_report`: exactly a header and a body line, each value of
     the body fitting its WorkloadReport field's type."""
-    lines = enumerate(source, start=1)
-    header = _header(lines, "kind")
+    header = _header(source, "kind")
     if header["kind"] != "workload_report":
         raise TraceParseError(f"kind must be 'workload_report', got {header['kind']!r}", 1)
-    _, line = next(lines, (2, None))
-    if line is None:
+    line = source.readline()
+    if not line:
         raise TraceParseError("report body missing", 2)
     body = _parse_line(line, 2)
     values = {}
-    for field in fields(WorkloadReport):
-        value, many = body.get(field.name), str(field.type).startswith("tuple")
-        kind = int if "int" in str(field.type) else float
+    for name in WorkloadReport.__slots__:
+        value, many = body.get(name), name not in ("total_packets", "spatial_cv")
+        kind = int if name in ("total_packets", "burst_sizes") else float
         items = value if many and type(value) is list else [value]
         valid = (type(x) is int if kind is int else is_finite_number(x) for x in items)
         if many != (type(value) is list) or not all(valid):
-            raise TraceParseError(f"bad report body: {field.name} is {value!r}", 2)
-        values[field.name] = tuple(map(kind, items)) if many else kind(value)
-    _exact_keys(body, tuple(values), "report body", 2)
-    extra = next(lines, None)
-    if extra is not None:
-        raise TraceParseError("a report has two lines, a header and a body", extra[0])
+            raise TraceParseError(f"bad report body: {name} is {value!r}", 2)
+        values[name] = tuple(map(kind, items)) if many else kind(value)
+    _exact_keys(body, WorkloadReport.__slots__, "report body", 2)
+    if source.readline(1):  # one byte of a third line tells of it
+        raise TraceParseError("a report has two lines, a header and a body", 3)
     return WorkloadReport(**values)
 
 

@@ -801,6 +801,36 @@ def test_a_100_mb_line_of_too_many_rows_is_refused_in_a_200_mb_address_space(tmp
     assert done.stderr == "error: line 2: more updates than the 2500 cells of the 50x50 grid\n"
 
 
+@pytest.mark.parametrize("line_number, megabytes", [(1, 100), (2, 100), (2, 40)],
+                         ids=["header", "event", "decoded_event"])
+def test_a_line_too_long_to_hold_in_a_200_mb_address_space_is_refused_by_number(
+    tmp_path, line_number, megabytes
+):
+    # Spaces that JSON allows, before the header's last brace or after an event's one row:
+    # the header is read whole, and so is an event line of no more rows than cells.  A
+    # 100 MB line does not fit twice in the address space left, and a 40 MB one is read
+    # but not decoded, as the decoder's arrays are several times the line
+    trace = tmp_path / "t.jsonl"
+    assert run_cli("simulate", "--out", str(trace)) == 0
+    header = trace.read_bytes().split(b"\n")[0]
+    spaces = b" " * 1_000_000
+    with trace.open("wb") as fh:
+        if line_number == 1:
+            fh.write(header[:-1])
+        else:
+            fh.write(header + b'\n{"t":0.0,"theta_r":1.0,"phi_r":0.0,"updates":[[1,1,1]')
+        for _ in range(megabytes):
+            fh.write(spaces)
+        fh.write(b"}\n" if line_number == 1 else b"]}\n")
+    try:
+        done = run_capped(["metrics", "--trace", str(trace), "--report", str(tmp_path / "r")],
+                          200)
+    finally:
+        trace.unlink()
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == f"error: line {line_number}: too long a line to hold in memory\n"
+
+
 def run_with_stdout(argv, stdout):
     """``argv`` run by the CLI in a child whose stdout is ``stdout``."""
     env = {**os.environ, "PYTHONPATH": str(Path(steertrace.__file__).parents[1])}

@@ -478,7 +478,7 @@ def writers_body(rows: np.ndarray, surface: SurfaceConfig) -> bytes:
     meta = TraceMeta(surface, GatewayConfig(), NORMAL_INCIDENCE, trajectory)
     buf = io.BytesIO()
     trace_io.write_events(meta, [ReconfigEvent(0.0, Angles(80.0, 0.0), rows)], buf)
-    return trace_io._split_event(buf.getvalue().splitlines(keepends=True)[1])[1]
+    return bytes(trace_io._split_event(buf.getvalue().splitlines(keepends=True)[1])[1])
 
 
 def test_decoder_gives_jsons_rows_for_large_bodies():

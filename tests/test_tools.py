@@ -107,3 +107,18 @@ def test_bench_matrix_counts_the_warm_calls_page_faults_apart(tmp_path):
     bench_matrix = load_bench_matrix()
     probe, _, _ = bench_matrix.run(tmp_path, ["sweep"], {}, dict(os.environ))
     assert probe["minflt"] < 1024 <= 4096 <= probe["warm_minflt"]
+
+
+def test_bench_matrix_times_the_import_apart_from_the_call(tmp_path):
+    # a stand-in package whose cli sleeps 0.3 s while it is imported and not at all in main
+    package = tmp_path / "src" / "steertrace"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "gateway.py").write_text("def detect_events(*args):\n    pass\n")
+    (package / "cli.py").write_text(
+        "import time\ntime.sleep(0.3)\ndef main(argv):\n    return 0\n"
+    )
+    bench_matrix = load_bench_matrix()
+    probe, command_s, _ = bench_matrix.run(tmp_path, ["sweep"], {}, dict(os.environ))
+    assert 0.3 <= probe["import_s"] < command_s
+    assert probe["main_s"] < 0.3 and probe["warm_main_s"] < 0.3

@@ -596,7 +596,7 @@ def test_lines_split_at_lf_only(sep):
     plain = read_trace(write_lines(HEADER, EVENT))
     if sep >= " ":
         assert read_trace(write_lines(header, EVENT)) == plain
-        assert trace_io._header(enumerate([header.encode()], 1), "meta")["created"] == created
+        assert trace_io._header(io.BytesIO(header.encode()), "meta")["created"] == created
         with pytest.raises(ValidationError, match="^line 2: event time -1.0 outside"):
             read_trace(write_lines(header, EVENT.replace('"t":1.0', '"t":-1.0')))
     else:

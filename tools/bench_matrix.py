@@ -125,16 +125,20 @@ ROWS = {
     **{name: ("sweep", *row) for name, row in SWEEPS.items()},
 }
 
-# Runs one command and prints, as its last stdout line, the cli.main call's time and
-# page faults, the time spent in gateway.detect_events, the process's peak RSS and the
-# digests of the output files named in BENCH_FILES; then the same command again in the
-# same process, its time and page faults as warm_main_s and warm_minflt, after a WARM
-# line that splits the two calls' stdout.
+# Runs one command and prints, as its last stdout line, the time.monotonic() at which
+# steertrace.cli was imported (as perfbench/child.py reads it: the modules that the probe
+# itself uses are imported after), the cli.main call's time and page faults, the time
+# spent in gateway.detect_events, the process's peak RSS and the digests of the output
+# files named in BENCH_FILES; then the same command again in the same process, its time
+# and page faults as warm_main_s and warm_minflt, after a WARM line that splits the two
+# calls' stdout.
 WARM = "--- warm call ---\n"
 CHILD = f"""\
-import json, os, resource, sys, time
+import sys, time
 from steertrace import gateway
 from steertrace.cli import main
+imported = time.monotonic()
+import json, os, resource
 detect, detect_s = gateway.detect_events, 0.0
 def timed_detect(*args):
     global detect_s
@@ -153,7 +157,7 @@ start = time.perf_counter()
 rc = main(sys.argv[1:])
 elapsed = time.perf_counter() - start
 after = resource.getrusage(resource.RUSAGE_SELF)
-probe = {{"rc": rc, "main_s": elapsed, "maxrss_kb": after.ru_maxrss,
+probe = {{"rc": rc, "imported": imported, "main_s": elapsed, "maxrss_kb": after.ru_maxrss,
          "minflt": after.ru_minflt - before.ru_minflt, "detect_s": detect_s, "sha": digests()}}
 print({WARM!r}, end="", flush=True)
 before = resource.getrusage(resource.RUSAGE_SELF)
@@ -180,14 +184,19 @@ METHOD = (
     "rounds, in host seconds, unscaled, each with its first and third quartiles beside it as "
     "<key>_quartiles (statistics.quantiles, exclusive method). "
     "command_s: spawn to exit, interpreter start, "
-    "imports and both calls included. main_s: the first cli.main call. warm_main_s: the "
+    "imports and both calls included. import_s: spawn to the end of the child's import of "
+    "steertrace.cli, interpreter start included (time.monotonic() in the child less the "
+    "same clock read just before the spawn, as perfbench's setup_s is taken), so it shows "
+    "the start-up that every command pays before its work. "
+    "main_s: the first cli.main call. warm_main_s: the "
     "warm call, which pays no import or first-use cost, so it shows a per-call cost "
     "that main_s buries. peak_rss_mb: getrusage ru_maxrss of that process after the "
     "first call. minflt: getrusage ru_minflt during the first call. warm_minflt: the same "
     "during the warm call; an in-process time moves with the page faults that the heap "
     "left by earlier calls costs, so this shows how much of a warm_main_s change is "
-    "faults. change_lower and "
-    "warm_lower: rounds in which the change's first or warm call was faster. rss_lower: "
+    "faults. change_lower, "
+    "warm_lower and import_lower: rounds in which the change's first call, warm call or "
+    "import was faster. rss_lower: "
     "rounds in which the change's peak_rss_mb was lower. detect_s (simulate only): the "
     "time inside gateway.detect_events during the first call, the drift-detection layer, "
     "which also computes the positions it reads: each sample's that a case-A or B search "
@@ -197,9 +206,11 @@ METHOD = (
 
 def run(tree: Path, argv: list[str], files: dict, env: dict) -> tuple[dict, float, list[tuple]]:
     """One command, run twice in a fresh interpreter on ``tree``'s package: the child's
-    probe, the time from spawn to exit, and each call's exit code and output digests,
-    those of ``files`` (key: path) or, when there are none, of the call's own stdout."""
+    probe, with ``import_s`` the time from spawn to the end of its import of the package,
+    the time from spawn to exit, and each call's exit code and output digests, those of
+    ``files`` (key: path) or, when there are none, of the call's own stdout."""
     command = shlex.join([sys.executable, "-c", CHILD, *argv])
+    spawned = time.monotonic()
     start = time.perf_counter()
     done = subprocess.run(
         ["/bin/sh", "-c", command], capture_output=True, text=True,
@@ -212,6 +223,7 @@ def run(tree: Path, argv: list[str], files: dict, env: dict) -> tuple[dict, floa
     first, rest = done.stdout.split(WARM)
     *warm, probe = rest.splitlines(keepends=True)
     probe = json.loads(probe)
+    probe["import_s"] = probe.pop("imported") - spawned
     sha = probe["sha"] or {"stdout": sha256(first)}
     last = {key: digest(path) for key, path in files.items()} or {"stdout": sha256("".join(warm))}
     return probe, elapsed, [(probe["rc"], *sha.items()), (probe["warm_rc"], *last.items())]
@@ -269,7 +281,8 @@ def bench(parent: Path, change: Path, rounds: int, work: Path, names: list[str])
                     probe, command_s, calls = run(trees[side], *spec(side), env)
                     outputs[command].update(calls)
                     samples[command][side].append({
-                        "command_s": command_s, "main_s": probe["main_s"],
+                        "command_s": command_s, "import_s": probe["import_s"],
+                        "main_s": probe["main_s"],
                         "warm_main_s": probe["warm_main_s"], "warm_minflt": probe["warm_minflt"],
                         "peak_rss_mb": probe["maxrss_kb"] / 1024, "minflt": probe["minflt"],
                         **({"detect_s": probe["detect_s"]} if command == "simulate" else {}),
@@ -286,7 +299,7 @@ def bench(parent: Path, change: Path, rounds: int, work: Path, names: list[str])
             pairs = list(zip(*by_side.values()))
             lower = {key: sum(c[k] < p[k] for p, c in pairs) for key, k in (
                 ("change_lower", "main_s"), ("warm_lower", "warm_main_s"),
-                ("rss_lower", "peak_rss_mb"))}
+                ("import_lower", "import_s"), ("rss_lower", "peak_rss_mb"))}
             row[command].update({key: f"{n}/{rounds}" for key, n in lower.items()})
         row["args"] = args
         if why:
