@@ -15,9 +15,9 @@ as ``json.dumps`` does with ``separators=(",", ":")``; the reader accepts any
 JSON spelling under the same rules.  The writer codes each event's
 ``updates`` from word tables built once per trace, one for each of col, row
 and state, each entry a value's token in a NUL-padded machine word.  The
-reader checks each line's ``updates`` against the writer's spelling from
-where its values end, decodes them with digit arithmetic in numpy, and
-leaves a line that is not in that spelling to ``json``.  It streams: it
+reader decodes each line's ``updates`` in numpy where it is in the writer's
+spelling (:func:`.decoder.decode_updates`) and leaves any other line to
+``json``.  It streams: it
 holds one line at a time, never the whole file.  Both run every event
 through :func:`.gateway.checked_events` (time, bounds, no cell twice), the
 writer before it writes the event's line and the reader as it reads it, so
@@ -45,6 +45,7 @@ from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
+from .decoder import decode_updates
 from .errors import TraceParseError, TraceWriteError, ValidationError
 from .gateway import ReconfigEvent, TraceMeta, TrafficTrace, checked_events, format_number
 from .gateway import over_full
@@ -56,11 +57,10 @@ FORMAT_VERSION = 1
 
 _PGM_MAX_LINE = 70  # plain-PGM line length limit
 
-_MAX_DIGITS = 18  # digits a value may have on the reader's numpy path: 10**18 < 2**63
 _UPDATES_KEY = b',"updates":'
 _JSON = json.JSONEncoder(separators=(",", ":"))  # json.dumps's text with these separators
 _EVENT_KEYS = ("t", "theta_r", "phi_r", "updates")
-_RBRACE, _ZERO = b"}0"
+_RBRACE = ord("}")
 # the longest head of an event line in the writer's spelling, and its "}\n": three floats
 # of at most 24 characters, as "-2.2250738585072014e-308" is
 _HEAD_BYTES = len(b'{"t":,"theta_r":,"phi_r":,"updates":}\n') + 3 * 24
@@ -220,10 +220,10 @@ def _header(source: BinaryIO, key: str) -> dict:
     return header
 
 
-def _split_event(line: bytes) -> tuple[dict, memoryview] | None:
-    """The head object and a view of the ``updates`` bytes of an event line that, like
-    the writer's, ends in ``,"updates":...}`` after an object of exactly the keys
-    ``t``, ``theta_r`` and ``phi_r``; None for any other line."""
+def _split_event(line: bytes) -> tuple[dict, int, int] | None:
+    """The head object of an event line that, like the writer's, ends in
+    ``,"updates":...}`` after an object of exactly the keys ``t``, ``theta_r`` and
+    ``phi_r``, and where its ``updates`` bytes start and end; None for any other line."""
     end = len(line) - 1 - line.endswith(b"\n")  # where the closing brace must be
     cut = line.find(_UPDATES_KEY, 0, end)  # the key has no other place in such a line
     if cut < 0 or line[end] != _RBRACE:
@@ -234,63 +234,7 @@ def _split_event(line: bytes) -> tuple[dict, memoryview] | None:
         return None
     if type(head) is not dict or head.keys() != {"t", "theta_r", "phi_r"}:
         return None
-    return head, memoryview(line)[cut + len(_UPDATES_KEY):end]
-
-
-def _decode_updates(body: bytes | memoryview) -> np.ndarray | None:
-    """The rows of an ``updates`` body in the writer's spelling, as (n, 3) int64; None
-    unless it is ``[]`` or ``[[c,r,s],...]`` with no sign, no leading zero, at most
-    _MAX_DIGITS digits a value and nothing else.  Its rows are those ``json`` parses.
-
-    Read with its last "]" as ",[0", such a body is "[[" and then runs of digits, each
-    followed by "," "," or "],[" in turn.  So the rule is four checks on where a digit
-    precedes another byte, where each value ends: the byte after each end is that ",",
-    "," or "]"; the two after each "]" are ",["; the bytes that are not digits number
-    exactly these and the first "[["; and no run of two or more digits begins with "0".
-    The first two give each counted byte its place and the count leaves no other, so a
-    value begins at byte 2, 2 bytes after the one before ends, or 4 after a "]".
-    """
-    if body == b"[]":  # no numpy for an empty burst: most are empty at a fine angular step
-        return np.empty((0, 3), np.int64)
-    if body[:2] != b"[[" or body[-1:] != b"]":
-        return None
-    # NULs before the body, so that digits[_MAX_DIGITS - k:][ends] is each value's kth
-    # digit from the last, for k up to _MAX_DIGITS, with no index arithmetic; the one copy
-    raw = np.frombuffer(b"".join([bytes(_MAX_DIGITS), body[:-1], b",[0"]), np.uint8)
-    digits = raw - _ZERO  # wraps around for bytes below "0"
-    data, digit = raw[_MAX_DIGITS:], digits[_MAX_DIGITS:]
-    is_digit = digit < 10
-    ends = np.flatnonzero(is_digit[:-1] > is_digit[1:])  # each value's last digit
-    rows, row_ends = len(ends) // 3, ends[2::3]
-    n_digits = np.count_nonzero(is_digit)  # the values' and the last "0"
-    if (
-        data[1:][ends].tobytes() != b",,]" * rows
-        or data[2:][row_ends].tobytes() != b"," * rows
-        or data[3:][row_ends].tobytes() != b"[" * rows
-        or len(data) - n_digits != 5 * rows + 2
-    ):
-        return None
-    if n_digits == len(ends) + 1:  # one digit a value, as on a surface of 10x10 or less
-        return digit[ends].astype(np.int64).reshape(-1, 3)
-    if ((digit[1:-1] == 0) & (is_digit[2:] > is_digit[:-2])).any():
-        return None
-    # a value's digits: it begins at byte 2, 2 bytes after the previous value ends or 4
-    # after a "]"; out= saves a temporary the size of ends
-    size = np.empty_like(ends)
-    size[0] = ends[0] + 2
-    np.subtract(ends[1:], ends[:-1], out=size[1:])
-    size[::3] -= 2
-    size -= 1
-    width = int(size.max())
-    if width > _MAX_DIGITS:
-        return None
-    size = size.astype(np.uint8)
-    values = np.zeros(len(ends), np.min_scalar_type(10**width - 1))
-    for k in range(width - 1, 0, -1):  # Horner from the top place, 0 above a value's digits
-        values += digits[_MAX_DIGITS - k:][ends] * (size > k)
-        values *= 10
-    values += digit[ends]
-    return values.astype(np.int64).reshape(-1, 3)
+    return head, cut + len(_UPDATES_KEY), end
 
 
 def _updates(raw, line_number: int) -> np.ndarray:
@@ -355,7 +299,7 @@ def _events(source: BinaryIO, surface) -> Iterator[ReconfigEvent]:
             if not line:
                 return
             split = _split_event(line)
-            updates = split and _decode_updates(split[1])
+            updates = split and decode_updates(line, *split[1:])
         except MemoryError:
             raise TraceParseError(_TOO_LONG, line_number) from None
         if updates is None:  # the json path; the writer's spelling has the keys
@@ -443,9 +387,9 @@ def export_heatmap(matrix: np.ndarray, fmt: str, dest: BinaryIO):
         # An entry is count / total, so a heat map holds few distinct values: each is
         # formatted once.  Bit patterns keep -0.0 apart from 0.0.
         keys, index = np.unique(np.ascontiguousarray(m).view(np.int64), return_inverse=True)
-        words = [format_number(v) for v in keys.view(float)]
-        for row in index.reshape(m.shape).tolist():
-            sink.write_line(",".join([words[i] for i in row]))
+        words = np.array([format_number(v) for v in keys.view(float)], object)
+        for row in words[index.reshape(m.shape)].tolist():  # one gather of the words
+            sink.write_line(",".join(row))
     elif fmt == "pgm":
         pixels = np.rint(255.0 * m / (m.max() or 1.0)).astype(int)  # max 0: all entries are 0
         sink.write_line(f"P2\n{m.shape[1]} {m.shape[0]}\n255")

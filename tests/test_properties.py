@@ -2,6 +2,7 @@
 of the quantizer, the state matrix and the block coder, and of the CSV heat map."""
 
 import io
+import itertools
 import json
 import math
 import os
@@ -39,7 +40,7 @@ from steertrace import (
     state_matrix,
     write_trace,
 )
-from steertrace import coding, gateway, geometry, metrics, trace_io
+from steertrace import coding, decoder, gateway, geometry, metrics, trace_io
 from steertrace.cli import main
 from steertrace.coding import MAX_CELLS, MAX_PHASE_STEPS, MAX_STATES, TWO_PI, _nearest_state
 from steertrace.coding import state_blocks
@@ -50,7 +51,7 @@ from steertrace.geometry import RAD_TO_DEG, SAMPLE_BLOCK, angle_stream, signed_c
 from steertrace.geometry import Point3D, angles_from_position, position_at
 from steertrace.metrics import sweep_diff, sweep_grid
 from steertrace.scenario import FIELDS
-from steertrace.trace_io import _decode_updates
+from steertrace.decoder import decode_updates
 
 CONFIG_KEYS = [f"{section}.{key}" for section, key, _ in FIELDS] + ["outputs.trace"]
 
@@ -400,6 +401,16 @@ def canonical(rows) -> str:
     return json.dumps(rows, separators=(",", ":"))
 
 
+EVENT_HEAD = b'{"t":0.0,"theta_r":0.0,"phi_r":0.0,"updates":'
+
+
+def decode(body: bytes) -> np.ndarray | None:
+    """``decode_updates`` of ``body`` as the reader calls it: on an event line that holds
+    it, in the writer's spelling up to the body, between the given start and end."""
+    line = EVENT_HEAD + body + b"}\n"
+    return decode_updates(line, len(EVENT_HEAD), len(EVENT_HEAD) + len(body))
+
+
 small_rows = st.lists(
     st.lists(st.integers(0, 120) | st.integers(0, 10**18 - 1), min_size=3, max_size=3), max_size=4
 )
@@ -464,7 +475,7 @@ def writers_spelling(text: str) -> bool:
 @example(["0[]", "[]0", "7[[1,2,3]]", "[[1,2,3]]7"])  # a digit outside the brackets
 def test_decoder_declines_or_gives_jsons_rows(texts):
     for text in texts:
-        decoded = _decode_updates(text.encode())  # the decoder reads a line's bytes
+        decoded = decode(text.encode())  # the decoder reads a line's bytes
         if writers_spelling(text):
             assert decoded is not None, text
         if decoded is not None:
@@ -478,7 +489,9 @@ def writers_body(rows: np.ndarray, surface: SurfaceConfig) -> bytes:
     meta = TraceMeta(surface, GatewayConfig(), NORMAL_INCIDENCE, trajectory)
     buf = io.BytesIO()
     trace_io.write_events(meta, [ReconfigEvent(0.0, Angles(80.0, 0.0), rows)], buf)
-    return bytes(trace_io._split_event(buf.getvalue().splitlines(keepends=True)[1])[1])
+    line = buf.getvalue().splitlines(keepends=True)[1]
+    _, start, end = trace_io._split_event(line)
+    return line[start:end]
 
 
 def test_decoder_gives_jsons_rows_for_large_bodies():
@@ -487,9 +500,9 @@ def test_decoder_gives_jsons_rows_for_large_bodies():
     cells = np.arange(10_000)
     burst = np.column_stack([cells % 100, cells // 100, cells * 7 % 4])
     body = writers_body(burst, SurfaceConfig(n_cols=100, n_rows=100))
-    assert _decode_updates(body).tolist() == json.loads(body) == burst.tolist()
+    assert decode(body).tolist() == json.loads(body) == burst.tolist()
     wide = np.random.default_rng(19).integers(10**17, 10**18, (10_000, 3))
-    assert _decode_updates(canonical(wide.tolist()).encode()).tolist() == wide.tolist()
+    assert decode(canonical(wide.tolist()).encode()).tolist() == wide.tolist()
 
 
 @pytest.mark.parametrize("fault", faults)
@@ -503,7 +516,84 @@ def test_decoder_declines_a_fault_in_a_large_body(fault):
         row = rows[k]
         for at in (1, row.index(b",") + 1, len(row) - 1):
             spliced = rows[:k] + [row[:at] + fault.encode() + row[at:]] + rows[k + 1:]
-            assert _decode_updates(b"[" + b",".join(spliced) + b"]") is None, (k, at)
+            assert decode(b"[" + b",".join(spliced) + b"]") is None, (k, at)
+
+
+def agrees_with_json(body: bytes) -> bool:
+    """The decoder gives ``json``'s rows for ``body``, or declines it, and declines it
+    only where it is not in the writer's spelling."""
+    decoded, text = decode(body), body.decode()
+    if decoded is None:
+        return not writers_spelling(text)
+    return decoded.dtype == np.int64 and decoded.tolist() == json_rows(text)
+
+
+LIMIT = decoder._PIECE + decoder._CUT + 1  # the longest body decoded whole, its "]" too
+PIECE_ROWS = LIMIT // 8  # rows of "[1,2,3]," that fill more than one piece
+
+
+@pytest.mark.parametrize("fault", [
+    ";", "]", "0", "x", "\u00e9", "12345678901234567", "123456789012345678", "1234567890123456789",
+])
+def test_decoder_agrees_with_json_at_and_around_a_piece_cut(fault):
+    """A bad separator, a leading "0", a non-digit byte and values of 17, 18 and 19
+    digits, spliced in before and over each byte around the first cut of a body of
+    two-digit values, and around the end of the first piece's budget, where the
+    search for the cut begins."""
+    rows = [[k % 100, k // 100 % 100, k % 7] for k in range(PIECE_ROWS + 50)]
+    body = canonical(rows).encode()
+    cut = body.index(b"],[", decoder._PIECE)  # the "]" that ends the first piece
+    for at in [*range(cut - 9, cut + 10), *range(decoder._PIECE - 3, decoder._PIECE + 4)]:
+        for spliced in (body[:at] + fault.encode() + body[at:],
+                        body[:at] + fault.encode() + body[at + 1:]):
+            assert agrees_with_json(spliced), (at, spliced[at - 10:at + 10])
+
+
+def test_decoder_reads_a_value_across_the_end_of_a_piece_budget():
+    """18-digit values, shifted a byte at a time by a first value of 1 to 18 digits, so
+    that the first piece's budget ends inside a value for most shifts; the cut is made
+    at the next "],[" and no value is split."""
+    wide = np.random.default_rng(34).integers(10**17, 10**18, (LIMIT // 50, 3)).tolist()
+    straddled = 0
+    for width in range(18):
+        rows = [[10**width, 0, 0], *wide]
+        body = canonical(rows).encode()
+        straddled += body[decoder._PIECE - 1:decoder._PIECE + 1].isdigit()
+        assert decode(body).tolist() == rows, width
+    assert straddled >= 12
+
+
+@pytest.mark.parametrize("low", [9, 99, 999])
+def test_decoder_reads_values_on_each_side_of_a_digit_boundary(low):
+    """9/10, 99/100 and 999/1000 in every place of a row, in a short body and in a
+    body of several pieces."""
+    rows = [list(row) for row in itertools.product((low, low + 1), repeat=3)]
+    for body_rows in (rows, rows * (PIECE_ROWS // 4)):
+        assert decode(canonical(body_rows).encode()).tolist() == body_rows
+
+
+@pytest.mark.parametrize("n_rows", [1_000, PIECE_ROWS])
+def test_decoder_leaves_the_byte_wide_path_for_a_wider_value_or_a_leading_zero(n_rows):
+    """A body of values of at most two digits but for its last row, in one piece and in
+    more: a 100 or a 12-digit value is read digit by digit, and a "05" is declined."""
+    rows = [[k % 100, k % 97, k % 10] for k in range(n_rows)]
+    for last in ([1, 100, 2], [3, 4, 10**11]):
+        assert decode(canonical(rows + [last]).encode()).tolist() == rows + [last]
+    body = canonical(rows + [[1, 5, 2]]).encode()
+    assert decode(body[:-5] + b"05,2]]") is None
+
+
+@pytest.mark.parametrize("length", range(LIMIT - 2, LIMIT + 3))
+def test_decoder_cuts_a_body_in_pieces_only_past_the_piece_size(length):
+    """A body just under, at and just over the size decoded whole: rows of "[1,2,3]",
+    the first value widened to make ``length`` bytes."""
+    k, width = divmod(length - 1, 8)  # "[" + k rows of 7 bytes and their k - 1 "," + "]"
+    rows = [[10**width, 2, 3]] + [[1, 2, 3]] * (k - 1)
+    body = canonical(rows).encode()
+    assert len(body) == length
+    with mock.patch.object(np, "frombuffer", wraps=np.frombuffer) as pieces:  # one a piece
+        assert decode(body).tolist() == rows
+    assert pieces.call_count == (1 if length <= LIMIT else 2)
 
 
 def digit_boundary_trace(n: int) -> TrafficTrace:

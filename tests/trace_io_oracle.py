@@ -31,14 +31,8 @@ from steertrace.errors import TraceParseError, ValidationError
 from steertrace.gateway import ReconfigEvent, TrafficTrace, over_full
 from steertrace.geometry import Angles
 from steertrace.scenario import is_finite_number, meta_from_dict
-from steertrace.trace_io import (
-    _MAX_DIGITS,
-    _ZERO,
-    FORMAT_VERSION,
-    _CountingSink,
-    _updates,
-    format_number,
-)
+from steertrace.decoder import _MAX_DIGITS, _ZERO
+from steertrace.trace_io import FORMAT_VERSION, _CountingSink, _updates, format_number
 
 _UPDATES_KEY = ',"updates":'
 # The reader decoded a run of consecutive event lines in one numpy pass until
