@@ -8,7 +8,7 @@ packets, and emits packet-level traffic traces plus workload metrics.
 
 from .coding import SurfaceConfig, state_matrix
 from .errors import TraceParseError, TraceWriteError, ValidationError
-from .gateway import GatewayConfig, ReconfigEvent, TraceMeta, TrafficTrace, run_simulation
+from .gateway import GatewayConfig, ReconfigEvent, TraceMeta, TrafficTrace, iter_events
 from .geometry import (
     Angles,
     Case,
@@ -18,7 +18,7 @@ from .geometry import (
     case_b_trajectory,
     case_c_trajectory,
 )
-from .metrics import WorkloadReport, burst_stats, destination_matrix, injection_rate, sweep_diff
+from .metrics import WorkloadReport, injection_rate, summarize, sweep_diff
 from .trace_io import export_heatmap, read_report, read_trace, write_report, write_trace
 
 __version__ = "0.1.0"
@@ -37,17 +37,16 @@ __all__ = [
     "Trajectory",
     "ValidationError",
     "WorkloadReport",
-    "burst_stats",
     "case_a_trajectory",
     "case_b_trajectory",
     "case_c_trajectory",
-    "destination_matrix",
     "export_heatmap",
     "injection_rate",
+    "iter_events",
     "read_report",
     "read_trace",
-    "run_simulation",
     "state_matrix",
+    "summarize",
     "sweep_diff",
     "write_report",
     "write_trace",

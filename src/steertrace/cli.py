@@ -15,11 +15,13 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import stat
 import sys
 from typing import BinaryIO, Iterator
 
+from .coding import _check
 from .errors import TraceParseError, ValidationError
 from .gateway import TraceMeta, format_number, iter_events
 from .geometry import Angles
@@ -125,6 +127,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_metrics(args) -> int:
     created = default_created()
+    if args.format is not None and args.heatmap is None:
+        raise ValidationError("--format is not used without --heatmap", "--format")
     _refuse_stdout([("--report", args.report), ("--heatmap", args.heatmap)])
     with open(args.trace, "rb", buffering=1 << 17) as fh:  # a 100x100 burst is a 73 KB line
         meta, events = iter_trace(fh)
@@ -137,7 +141,7 @@ def cmd_metrics(args) -> int:
     )
     if args.heatmap is not None:
         with _output(args.heatmap) as fh:
-            export_heatmap(matrix, args.format, fh)
+            export_heatmap(matrix, args.format or "csv", fh)
         summary += f" heatmap={args.heatmap}"
     print(summary)
     return 0
@@ -159,12 +163,24 @@ def _grid_lines(steps: Iterator[tuple[float, float, float]]) -> Iterator[str]:
 
 def cmd_sweep(args) -> int:
     meta, _ = load_scenario(args)
-    if args.grid is not None:
+    grid = args.grid is not None
+    ends = (("from", args.from_theta, args.from_phi), ("to", args.to_theta, args.to_phi))
+    for end, theta, phi in ends:
+        option = f"--{end}-theta"
+        if grid != (theta is None):
+            rule = "is not used with" if grid else "is required without"
+            raise ValidationError(f"{option} {rule} --grid", option)
+        theta = theta or 0.0  # None in a grid, whose thetas, 85 down to 0, pass as 0 does
+        try:
+            _check("reflected", theta, phi)
+        except ValidationError as exc:  # named for the option at fault
+            if math.isfinite(theta) and not math.isfinite(phi):
+                option = f"--{end}-phi"
+            raise ValidationError(f"{option}: {exc}", option) from None
+    if grid:
         steps = sweep_grid(args.grid, args.from_phi, args.to_phi, meta.surface, meta.incident)
         sys.stdout.writelines(_grid_lines(steps))  # one call, and no text of all the lines at once
         return 0
-    if args.from_theta is None or args.to_theta is None:
-        raise ValidationError("--from-theta and --to-theta are required without --grid")
     fraction = sweep_diff(
         Angles(args.from_theta, args.from_phi),
         Angles(args.to_theta, args.to_phi),
@@ -202,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     met.add_argument("--trace", required=True, help="input trace file")
     met.add_argument("--report", required=True, help="output report file")
     met.add_argument("--heatmap", help="optional destination heat-map file")
-    met.add_argument("--format", choices=("csv", "pgm"), default="csv")
+    met.add_argument("--format", choices=("csv", "pgm"), help="heat-map format (default csv)")
 
     swp = sub.add_parser("sweep", help="changed-cell fraction between two directions")
     swp.add_argument("--from-theta", type=float, dest="from_theta")

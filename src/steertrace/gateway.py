@@ -463,14 +463,3 @@ def _diffed(picks: list, blocks: Iterator[np.ndarray], surface: SurfaceConfig) -
         yield ReconfigEvent(t, ang, rows)
         current = target
 
-
-def run_simulation(
-    trajectory: Trajectory,
-    surface: SurfaceConfig,
-    gateway: GatewayConfig,
-    incident: Angles = NORMAL_INCIDENCE,
-) -> TrafficTrace:
-    """Simulate one scenario end to end and return its traffic trace, every event of
-    :func:`iter_events` held."""
-    meta = TraceMeta(surface, gateway, incident, trajectory)  # checks the sample count
-    return TrafficTrace(meta, tuple(iter_events(meta)))

@@ -179,6 +179,14 @@ def _case_a_arrival_time(p: CaseParams) -> float:
     return p.standoff_distance * math.tan(math.radians(p.start_theta)) / p.speed
 
 
+def flight_turns(p: CaseParams) -> list[float]:
+    """Case B's peak and trough of r*r = t*t * (vx*vx + (vy - g*t/2)**2), at g*t/2 = (3*vy
+    -/+ sqrt(vy*vy - 8*vx*vx))/4 where tan(launch)**2 > 8; none elsewhere, r*r only grows."""
+    s = math.sin(math.radians(p.launch_angle))
+    return [p.speed * (3 * s + sign * math.sqrt(9 * s * s - 8)) / (2 * GRAVITY)
+            for sign in (-1, 1) if 9 * s * s > 8]
+
+
 def _motion(trajectory: Trajectory) -> Callable:
     """Case A's or B's (x, y) as a function of time, y the scalar 0.0 in case A.
 
@@ -289,20 +297,15 @@ class AngleStream(Record):
 
     def pieces(self) -> Sequence[int]:
         """The end of each piece of samples, the last ``len(self)``, in cases A and B, along
-        which the path of ``wobble`` is monotone.  Case A's is one piece.  Case B's r*r =
-        t*t * (vx*vx + (vy - g*t/2)**2) turns at g*t/2 = (3*vy -/+ sqrt(vy*vy - 8*vx*vx))/4
-        where tan(launch)**2 > 8; a piece ends at the first sample at or after each turn,
-        where r*r is flat.  A first x under 2**-500, where floats lose bits, gets pieces of
-        one sample."""
-        n, p = len(self), self.trajectory.params
+        which the path of ``wobble`` is monotone.  Case A's is one piece.  In case B a
+        piece ends at the first sample at or after each of ``flight_turns``, where r*r is
+        flat.  A first x under 2**-500, where floats lose bits, gets pieces of one sample."""
+        n = len(self)
         if self.trajectory.case_id is Case.A:
             return (n,)
         if not self.motion(self.time(min(1, self.last)))[0] >= 2.0**-500:
             return range(1, n + 1)
-        s = math.sin(math.radians(p.launch_angle))
-        turns = [p.speed * (3 * s + sign * math.sqrt(9 * s * s - 8)) / (2 * GRAVITY)
-                 for sign in (-1, 1) if 9 * s * s > 8]
-        return [math.ceil(min(t / self.dt, n)) for t in turns] + [n]
+        return [math.ceil(min(t / self.dt, n)) for t in flight_turns(self.trajectory.params)] + [n]
 
 
 def angle_stream(trajectory: Trajectory, dt: float) -> AngleStream:

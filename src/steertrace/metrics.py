@@ -34,9 +34,10 @@ def summarize(
 
     One pass that keeps no event: per event, its size, its time and one
     ``np.add.at`` of its cells into the per-cell packet counts, so memory is
-    one count per cell plus two numbers per event.  The events must be checked
-    already, as ``iter_trace`` checks them with ``gateway.checked_events``: an update
-    outside the surface would be counted in another cell.
+    one count per cell plus two numbers per event.  The events must be valid, or an
+    update outside the surface is counted in another cell.  ``iter_events``' are valid
+    by construction: the writer checks every one of them.  ``iter_trace`` checks its
+    own with ``gateway.checked_events``; pass hand-built events through it too.
     """
     sizes, times = [], []
     counts = np.zeros(surface.n_cells, np.int64)
@@ -55,11 +56,6 @@ def summarize(
         spatial_cv=spatial_cv(matrix),
     )
     return report, matrix
-
-
-def destination_matrix(trace: TrafficTrace) -> np.ndarray:
-    """Per-cell share of all packets, shape (n_rows, n_cols); zero if no packets."""
-    return summarize(trace.meta.surface, checked_events(trace.meta, trace.events))[1]
 
 
 def injection_rate(
@@ -176,7 +172,3 @@ def spatial_cv(ratios: np.ndarray) -> float:
         return 0.0
     return float(ratios.std() / mean)
 
-
-def burst_stats(trace: TrafficTrace) -> WorkloadReport:
-    """Per-event sizes and fractions, inter-event gaps, totals, spatial CV."""
-    return summarize(trace.meta.surface, checked_events(trace.meta, trace.events))[0]

@@ -32,6 +32,7 @@ from .geometry import (
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
+    flight_turns,
     position_at,
 )
 
@@ -182,10 +183,9 @@ def _refuse_grazing(traj: Trajectory, reach_key: str):
     else:
         if p.speed * t + 0.5 * GRAVITY * t * t < bound:
             return
-        # r*r = (v*t)**2 - v*s*g*t**3 + (g*t*t/2)**2 has a peak, at the first time, only
-        # where 9*s*s > 8; elsewhere it grows with t
-        s = math.sin(math.radians(p.launch_angle))
-        times = (min(t, p.speed * (3 * s - math.sqrt(max(9 * s * s - 8, 0))) / (2 * GRAVITY)), t)
+        # r*r peaks at the first turn, if it has one, and else grows with t
+        turns = flight_turns(p)
+        times = (min(t, turns[0]), t) if turns else (t,)
     try:
         far = max((position_at(traj, u) for u in times), key=lambda q: math.hypot(q.x, q.y))
     except ValidationError:

@@ -20,23 +20,34 @@ from steertrace import (
     SurfaceConfig,
     TraceMeta,
     TrafficTrace,
-    burst_stats,
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
-    destination_matrix,
     injection_rate,
+    iter_events,
     read_trace,
-    run_simulation,
     state_matrix,
+    summarize,
     sweep_diff,
     write_trace,
 )
 from steertrace.coding import TWO_PI, _nearest_state
 from steertrace.geometry import Case, Trajectory
-from steertrace.metrics import spatial_cv
+from steertrace.trace_io import write_events
 
 INC = Angles(0.0, 0.0)
+
+
+def scenario(trajectory, surface=SurfaceConfig(), gateway=GatewayConfig()) -> TraceMeta:
+    """``trajectory``'s scenario under normal incidence."""
+    return TraceMeta(surface, gateway, INC, trajectory)
+
+
+def written(meta: TraceMeta) -> bytes:
+    """``meta``'s trace as ``simulate`` writes it, each event written as it is simulated."""
+    buf = io.BytesIO()
+    write_events(meta, iter_events(meta), buf)
+    return buf.getvalue()
 
 
 class Budget:
@@ -62,14 +73,14 @@ def report(name, detail, budget):
 
 def test_criterion_1_last_third_concentration():
     with Budget("criterion 1", 1.0) as budget:
-        trace = run_simulation(case_a_trajectory(), SurfaceConfig(), GatewayConfig())
-        duration = trace.meta.trajectory.duration
-        cutoff = 2.0 * duration / 3.0
-        fraction = sum(1 for ev in trace.events if ev.t >= cutoff) / len(trace.events)
+        meta = scenario(case_a_trajectory())
+        times = [ev.t for ev in iter_events(meta)]
+        cutoff = 2.0 * meta.trajectory.duration / 3.0
+        fraction = sum(1 for t in times if t >= cutoff) / len(times)
         assert 0.85 <= fraction <= 0.95, fraction
     report(
         "criterion 1 (last-third concentration)",
-        f"{fraction:.4f} of {len(trace.events)} events in the final third",
+        f"{fraction:.4f} of {len(times)} events in the final third",
         budget,
     )
 
@@ -94,7 +105,7 @@ def test_criterion_3_injection_rate_clustering():
     # cannot measure clustering because nearly every burst sits inside the
     # final cluster.
     with Budget("criterion 3", 1.0) as budget:
-        trace = run_simulation(case_a_trajectory(), SurfaceConfig(), GatewayConfig())
+        trace = read_trace(io.BytesIO(written(scenario(case_a_trajectory()))))
         rates = injection_rate(trace, "per_burst")
         duration = trace.meta.trajectory.duration
 
@@ -129,10 +140,10 @@ def test_criterion_4_angular_step_monotonicity():
         trajectory = case_b_trajectory()
         means, counts = {}, {}
         for step in (2.0, 5.0, 10.0):
-            trace = run_simulation(trajectory, surface, GatewayConfig(angular_step=step))
-            fractions = burst_stats(trace).per_event_changed_fraction
+            meta = scenario(trajectory, surface, GatewayConfig(angular_step=step))
+            fractions = summarize(surface, iter_events(meta))[0].per_event_changed_fraction
             means[step] = sum(fractions) / len(fractions)
-            counts[step] = len(trace.events)
+            counts[step] = len(fractions)
         assert means[2.0] < means[5.0] < means[10.0], means
         assert counts[2.0] > counts[5.0] > counts[10.0], counts
     report(
@@ -149,7 +160,8 @@ def test_criterion_5_state_count_traffic_monotonicity():
         totals = {}
         for n_states in (4, 8, 16):
             surface = SurfaceConfig(n_states=n_states)
-            totals[n_states] = run_simulation(trajectory, surface, GatewayConfig()).total_packets
+            meta = scenario(trajectory, surface)
+            totals[n_states] = summarize(surface, iter_events(meta))[0].total_packets
         assert totals[16] >= totals[8] >= totals[4], totals
         assert totals[16] > totals[4], "at least one inequality must be strict"
     report(
@@ -168,12 +180,12 @@ def test_criterion_6_spatial_uniformity_under_random_motion():
         n_leaps = int(duration / leap_params.leap_interval)
         assert n_leaps >= 100
 
-        trace_c = run_simulation(case_c_trajectory(leap_params, duration), surface, gw)
-        trace_a = run_simulation(case_a_trajectory(), surface, gw)
-        assert trace_c.total_packets >= trace_a.total_packets
+        meta_c = scenario(case_c_trajectory(leap_params, duration), surface, gw)
+        report_c = summarize(surface, iter_events(meta_c))[0]
+        report_a = summarize(surface, iter_events(scenario(case_a_trajectory(), surface, gw)))[0]
+        assert report_c.total_packets >= report_a.total_packets
 
-        cv_c = spatial_cv(destination_matrix(trace_c))
-        cv_a = spatial_cv(destination_matrix(trace_a))
+        cv_c, cv_a = report_c.spatial_cv, report_a.spatial_cv
         assert cv_c < cv_a, (cv_c, cv_a)
     report(
         "criterion 6 (spatial uniformity under random motion)",
@@ -214,15 +226,14 @@ def test_criterion_7_oracle_suites():
                 err = abs(got - want) / abs(want) if want != 0.0 else abs(got - want)
                 assert err < 1e-9
 
-        # replay soundness on all three mobility cases
+        # replay soundness on all three mobility cases, from the traces as written and read
         surface = SurfaceConfig()
-        gw = GatewayConfig()
-        scenarios = (
-            case_a_trajectory(),
-            case_b_trajectory(),
-            case_c_trajectory(CaseParams(rng_seed=31), duration=30.0),
-        )
-        traces = [run_simulation(traj, surface, gw) for traj in scenarios]
+        metas = [
+            scenario(case_a_trajectory()),
+            scenario(case_b_trajectory()),
+            scenario(case_c_trajectory(CaseParams(rng_seed=31), duration=30.0)),
+        ]
+        traces = [read_trace(io.BytesIO(written(meta))) for meta in metas]
         for trace in traces:
             m = np.zeros((surface.n_rows, surface.n_cols), dtype=np.int64)
             for ev in trace.events:
@@ -232,8 +243,10 @@ def test_criterion_7_oracle_suites():
             assert np.array_equal(m, final), trace.meta.trajectory.case_id
 
         # serialization round trip on simulated and generated traces
+        for meta, trace in zip(metas, traces):
+            assert trace == TrafficTrace(meta, tuple(iter_events(meta)))
         py_rng = random.Random(5150)
-        for trace in traces + [_random_trace(py_rng) for _ in range(20)]:
+        for trace in [_random_trace(py_rng) for _ in range(20)]:
             buf = io.BytesIO()
             write_trace(trace, buf)
             buf.seek(0)
@@ -292,17 +305,11 @@ def test_criterion_8_exactness_anchors():
 
 def test_criterion_9_determinism():
     with Budget("criterion 9", 5.0) as budget:
-        surface = SurfaceConfig()
-        gw = GatewayConfig()
         scenarios = (
             case_c_trajectory(CaseParams(rng_seed=7), duration=20.0),
             case_a_trajectory(CaseParams(start_theta=60.0)),
         )
         for traj in scenarios:
-            blobs = []
-            for _ in range(2):
-                buf = io.BytesIO()
-                write_trace(run_simulation(traj, surface, gw), buf)
-                blobs.append(buf.getvalue())
+            blobs = [written(scenario(traj)) for _ in range(2)]
             assert blobs[0] == blobs[1], traj.case_id
     report("criterion 9 (determinism)", "repeated seeded runs are byte-identical", budget)

@@ -649,6 +649,45 @@ def test_sweep_requires_angles_without_grid(capsys):
     assert run_cli("sweep", "--from-theta", "30") == 2
 
 
+@pytest.mark.parametrize("option", ["--from-theta", "--to-theta"])
+def test_a_grid_sweep_refuses_a_theta_option(capsys, option):
+    assert run_cli("sweep", "--grid", "5", option, "10") == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {option} is not used with --grid\n")
+
+
+@pytest.mark.parametrize(
+    "argv, option, rule",
+    [
+        (("--from-theta", "95", "--to-theta", "10"), "--from-theta", "theta=95.0 must lie in"),
+        (("--from-theta", "10", "--to-theta", "95"), "--to-theta", "theta=95.0 must lie in"),
+        (("--from-theta", "nan", "--to-theta", "10"), "--from-theta", "must be finite"),
+        (("--from-theta", "10", "--to-theta", "5", "--to-phi", "nan"), "--to-phi", "must be finite"),
+        (("--from-theta", "10", "--to-theta", "5", "--from-phi", "1e400"), "--from-phi",
+         "must be finite"),
+        (("--grid", "5", "--from-phi", "nan"), "--from-phi", "must be finite"),
+        (("--grid", "5", "--to-phi=-inf"), "--to-phi", "must be finite"),
+    ],
+)
+def test_a_bad_sweep_direction_is_refused_naming_its_option(capsys, argv, option, rule):
+    assert run_cli("sweep", *argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {option}: reflected") and rule in err, err
+
+
+def test_metrics_refuses_a_format_without_a_heatmap(tmp_path, capsys):
+    trace_path, report = tmp_path / "t.jsonl", tmp_path / "r.jsonl"
+    assert run_cli("simulate", "--out", str(trace_path), "surface.n_cols=4") == 0
+    argv = ["metrics", "--trace", str(trace_path), "--report", str(report)]
+    capsys.readouterr()
+    assert run_cli(*argv, "--format", "pgm") == 2
+    assert capsys.readouterr().err == "error: --format is not used without --heatmap\n"
+    assert not report.exists()
+    # with --heatmap, csv stays the default
+    assert run_cli(*argv, "--heatmap", str(tmp_path / "h")) == 0
+    assert (tmp_path / "h").read_text().count(",") == 3 * 50
+
+
 def test_the_parser_is_built_on_the_first_call_and_not_at_import():
     probe = "import steertrace.cli as c; print(c.build_parser.cache_info().currsize)"
     env = {**os.environ, "PYTHONPATH": str(Path(steertrace.__file__).parents[1])}

@@ -19,9 +19,7 @@ from steertrace import (
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
-    run_simulation,
     state_matrix,
-    write_trace,
 )
 from steertrace import geometry
 from steertrace.gateway import (
@@ -32,6 +30,7 @@ from steertrace.gateway import (
     iter_events,
 )
 from steertrace.geometry import Case, Trajectory, angle_stream
+from steertrace.trace_io import write_events
 
 INC = Angles(0.0, 0.0)
 
@@ -179,10 +178,8 @@ def test_diff_shape_mismatch():
 def test_stationary_target_single_empty_event():
     # angle stays a hair above zero: the ideal phases all quantize to state 0
     traj = case_c_trajectory(CaseParams(start_theta=1e-3), duration=1.0)
-    trace = run_simulation(traj, SurfaceConfig(), GatewayConfig())
-    assert len(trace.events) == 1
-    assert len(trace.events[0].updates) == 0
-    assert trace.total_packets == 0
+    (event,) = iter_events(TraceMeta(SurfaceConfig(), GatewayConfig(), INC, traj))
+    assert len(event.updates) == 0
 
 
 def test_replay_reproduces_final_state_matrix(case_a_trace):
@@ -274,21 +271,19 @@ def test_event_spacing_at_least_step_minus_sampling_slack(make_traj):
 
 
 def test_case_b_fires_on_both_angles():
-    trace = run_simulation(case_b_trajectory(), SurfaceConfig(), GatewayConfig())
-    thetas = [ev.reflected.theta for ev in trace.events]
-    phis = [ev.reflected.phi for ev in trace.events]
+    meta = TraceMeta(SurfaceConfig(), GatewayConfig(), INC, case_b_trajectory())
+    thetas, phis = zip(*((ev.reflected.theta, ev.reflected.phi) for ev in iter_events(meta)))
     assert max(thetas) - min(thetas) > 30.0
     assert max(phis) - min(phis) > 30.0
 
 
 def test_simulation_is_deterministic():
-    traj = case_c_trajectory(CaseParams(rng_seed=11), duration=12.0)
-    t1 = run_simulation(traj, SurfaceConfig(), GatewayConfig())
-    t2 = run_simulation(traj, SurfaceConfig(), GatewayConfig())
-    assert t1 == t2
+    meta = TraceMeta(SurfaceConfig(), GatewayConfig(), INC,
+                     case_c_trajectory(CaseParams(rng_seed=11), duration=12.0))
+    assert tuple(iter_events(meta)) == tuple(iter_events(meta))
     b1, b2 = io.BytesIO(), io.BytesIO()
-    write_trace(t1, b1)
-    write_trace(t2, b2)
+    write_events(meta, iter_events(meta), b1)
+    write_events(meta, iter_events(meta), b2)
     assert b1.getvalue() == b2.getvalue()
 
 
@@ -358,15 +353,16 @@ def test_case_c_simulation_memory_grows_with_the_events_not_the_samples():
     # 9,990 s at 1 ms is 9,990,001 samples, just under MAX_SAMPLES; an array over the
     # samples alone would take 80 MB
     traj = case_c_trajectory(CaseParams(rng_seed=3), duration=9990.0)
+    meta = TraceMeta(SurfaceConfig(n_cols=8, n_rows=8), GatewayConfig(), INC, traj)
     tracemalloc.start()
     try:
-        trace = run_simulation(traj, SurfaceConfig(n_cols=8, n_rows=8), GatewayConfig())
+        events = tuple(iter_events(meta))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = sum(ev.updates.nbytes for ev in trace.events)
+    rows = sum(ev.updates.nbytes for ev in events)
     # the events' rows, 1 KiB per event for the rest of it, and 1 MiB for one surface's work
-    assert peak < rows + 1024 * len(trace.events) + 2**20
+    assert peak < rows + 1024 * len(events) + 2**20
 
 
 @pytest.mark.parametrize(
@@ -375,16 +371,17 @@ def test_case_c_simulation_memory_grows_with_the_events_not_the_samples():
 def test_case_a_and_b_simulation_memory_grows_with_the_events_not_the_samples(make_traj, dt):
     # 816,434 and 432,483 samples, 100 and 53 blocks; an array over the samples alone
     # would take 6.5 and 3.5 MB
+    meta = TraceMeta(SurfaceConfig(n_cols=8, n_rows=8), GatewayConfig(sample_dt=dt), INC,
+                     make_traj())
     tracemalloc.start()
     try:
-        surface, gateway = SurfaceConfig(n_cols=8, n_rows=8), GatewayConfig(sample_dt=dt)
-        trace = run_simulation(make_traj(), surface, gateway)
+        events = tuple(iter_events(meta))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = sum(ev.updates.nbytes for ev in trace.events)
+    rows = sum(ev.updates.nbytes for ev in events)
     # the events' rows, 1 KiB per event, and 16 float64 arrays over a block for sampling
-    assert peak < rows + 1024 * len(trace.events) + 16 * 8 * geometry.SAMPLE_BLOCK
+    assert peak < rows + 1024 * len(events) + 16 * 8 * geometry.SAMPLE_BLOCK
 
 
 def _block_scenarios():

@@ -16,7 +16,7 @@ from steertrace import (
 )
 from steertrace.errors import BehindSurfaceError
 from steertrace.geometry import GRAVITY, Case, Point3D, Trajectory, angle_stream
-from steertrace.geometry import angles_from_position, position_at
+from steertrace.geometry import angles_from_position, flight_turns, position_at
 
 
 def test_case_a_start_position():
@@ -228,6 +228,26 @@ def test_case_a_theta_monotone_and_accelerating():
     early = (thetas[0] - thetas[n]) / n
     late = (thetas[-n - 1] - thetas[-1]) / n
     assert late > early, "angle change per step should grow toward the end of the walk"
+
+
+@pytest.mark.parametrize("launch", [45.0, 70.5, 70.6, 80.0, 89.0])
+def test_flight_turns_are_where_the_squared_radius_turns(launch):
+    """A launch above about 70.53 deg gives r*r a peak and then a trough; a lower one none,
+    r*r growing all along the flight."""
+    traj = case_b_trajectory(CaseParams(launch_angle=launch))
+    turns = flight_turns(traj.params)
+
+    def r2(t):
+        p = position_at(traj, t)
+        return p.x * p.x + p.y * p.y
+
+    ts = np.linspace(0.0, traj.duration, 2001)[1:]
+    grows = np.diff([r2(t) for t in ts]) > 0
+    assert len(turns) == (0 if launch < 70.53 else 2)
+    assert grows.all() == (not turns)
+    h = 1e-4 * traj.duration
+    for t, sign in zip(turns, (1, -1)):  # a peak, then a trough
+        assert sign * (r2(t) - r2(t - h)) > 0 and sign * (r2(t) - r2(t + h)) > 0
 
 
 def test_case_b_varies_both_angles():

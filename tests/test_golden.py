@@ -20,17 +20,17 @@ from steertrace import (
     CaseParams,
     GatewayConfig,
     SurfaceConfig,
-    burst_stats,
+    TraceMeta,
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
-    destination_matrix,
     export_heatmap,
-    run_simulation,
+    iter_events,
     write_report,
-    write_trace,
 )
 from steertrace.cli import main
+from steertrace.gateway import NORMAL_INCIDENCE
+from steertrace.trace_io import write_events
 
 EPOCH = "1970-01-01T00:00:00Z"
 
@@ -41,17 +41,26 @@ def sha256_of(write) -> str:
     return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
-def test_case_a_trace_report_and_heatmap_bytes(case_a_trace):
-    assert sha256_of(lambda b: write_trace(case_a_trace, b, created=EPOCH)) == (
+def simulated(meta: TraceMeta) -> tuple[str, int]:
+    """The digest of ``meta``'s trace, streamed as ``simulate`` writes it, and its event
+    count."""
+    buf = io.BytesIO()
+    n_events, _ = write_events(meta, iter_events(meta), buf, created=EPOCH)
+    return hashlib.sha256(buf.getvalue()).hexdigest(), n_events
+
+
+def test_case_a_trace_report_and_heatmap_bytes(case_a_meta, case_a_summary):
+    report, matrix = case_a_summary
+    assert simulated(case_a_meta)[0] == (
         "f3a8c6b873bd4a51b37b96d8c82fe7d45f82ae16621e6e6ed4a3acffded844f1"
     )
-    assert sha256_of(lambda b: write_report(burst_stats(case_a_trace), b, created=EPOCH)) == (
+    assert sha256_of(lambda b: write_report(report, b, created=EPOCH)) == (
         "975c86cc13de10b160d0567f1db0afa805bebf3f94bb26d42f517bf2bd0326b4"
     )
-    assert sha256_of(lambda b: export_heatmap(destination_matrix(case_a_trace), "csv", b)) == (
+    assert sha256_of(lambda b: export_heatmap(matrix, "csv", b)) == (
         "8e62beff6478ae0c535b477962bec3e6dbb9d488f17509f9cf1b16b8017b1b69"
     )
-    assert sha256_of(lambda b: export_heatmap(destination_matrix(case_a_trace), "pgm", b)) == (
+    assert sha256_of(lambda b: export_heatmap(matrix, "pgm", b)) == (
         "fd7456cb6f9153775e844c664ec9cdd1622b4d0007f6c41f66e4bebb6bb76872"
     )
 
@@ -85,8 +94,8 @@ def test_metrics_outputs_of_case_a_on_a_100x100_surface(tmp_path, monkeypatch):
     ids=["B", "C-seed-3"],
 )
 def test_default_trace_bytes(trajectory, digest):
-    trace = run_simulation(trajectory, SurfaceConfig(), GatewayConfig())
-    assert sha256_of(lambda b: write_trace(trace, b, created=EPOCH)) == digest
+    meta = TraceMeta(SurfaceConfig(), GatewayConfig(), NORMAL_INCIDENCE, trajectory)
+    assert simulated(meta)[0] == digest
 
 
 @pytest.mark.parametrize(
@@ -114,9 +123,8 @@ def test_default_trace_bytes(trajectory, digest):
     ids=["A-step-1", "B-20s-step-2.5", "C-600s-seed-3"],
 )
 def test_more_trace_bytes(trajectory, gateway, events, digest):
-    trace = run_simulation(trajectory, SurfaceConfig(), gateway)
-    assert len(trace.events) == events
-    assert sha256_of(lambda b: write_trace(trace, b, created=EPOCH)) == digest
+    meta = TraceMeta(SurfaceConfig(), gateway, NORMAL_INCIDENCE, trajectory)
+    assert simulated(meta) == (digest, events)
 
 
 @pytest.mark.parametrize(

@@ -20,16 +20,14 @@ from steertrace import (
     TrafficTrace,
     Trajectory,
     ValidationError,
-    burst_stats,
     case_a_trajectory,
-    destination_matrix,
     injection_rate,
-    run_simulation,
+    iter_events,
     sweep_diff,
     write_trace,
 )
 from steertrace.cli import main
-from steertrace.gateway import iter_events
+from steertrace.gateway import checked_events
 from steertrace import metrics
 from steertrace.metrics import spatial_cv, summarize, sweep_grid
 from steertrace.trace_io import iter_trace, write_events
@@ -55,26 +53,31 @@ def make_trace(bursts, duration=10.0):
     return TrafficTrace(meta, events)
 
 
+def summary(trace):
+    """``summarize`` of a hand-built trace's events, each checked first."""
+    return summarize(trace.meta.surface, checked_events(trace.meta, trace.events))
+
+
 def test_percent_changed_values():
     trace = make_trace([
         (0.0, []),
         (1.0, [(i % 50, i // 50, 1) for i in range(1800)]),
         (2.0, [(i % 50, i // 50, 2) for i in range(2500)]),
     ])
-    assert burst_stats(trace).per_event_changed_fraction == (0.0, 0.72, 1.0)
+    assert summary(trace)[0].per_event_changed_fraction == (0.0, 0.72, 1.0)
 
 
-def test_destination_matrix_single_event():
+def test_destination_shares_of_a_single_event():
     trace = make_trace([(0.0, [(0, 0, 1), (1, 1, 2)])])
-    m = destination_matrix(trace)
+    m = summary(trace)[1]
     assert m[0, 0] == 0.5
     assert m[1, 1] == 0.5
     assert m.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.count_nonzero(m) == 2
 
 
-def test_destination_matrix_zero_packets_is_all_zero():
-    m = destination_matrix(make_trace([(0.0, [])]))
+def test_destination_shares_of_zero_packets_are_all_zero():
+    m = summary(make_trace([(0.0, [])]))[1]
     assert not m.any()
 
 
@@ -85,7 +88,7 @@ def test_a_cell_outside_the_surface_is_refused_not_wrapped(cell):
     update = (*cell, 1)[:3]  # a third value in ``cell`` is the state, past the 4 states
     trace = make_trace([(0.0, [(1, 1, 1)]), (1.0, [(2, 2, 1), update])])
     message = f"line 3: update {list(update)} outside the 50x50 grid or the states [0, 4)"
-    for metric in (destination_matrix, burst_stats):
+    for metric in (summary, injection_rate):
         with pytest.raises(ValidationError, match=re.escape(message)) as err:
             metric(trace)
         assert err.value.key == "updates"
@@ -97,7 +100,7 @@ def test_a_cell_outside_the_surface_is_refused_not_wrapped(cell):
 )
 def test_event_times_out_of_order_or_outside_the_duration_are_refused(times, match):
     trace = make_trace([(t, [(1, 1, 1)]) for t in times])
-    for metric in (destination_matrix, burst_stats, injection_rate):
+    for metric in (summary, injection_rate):
         with pytest.raises(ValidationError, match=match) as err:
             metric(trace)
         assert err.value.key == "t"
@@ -113,8 +116,8 @@ def test_sweep_grid_refuses_a_step_out_of_range_before_coding(monkeypatch, step)
     assert err.value.key == "grid"
 
 
-def test_destination_matrix_normalizes(case_a_trace):
-    m = destination_matrix(case_a_trace)
+def test_destination_shares_sum_to_one(case_a_summary):
+    m = case_a_summary[1]
     assert m.sum() == pytest.approx(1.0, abs=1e-12)
     assert (m >= 0).all()
 
@@ -202,30 +205,30 @@ def test_spatial_cv_degenerate_cases():
     assert spatial_cv(np.zeros((5, 5))) == 0.0
 
 
-def test_burst_stats_single_event():
+def test_report_of_a_single_event():
     trace = make_trace([(3.0, [(i, 0, 1) for i in range(10)])])
-    report = burst_stats(trace)
+    report = summary(trace)[0]
     assert report.burst_sizes == (10,)
     assert report.total_packets == 10
     assert report.inter_event_times == ()
     assert report.per_event_changed_fraction == (10 / 2500,)
 
 
-def test_burst_stats_conservation(case_a_trace):
-    report = burst_stats(case_a_trace)
+def test_report_and_shares_conserve_packets(case_a_trace, case_a_summary):
+    report, matrix = case_a_summary
     assert sum(report.burst_sizes) == report.total_packets == case_a_trace.total_packets
-    counts = destination_matrix(case_a_trace) * report.total_packets
+    counts = matrix * report.total_packets
     assert counts.sum() == pytest.approx(report.total_packets, rel=1e-12)
     assert len(report.burst_sizes) == len(case_a_trace.events)
     assert len(report.inter_event_times) == len(case_a_trace.events) - 1
     assert all(g > 0 for g in report.inter_event_times)
 
 
-def test_bursts_carry_all_packets(case_a_trace):
+def test_bursts_carry_all_packets(case_a_trace, case_a_summary):
     # packets exist only at event instants: summing per-event sizes is exhaustive
     assert case_a_trace.total_packets == sum(len(ev.updates) for ev in case_a_trace.events)
     assert math.isclose(
-        sum(burst_stats(case_a_trace).per_event_changed_fraction)
+        sum(case_a_summary[0].per_event_changed_fraction)
         * case_a_trace.meta.surface.n_cells,
         case_a_trace.total_packets,
     )
@@ -277,8 +280,8 @@ def test_streamed_simulation_memory_is_bounded_by_the_largest_event():
     Case A on a 200x200 surface sampled every 10 ms bursts in 18 events of up to 33,400
     rows.  The bound allows 4 times the largest event's rows (its diff's arrays, its
     rows, which the event takes without a copy, the previous event and the coded line)
-    and 1 MB for the picks, the surface's state and everything else.  The built trace's
-    rows alone exceed it.
+    and 1 MB for the picks, the surface's state and everything else.  The events' rows
+    together exceed it.
     """
     surface, gateway = SurfaceConfig(n_cols=200, n_rows=200), GatewayConfig(sample_dt=0.01)
     meta = TraceMeta(surface, gateway, INC, case_a_trajectory())
@@ -288,7 +291,7 @@ def test_streamed_simulation_memory_is_bounded_by_the_largest_event():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = [ev.updates.nbytes for ev in run_simulation(meta.trajectory, surface, gateway).events]
+    rows = [ev.updates.nbytes for ev in iter_events(meta)]
     bound = 4 * max(rows) + 2**20
     assert sum(rows) > bound
     assert peak < bound, (peak, bound)

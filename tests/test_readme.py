@@ -13,8 +13,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_readme_library_example_runs():
     section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
+    assert "\nTrue\n" in out.getvalue()  # the trace read back summarizes as simulated
 
 
 def test_star_import_binds_every_public_name():

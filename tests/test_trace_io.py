@@ -21,21 +21,20 @@ from steertrace import (
     TrafficTrace,
     Trajectory,
     ValidationError,
-    burst_stats,
     case_a_trajectory,
     case_b_trajectory,
     case_c_trajectory,
-    destination_matrix,
     export_heatmap,
     injection_rate,
+    iter_events,
     read_report,
     read_trace,
-    run_simulation,
+    summarize,
     write_report,
     write_trace,
 )
-from steertrace.gateway import iter_events
-from steertrace.trace_io import write_events
+from steertrace.gateway import checked_events
+from steertrace.trace_io import iter_trace, write_events
 
 
 def roundtrip(trace):
@@ -63,13 +62,20 @@ def test_round_trip_is_identity(short_case_c_trace):
     ids=["A", "B", "C-seed3", "A-8x8-step0.02", "A-aliased"],
 )
 def test_streamed_events_write_the_bytes_of_the_built_trace(surface, gateway, trajectory):
+    """Held or streamed, the events write the same bytes, and summarizing them as they
+    are simulated gives what summarizing them as they are read back gives."""
     meta = TraceMeta(surface, gateway, Angles(0.0, 0.0), trajectory)
-    trace = run_simulation(trajectory, surface, gateway)
+    trace = TrafficTrace(meta, tuple(iter_events(meta)))
     built, streamed = io.BytesIO(), io.BytesIO()
     write_trace(trace, built)
     counts = write_events(meta, iter_events(meta), streamed)
     assert streamed.getvalue() == built.getvalue()
     assert counts == (len(trace.events), trace.total_packets)
+    report, matrix = summarize(meta.surface, iter_events(meta))
+    streamed.seek(0)
+    read_meta, events = iter_trace(streamed)
+    report_read, matrix_read = summarize(read_meta.surface, events)
+    assert report_read == report and np.array_equal(matrix_read, matrix)
 
 
 def test_empty_bursts_take_no_numpy_pass():
@@ -129,7 +135,8 @@ def test_case_a_trace_has_one_line_per_event_plus_header(case_a_trace):
 
 def test_empty_event_trace_serializes():
     traj = case_c_trajectory(CaseParams(start_theta=1e-3), duration=1.0)
-    trace = run_simulation(traj, SurfaceConfig(), GatewayConfig())
+    meta = TraceMeta(SurfaceConfig(), GatewayConfig(), Angles(0.0, 0.0), traj)
+    trace = TrafficTrace(meta, tuple(iter_events(meta)))
     buf = io.BytesIO()
     write_trace(trace, buf)
     lines = buf.getvalue().decode("utf-8").splitlines()
@@ -190,14 +197,13 @@ def test_header_meta_regenerates_identical_trace():
         case_c_trajectory(CaseParams(rng_seed=5), duration=8.0),
     )
     for traj in scenarios:
-        trace = run_simulation(traj, SurfaceConfig(), GatewayConfig())
+        meta = TraceMeta(SurfaceConfig(), GatewayConfig(), Angles(0.0, 0.0), traj)
         first = io.BytesIO()
-        write_trace(trace, first)
+        write_events(meta, iter_events(meta), first)
         first.seek(0)
-        meta = read_trace(first).meta
-        rerun = run_simulation(meta.trajectory, meta.surface, meta.gateway, meta.incident)
+        meta = iter_trace(first)[0]
         second = io.BytesIO()
-        write_trace(rerun, second)
+        write_events(meta, iter_events(meta), second)
         assert second.getvalue() == first.getvalue(), traj.case_id
 
 
@@ -324,9 +330,9 @@ REFUSED = {  # events (t, rows) on HEADER's 50x50 surface of 4 states over 81 s
 
 @pytest.mark.parametrize("events, key, message", REFUSED.values(), ids=list(REFUSED))
 def test_writer_reader_and_metrics_refuse_a_bad_event_in_the_same_words(events, key, message):
-    """The writer, the reader of hand-written lines and the three library metrics refuse
-    the same event with the same ValidationError, and the writer writes no byte of its
-    line."""
+    """The writer, the reader of hand-written lines, ``checked_events`` ahead of
+    ``summarize`` and ``injection_rate`` refuse the same event with the same
+    ValidationError, and the writer writes no byte of its line."""
     meta = read_trace(write_lines(HEADER)).meta
     trace = TrafficTrace(meta, tuple(
         ReconfigEvent(t, Angles(80.0, 0.0), np.array(rows, np.int64).reshape(-1, 3))
@@ -338,8 +344,7 @@ def test_writer_reader_and_metrics_refuse_a_bad_event_in_the_same_words(events, 
     refusals = {
         "write_trace": lambda: write_trace(trace, written),
         "read_trace": lambda: read_trace(write_lines(HEADER, *lines)),
-        "burst_stats": lambda: burst_stats(trace),
-        "destination_matrix": lambda: destination_matrix(trace),
+        "summarize": lambda: summarize(meta.surface, checked_events(meta, trace.events)),
         "injection_rate": lambda: injection_rate(trace),
     }
     for name, refuse in refusals.items():
@@ -472,8 +477,8 @@ def test_write_failure_reports_byte_offset(short_case_c_trace):
         assert err.value.byte_offset == start
 
 
-def test_report_round_trip(case_a_trace):
-    report = burst_stats(case_a_trace)
+def test_report_round_trip(case_a_summary):
+    report = case_a_summary[0]
     buf = io.BytesIO()
     write_report(report, buf)
     buf.seek(0)
@@ -559,10 +564,8 @@ def test_heatmap_pgm_zero_matrix():
     assert not pixels.any()
 
 
-def test_heatmap_pgm_scales_by_max(case_a_trace):
-    from steertrace import destination_matrix
-
-    m = destination_matrix(case_a_trace)
+def test_heatmap_pgm_scales_by_max(case_a_summary):
+    m = case_a_summary[1]
     buf = io.BytesIO()
     export_heatmap(m, "pgm", buf)
     w, h, maxval, pixels = parse_pgm(buf.getvalue())
